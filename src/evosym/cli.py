@@ -5,8 +5,10 @@ Subcommands: ``check``, ``classify``, ``determine``, ``timedep``,
 either human-readable text or a JSON report with the fields
 ``{entry, command, verdict, order, flags, time_class, residual}``.
 
-Exit codes: 0 all expectations met, 1 a verdict mismatch, 2 usage or parse
-errors.
+Exit codes: 0 all expectations met, 1 a verdict mismatch, 2 usage, parse
+or input errors (including input nested too deeply to evaluate), 3 an
+internal error (a failed self-check or any other unexpected exception).
+Codes 2 and 3 are never verdicts.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -536,6 +539,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
             PoolLimitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to evaluate "
+              "(recursion limit reached)", file=sys.stderr)
+        return 2
+    except Exception as err:
+        # a bug, not a verdict: exit codes 0 and 1 must stay unambiguous
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

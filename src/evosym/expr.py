@@ -565,6 +565,16 @@ def as_scalar(e: DiffExpr) -> Scalar | None:
     return Scalar(c, ((slot[1], v) for slot, v in key))
 
 
+def as_rational(e: DiffExpr) -> int | Fraction | None:
+    """The expression as a number (an int when integral), or None when it
+    is not a rational constant."""
+    if not e._t:
+        return 0
+    if len(e._t) > 1:
+        return None
+    return e._t.get(())
+
+
 # -- exact division and roots ----------------------------------------------
 
 def _dense_le(k1, k2) -> bool:

@@ -190,5 +190,5 @@ def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
         raise ParseError(f"unexpected token {end.text!r}", end.line, end.column)
     try:
         return normalize(tree)
-    except ExpressionError as err:
+    except (ExpressionError, ZeroDivisionError) as err:
         raise ParseError(str(err), end.line, end.column) from err

@@ -4,9 +4,10 @@ A candidate is written as an unknown linear combination of a scaling-graded
 monomial pool (times optional t-powers and an optional fixed ``exp(lambda*t)``
 factor).  The compatibility residual is linear in the candidate, so the
 coefficient of every normalized term yields one exact linear condition; the
-nullspace of that system, computed fraction-free over the constants, is the
-space of symmetries inside the ansatz.  Every returned expression is
-re-verified through the full residual check.
+nullspace of that system is the space of symmetries inside the ansatz.
+``linalg`` computes it by sparse exact elimination: in rationals when every
+coefficient is rational, fraction-free over the constants otherwise.  Every
+returned expression is re-verified through the full residual check.
 """
 
 from __future__ import annotations

@@ -165,3 +165,49 @@ class TestUsage:
     def test_missing_required_exit_2(self):
         code, _ = run_cli("check", "--equation", "u2")
         assert code == 2
+
+
+class TestErrorExitCodes:
+    """Codes 0 and 1 are verdicts; input errors exit 2 and internal
+    failures 3, never a verdict code."""
+
+    def test_internal_linalg_failure_exit_3(self, monkeypatch, capsys):
+        from evosym import linalg
+
+        def broken(rows, ncols):
+            raise RuntimeError("nullspace verification failed (bug)")
+
+        monkeypatch.setattr(linalg, "nullspace", broken)
+        code, out = run_cli("find", "--equation", "u3 + 6*u*u1",
+                            "--order", "3", "--weight", "5")
+        assert code == 3
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: nullspace verification failed" \
+            in err
+
+    def test_self_check_failure_exit_3(self, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        from evosym import search
+
+        monkeypatch.setattr(search, "is_symmetry",
+                            lambda eq, g: SimpleNamespace(is_symmetry=False))
+        code, _ = run_cli("find", "--equation", "u3 + 6*u*u1",
+                          "--order", "3", "--weight", "5")
+        assert code == 3
+        assert "internal error: SelfCheckError" in capsys.readouterr().err
+
+    def test_deep_nesting_exit_2(self, capsys):
+        deep = "(" * 3000 + "u1" + ")" * 3000
+        code, out = run_cli("check", "--equation", "u3 + 6*u*u1",
+                            "--candidate", deep)
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_division_by_zero_is_a_parse_error(self, capsys):
+        code, _ = run_cli("check", "--equation", "u3 + 6*u*u1",
+                          "--candidate", "u1/0")
+        assert code == 2
+        assert "error: division by zero" in capsys.readouterr().err

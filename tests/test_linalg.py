@@ -119,3 +119,201 @@ def test_nullspace_with_constants_verifies(seed):
             for _ in range(nrows)]
     res = nullspace(rows, ncols)  # internal A v = 0 verification is exact
     assert res.rank + len(res.basis) == ncols
+
+
+# -- the sparse engine against references ------------------------------------
+
+def _reference_nullspace(rows, ncols):
+    """The dense fraction-free Bareiss-Jordan sweep that the sparse engine
+    replaced, kept as the reference for matrices with constants: every
+    sweep updates every cell of every row.  Returns ``(basis, rank,
+    pivot_assumptions)``."""
+    from evosym import expr as ex
+
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    prev = ONE
+    pivots = []
+    assumptions = []
+    piv_r = 0
+    for piv_c in range(ncols):
+        sel = None
+        for i in range(piv_r, nrows):
+            if m[i][piv_c]:
+                if sel is None:
+                    sel = i
+                s = ex.as_scalar(m[i][piv_c])
+                if s is not None and s.is_rational:
+                    sel = i
+                    break
+        if sel is None:
+            continue
+        m[sel], m[piv_r] = m[piv_r], m[sel]
+        p = m[piv_r][piv_c]
+        if ex.as_scalar(p) is None or not ex.as_scalar(p).is_rational:
+            assumptions.append(p)
+        for i in range(nrows):
+            if i == piv_r:
+                continue
+            fi = m[i][piv_c]
+            for c in range(ncols):
+                num = p * m[i][c] - fi * m[piv_r][c]
+                if num.is_zero:
+                    m[i][c] = ZERO
+                elif prev == ONE:
+                    m[i][c] = num
+                else:
+                    q = ex.try_divide(num, prev)
+                    assert q is not None
+                    m[i][c] = q
+        pivots.append((piv_r, piv_c))
+        prev = p
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    d = prev
+    pivot_cols = {c: r for r, c in pivots}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [ZERO] * ncols
+        vec[f] = d
+        for c, r in pivot_cols.items():
+            if m[r][c] == d:
+                vec[c] = -m[r][f]
+            else:
+                scaled = ex.try_divide(m[r][f] * d, m[r][c])
+                assert scaled is not None
+                vec[c] = -scaled
+        basis.append(tuple(vec))
+    return tuple(basis), len(pivots), tuple(assumptions)
+
+
+def _sparse_rational_matrix(rng, max_size=12, zero_share=0.7):
+    nrows = rng.randint(0, max_size)
+    ncols = rng.randint(1, max_size)
+    rows = [[ZERO if rng.random() < zero_share else
+             _q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+             for _ in range(ncols)] for _ in range(nrows)]
+    return rows, ncols
+
+
+def _symbolic_matrix(rng, max_size=5):
+    a, b = const("a"), const("b")
+    pool = [ZERO, ZERO, ZERO, a, b, a * b, a + 1, _q(2)]
+    nrows = rng.randint(1, max_size)
+    ncols = rng.randint(1, max_size)
+    rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+    rows[rng.randrange(nrows)][rng.randrange(ncols)] = a  # not all rational
+    return rows, ncols
+
+
+def _fraction_dot(row, vec):
+    return sum(Fraction(a.term_items()[0][1]) * Fraction(v.term_items()[0][1])
+               for a, v in zip(row, vec) if a and v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_sparse_rational_kernel_matches_dense_oracle(seed):
+    rows, ncols = _sparse_rational_matrix(random.Random(seed))
+    res = nullspace(rows, ncols)
+    nullity = _dense_rational_nullity(rows, ncols)
+    assert len(res.basis) == nullity and res.rank == ncols - nullity
+    assert rank(rows, ncols) == res.rank
+    # the basis lies in the kernel and is independent, so it spans the
+    # kernel, whose dimension the oracle gave
+    assert all(_fraction_dot(row, vec) == 0
+               for vec in res.basis for row in rows)
+    if res.basis:
+        assert _dense_rational_nullity(list(res.basis), ncols) \
+            == ncols - nullity
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_constants_give_the_dense_bareiss_result(seed):
+    rows, ncols = _symbolic_matrix(random.Random(seed))
+    res = nullspace(rows, ncols)
+    basis, rk, assumptions = _reference_nullspace(rows, ncols)
+    assert res.basis == basis
+    assert res.rank == rk == rank(rows, ncols)
+    assert res.pivot_assumptions == assumptions
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_in_span_matches_two_rank_definition(seed):
+    rng = random.Random(seed)
+    rows, ncols = _symbolic_matrix(rng)
+    target = rows.pop()
+    if rows and rng.random() < 0.5:  # a member over Q(a, b)
+        target = [x + const("a") * y for x, y in zip(rows[0], rows[-1])]
+    expected = (_reference_nullspace(rows, ncols)[1]
+                == _reference_nullspace(rows + [target], ncols)[1])
+    assert in_span(target, rows, ncols) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_in_span_rational_matches_two_rank_definition(seed):
+    rng = random.Random(seed)
+    rows, ncols = _sparse_rational_matrix(rng, max_size=8)
+    rows.append([_q(rng.randint(-3, 3)) for _ in range(ncols)])
+    target = rows.pop()
+    if rows and rng.random() < 0.5:  # a member
+        target = [x + _q(3) * y for x, y in zip(rows[0], rows[-1])]
+    expected = (_dense_rational_nullity(rows, ncols)
+                == _dense_rational_nullity(rows + [target], ncols))
+    assert in_span(target, rows, ncols) == expected
+
+
+class TestEngineEdgeCases:
+    def test_no_rows(self):
+        res = nullspace([], 3)
+        assert res.rank == 0 and res.pivot_assumptions == ()
+        assert res.basis == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO),
+                             (ZERO, ZERO, ONE))
+        assert rank([], 3) == 0
+
+    def test_all_zero_column(self):
+        rows = [[ONE, ZERO, _q(2)], [_q(3), ZERO, ONE]]
+        res = nullspace(rows, 3)
+        assert res.rank == 2
+        assert res.basis == ((ZERO, ONE, ZERO),)
+
+    def test_one_symbolic_entry_takes_the_fraction_free_domain(self):
+        a = const("a")
+        rows = [[_q(2), _q(4), a], [ZERO, _q(3), ONE]]
+        res = nullspace(rows, 3)
+        # fraction-free: the free column carries the last pivot, 6; plain
+        # Gauss-Jordan would give (2/3 - a/2, -1/3, 1)
+        assert res.basis == _reference_nullspace(rows, 3)[0]
+        assert res.basis == ((_q(4) - _q(3) * a, _q(-2), _q(6)),)
+        assert res.pivot_assumptions == ()
+        for row in rows:
+            assert sum((x * y for x, y in zip(row, res.basis[0])), ZERO) \
+                == ZERO
+
+    def test_rational_basis_has_unit_free_entries(self):
+        rows = [[_q(2), _q(4), _q(6)]]
+        res = nullspace(rows, 3)
+        assert res.basis == ((_q(-2), ONE, ZERO), (_q(-3), ZERO, ONE))
+
+    def test_in_span_with_empty_basis(self):
+        a = const("a")
+        assert in_span([ZERO, ZERO, ZERO], [], 3)
+        assert not in_span([ZERO, a, ZERO], [], 3)
+        assert not in_span([_q(1, 2), ZERO, ZERO], [], 3)
+
+    def test_in_span_over_the_constants(self):
+        # (a, a*b) = a * (1, b): a member over Q(a, b), not over Q
+        a, b = const("a"), const("b")
+        assert in_span([a, a * b], [[ONE, b]], 2)
+        assert in_span([a, a], [[ONE, ONE]], 2)
+        assert not in_span([a, b], [[ONE, ONE]], 2)
+
+    def test_ragged_in_span_rejected(self):
+        with pytest.raises(ValueError):
+            in_span([ONE, ZERO], [[ONE]], 2)

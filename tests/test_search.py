@@ -137,3 +137,25 @@ class TestLinearT:
         with pytest.raises(ValueError):
             find_linear_t_symmetries(
                 kdv, AnsatzConfig(order=1, weight_max=3, t_degree_max=1))
+
+
+class TestLargeSearches:
+    """Searches whose elimination took seconds with dense elimination."""
+
+    def test_kdv_hierarchy_to_order_eleven(self, kdv):
+        res = find_symmetries(kdv, AnsatzConfig(order=11, weight_max=13))
+        assert res.pool_size == 101
+        assert sorted(u_order(g) for g in res.basis) == [1, 3, 5, 7, 9, 11]
+        assert expr_in_span(F_KDV, list(res.basis))
+        assert expr_in_span(G5, list(res.basis))
+        assert res.pivot_assumptions == ()
+
+    def test_kdv_time_and_x_dependent_order_five(self, kdv):
+        cfg = AnsatzConfig(order=5, weight_max=7, t_degree_max=1,
+                           x_degree_max=1)
+        res = find_symmetries(kdv, cfg)
+        assert res.pool_size == 123
+        assert len(res.basis) == 5
+        for member in (u1, F_KDV, G5, parse("1 + 6*t*u1"),
+                       parse("x*u1 + 2*u + 3*t*(u3 + 6*u*u1)")):
+            assert expr_in_span(member, list(res.basis)), member

@@ -5,7 +5,6 @@ calculus, symmetry verification and determining systems, x-dependence and
 time-dependence structure theory, and a finite-ansatz symmetry search.
 """
 
-from ._backend import BACKEND
 from .expr import (DiffExpr, ExpressionError, Scalar, ZERO, ONE, const,
                    exp_of, normalize, partial, rational, substitute,
                    to_source, u, u_order, x, t)
@@ -29,6 +28,8 @@ from .search import (AnsatzConfig, PoolLimitError, expr_in_span,
 from .parser import ParseError, parse
 
 __version__ = "0.1.0"
+
+BACKEND = "python"  # the term kernels (``_kernel_py``) are pure Python
 
 __all__ = [
     "BACKEND", "DiffExpr", "ExpressionError", "Scalar", "ZERO", "ONE",

@@ -1,4 +1,4 @@
-"""Pure-Python term-map kernels.
+"""Term-map kernels: the inner loops of all expression arithmetic.
 
 A differential expression is stored as a mapping ``key -> coefficient``
 (int or Fraction; integral coefficients stay ints for speed).  A key
@@ -14,12 +14,7 @@ is a sorted tuple of ``(slot, value)`` pairs describing one normalized term:
 
 Multiplying two terms adds the values of matching slots, which makes every
 kernel below a merge or a merge-of-products.  Zero values are never stored.
-
-This module is the fallback backend; ``_kernel.pyx`` is the compiled twin
-with the same signatures.  Keep the two in sync.
 """
-
-BACKEND_NAME = "python"
 
 
 def mul_key(k1, k2):
@@ -148,4 +143,51 @@ def diff_terms(a, gen):
                 else:
                     del out[nk]
             get = out.get
+    return out
+
+
+def total_d_terms(a):
+    """Total x-derivative ``D = d/dx + sum u_{i+1} d/du_i`` of a term map.
+
+    One pass over each key: the power rule on ``x``; the power rule on
+    ``u_i`` with the removed factor replaced by ``u_{i+1}``; the chain rule
+    on each exponential component ``coeff * cmono * gen``, which contributes
+    ``coeff * cmono * D(gen)`` (``D(x) = 1``, ``D(u_i) = u_{i+1}``,
+    ``D(t) = 0``).
+    """
+    out = {}
+    get = out.get
+    for key, c in a.items():
+        n = len(key)
+        for idx, (slot, val) in enumerate(key):
+            kind, gen = slot[0], slot[1]
+            if kind == 1 or gen == -2:  # constants and t: D is 0
+                continue
+            if kind == 0:
+                head = key[:idx] if val == 1 else key[:idx] + ((slot, val - 1),)
+                if gen == -1:
+                    nk = head + key[idx + 1:]
+                else:
+                    # (0, gen + 1) sorts directly after (0, gen)
+                    nxt = idx + 1
+                    up = (0, gen + 1)
+                    if nxt < n and key[nxt][0] == up:
+                        nk = head + ((up, key[nxt][1] + 1),) + key[nxt + 1:]
+                    else:
+                        nk = head + ((up, 1),) + key[nxt:]
+            else:
+                factor = tuple(((1, nm), e) for nm, e in slot[2])
+                if gen >= 0:
+                    factor = (((0, gen + 1), 1),) + factor
+                nk = mul_key(key, factor)
+            nc = c * val
+            v = get(nk)
+            if v is None:
+                out[nk] = nc
+            else:
+                v = v + nc
+                if v:
+                    out[nk] = v
+                else:
+                    del out[nk]
     return out

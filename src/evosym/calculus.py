@@ -13,16 +13,12 @@ from math import comb
 from typing import Mapping
 
 from . import expr as ex
-from .expr import GEN_X, DiffExpr, partial, u_indices, u_order
+from .expr import DiffExpr, partial, u_indices, u_order
 
 
 def total_d(e: DiffExpr) -> DiffExpr:
     """Total derivative with respect to x; raises the top u-index by one."""
-    acc = dict(partial(e, GEN_X)._t)
-    for i in sorted(u_indices(e)):
-        step = ex.kernel.mul_terms(partial(e, i)._t, ex.u(i + 1)._t)
-        ex.kernel.add_into(acc, step, 1)
-    return DiffExpr(acc)
+    return DiffExpr(ex.kernel.total_d_terms(e._t))
 
 
 def total_d_power(e: DiffExpr, j: int) -> DiffExpr:

@@ -7,7 +7,8 @@ semantic equality is structural equality and zero-testing is "is the term map
 empty".  All arithmetic is exact; there is no floating point anywhere.
 
 Generators are encoded as ints: ``u_i -> i``, ``x -> -1``, ``t -> -2``.  The
-term-map layout is documented in ``_kernel_py``.
+term-map layout and the loops over it (products, sums, partial and total
+derivatives) live in ``_kernel_py``, imported here as ``kernel``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from ._backend import kernel
+from . import _kernel_py as kernel
 
 GEN_X = -1
 GEN_T = -2
@@ -362,10 +363,10 @@ def normalize(tree) -> DiffExpr:
     if op == "const":
         return const(tree[1])
     if op == "add":
-        out = normalize(tree[1])
-        for sub in tree[2:]:
-            out = out + normalize(sub)
-        return out
+        acc: dict = {}
+        for sub in tree[1:]:
+            kernel.add_into(acc, normalize(sub)._t, 1)
+        return DiffExpr(acc)
     if op == "sub":
         return normalize(tree[1]) - normalize(tree[2])
     if op == "neg":
@@ -617,7 +618,9 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
 
     Sparse division steered by a graded monomial order; generator exponents
     in the quotient must stay non-negative (constants and exponential
-    factors are invertible, generators are not).
+    factors are invertible, generators are not).  A division that is not
+    decided within ``_DIV_STEP_CAP`` steps raises ``ExpressionError``:
+    giving up is not "not divisible".
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero expression")
@@ -637,7 +640,10 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
         qc = _num(Fraction(cr) / cb)
         quo[qk] = qc
         kernel.add_into(rem, kernel.mul_single(b._t, qk, qc), -1)
-    return None
+    if not rem:
+        return DiffExpr(quo)
+    raise ExpressionError(f"exact division gave up at its step cap "
+                          f"(_DIV_STEP_CAP = {_DIV_STEP_CAP})")
 
 
 def try_nth_root(e: DiffExpr, m: int) -> DiffExpr | None:

@@ -69,7 +69,11 @@ def _line_col(source: str, pos: int) -> tuple[int, int]:
     return line, col
 
 
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+_MAX_DEPTH = 100
+"""Deepest nesting of parentheses, unary minus, ``exp(...)`` and exponent
+parentheses or towers that the recursive descent accepts."""
+
+_ONE = ("num", Fraction(1))
 
 
 class _Parser:
@@ -93,24 +97,41 @@ class _Parser:
                              tok.line, tok.column)
         return tok
 
-    def parse_expr(self, min_prec: int = 0):
-        lhs = self.parse_atom()
-        while True:
-            tok = self.peek()
-            prec = _PREC.get(tok.kind)
-            if prec is None or prec < min_prec:
-                return lhs
-            self.advance()
-            if tok.kind == "^":
-                rhs = self.parse_exponent()
-                lhs = ("pow", lhs, rhs)
-                continue
-            # left-associative: require strictly higher precedence on the right
-            rhs = self.parse_expr(prec + 1)
-            op = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[tok.kind]
-            lhs = (op, lhs, rhs)
+    @staticmethod
+    def descend(tok: _Token, depth: int) -> int:
+        if depth >= _MAX_DEPTH:
+            raise ParseError(f"expression nested too deeply (more than "
+                             f"{_MAX_DEPTH} levels)", tok.line, tok.column)
+        return depth + 1
 
-    def parse_exponent(self) -> int:
+    def parse_expr(self, depth: int = 0):
+        """A chain of ``+``/``-`` as one flat ``add`` node (``a - b`` is
+        ``a + (-b)``), so long sums cost no recursion."""
+        parts = [self.parse_product(depth)]
+        while self.peek().kind in ("+", "-"):
+            minus = self.advance().kind == "-"
+            rhs = self.parse_product(depth)
+            parts.append(("neg", rhs) if minus else rhs)
+        return parts[0] if len(parts) == 1 else ("add", *parts)
+
+    def parse_product(self, depth: int):
+        """A chain of ``*``/``/`` as one flat ``mul`` node (``a / b`` is
+        ``a * (1/b)``)."""
+        parts = [self.parse_power(depth)]
+        while self.peek().kind in ("*", "/"):
+            divide = self.advance().kind == "/"
+            rhs = self.parse_power(depth)
+            parts.append(("div", _ONE, rhs) if divide else rhs)
+        return parts[0] if len(parts) == 1 else ("mul", *parts)
+
+    def parse_power(self, depth: int):
+        base = self.parse_atom(depth)
+        if self.peek().kind == "^":
+            self.advance()
+            base = ("pow", base, self.parse_exponent(depth))
+        return base
+
+    def parse_exponent(self, depth: int) -> int:
         neg = False
         tok = self.peek()
         if tok.kind == "-":
@@ -122,35 +143,36 @@ class _Parser:
             base = int(tok.text)
         elif tok.kind == "(":
             self.advance()
-            base = self.parse_exponent()
+            base = self.parse_exponent(self.descend(tok, depth))
             self.expect(")")
         else:
             raise ParseError("non-integer exponent", tok.line, tok.column)
         # right-associative exponent towers: u^2^3 means u^(2^3)
         if self.peek().kind == "^":
             caret = self.advance()
-            rest = self.parse_exponent()
+            rest = self.parse_exponent(self.descend(caret, depth))
             if rest < 0:
                 raise ParseError("non-integer exponent", caret.line,
                                  caret.column)
             base = base ** rest
         return -base if neg else base
 
-    def parse_atom(self):
+    def parse_atom(self, depth: int):
         tok = self.advance()
         if tok.kind == "num":
             return ("num", Fraction(int(tok.text)))
         if tok.kind == "-":
-            return ("neg", self.parse_expr(_PREC["*"] + 1))
+            # unary minus binds tighter than * and looser than ^
+            return ("neg", self.parse_power(self.descend(tok, depth)))
         if tok.kind == "(":
-            inner = self.parse_expr(0)
+            inner = self.parse_expr(self.descend(tok, depth))
             self.expect(")")
             return inner
         if tok.kind == "ident":
             name = tok.text
             if name == "exp":
                 self.expect("(")
-                inner = self.parse_expr(0)
+                inner = self.parse_expr(self.descend(tok, depth))
                 self.expect(")")
                 return ("exp", inner)
             if name == "x":
@@ -184,7 +206,7 @@ def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
                              "reserved identifier")
     tokens = _tokenize(source)
     p = _Parser(tokens, names)
-    tree = p.parse_expr(0)
+    tree = p.parse_expr()
     end = p.peek()
     if end.kind != "end":
         raise ParseError(f"unexpected token {end.text!r}", end.line, end.column)

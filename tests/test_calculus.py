@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (DOperator, D_OP, ZERO_OP, ev_apply, exp_of, frechet,
-                    nabla_on_op, op_apply, op_commutator, op_compose,
-                    partial, total_d, total_d_power, u, x, t)
+from evosym import (DOperator, D_OP, ZERO_OP, const, ev_apply, exp_of,
+                    frechet, nabla_on_op, op_apply, op_commutator, op_compose,
+                    parse, partial, to_source, total_d, total_d_power,
+                    u, u_order, x, t)
 from evosym.expr import ONE, ZERO, ExpressionError
 
 from conftest import random_expr
@@ -93,6 +94,55 @@ class TestOperators:
     def test_nabla_on_op(self):
         A = DOperator({1: u0})
         assert nabla_on_op(u1, A) == DOperator({1: u1})
+
+
+# -- the fused D against its definition ---------------------------------------
+
+def _total_d_by_partials(e):
+    """``D(e) = de/dx + sum_i u_{i+1} de/du_i``, composed from ``partial``."""
+    out = partial(e, x)
+    top = u_order(e)
+    for i in range(top + 1 if top is not None else 0):
+        out = out + u(i + 1) * partial(e, u(i))
+    return out
+
+
+_SYMBOLIC_EXP = exp_of(const("a") * u0 + const("b") * x - t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds)
+def test_total_d_matches_partial_composition(seed):
+    rng = random.Random(seed)
+    e = random_expr(rng, max_terms=4, consts=("a", "b"))
+    if rng.random() < 0.6:
+        e = e * _SYMBOLIC_EXP
+    if rng.random() < 0.5:
+        e = e + random_expr(rng, max_terms=2, consts=("a", "b"))
+    assert total_d(e) == _total_d_by_partials(e)
+
+
+@pytest.mark.parametrize("source", [
+    "u2*exp(a*u + b*x - t)",
+    "(u3 + 6*u*u1)*exp(a*u + b*x - t) + a^-1*x*u2",
+    "x^2*u1^3*exp(2*u - x) + a*b*u*u1",
+    "t*u^2*u1*exp(-3/2*a*u + 1/2*t) - exp(b*x)",
+])
+def test_total_d_against_sympy(source):
+    sp = pytest.importorskip("sympy")
+    names = {"x": sp.Symbol("x"), "t": sp.Symbol("t"), "a": sp.Symbol("a"),
+             "b": sp.Symbol("b"), "exp": sp.exp, "u": sp.Symbol("u0")}
+    us = [sp.Symbol(f"u{i}") for i in range(8)]
+    names.update({f"u{i}": us[i] for i in range(1, 8)})
+
+    def to_sympy(e):
+        return sp.sympify(to_source(e).replace("^", "**"), locals=names)
+
+    e = parse(source, ("a", "b"))
+    f = to_sympy(e)
+    expected = sp.diff(f, names["x"]) + sum(
+        us[i + 1] * sp.diff(f, us[i]) for i in range(len(us) - 1))
+    assert sp.expand(to_sympy(total_d(e)) - expected) == 0
 
 
 # -- randomized laws ----------------------------------------------------------

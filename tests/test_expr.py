@@ -132,6 +132,17 @@ class TestDivision:
         e = exp_of(2 * u0) * (u1 + u2)
         assert try_divide(e, exp_of(2 * u0)) == u1 + u2
 
+    def test_step_cap_raises_instead_of_not_divisible(self):
+        # u^10001 - 1 = (u - 1)(u^10000 + ... + 1) needs 10,001 steps
+        assert ex._DIV_STEP_CAP == 10_000
+        with pytest.raises(ExpressionError, match="_DIV_STEP_CAP"):
+            try_divide(u0 ** 10001 - 1, u0 - 1)
+
+    def test_long_exact_division_under_the_cap(self):
+        q = try_divide(u0 ** 9000 - 1, u0 - 1)
+        assert len(q) == 9000
+        assert q == sum((u0 ** i for i in range(9000)), ZERO)
+
     def test_roots(self):
         assert try_nth_root(4 * u1 ** 2 * const("a") ** 2, 2) == 2 * u1 * const("a")
         assert try_nth_root(u0 + u1, 2) is None

@@ -110,3 +110,36 @@ class TestRoundTrip:
         back = parse(printed, ("a", "lam"))
         assert back == e
         assert to_source(back) == printed
+
+
+class TestInputSize:
+    """Long flat chains parse without recursion; deep nesting is rejected
+    with a ParseError at a fixed depth."""
+
+    def test_long_sum(self):
+        assert parse("+".join(["u"] * 5000)) == 5000 * u0
+
+    def test_long_difference(self):
+        assert parse("-".join(["u"] * 5000)) == -4998 * u0
+
+    def test_long_product(self):
+        assert parse("*".join(["u"] * 5000)) == u0 ** 5000
+
+    def test_long_quotient(self):
+        assert parse("/".join(["u"] + ["2"] * 4999)) == u0 / 2 ** 4999
+
+    def test_nesting_below_the_limit_parses(self):
+        assert parse("(" * 50 + "u1" + ")" * 50) == u1
+        assert parse("-" * 50 + "u") == u0
+
+    @pytest.mark.parametrize("source", [
+        "(" * 3000 + "u1" + ")" * 3000,
+        "-" * 3000 + "u",
+        "u^" + "(" * 3000 + "2" + ")" * 3000,
+        "2^" + "^".join(["1"] * 3000),
+        "exp(" * 3000 + "x" + ")" * 3000,
+    ], ids=["parentheses", "unary-minus", "exponent-parentheses",
+            "exponent-tower", "exp"])
+    def test_deep_nesting_is_a_parse_error(self, source):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(source)

@@ -26,8 +26,8 @@ from .symmetry import (EvolutionEquation, SelfCheckError, classify,
                        determining_system, is_symmetry,
                        leading_coefficient_check, representation_decompose,
                        descent_leading_coeff_check, x_descent)
-from .timedep import (POLYNOMIAL, QUASIPOLYNOMIAL, TIME_INDEPENDENT,
-                      annihilator, classify_time, mastersymmetry_test,
+from .timedep import (POLYNOMIAL, TIME_INDEPENDENT, annihilator,
+                      classify_time, mastersymmetry_test,
                       predict_time_dependence, probe_time_shapes,
                       scaling_test)
 
@@ -83,9 +83,7 @@ def _compact_time(cls) -> str:
         return "independent"
     if cls.kind == POLYNOMIAL:
         return f"polynomial {cls.degree}"
-    if cls.kind == QUASIPOLYNOMIAL:
-        return "quasipolynomial"
-    return "other"
+    return "quasipolynomial"
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -109,7 +107,6 @@ def _cmd_check(args, out) -> int:
                          "(x inside an exponential)")
         else:
             dec = representation_decompose(eq, rep)
-            rep = rep.with_representation(dec)
             lines.append(f"x-power decomposition: s = {dec.s}, "
                          f"psi = {dec.psi}")
         trace = x_descent(eq, rep)
@@ -384,7 +381,7 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
         basis_src = entry.basis or tuple(s for s, _ in entry.symmetries)
         basis = [parse(s, entry.constants) for s in basis_src]
         pred = predict_time_dependence(eq, basis, corollary_mode=eq.kdv_like)
-        got = pred.prediction or "none"
+        got = pred.prediction
         lines.append(f"prediction: {got} (basis of {len(basis)}, "
                      f"orders <= {pred.basis_order_cap})")
         if got != entry.predict:

@@ -578,66 +578,54 @@ def as_rational(e: DiffExpr) -> int | Fraction | None:
 
 # -- exact division and roots ----------------------------------------------
 
-def _dense_le(k1, k2) -> bool:
-    """k1 <= k2 in graded order with dense lexicographic tie-break."""
-    g1, g2 = _grade(k1), _grade(k2)
-    if g1 != g2:
-        return g1 < g2
-    i = j = 0
-    while i < len(k1) or j < len(k2):
-        s1 = k1[i][0] if i < len(k1) else None
-        s2 = k2[j][0] if j < len(k2) else None
-        if s1 is not None and (s2 is None or s1 < s2):
-            v1, v2 = k1[i][1], 0
-            i += 1
-            slot_differs = v1 != v2
-        elif s2 is not None and (s1 is None or s2 < s1):
-            v1, v2 = 0, k2[j][1]
-            j += 1
-            slot_differs = v1 != v2
-        else:
-            v1, v2 = k1[i][1], k2[j][1]
-            i += 1
-            j += 1
-            slot_differs = v1 != v2
-        if slot_differs:
-            return v1 < v2
-    return True
-
-
-def _lead(terms: Mapping):
-    best = None
-    for key, c in terms.items():
-        if best is None or _dense_le(best[0], key):
-            best = (key, c)
-    return best
-
-
 def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     """Exact quotient ``a / b`` in the expression class, or None.
 
-    Sparse division steered by a graded monomial order; generator exponents
-    in the quotient must stay non-negative (constants and exponential
-    factors are invertible, generators are not).  A division that is not
-    decided within ``_DIV_STEP_CAP`` steps raises ``ExpressionError``:
-    giving up is not "not divisible".
+    Sparse division steered by a graded monomial order: terms compare by
+    total degree in x, t and the u_i, then lexicographically by exponent
+    vectors over the slots of ``a`` and ``b`` (no step adds a slot).
+    Generator exponents in the quotient must stay non-negative (constants
+    and exponential factors are invertible, generators are not).  A
+    division that is not decided within ``_DIV_STEP_CAP`` steps raises
+    ``ExpressionError``: giving up is not "not divisible".
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero expression")
     if a.is_zero:
         return ZERO
-    lead_b, cb = _lead(b._t)
+    pos: dict = {}
+    orders: dict = {}
+
+    def order(key):
+        o = orders.get(key)
+        if o is None:
+            vec = [0] * len(pos)
+            for s, v in key:
+                vec[pos[s]] = v
+            o = orders[key] = (_grade(key), vec)
+        return o
+
+    def lead(terms):
+        if len(terms) == 1:
+            return next(iter(terms))
+        if not pos:  # most divisions are of one term by one term
+            slots = sorted({s for key in (*a._t, *b._t) for s, _ in key})
+            pos.update((s, i) for i, s in enumerate(slots))
+        return max(terms, key=order)
+
+    lead_b = lead(b._t)
+    cb = b._t[lead_b]
     neg_lead_b = tuple((s, -v) for s, v in lead_b)
     rem = dict(a._t)
     quo: dict = {}
     for _ in range(_DIV_STEP_CAP):
         if not rem:
             return DiffExpr(quo)
-        lead_r, cr = _lead(rem)
+        lead_r = lead(rem)
         qk = kernel.mul_key(lead_r, neg_lead_b)
         if any(slot[0] == 0 and v < 0 for slot, v in qk):
             return None
-        qc = _num(Fraction(cr) / cb)
+        qc = _num(Fraction(rem[lead_r]) / cb)
         quo[qk] = qc
         kernel.add_into(rem, kernel.mul_single(b._t, qk, qc), -1)
     if not rem:

@@ -157,17 +157,10 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
             entry = m[r].get(f)
             if entry is None:
                 continue
-            piv_val = m[r][c]
-            if piv_val == d:
-                vec[c] = -entry
-            else:
-                # a pivot entry still holding an older pivot value is
-                # normalized to the final pivot by exact division
-                scaled = ex.try_divide(entry * d, piv_val)
-                if scaled is None:
-                    raise RuntimeError("fraction-free elimination: "
-                                       "inexact pivot normalization (bug)")
-                vec[c] = -scaled
+            if m[r][c] != d:
+                raise RuntimeError("fraction-free elimination: pivot entry "
+                                   "differs from the final pivot (bug)")
+            vec[c] = -entry
         basis.append(vec)
 
     zero = 0 if rational else ex.ZERO

@@ -115,23 +115,17 @@ class SymmetryReport:
     ``residual = dG/dt - {F, G}`` is zero exactly when G is a symmetry.
     ``leading`` holds ``dG/du_i`` for the top band of indices
     ``max(2, k-n+1)..k`` (where the leading-coefficient structure theory
-    applies); ``representation`` is filled by
-    :func:`representation_decompose`.
+    applies).
     """
 
     candidate: DiffExpr
     order: int | None
     residual: DiffExpr
     leading: dict[int, DiffExpr] = field(default_factory=dict)
-    representation: "XPowerDecomposition | None" = None
 
     @property
     def is_symmetry(self) -> bool:
         return self.residual.is_zero
-
-    def with_representation(self, rep: "XPowerDecomposition") -> "SymmetryReport":
-        from dataclasses import replace
-        return replace(self, representation=rep)
 
 
 def is_symmetry(eq: EvolutionEquation, G: DiffExpr) -> SymmetryReport:
@@ -171,7 +165,6 @@ class DeterminingSystem:
     closure: DiffExpr
     n: int
     k: int
-    method: str
 
     @property
     def all_zero(self) -> bool:
@@ -237,7 +230,7 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
 
     closure = Gt - bracket(F, G)
     return DeterminingSystem(equations=tuple(literal), closure=closure,
-                             n=n, k=k, method="literal+operator cross-check")
+                             n=n, k=k)
 
 
 def _d_powers(e: DiffExpr, top: int) -> list[DiffExpr]:

@@ -15,7 +15,6 @@ from .symmetry import EvolutionEquation, SelfCheckError, SymmetryReport, bracket
 TIME_INDEPENDENT = "independent"
 POLYNOMIAL = "polynomial"
 QUASIPOLYNOMIAL = "quasipolynomial"
-OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -23,9 +22,9 @@ class TimeDependenceClass:
     """Shape of the t-dependence of an expression.
 
     ``spectrum`` maps each exponential rate lambda (a constant expression;
-    0 for the plain polynomial part) to the maximal attached t-degree.  The
-    ``other`` kind cannot arise from expressions built by this package; it
-    is reserved for forward compatibility of reports.
+    0 for the plain polynomial part) to the maximal attached t-degree.
+    ``kind`` is independent, polynomial or quasipolynomial: every
+    expression of this package has one of these shapes.
     """
 
     kind: str
@@ -37,19 +36,13 @@ class TimeDependenceClass:
             return "time-independent"
         if self.kind == POLYNOMIAL:
             return f"polynomial in t, degree {self.degree}"
-        if self.kind == QUASIPOLYNOMIAL:
-            inner = ", ".join(f"(lambda = {lam}, degree {m})"
-                              for lam, m in self.spectrum)
-            return f"quasipolynomial in t: {inner}"
-        return "other"
+        inner = ", ".join(f"(lambda = {lam}, degree {m})"
+                          for lam, m in self.spectrum)
+        return f"quasipolynomial in t: {inner}"
 
     @property
     def is_polynomial_shape(self) -> bool:
         return self.kind in (TIME_INDEPENDENT, POLYNOMIAL)
-
-    @property
-    def is_quasipolynomial_shape(self) -> bool:
-        return self.kind != OTHER
 
 
 def _term_rate(key) -> tuple:
@@ -134,8 +127,6 @@ def annihilator(G: DiffExpr) -> AnnihilatorOp:
     the product of ``(d/dt - lambda)^(m_lambda + 1)``; for purely polynomial
     dependence of degree p this is ``(d/dt)^(p+1)``."""
     cls = classify_time(G)
-    if cls.kind == OTHER:
-        raise ValueError("no quasipolynomial annihilator exists")
     if cls.kind == TIME_INDEPENDENT:
         spectrum: list[tuple[DiffExpr, int]] = [(ex.ZERO, 0)]
     elif cls.kind == POLYNOMIAL:
@@ -226,17 +217,11 @@ def scaling_test(eq: EvolutionEquation, Q0: DiffExpr) -> ScalingResult:
         raise ValueError("Q0 must be time-independent")
     B = bracket(eq.F, Q0)
     if B.is_zero:
-        lam: DiffExpr | None = ex.ZERO
+        lam, candidate = ex.ZERO, Q0
     else:
         lam = ex.try_divide(B, Q0)
-        if lam is not None and not ex.is_constant(lam):
-            lam = None
-    if lam is None:
-        return ScalingResult(None, None)
-    lam_s = as_scalar(lam)
-    if lam_s is not None and lam_s.is_rational and lam_s.q == 0:
-        candidate = Q0
-    else:
+        if lam is None or not ex.is_constant(lam):
+            return ScalingResult(None, None)
         candidate = ex.exp_of(lam * ex.t) * Q0
     rep = is_symmetry(eq, candidate)
     if not rep.is_symmetry:
@@ -281,7 +266,7 @@ def mastersymmetry_test(eq: EvolutionEquation, G0: DiffExpr) -> MasterResult:
 
 @dataclass(frozen=True)
 class TimePrediction:
-    prediction: str | None  # "polynomial" | "quasipolynomial" | None
+    prediction: str  # "polynomial" | "quasipolynomial"
     classes: tuple[TimeDependenceClass, ...]
     basis_order_cap: int
     corollary_mode: bool
@@ -294,8 +279,8 @@ def probe_time_shapes(eq: EvolutionEquation,
     """Aggregate the time-dependence shapes of verified symmetries.
 
     Purely observational: it reports what the supplied symmetries look like
-    ("all polynomial in t", "all quasipolynomial in t" or "mixed shapes")
-    and claims nothing beyond them.
+    ("all polynomial in t" or "all quasipolynomial in t") and claims nothing
+    beyond them.
     """
     shapes = []
     for g in symmetries:
@@ -306,9 +291,7 @@ def probe_time_shapes(eq: EvolutionEquation,
         return "no symmetries supplied"
     if all(s.is_polynomial_shape for s in shapes):
         return "all polynomial in t"
-    if all(s.is_quasipolynomial_shape for s in shapes):
-        return "all quasipolynomial in t"
-    return "mixed shapes"
+    return "all quasipolynomial in t"
 
 
 def predict_time_dependence(eq: EvolutionEquation,
@@ -335,10 +318,8 @@ def predict_time_dependence(eq: EvolutionEquation,
                 f"basis element has order {rep.order} > cap {cap}: {g}")
         classes.append(classify_time(g))
     if all(c.is_polynomial_shape for c in classes):
-        prediction: str | None = POLYNOMIAL
-    elif all(c.is_quasipolynomial_shape for c in classes):
-        prediction = QUASIPOLYNOMIAL
+        prediction = POLYNOMIAL
     else:
-        prediction = None
+        prediction = QUASIPOLYNOMIAL
     return TimePrediction(prediction=prediction, classes=tuple(classes),
                           basis_order_cap=cap, corollary_mode=corollary_mode)

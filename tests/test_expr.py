@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,3 +210,115 @@ def test_division_round_trip(seed):
     prod = a * b
     q = try_divide(prod, b)
     assert q is not None and q == a
+
+
+# -- try_divide against the pairwise comparator it replaced -----------------
+
+def _reference_dense_le(k1, k2) -> bool:
+    """k1 <= k2 in graded order with dense lexicographic tie-break."""
+    g1, g2 = ex._grade(k1), ex._grade(k2)
+    if g1 != g2:
+        return g1 < g2
+    i = j = 0
+    while i < len(k1) or j < len(k2):
+        s1 = k1[i][0] if i < len(k1) else None
+        s2 = k2[j][0] if j < len(k2) else None
+        if s1 is not None and (s2 is None or s1 < s2):
+            v1, v2 = k1[i][1], 0
+            i += 1
+        elif s2 is not None and (s1 is None or s2 < s1):
+            v1, v2 = 0, k2[j][1]
+            j += 1
+        else:
+            v1, v2 = k1[i][1], k2[j][1]
+            i += 1
+            j += 1
+        if v1 != v2:
+            return v1 < v2
+    return True
+
+
+def _reference_lead(terms):
+    best = None
+    for key, c in terms.items():
+        if best is None or _reference_dense_le(best[0], key):
+            best = (key, c)
+    return best
+
+
+def _reference_try_divide(a, b):
+    """The former ``try_divide``: leading terms by pairwise comparison."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero expression")
+    if a.is_zero:
+        return ZERO
+    lead_b, cb = _reference_lead(b._t)
+    neg_lead_b = tuple((s, -v) for s, v in lead_b)
+    rem = dict(a._t)
+    quo = {}
+    for _ in range(ex._DIV_STEP_CAP):
+        if not rem:
+            return ex.DiffExpr(quo)
+        lead_r, cr = _reference_lead(rem)
+        qk = ex.kernel.mul_key(lead_r, neg_lead_b)
+        if any(slot[0] == 0 and v < 0 for slot, v in qk):
+            return None
+        qc = ex._num(Fraction(cr) / cb)
+        quo[qk] = qc
+        ex.kernel.add_into(rem, ex.kernel.mul_single(b._t, qk, qc), -1)
+    if not rem:
+        return ex.DiffExpr(quo)
+    raise ExpressionError("step cap")
+
+
+def _division_term(rng):
+    """A term with inverse constant powers and exponentials whose rates are
+    fractional, negative or symbolic."""
+    gens = (ex.GEN_X, ex.GEN_T, 0, 1, 2)
+    term = rational(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 3))))
+    for _ in range(rng.randint(0, 3)):
+        term = term * ex.gen_expr(rng.choice(gens)) ** rng.randint(1, 2)
+    if rng.random() < 0.4:
+        term = term * const(rng.choice("ab")) ** rng.choice((-2, -1, 1, 2))
+    if rng.random() < 0.3:
+        rate = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        if rng.random() < 0.3:
+            rate = rate * const("a") ** rng.choice((-1, 1))
+        term = term * exp_of(rate * ex.gen_expr(rng.choice(gens[:3])))
+    return term
+
+
+def _division_run(divide, a, b):
+    """The outcome (quotient, ``None`` or "gave up") and the step count."""
+    steps = 0
+    mul_single = ex.kernel.mul_single
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return mul_single(*args)
+
+    with mock.patch.object(ex.kernel, "mul_single", counted):
+        try:
+            out = divide(a, b)
+        except ExpressionError:
+            out = "gave up"
+    return out, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds)
+def test_try_divide_matches_pairwise_reference(seed):
+    """Same quotient, ``None`` or give-up, in the same number of steps, as
+    the pairwise comparator.  The step cap is lowered: a division that does
+    not end (by ``exp(x) + 2``, say) runs up to the cap, often with a
+    growing remainder."""
+    rng = random.Random(seed)
+    a, b = (sum((_division_term(rng) for _ in range(rng.randint(1, 3))), ZERO)
+            for _ in range(2))
+    if b.is_zero:
+        return
+    with mock.patch.object(ex, "_DIV_STEP_CAP", rng.randint(1, 12)):
+        for num in (a * b, a):
+            assert (_division_run(try_divide, num, b)
+                    == _division_run(_reference_try_divide, num, b))

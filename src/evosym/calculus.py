@@ -18,7 +18,7 @@ from .expr import DiffExpr, partial, u_indices, u_order
 
 def total_d(e: DiffExpr) -> DiffExpr:
     """Total derivative with respect to x; raises the top u-index by one."""
-    return DiffExpr(ex.kernel.total_d_terms(e._t))
+    return DiffExpr._adopt(ex.kernel.total_d_terms(e._t))
 
 
 def total_d_power(e: DiffExpr, j: int) -> DiffExpr:

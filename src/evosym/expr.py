@@ -130,6 +130,16 @@ class DiffExpr:
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _adopt(cls, terms: dict) -> "DiffExpr":
+        """Wrap a freshly built term dict without copying it; the caller
+        hands it over and keeps no reference."""
+        e = _new(cls)
+        _set_terms(e, terms)
+        _set_items(e, None)
+        _set_hash(e, None)
+        return e
+
     def __setattr__(self, *a):
         raise AttributeError("DiffExpr is immutable")
 
@@ -179,7 +189,7 @@ class DiffExpr:
             return NotImplemented
         acc = dict(self._t)
         kernel.add_into(acc, other._t, 1)
-        return DiffExpr(acc)
+        return DiffExpr._adopt(acc)
 
     __radd__ = __add__
 
@@ -189,7 +199,7 @@ class DiffExpr:
             return NotImplemented
         acc = dict(self._t)
         kernel.add_into(acc, other._t, -1)
-        return DiffExpr(acc)
+        return DiffExpr._adopt(acc)
 
     def __rsub__(self, other) -> "DiffExpr":
         other = _coerce(other)
@@ -198,13 +208,13 @@ class DiffExpr:
         return other - self
 
     def __neg__(self) -> "DiffExpr":
-        return DiffExpr({k: -c for k, c in self._t.items()})
+        return DiffExpr._adopt({k: -c for k, c in self._t.items()})
 
     def __mul__(self, other) -> "DiffExpr":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return DiffExpr(kernel.mul_terms(self._t, other._t))
+        return DiffExpr._adopt(kernel.mul_terms(self._t, other._t))
 
     __rmul__ = __mul__
 
@@ -247,6 +257,13 @@ class DiffExpr:
 
     def __repr__(self) -> str:
         return f"DiffExpr({to_source(self)})"
+
+
+# slot setters for DiffExpr._adopt: cheaper than object.__setattr__
+_new = object.__new__
+_set_terms = DiffExpr._t.__set__
+_set_items = DiffExpr._items.__set__
+_set_hash = DiffExpr._hash.__set__
 
 
 def _num(v: Union[int, Fraction]):
@@ -412,7 +429,7 @@ def _gencode(v) -> int:
 
 def partial(e: DiffExpr, v) -> DiffExpr:
     """Formal partial derivative; all generators are independent."""
-    return DiffExpr(kernel.diff_terms(e._t, _gencode(v)))
+    return DiffExpr._adopt(kernel.diff_terms(e._t, _gencode(v)))
 
 
 def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
@@ -620,7 +637,7 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     quo: dict = {}
     for _ in range(_DIV_STEP_CAP):
         if not rem:
-            return DiffExpr(quo)
+            return DiffExpr._adopt(quo)
         lead_r = lead(rem)
         qk = kernel.mul_key(lead_r, neg_lead_b)
         if any(slot[0] == 0 and v < 0 for slot, v in qk):
@@ -629,7 +646,7 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
         quo[qk] = qc
         kernel.add_into(rem, kernel.mul_single(b._t, qk, qc), -1)
     if not rem:
-        return DiffExpr(quo)
+        return DiffExpr._adopt(quo)
     raise ExpressionError(f"exact division gave up at its step cap "
                           f"(_DIV_STEP_CAP = {_DIV_STEP_CAP})")
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import const
+from evosym import const, exp_of, linalg, parse, u, x
 from evosym.expr import ONE, ZERO, rational
-from evosym.linalg import in_span, nullspace, rank
+from evosym.linalg import _divide, _Packing, in_span, nullspace, rank
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -317,3 +317,144 @@ class TestEngineEdgeCases:
     def test_ragged_in_span_rejected(self):
         with pytest.raises(ValueError):
             in_span([ONE, ZERO], [[ONE]], 2)
+
+
+# -- packed constant monomials ---------------------------------------------
+
+def _wide_matrix(rng, max_size=4):
+    """Three constants, negative powers, fractional coefficients, powers up
+    to a^4 and sums of them."""
+    a, b, c = const("a"), const("b"), const("c")
+    pool = [ZERO, ZERO, ZERO, ONE, _q(2), a ** -1, a * b ** -2,
+            _q(3, 7) * c, a ** 4, a ** 2 - _q(3, 5) * b, c - b, a * b * c,
+            b ** 2 + _q(1, 2), c ** -1 - a]
+    nrows = rng.randint(1, max_size)
+    ncols = rng.randint(1, max_size)
+    rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+    rows[rng.randrange(nrows)][rng.randrange(ncols)] = a ** 2 - _q(3, 5) * b
+    return rows, ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_wide_constant_pool_gives_the_dense_bareiss_result(seed):
+    rng = random.Random(seed)
+    rows, ncols = _wide_matrix(rng)
+    res = nullspace(rows, ncols)
+    basis, rk, assumptions = _reference_nullspace(rows, ncols)
+    assert res.basis == basis
+    assert res.rank == rk == rank(rows, ncols)
+    assert res.pivot_assumptions == assumptions
+    # canonical coefficients: ints whenever integral
+    assert all(type(c) is int or c.denominator != 1
+               for e in (*sum(res.basis, ()), *res.pivot_assumptions)
+               for _, c in e.term_items())
+    target = rows.pop()
+    if rows and rng.random() < 0.5:  # a member over Q(a, b, c)
+        target = [p + const("c") ** -1 * q
+                  for p, q in zip(rows[0], rows[-1])]
+    expected = (_reference_nullspace(rows, ncols)[1]
+                == _reference_nullspace(rows + [target], ncols)[1])
+    assert in_span(target, rows, ncols) == expected
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("entry", [u(), x, exp_of(x), const("a") * u(2)])
+    def test_non_constant_entries_are_rejected(self, entry):
+        # a rational pivot in the first column left the second one unread
+        for rows in ([[ONE, entry]], [[const("a"), entry]]):
+            with pytest.raises(ValueError, match="constant expressions"):
+                nullspace(rows, 2)
+            with pytest.raises(ValueError, match="constant expressions"):
+                rank(rows, 2)
+            with pytest.raises(ValueError, match="constant expressions"):
+                in_span([ZERO, ZERO], rows, 2)
+            with pytest.raises(ValueError, match="constant expressions"):
+                in_span(rows[0], [[ONE, ONE]], 2)
+
+
+def _packed(names, *polys):
+    pk = _Packing(sorted(names), 8)
+    return pk, [pk.pack(p) for p in polys]
+
+
+class TestPackedDivision:
+    @pytest.mark.parametrize("num, den", [
+        ("1", "c + 2"),
+        ("a", "b + 1"),
+        ("a^2 + 1", "a + 1"),
+        ("a*b + 1", "a - b"),
+        ("c^-1", "a^2*c + b"),
+    ])
+    def test_non_multiple_raises(self, num, den):
+        # without the degree box the lex descent would go on for ever
+        # through ever more negative powers
+        pk, (n, d) = _packed("abc", parse(num, "abc"), parse(den, "abc"))
+        with pytest.raises(RuntimeError, match="inexact division"):
+            _divide(n, pk.divisor(d), pk)
+
+    @pytest.mark.parametrize("q, den", [
+        ("a - 1", "a + 1"),
+        ("3/7*c^-1 + a*b^-2", "a^2 - 3/5*b"),
+        ("a^2 - b*c + 2", "c - b + a^-1"),
+        ("5", "b^-1"),
+    ])
+    def test_exact_multiple_gives_the_quotient(self, q, den):
+        qe, de = parse(q, "abc"), parse(den, "abc")
+        pk, (n, d) = _packed("abc", qe * de, de)
+        assert pk.unpack(_divide(n, pk.divisor(d), pk)) == qe
+
+
+def _products_reach(monkeypatch):
+    """Record the largest exponent magnitude of any monomial product that
+    ``_fms`` forms, and the digit half-width L of the packing."""
+    seen = {"L": None, "top": 0}
+    sparse, fms = linalg._sparse, linalg._fms
+
+    def spy_sparse(rows, ncols, growth):
+        m, pk = sparse(rows, ncols, growth)
+        seen["pk"], seen["L"] = pk, pk.half
+        return m, pk
+
+    def spy_fms(p, a, f, b):
+        pk = seen["pk"]
+        for s, t in ((p, a), (f, b)):
+            if s is None or t is None:
+                continue
+            for ks in s:
+                for kt in t:
+                    top = max(abs(d - pk.half) for d in pk.digits(ks + kt))
+                    seen["top"] = max(seen["top"], top)
+        return fms(p, a, f, b)
+
+    monkeypatch.setattr(linalg, "_sparse", spy_sparse)
+    monkeypatch.setattr(linalg, "_fms", spy_fms)
+    return seen
+
+
+def _matrix(cells):
+    return [[parse(c, "ab") for c in row] for row in cells]
+
+
+def test_exponents_at_the_proven_bound(monkeypatch):
+    # E = 2: with R = 3 pivots nullspace takes L = 2RE = 12 and in_span
+    # L = (R^2 + 1)E = 20; products in both matrices reach exactly L
+    rows = _matrix([["b^-2", "b^2 - 1", "b^2"],
+                    ["b^2 + a", "b^2 + a", "b^2 - 1"],
+                    ["b^2 + a", "b^2 - 1", "a^-2"],
+                    ["a*b", "b^2", "1"]])
+    seen = _products_reach(monkeypatch)
+    res = nullspace(rows, 3)
+    assert (seen["L"], seen["top"]) == (12, 12)
+    assert (res.basis, res.rank, res.pivot_assumptions) \
+        == _reference_nullspace(rows, 3)
+
+    rows = _matrix([["b^2 - 1", "b^2", "1"],
+                    ["b^-2", "b^2", "a^-2"],
+                    ["0", "a*b", "b^2"]])
+    target = _matrix([["2", "a^-2", "b^2 + a"]])[0]
+    seen["top"] = 0
+    got = in_span(target, rows, 3)
+    assert (seen["L"], seen["top"]) == (20, 20)
+    assert got == (_reference_nullspace(rows, 3)[1]
+                   == _reference_nullspace(rows + [target], 3)[1])

@@ -159,3 +159,27 @@ class TestLargeSearches:
         for member in (u1, F_KDV, G5, parse("1 + 6*t*u1"),
                        parse("x*u1 + 2*u + 3*t*(u3 + 6*u*u1)")):
             assert expr_in_span(member, list(res.basis)), member
+
+
+def test_fifth_order_family_system_gives_the_dense_bareiss_result(
+        monkeypatch):
+    # the packed sweep on a real search matrix with three constants against
+    # the dense DiffExpr reference: same basis, same assumptions
+    from evosym import linalg
+    from test_linalg import _reference_nullspace
+
+    systems = []
+    nullspace = linalg.nullspace
+
+    def spy(rows, ncols):
+        systems.append((rows, ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    eq = classify(parse("u5 + a*u*u3 + b*u1*u2 + c*u^2*u1", ["a", "b", "c"]))
+    find_symmetries(eq, AnsatzConfig(order=5, weight_max=7))
+    (rows, ncols), = systems
+    res = nullspace(rows, ncols)
+    assert res.pivot_assumptions  # the constants reach the pivots
+    assert (res.basis, res.rank, res.pivot_assumptions) \
+        == _reference_nullspace(rows, ncols)

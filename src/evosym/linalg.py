@@ -1,12 +1,15 @@
 """Exact sparse row reduction over rationals extended by named constants.
 
 Matrix entries are constant expressions (elements of the ring of Laurent
-polynomials in the named constants over Q); any other entry is rejected up
-front with ``ValueError``.  Rows are stored as dicts from column to nonzero
-value, and one Gauss-Jordan pivot loop (``_reduce``) serves ``nullspace``,
-``rank`` and ``in_span``.  Columns are swept left to right; the pivot row is
-the first remaining row with a nonzero entry, or the first with a rational
-one when there is one.  The coefficient domain is chosen from the entries:
+polynomials in the named constants over Q); any other entry, and a ragged
+matrix, is rejected up front with ``ValueError``.  Rows are stored as dicts
+from column to nonzero value, and one elimination (``_reduce``) serves
+``nullspace``, ``rank`` and ``in_span``: it splits the matrix into its
+connected components (below) and runs one Gauss-Jordan pivot loop
+(``_sweep``) on each.  Within a component, columns are swept left to right;
+the pivot row is the first remaining row with a nonzero entry, or the first
+with a rational one when there is one.  The coefficient domain is chosen
+from the entries of the whole matrix:
 
 * all entries rational: each entry becomes an ``int``/``Fraction`` once,
   every pivot row is normalized to pivot 1 and eliminated from the other
@@ -14,20 +17,57 @@ one when there is one.  The coefficient domain is chosen from the entries:
   form.
 * some entry involves named constants: each entry becomes a packed
   polynomial once (below), and the elimination is fraction-free
-  Gauss-Jordan (Bareiss): every sweep updates all rows to
+  Gauss-Jordan (Bareiss): every sweep updates the component's rows to
   ``(p * row - row[c] * pivot_row) / prev``, with ``p`` the pivot and
-  ``prev`` the previous pivot, so entries stay in the ring and all
-  divisions are exact.  Only cells where the row or the pivot row is
-  nonzero are computed.  After the last sweep every pivot entry equals the
-  final pivot d.
+  ``prev`` the previous pivot of the component (1 before its first), so
+  entries stay in the ring and all divisions are exact.  Only cells where
+  the row or the pivot row is nonzero are computed.  After the last sweep
+  every pivot entry of a component equals its final pivot d.
 
 A free column f yields the nullspace vector with value d (1 for rationals)
-at f and ``-M[i][f]`` at the i-th pivot column.  Every vector is checked
-against every input row, ``A v = 0``: in numbers for rational matrices, in
+at f and ``-M[i][f]`` at the i-th pivot column of its component; vectors
+come in the order of their free columns.  Every vector is checked against
+every input row, ``A v = 0``: in numbers for rational matrices, in
 ``DiffExpr`` arithmetic otherwise, independently of the packing.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
+They are reported in short form (``normalize_assumptions``): each divided
+by its rational and constant-monomial content, both units, with its sign
+fixed (``expr.primitive_part``); without the 1s this leaves of a monomial,
+which is nonzero with the constants; and without repeats.  A pivot is a
+unit times its short form, so the locus is the same.
+
+Components.  A row and a column are adjacent when their cell is nonzero;
+``_components`` finds the connected components of this graph by
+union-find on the columns.  A column without a nonzero cell is a component
+with no rows, whose nullspace vector is the unit vector; a row without one
+has nothing to sweep.  No pivot row of one component has a cell in another,
+so sweeping the components one by one is the whole-matrix elimination with
+the blocks kept apart, each from its own ``prev = 1``.
+
+The verdicts are those of the whole matrix.  A column depends on the
+earlier ones exactly when it does within its component, whose rows no
+other column touches, so the pivot columns are each component's first
+independent columns, the rank is the sum of the components' ranks and the
+kernel over the field of fractions is the direct sum of theirs.  In the
+rational domain the reduced row echelon form is unique, so the results are
+those of one sweep over the whole matrix.  With constants, one sweep over
+the whole matrix would chain every pivot through a single ``prev``: its
+k-th pivot is the leading k x k minor of the rows and columns chosen so
+far, which for disjoint components is the product of each component's
+leading minor of its chosen rows and columns, that is, of one
+per-component pivot each (1 in a component not yet reached).  Where both
+choose the same rows, every chained pivot is therefore a product of
+per-component pivots and every per-component pivot divides a chained one:
+the two lists cut out the same generic locus, and a chained basis vector is
+the one here times the final pivots of the other components.  The chained
+sweep also scales each component's rows by the other components' minors,
+which can hide a rational entry from the rational-pivot preference; there
+the lists are two certificates of the same verdicts.  Wherever every
+listed pivot is nonzero, each step specializes (its divisions are exact and
+its divisor nonzero), so the rank there is the generic rank and the basis
+specializes to a basis of the kernel.
 
 Packed polynomials.  With the constant names sorted, ``n`` of them, a
 monomial ``prod name_i^e_i`` is the integer ``sum e_i * B^(n-1-i)`` (one
@@ -41,18 +81,21 @@ sum of the leading monomials.
 
 The exponent bound.  Let E be the largest ``|e_i|`` in any input entry and
 R the number of rows or of columns that is smaller (a bound on the rank).
-After k sweeps every entry of a pivot row is a k x k minor of the input
-(Cramer's rule) and every entry of another row a (k+1) x (k+1) minor
-(Sylvester's identity; this is why the divisions are exact).  A minor of
-order j is a sum of products of j entries, so its exponents lie in
-``[-jE, jE]``.  Sweep k multiplies entries that are minors of order at most
-k, so every product and numerator has exponents in ``[-2kE, 2kE]``;
+After k sweeps of a component every entry of its pivot rows is a k x k
+minor of the component, hence of the input (Cramer's rule), and every entry
+of its other rows a (k+1) x (k+1) minor (Sylvester's identity; this is why
+the divisions are exact); k is at most the component's rank, so at most R.
+A minor of order j is a sum of products of j entries, so its exponents lie
+in ``[-jE, jE]``.  Sweep k multiplies entries that are minors of order at
+most k, so every product and numerator has exponents in ``[-2kE, 2kE]``;
 quotients are the next entries, and the division below forms no monomial
 outside the range of its numerator.  ``nullspace`` and ``rank`` therefore
 take ``L = 2RE``.  ``in_span`` reduces its vectors the same way, then
-reduces the target against the final rows without dividing:
-``target = d * target - target[c] * row`` adds at most ``RE`` to the
-exponents per pivot, so after at most R of them they lie in
+reduces the target, which spans components, against the final rows of
+every component without dividing: ``target = d * target - target[c] *
+row``, with d that component's final pivot and the row's entries minors of
+order at most R, adds at most ``RE`` to the exponents per pivot.  The
+components have at most R pivots together, so the exponents end in
 ``[-(R^2 + 1)E, (R^2 + 1)E]``, and ``in_span`` takes ``L = (R^2 + 1)E``
 (never below ``2RE``).
 
@@ -283,14 +326,45 @@ def _combine_rows(row: dict, row_p: dict, c: int, p: dict, div,
     return out
 
 
-def _reduce(m: list[dict], ncols: int, pk: _Packing | None):
-    """Gauss-Jordan on the dict rows ``m`` in place; pivot rows are moved
-    to the top.  Returns ``(pivot columns by row, symbolic pivots, final
-    pivot)``."""
-    pivots: list[int] = []
-    assumptions: list[dict] = []
-    prev = {0: 1}
+def _components(m: list[dict],
+                ncols: int) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the row-column graph of ``m``, in which
+    a row and a column are adjacent when their cell is nonzero, found by
+    union-find on the columns: ``(rows, columns)``, both ascending, ordered
+    by their first column.  A column without a nonzero cell is a component
+    of its own with no rows; a row without one is left out, having nothing
+    to sweep."""
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in m:
+        roots = {find(c) for c in row}
+        if roots:
+            root = roots.pop()
+            for other in roots:
+                parent[other] = root
+    comps: dict[int, tuple[list[int], list[int]]] = {}
     for c in range(ncols):
+        comps.setdefault(find(c), ([], []))[1].append(c)
+    for i, row in enumerate(m):
+        if row:
+            comps[find(next(iter(row)))][0].append(i)
+    return list(comps.values())
+
+
+def _sweep(m: list[dict], cols: list[int], pk: _Packing | None,
+           assumptions: list[dict]):
+    """Gauss-Jordan on the dict rows ``m`` of one component over its
+    columns ``cols``, in place; pivot rows are moved to the top and
+    symbolic pivots appended to ``assumptions``.  Returns ``(pivot columns
+    by row, final pivot)``."""
+    pivots: list[int] = []
+    prev = {0: 1}
+    for c in cols:
         r = len(pivots)
         if r == len(m):
             break
@@ -326,7 +400,30 @@ def _reduce(m: list[dict], ncols: int, pk: _Packing | None):
                     m[i] = _combine_rows(row, row_p, c, p, div, pk)
             prev = p
         pivots.append(c)
-    return pivots, assumptions, 1 if pk is None else prev
+    return pivots, 1 if pk is None else prev
+
+
+def _reduce(m: list[dict], ncols: int, pk: _Packing | None):
+    """Gauss-Jordan on the dict rows ``m``, one connected component at a
+    time.  Returns the blocks ``(rows, columns, pivot columns, final
+    pivot)``, whose rows start with the pivot rows in pivot order, and the
+    symbolic pivots in block order."""
+    blocks = []
+    assumptions: list[dict] = []
+    for rows, cols in _components(m, ncols):
+        rows = [m[i] for i in rows]
+        pivots, d = _sweep(rows, cols, pk, assumptions)
+        blocks.append((rows, cols, pivots, d))
+    return blocks, assumptions
+
+
+def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
+    """Nonvanishing assumptions in short form: the primitive part of each
+    (``expr.primitive_part``), without the 1s left by monomials, which are
+    nonzero with the constants, and without repeats (first kept)."""
+    out = dict.fromkeys(ex.primitive_part(p) for p in polys)
+    out.pop(ex.ONE, None)
+    return tuple(out)
 
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
@@ -335,24 +432,27 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
         original = [dict(row) for row in m]
     else:
         original = [{c: e for c, e in enumerate(r) if e} for r in rows]
-    pivots, assumptions, d = _reduce(m, ncols, pk)
+    blocks, assumptions = _reduce(m, ncols, pk)
 
-    basis = []
-    pivot_set = set(pivots)
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = {f: d}
-        for r, c in enumerate(pivots):
-            entry = m[r].get(f)
-            if entry is None:
+    vecs = {}
+    for block, cols, pivots, d in blocks:
+        pivot_set = set(pivots)
+        for f in cols:
+            if f in pivot_set:
                 continue
-            if m[r][c] != d:
-                raise RuntimeError("fraction-free elimination: pivot entry "
-                                   "differs from the final pivot (bug)")
-            vec[c] = (-entry if pk is None
-                      else {k: -v for k, v in entry.items()})
-        basis.append(vec)
+            vec = {f: d}
+            for row, c in zip(block, pivots):
+                entry = row.get(f)
+                if entry is None:
+                    continue
+                if row[c] != d:
+                    raise RuntimeError("fraction-free elimination: pivot "
+                                       "entry differs from the final pivot "
+                                       "(bug)")
+                vec[c] = (-entry if pk is None
+                          else {k: -v for k, v in entry.items()})
+            vecs[f] = vec
+    basis = [vecs[f] for f in sorted(vecs)]
 
     if pk is None:
         zero = 0
@@ -368,13 +468,14 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
     dense = tuple(tuple(vec.get(c, ex.ZERO) for c in range(ncols))
                   for vec in basis)
     return NullspaceResult(
-        basis=dense, rank=len(pivots),
-        pivot_assumptions=tuple(pk.unpack(p) for p in assumptions))
+        basis=dense, rank=ncols - len(basis),
+        pivot_assumptions=normalize_assumptions(
+            pk.unpack(p) for p in assumptions))
 
 
 def rank(rows: list[list[DiffExpr]], ncols: int) -> int:
     m, pk = _sparse(rows, ncols, 2 * min(len(rows), ncols))
-    return len(_reduce(m, ncols, pk)[0])
+    return sum(len(pivots) for _, _, pivots, _ in _reduce(m, ncols, pk)[0])
 
 
 def in_span(target: list[DiffExpr], vectors: list[list[DiffExpr]],
@@ -385,13 +486,13 @@ def in_span(target: list[DiffExpr], vectors: list[list[DiffExpr]],
     r = min(len(vectors), ncols)
     m, pk = _sparse(list(vectors) + [list(target)], ncols, r * r + 1)
     rest = m.pop()
-    pivots, _, _ = _reduce(m, ncols, pk)
-    for row, c in zip(m, pivots):
-        f = rest.get(c)
-        if f is None:
-            continue
-        if pk is None:
-            _subtract(rest, row, f)
-        else:
-            rest = _combine_rows(rest, row, c, row[c], None, pk)
+    for block, _, pivots, _ in _reduce(m, ncols, pk)[0]:
+        for row, c in zip(block, pivots):
+            f = rest.get(c)
+            if f is None:
+                continue
+            if pk is None:
+                _subtract(rest, row, f)
+            else:
+                rest = _combine_rows(rest, row, c, row[c], None, pk)
     return not rest

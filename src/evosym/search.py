@@ -13,7 +13,6 @@ returned expression is re-verified through the full residual check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count
 
 from . import expr as ex
@@ -134,25 +133,7 @@ def _combine(vec, pool: list[DiffExpr]) -> DiffExpr:
     for c, term in zip(vec, pool):
         if c:
             out = out + c * term
-    return _tidy(out)
-
-
-def _tidy(e: DiffExpr) -> DiffExpr:
-    """Scale so rational coefficients are integers with gcd 1 and the
-    canonical leading term is positive (cosmetic only)."""
-    if e.is_zero:
-        return e
-    items = e.term_items()
-    from math import gcd
-    num = 0
-    den = 1
-    for _, c in items:
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num) if num else Fraction(1)
-    if items[-1][1] * scale < 0:
-        scale = -scale
-    return e * scale
+    return ex.primitive_part(out)
 
 
 def find_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
@@ -215,7 +196,8 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
     rows1, _ = _linear_system(first)
     ker1 = linalg.nullspace(rows1, ncols)
 
-    assumptions = ker2.pivot_assumptions + ker1.pivot_assumptions
+    assumptions = linalg.normalize_assumptions(
+        ker2.pivot_assumptions + ker1.pivot_assumptions)
     accepted: list[tuple[DiffExpr, ...]] = [list(v) for v in ker1.basis]
     pairs = []
     for vec in ker2.basis:
@@ -235,7 +217,7 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
             mu = None
         pairs.append(MasterPair(G0=G0, G1=G1, mu=mu))
     return LinearTimeSearchResult(pairs=tuple(pairs), pool_size=len(pool),
-                                  pivot_assumptions=tuple(assumptions))
+                                  pivot_assumptions=assumptions)
 
 
 def expr_in_span(target: DiffExpr, basis: list[DiffExpr]) -> bool:

@@ -4,6 +4,7 @@ import json
 import jsonschema
 import pytest
 
+from evosym import parse
 from evosym.cli import REPORT_SCHEMA, main, parse_corpus
 
 
@@ -95,6 +96,14 @@ class TestScalingMaster:
         assert code == 1
         assert "none" in out
 
+    def test_scaling_none_when_the_divisor_has_an_exponential(self):
+        # {F, Q0} = exp(x) is no multiple of Q0 = exp(x) + 2: a verdict,
+        # where a division that cannot tell would give up
+        code, out = run_cli("scaling", "--equation", "u2",
+                            "--q0", "exp(x) + 2")
+        assert code == 1
+        assert "no scaling relation" in out
+
     def test_master_kdv(self):
         code, out = run_cli("master", "--equation", "u3 + 6*u*u1",
                             "--g0", "x*u1 + 2*u")
@@ -116,6 +125,23 @@ class TestFind:
         assert code == 0
         assert "basis of dimension 3" in out
         assert "u5" in out
+
+    def test_fifth_order_family_prints_primitive_elements(self):
+        code, out = run_cli("find", "--equation",
+                            "u5 + a*u*u3 + b*u1*u2 + c*u^2*u1",
+                            "--const", "a,b,c", "--order", "7",
+                            "--weight", "9")
+        assert code == 0
+        lines = out.splitlines()
+        assert sorted(line for line in lines if line.startswith("G = ")) \
+            == ["G = u1", "G = u5 + a*u3*u + b*u2*u1 + c*u1*u^2"]
+        head = "generic-parameter assumptions: "
+        listed, = (line[len(head):] for line in lines
+                   if line.startswith(head))
+        for item in listed.split(", "):
+            assert item.endswith(" != 0")
+            # a monomial in the constants is nonzero with them
+            assert len(parse(item[:-len(" != 0")], "abc")) > 1, item
 
 
 class TestCorpus:

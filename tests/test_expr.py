@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (ExpressionError, Scalar, const, exp_of, normalize,
-                    partial, rational, substitute, u, u_order, x, t)
+                    parse, partial, rational, substitute, u, u_order, x, t)
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, as_scalar, try_divide, try_nth_root
 
@@ -133,11 +133,23 @@ class TestDivision:
         e = exp_of(2 * u0) * (u1 + u2)
         assert try_divide(e, exp_of(2 * u0)) == u1 + u2
 
-    def test_step_cap_raises_instead_of_not_divisible(self):
-        # u^10001 - 1 = (u - 1)(u^10000 + ... + 1) needs 10,001 steps
-        assert ex._DIV_STEP_CAP == 10_000
-        with pytest.raises(ExpressionError, match="_DIV_STEP_CAP"):
-            try_divide(u0 ** 10001 - 1, u0 - 1)
+    def test_long_exact_division_needs_no_cap(self):
+        # u^10001 - 1 = (u - 1)(u^10000 + ... + 1) takes 10,001 steps
+        q = try_divide(u0 ** 10001 - 1, u0 - 1)
+        assert q == sum((u0 ** i for i in range(10001)), ZERO)
+
+    @pytest.mark.parametrize("num, den", [
+        # a lex descent through ever lower powers of the invertible factors
+        # would not end; the quotient's degree box is empty
+        ("exp(x)", "exp(x) + 2"),
+        ("-3/2", "-3*exp(2/3*a*u) + exp(-1/3*t) + 2"),
+        ("1", "a + 1"),
+        ("u1^2 + a", "u1 - a^-1*exp(u)"),
+    ])
+    def test_non_multiple_is_decided_promptly(self, num, den):
+        out, steps = _division_run(try_divide, parse(num, "a"),
+                                   parse(den, "a"))
+        assert out is None and steps == 0
 
     def test_long_exact_division_under_the_cap(self):
         q = try_divide(u0 ** 9000 - 1, u0 - 1)
@@ -246,8 +258,9 @@ def _reference_lead(terms):
     return best
 
 
-def _reference_try_divide(a, b):
-    """The former ``try_divide``: leading terms by pairwise comparison."""
+def _reference_try_divide(a, b, cap):
+    """The former ``try_divide``: leading terms by pairwise comparison,
+    giving up after ``cap`` steps."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero expression")
     if a.is_zero:
@@ -256,7 +269,7 @@ def _reference_try_divide(a, b):
     neg_lead_b = tuple((s, -v) for s, v in lead_b)
     rem = dict(a._t)
     quo = {}
-    for _ in range(ex._DIV_STEP_CAP):
+    for _ in range(cap):
         if not rem:
             return ex.DiffExpr(quo)
         lead_r, cr = _reference_lead(rem)
@@ -309,16 +322,25 @@ def _division_run(divide, a, b):
 @settings(max_examples=300, deadline=None)
 @given(seeds)
 def test_try_divide_matches_pairwise_reference(seed):
-    """Same quotient, ``None`` or give-up, in the same number of steps, as
-    the pairwise comparator.  The step cap is lowered: a division that does
-    not end (by ``exp(x) + 2``, say) runs up to the cap, often with a
-    growing remainder."""
+    """Wherever the pairwise reference decides within its step cap, the
+    same quotient in the same number of steps, or ``None`` in no more
+    steps (the degree box can refute sooner).  Where the reference gives up
+    (dividing by ``exp(x) + 2``, say, its remainder descends for ever),
+    ``try_divide`` still decides: ``None``, or a quotient that multiplies
+    back."""
     rng = random.Random(seed)
     a, b = (sum((_division_term(rng) for _ in range(rng.randint(1, 3))), ZERO)
             for _ in range(2))
     if b.is_zero:
         return
-    with mock.patch.object(ex, "_DIV_STEP_CAP", rng.randint(1, 12)):
-        for num in (a * b, a):
-            assert (_division_run(try_divide, num, b)
-                    == _division_run(_reference_try_divide, num, b))
+    cap = rng.randint(1, 40)
+    for num in (a * b, a):
+        got, steps = _division_run(try_divide, num, b)
+        want, ref_steps = _division_run(
+            lambda p, q: _reference_try_divide(p, q, cap), num, b)
+        if want == "gave up":
+            assert got is None or got * b == num
+        elif want is None:
+            assert got is None and steps <= ref_steps
+        else:
+            assert (got, steps) == (want, ref_steps)

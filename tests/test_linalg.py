@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import const, exp_of, linalg, parse, u, x
-from evosym.expr import ONE, ZERO, rational
+from evosym.expr import ONE, ZERO, DiffExpr, as_scalar, rational
 from evosym.linalg import _divide, _Packing, in_span, nullspace, rank
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -54,19 +55,25 @@ class TestNullspace:
 
     def test_symbolic_pivot_flagged(self):
         a = const("a")
-        res = nullspace([[a, ONE]], 2)
+        res = nullspace([[a + 1, ONE]], 2)
         assert len(res.basis) == 1
-        assert res.pivot_assumptions == (a,)
+        assert res.pivot_assumptions == (a + 1,)
         v = res.basis[0]
-        assert a * v[0] + v[1] == ZERO
+        assert (a + 1) * v[0] + v[1] == ZERO
+
+    def test_monomial_pivots_need_no_assumption(self):
+        # a constant is nonzero, so a pivot -3*a^2 assumes nothing more
+        a = const("a")
+        res = nullspace([[_q(-3) * a ** 2, ONE]], 2)
+        assert len(res.basis) == 1 and res.pivot_assumptions == ()
 
     def test_rational_pivot_preferred(self):
         a = const("a")
         res = nullspace([[a, ONE], [ONE, ONE]], 2)
         assert res.rank == 2
         # the first pivot can be rational (row swap), but full rank forces
-        # the determinant locus 1 - a into the assumptions
-        assert res.pivot_assumptions == (ONE - a,)
+        # the determinant locus a - 1 into the assumptions
+        assert res.pivot_assumptions == (a - ONE,)
 
     def test_symbolic_dependence(self):
         # (a  1; a 1) has rank 1 over Q(a)
@@ -190,6 +197,73 @@ def _reference_nullspace(rows, ncols):
     return tuple(basis), len(pivots), tuple(assumptions)
 
 
+def _bfs_components(rows, ncols):
+    """The connected components of the row-column graph by breadth-first
+    search: ``(rows, columns)``, both ascending, ordered by first column;
+    rows without a nonzero cell belong to none."""
+    row_cols = [{c for c, e in enumerate(r) if e} for r in rows]
+    seen = set()
+    comps = []
+    for start in range(ncols):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp_rows, comp_cols, queue = set(), {start}, [start]
+        while queue:
+            c = queue.pop()
+            for i, cols in enumerate(row_cols):
+                if c in cols and i not in comp_rows:
+                    comp_rows.add(i)
+                    for c2 in cols - seen:
+                        seen.add(c2)
+                        comp_cols.add(c2)
+                        queue.append(c2)
+        comps.append((sorted(comp_rows), sorted(comp_cols)))
+    return comps
+
+
+def _reference_primitive(p):
+    """``p`` over the largest rational times constant monomial dividing
+    all its terms, with its leading term (last in canonical order)
+    positive."""
+    scalars = [as_scalar(DiffExpr({k: c})) for k, c in p.term_items()]
+    num = den = 0
+    for s in scalars:
+        num = gcd(num, s.q.numerator)
+        den = s.q.denominator if not den else lcm(den, s.q.denominator)
+    content = rational(Fraction(num, den))
+    for nm in {nm for s in scalars for nm, _ in s.consts}:
+        content = content * const(nm) ** min(dict(s.consts).get(nm, 0)
+                                             for s in scalars)
+    out = p * content ** -1
+    return -out if out.term_items()[-1][1] < 0 else out
+
+
+def _blockwise_reference(rows, ncols):
+    """``_reference_nullspace`` applied to each connected component on its
+    own, its basis vectors embedded in order of free column, and the
+    symbolic pivots, in component order, reduced to primitive parts
+    without 1s and repeats.  Returns ``(basis, rank, assumptions)``."""
+    vecs, rk, assumptions = {}, 0, []
+    for comp_rows, cols in _bfs_components(rows, ncols):
+        sub = [[rows[i][c] for c in cols] for i in comp_rows]
+        basis, sub_rank, sub_assumptions = _reference_nullspace(sub, len(cols))
+        rk += sub_rank
+        assumptions += sub_assumptions
+        for vec in basis:
+            full = [ZERO] * ncols
+            for c, e in zip(cols, vec):
+                full[c] = e
+            # in Gauss-Jordan form a free column's vector is nonzero there
+            # and at pivot columns before it only
+            vecs[max(c for c, e in enumerate(full) if e)] = tuple(full)
+    normal = []
+    for p in map(_reference_primitive, assumptions):
+        if p != ONE and p not in normal:
+            normal.append(p)
+    return tuple(vecs[f] for f in sorted(vecs)), rk, tuple(normal)
+
+
 def _sparse_rational_matrix(rng, max_size=12, zero_share=0.7):
     nrows = rng.randint(0, max_size)
     ncols = rng.randint(1, max_size)
@@ -236,7 +310,7 @@ def test_sparse_rational_kernel_matches_dense_oracle(seed):
 def test_constants_give_the_dense_bareiss_result(seed):
     rows, ncols = _symbolic_matrix(random.Random(seed))
     res = nullspace(rows, ncols)
-    basis, rk, assumptions = _reference_nullspace(rows, ncols)
+    basis, rk, assumptions = _blockwise_reference(rows, ncols)
     assert res.basis == basis
     assert res.rank == rk == rank(rows, ncols)
     assert res.pivot_assumptions == assumptions
@@ -341,7 +415,7 @@ def test_wide_constant_pool_gives_the_dense_bareiss_result(seed):
     rng = random.Random(seed)
     rows, ncols = _wide_matrix(rng)
     res = nullspace(rows, ncols)
-    basis, rk, assumptions = _reference_nullspace(rows, ncols)
+    basis, rk, assumptions = _blockwise_reference(rows, ncols)
     assert res.basis == basis
     assert res.rank == rk == rank(rows, ncols)
     assert res.pivot_assumptions == assumptions
@@ -353,6 +427,102 @@ def test_wide_constant_pool_gives_the_dense_bareiss_result(seed):
     if rows and rng.random() < 0.5:  # a member over Q(a, b, c)
         target = [p + const("c") ** -1 * q
                   for p, q in zip(rows[0], rows[-1])]
+    expected = (_reference_nullspace(rows, ncols)[1]
+                == _reference_nullspace(rows + [target], ncols)[1])
+    assert in_span(target, rows, ncols) == expected
+
+
+# -- connected components -------------------------------------------------
+
+class TestComponents:
+    def test_components_by_union_find(self):
+        m = [{0: 1, 3: 1}, {}, {1: 1}, {3: 1, 4: 1}]
+        assert linalg._components(m, 6) == [([0, 3], [0, 3, 4]), ([2], [1]),
+                                            ([], [2]), ([], [5])]
+
+    def test_block_diagonal_assumptions_hold_no_cross_block_products(self):
+        # blocks on columns 0, 2, 4 and 1, 3, interleaved, an empty row and
+        # an empty column 5; a single sweep chaining every pivot through
+        # one previous pivot would list a product of the two blocks' minors
+        a, b, c = const("a"), const("b"), const("c")
+        rows = [[a, ZERO, ONE, ZERO, b, ZERO],
+                [ZERO, c, ZERO, ONE, ZERO, ZERO],
+                [ZERO] * 6,
+                [ONE, ZERO, b, ZERO, ONE, ZERO],
+                [ZERO, ONE, ZERO, c + 1, ZERO, ZERO]]
+        res = nullspace(rows, 6)
+        assert res.pivot_assumptions == (a * b - 1, c ** 2 + c - 1)
+        assert res.basis == (
+            (b ** 2 - 1, ZERO, a - b, ZERO, 1 - a * b, ZERO),
+            (ZERO, ZERO, ZERO, ZERO, ZERO, ONE))
+        assert res.rank == rank(rows, 6) == 4
+        assert (res.basis, res.rank, res.pivot_assumptions) \
+            == _blockwise_reference(rows, 6)
+        assert _reference_nullspace(rows, 6)[2] \
+            == (1 - a * b, (1 - a * b) * (1 - c - c ** 2))
+
+    @pytest.mark.parametrize("symbol", [ONE, const("a")])
+    def test_empty_columns_and_rows_are_their_own_components(self, symbol):
+        # the empty columns' vectors are unit vectors, not scaled by the
+        # pivots of the other block; the empty row adds nothing
+        rows = [[ZERO, symbol, _q(2), ZERO],
+                [ZERO] * 4,
+                [ZERO, _q(3), symbol + 1, ZERO]]
+        res = nullspace(rows, 4)
+        assert res.rank == rank(rows, 4) == 2
+        assert res.basis == ((ONE, ZERO, ZERO, ZERO),
+                             (ZERO, ZERO, ZERO, ONE))
+        assert not in_span([ONE, ZERO, ZERO, ZERO], rows, 4)
+        assert in_span([ZERO, _q(3), symbol + 1, ZERO], rows, 4)
+
+
+def _block_matrix(rng, symbolic):
+    """One to three random blocks (the first with a constant when
+    ``symbolic``, the others with or without) and possibly an empty one,
+    on disjoint, shuffled rows and columns."""
+    pieces = []
+    for k in range(rng.randint(1, 3)):
+        if symbolic and (k == 0 or rng.random() < 0.5):
+            pieces.append(_symbolic_matrix(rng, max_size=3))
+        else:
+            pieces.append(_sparse_rational_matrix(rng, max_size=3))
+    n_empty = rng.randint(0, 1)
+    pieces.append(([[ZERO] * n_empty] * rng.randint(0, 1), n_empty))
+    nrows = sum(len(sub) for sub, _ in pieces)
+    ncols = sum(n for _, n in pieces)
+    row_at = rng.sample(range(nrows), nrows)
+    col_at = rng.sample(range(ncols), ncols)
+    rows = [[ZERO] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for sub, n in pieces:
+        for i, row in enumerate(sub):
+            for j, e in enumerate(row):
+                rows[row_at[r0 + i]][col_at[c0 + j]] = e
+        r0 += len(sub)
+        c0 += n
+    return rows, ncols
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds, st.booleans())
+def test_block_structured_matrices_match_the_references(seed, symbolic):
+    rng = random.Random(seed)
+    rows, ncols = _block_matrix(rng, symbolic)
+    res = nullspace(rows, ncols)
+    if symbolic:
+        assert (res.basis, res.rank, res.pivot_assumptions) \
+            == _blockwise_reference(rows, ncols)
+    else:
+        assert len(res.basis) == _dense_rational_nullity(rows, ncols)
+    assert res.rank == rank(rows, ncols) == _reference_nullspace(rows,
+                                                                 ncols)[1]
+    # a target across the blocks, a member half the time
+    factor = const("a") if symbolic else _q(3)
+    if rows and rng.random() < 0.5:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        target = [p + factor * q for p, q in zip(rows[i], rows[j])]
+    else:
+        target = [rng.choice([ZERO, ONE, factor]) for _ in range(ncols)]
     expected = (_reference_nullspace(rows, ncols)[1]
                 == _reference_nullspace(rows + [target], ncols)[1])
     assert in_span(target, rows, ncols) == expected
@@ -447,7 +617,7 @@ def test_exponents_at_the_proven_bound(monkeypatch):
     res = nullspace(rows, 3)
     assert (seen["L"], seen["top"]) == (12, 12)
     assert (res.basis, res.rank, res.pivot_assumptions) \
-        == _reference_nullspace(rows, 3)
+        == _blockwise_reference(rows, 3)
 
     rows = _matrix([["b^2 - 1", "b^2", "1"],
                     ["b^-2", "b^2", "a^-2"],

@@ -120,6 +120,15 @@ class TestLinearT:
         # the Galilean pair: G1 proportional to u1
         assert any(expr_in_span(p.G1, [u1]) for p in res.pairs)
 
+    def test_monomial_pivots_leave_no_assumptions(self):
+        # every symbolic pivot of both eliminations is k*a^j, nonzero
+        # with the constant a
+        eq = classify(parse("u3 + a*u*u1", ["a"]))
+        res = find_linear_t_symmetries(
+            eq, AnsatzConfig(order=3, weight_max=5, x_degree_max=1))
+        assert res.pairs
+        assert res.pivot_assumptions == ()
+
     def test_symmetry_only_pool_gives_nothing(self, kdv):
         res = find_linear_t_symmetries(
             kdv, AnsatzConfig(order=1, weight_max=3), pool=[u1])
@@ -164,9 +173,10 @@ class TestLargeSearches:
 def test_fifth_order_family_system_gives_the_dense_bareiss_result(
         monkeypatch):
     # the packed sweep on a real search matrix with three constants against
-    # the dense DiffExpr reference: same basis, same assumptions
+    # the dense DiffExpr reference on each connected component: same basis,
+    # same assumptions
     from evosym import linalg
-    from test_linalg import _reference_nullspace
+    from test_linalg import _blockwise_reference
 
     systems = []
     nullspace = linalg.nullspace
@@ -182,4 +192,4 @@ def test_fifth_order_family_system_gives_the_dense_bareiss_result(
     res = nullspace(rows, ncols)
     assert res.pivot_assumptions  # the constants reach the pivots
     assert (res.basis, res.rank, res.pivot_assumptions) \
-        == _reference_nullspace(rows, ncols)
+        == _blockwise_reference(rows, ncols)

@@ -1,8 +1,10 @@
 """Term-map kernels: the inner loops of all expression arithmetic.
 
 A differential expression is stored as a mapping ``key -> coefficient``
-(int or Fraction; integral coefficients stay ints for speed).  A key
-is a sorted tuple of ``(slot, value)`` pairs describing one normalized term:
+(int or Fraction; the kernels keep an integral Fraction product, so
+``parse("2*u1 + 4*u") / 2`` has two ``Fraction(n, 1)``, equal and hashing
+equal to ints, only slower).  A key is a sorted tuple of ``(slot, value)``
+pairs describing one normalized term:
 
 * ``((0, gen), power)``       -- generator power; ``gen`` is an int code
   (``u_i -> i``, ``x -> -1``, ``t -> -2``), ``power`` a positive int.

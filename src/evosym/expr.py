@@ -29,6 +29,11 @@ GEN_T = -2
 _DIV_STEP_CAP = 10_000
 
 
+# Most term pairs (len(a) * len(b)) one product may form, checked before any
+# work; the benchmark, corpus and tests form at most 1,738.
+MAX_PRODUCT_PAIRS = 100_000
+
+
 class ExpressionError(ValueError):
     """Raised for operations that leave the expression class."""
 
@@ -219,7 +224,12 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return DiffExpr._adopt(kernel.mul_terms(self._t, other._t))
+        a, b = self._t, other._t
+        if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+            raise ExpressionError(
+                f"product of {len(a)} by {len(b)} terms exceeds the budget "
+                f"of {MAX_PRODUCT_PAIRS} term pairs")
+        return DiffExpr._adopt(kernel.mul_terms(a, b))
 
     __rmul__ = __mul__
 
@@ -272,8 +282,9 @@ _set_hash = DiffExpr._hash.__set__
 
 
 def _num(v: Union[int, Fraction]):
-    """Coefficients are ints whenever they are integral (much faster than
-    Fraction); the two interoperate, compare and hash identically."""
+    """``v`` as an int when it is integral (much faster than Fraction; the
+    two compare and hash identically).  Kernel products skip this, so a
+    coefficient can still be ``Fraction(n, 1)`` (see ``_kernel_py``)."""
     if isinstance(v, int):
         return v
     return v.numerator if v.denominator == 1 else v
@@ -586,16 +597,6 @@ def as_scalar(e: DiffExpr) -> Scalar | None:
     if any(slot[0] != 1 for slot, _ in key):
         return None
     return Scalar(c, ((slot[1], v) for slot, v in key))
-
-
-def as_rational(e: DiffExpr) -> int | Fraction | None:
-    """The expression as a number (an int when integral), or None when it
-    is not a rational constant."""
-    if not e._t:
-        return 0
-    if len(e._t) > 1:
-        return None
-    return e._t.get(())
 
 
 def primitive_part(e: DiffExpr) -> DiffExpr:

@@ -2,33 +2,41 @@
 
 Matrix entries are constant expressions (elements of the ring of Laurent
 polynomials in the named constants over Q); any other entry, and a ragged
-matrix, is rejected up front with ``ValueError``.  Rows are stored as dicts
-from column to nonzero value, and one elimination (``_reduce``) serves
-``nullspace``, ``rank`` and ``in_span``: it splits the matrix into its
-connected components (below) and runs one Gauss-Jordan pivot loop
-(``_sweep``) on each.  Within a component, columns are swept left to right;
-the pivot row is the first remaining row with a nonzero entry, or the first
-with a rational one when there is one.  The coefficient domain is chosen
-from the entries of the whole matrix:
+matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads the
+matrix once and stores each entry times ``den``, the lcm of the
+denominators of all its coefficients, as a packed polynomial (below) with
+``int`` coefficients, in dict rows from column to nonzero value.  A
+rational entry packs to the one monomial ``0``, so every matrix takes the
+same path.
 
-* all entries rational: each entry becomes an ``int``/``Fraction`` once,
-  every pivot row is normalized to pivot 1 and eliminated from the other
-  rows that have the pivot column.  The result is the reduced row echelon
-  form.
-* some entry involves named constants: each entry becomes a packed
-  polynomial once (below), and the elimination is fraction-free
-  Gauss-Jordan (Bareiss): every sweep updates the component's rows to
-  ``(p * row - row[c] * pivot_row) / prev``, with ``p`` the pivot and
-  ``prev`` the previous pivot of the component (1 before its first), so
-  entries stay in the ring and all divisions are exact.  Only cells where
-  the row or the pivot row is nonzero are computed.  After the last sweep
-  every pivot entry of a component equals its final pivot d.
+One elimination (``_reduce``) serves ``nullspace``, ``rank`` and
+``in_span``: it splits the matrix into its connected components (below) and
+runs one fraction-free Gauss-Jordan (Bareiss) pivot loop, ``_sweep``, on
+each.  Within a component, columns are swept left to right; the pivot row
+is the first remaining row with a nonzero entry, or the first with a
+rational one when there is one.  Every sweep updates the component's rows
+to ``(p * row - row[c] * pivot_row) / prev``, with ``p`` the pivot and
+``prev`` the previous pivot of the component (1 before its first), on the
+cells where the row or the pivot row is nonzero.  After the last sweep
+every pivot entry of a component equals its final pivot d.
 
-A free column f yields the nullspace vector with value d (1 for rationals)
-at f and ``-M[i][f]`` at the i-th pivot column of its component; vectors
-come in the order of their free columns.  Every vector is checked against
-every input row, ``A v = 0``: in numbers for rational matrices, in
-``DiffExpr`` arithmetic otherwise, independently of the packing.
+Integers.  After k sweeps every entry of a component's pivot rows is a k x
+k minor of the component, hence of the input (Cramer's rule), and every
+entry of its other rows a (k+1) x (k+1) minor (Sylvester's identity).  So
+every division is exact in Laurent polynomials over Z, the ring of the
+cleared entries, and a remainder is a bug and raises.  A minor of order j
+is ``den^j`` times the input's, so zero tests, pivot choices and ranks are
+the input's, and each pivot is a rational unit times the input's.
+
+Output.  A free column f yields the nullspace vector with d at f and
+``-M[i][f]`` at the i-th pivot column of its component, vectors in the order
+of their free columns.  Its entries are r x r minors for r pivots in the
+component, so divided by ``den^r`` it is the vector of the same sweep on
+the input.  Without named constants it is divided by d instead, ``den^r``
+times the input's final pivot: the sweep ends at d times the reduced row
+echelon form, so this gives that form's basis, with 1 at f.  Every vector
+is checked against every input row, ``A v = 0``, in expression term
+arithmetic, independently of the packing and the clearing.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
@@ -50,8 +58,8 @@ The verdicts are those of the whole matrix.  A column depends on the
 earlier ones exactly when it does within its component, whose rows no
 other column touches, so the pivot columns are each component's first
 independent columns, the rank is the sum of the components' ranks and the
-kernel over the field of fractions is the direct sum of theirs.  In the
-rational domain the reduced row echelon form is unique, so the results are
+kernel over the field of fractions is the direct sum of theirs.  Without
+constants the reduced row echelon form is unique, so the results are
 those of one sweep over the whole matrix.  With constants, one sweep over
 the whole matrix would chain every pivot through a single ``prev``: its
 k-th pivot is the leading k x k minor of the rows and columns chosen so
@@ -72,7 +80,7 @@ specializes to a basis of the kernel.
 Packed polynomials.  With the constant names sorted, ``n`` of them, a
 monomial ``prod name_i^e_i`` is the integer ``sum e_i * B^(n-1-i)`` (one
 signed "balanced" digit per name, the first name most significant), and a
-polynomial is a dict from that integer to its rational coefficient.  When
+polynomial is a dict from that integer to its integer coefficient.  When
 every digit lies in ``[-L, L]`` and ``B = 2L + 1`` the packing is one-to-one,
 a product of monomials is one integer addition, and integer order is the
 lexicographic order of exponent vectors, which is a group order: it is
@@ -81,43 +89,44 @@ sum of the leading monomials.
 
 The exponent bound.  Let E be the largest ``|e_i|`` in any input entry and
 R the number of rows or of columns that is smaller (a bound on the rank).
-After k sweeps of a component every entry of its pivot rows is a k x k
-minor of the component, hence of the input (Cramer's rule), and every entry
-of its other rows a (k+1) x (k+1) minor (Sylvester's identity; this is why
-the divisions are exact); k is at most the component's rank, so at most R.
-A minor of order j is a sum of products of j entries, so its exponents lie
-in ``[-jE, jE]``.  Sweep k multiplies entries that are minors of order at
-most k, so every product and numerator has exponents in ``[-2kE, 2kE]``;
-quotients are the next entries, and the division below forms no monomial
-outside the range of its numerator.  ``nullspace`` and ``rank`` therefore
-take ``L = 2RE``.  ``in_span`` reduces its vectors the same way, then
-reduces the target, which spans components, against the final rows of
-every component without dividing: ``target = d * target - target[c] *
-row``, with d that component's final pivot and the row's entries minors of
-order at most R, adds at most ``RE`` to the exponents per pivot.  The
-components have at most R pivots together, so the exponents end in
-``[-(R^2 + 1)E, (R^2 + 1)E]``, and ``in_span`` takes ``L = (R^2 + 1)E``
-(never below ``2RE``).
+Every entry after k sweeps is a minor of order at most k + 1 (above), and k
+is at most the component's rank, so at most R.  A minor of order j is a sum
+of products of j entries, so its exponents lie in ``[-jE, jE]``.  Sweep k
+multiplies entries that are minors of order at most k, so every product and
+numerator has exponents in ``[-2kE, 2kE]``; quotients are the next entries,
+and the division below forms no monomial outside the range of its
+numerator.  ``nullspace`` and ``rank`` therefore take ``L = 2RE``.
+``in_span`` reduces its vectors the same way, then reduces the target,
+which spans components, against the final rows of every component without
+dividing: ``target = d * target - target[c] * row``, with d that
+component's final pivot and the row's entries minors of order at most R,
+adds at most ``RE`` to the exponents per pivot.  The components have at
+most R pivots together, so the exponents end in ``[-(R^2 + 1)E, (R^2 +
+1)E]``, and ``in_span`` takes ``L = (R^2 + 1)E`` (never below ``2RE``).
 
 Exact division.  ``_divide`` is the division algorithm for that order: the
 next quotient monomial is the lead of the remainder minus the lead of the
-divisor.  The lead of the remainder strictly decreases at each step, since
-the step cancels it and adds only smaller monomials.  If the quotient q is
-exact, the per-name degree range of q is that of the numerator minus that of
-the divisor (the top and bottom degrees of a product add, Laurent
-polynomials being a domain), and every quotient monomial lies in that box.
-A quotient monomial outside it therefore proves that the division is not
-exact, and the division raises there.  Inside the box, the remainder's
-monomials stay in the numerator's range; the box is finite and the leads
-strictly decrease, so the division ends after at most as many steps as the
-box has points, without any step cap.
+divisor, its coefficient the integer quotient of their coefficients.  The
+lead of the remainder strictly decreases at each step, since the step
+cancels it and adds only smaller monomials.  If the quotient q is exact,
+the per-name degree range of q is that of the numerator minus that of the
+divisor (the top and bottom degrees of a product add, Laurent polynomials
+being a domain), and every quotient monomial lies in that box.  A quotient
+monomial outside it therefore proves that the division is not exact, and
+the division raises there; so does a coefficient division with a
+remainder.  Inside the box, the remainder's monomials stay in the
+numerator's range; the box is finite and the leads strictly decrease, so
+the division ends after at most as many steps as the box has points,
+without any step cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from . import _kernel_py as kernel
 from . import expr as ex
 from .expr import DiffExpr
 
@@ -145,9 +154,11 @@ class _Packing:
         # adding the offset turns every balanced digit e into e + L >= 0
         self.offset = sum(half * w for w in self.weights.values())
 
-    def pack(self, e: DiffExpr) -> dict:
+    def pack(self, e: DiffExpr, den: int) -> dict:
+        """``den * e`` packed; ``den`` is a multiple of every denominator
+        in ``e``, so the coefficients are ints."""
         w = self.weights
-        return {sum(v * w[slot[1]] for slot, v in key): c
+        return {sum(v * w[slot[1]] for slot, v in key): int(c * den)
                 for key, c in e.term_items()}
 
     def digits(self, key: int) -> list[int]:
@@ -159,16 +170,16 @@ class _Packing:
             out.append(d)
         return out
 
-    def unpack(self, poly: dict) -> DiffExpr:
+    def unpack(self, poly: dict, den: int = 1) -> DiffExpr:
+        """``poly / den`` as an expression."""
         half = self.half
         rev = self.names[::-1]
         terms = {}
         for key, c in poly.items():
             slots = [((1, nm), d - half)
                      for nm, d in zip(rev, self.digits(key)) if d != half]
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            terms[tuple(reversed(slots))] = c
+            q, r = divmod(c, den)
+            terms[tuple(reversed(slots))] = Fraction(c, den) if r else q
         return DiffExpr(terms)
 
     def extent(self, poly: dict) -> tuple[list[int], list[int]]:
@@ -196,12 +207,7 @@ class _Packing:
         return den, lead, den[lead], lo, hi, self.digits(lead)
 
 
-def _quotient(a, b):
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return Fraction(a, b)
+_INEXACT = "fraction-free elimination: inexact division (bug)"
 
 
 def _fms(p: dict, a: dict | None, f: dict | None, b: dict | None) -> dict:
@@ -231,12 +237,19 @@ def _fms(p: dict, a: dict | None, f: dict | None, b: dict | None) -> dict:
 def _divide(num: dict, div, pk: _Packing) -> dict:
     """The exact quotient of ``num`` by the divisor ``div`` (from
     ``_Packing.divisor``); ``num`` is consumed.  Raises ``RuntimeError`` as
-    soon as a quotient monomial leaves the box an exact quotient fills."""
+    soon as a quotient monomial leaves the box an exact quotient fills, or
+    a quotient coefficient is not an integer."""
     if div is None:
         return num
     den, lead, cb, dlo, dhi, ldig = div
     if len(den) == 1:  # a unit
-        return {k - lead: _quotient(c, cb) for k, c in num.items()}
+        quo = {}
+        for k, c in num.items():
+            q, r = divmod(c, cb)
+            if r:
+                raise RuntimeError(_INEXACT)
+            quo[k - lead] = q
+        return quo
     lo, hi = pk.extent(num)
     # the quotient monomial lr - lead must lie in [lo - dlo, hi - dhi] per
     # name, i.e. the remainder's lead lr in [lo - dlo + ld, hi - dhi + ld]
@@ -251,10 +264,11 @@ def _divide(num: dict, div, pk: _Packing) -> dict:
         for l, h in box:
             z, d = divmod(z, base)
             if d < l or d > h:
-                raise RuntimeError("fraction-free elimination: "
-                                   "inexact division (bug)")
+                raise RuntimeError(_INEXACT)
         qk = lr - lead
-        qc = _quotient(num[lr], cb)
+        qc, r = divmod(num[lr], cb)
+        if r:
+            raise RuntimeError(_INEXACT)
         quo[qk] = qc
         for k, c in den.items():
             k += qk
@@ -270,14 +284,16 @@ def _divide(num: dict, div, pk: _Packing) -> dict:
     return quo
 
 
-def _sparse(rows: list[list[DiffExpr]], ncols: int,
-            growth: int) -> tuple[list[dict], _Packing | None]:
-    """Dict rows without zeros: numbers when every entry is rational (and
-    no packing), else packed polynomials and their packing, whose digit
-    half-width is ``growth * E`` (see the module docstring)."""
-    m = []
+def _sparse(rows: list[list[DiffExpr]], ncols: int, growth: int):
+    """One scan of the matrix.  Returns ``(packed rows, packing, den, input
+    rows)``: the input rows as dicts of their nonzero entries, and the same
+    rows times ``den``, the lcm of the denominators of all coefficients,
+    packed with digit half-width ``growth * E`` (see the module
+    docstring)."""
+    original = []
     names: set[str] = set()
     top = 0
+    den = 1
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
@@ -285,7 +301,9 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int,
         for c, e in enumerate(r):
             if not e:
                 continue
-            for key, _ in e.term_items():
+            for key, co in e.term_items():
+                if type(co) is not int:
+                    den = lcm(den, co.denominator)
                 for slot, v in key:
                     if slot[0] != 1:
                         raise ValueError(
@@ -293,29 +311,16 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int,
                     names.add(slot[1])
                     top = max(top, abs(v))
             row[c] = e
-        m.append(row)
-    if not names:
-        return [{c: ex.as_rational(e) for c, e in row.items()}
-                for row in m], None
+        original.append(row)
     pk = _Packing(sorted(names), growth * top)
-    return [{c: pk.pack(e) for c, e in row.items()} for row in m], pk
-
-
-def _subtract(row: dict, row_p: dict, f) -> None:
-    """``row -= f * row_p`` in place, for rational rows."""
-    for k, v in row_p.items():
-        nv = row.get(k, 0) - f * v
-        if nv:
-            row[k] = nv
-        else:
-            del row[k]
+    m = [{c: pk.pack(e, den) for c, e in row.items()} for row in original]
+    return m, pk, den, original
 
 
 def _combine_rows(row: dict, row_p: dict, c: int, p: dict, div,
                   pk: _Packing) -> dict:
     """``(p * row - row[c] * row_p) / prev`` over the cells where ``row``
-    or ``row_p`` is nonzero, for packed rows; ``div`` is
-    ``pk.divisor(prev)``."""
+    or ``row_p`` is nonzero; ``div`` is ``pk.divisor(prev)``."""
     fi = row.get(c)
     keys = row.keys() | row_p.keys() if fi is not None else row.keys()
     out = {}
@@ -356,12 +361,12 @@ def _components(m: list[dict],
     return list(comps.values())
 
 
-def _sweep(m: list[dict], cols: list[int], pk: _Packing | None,
+def _sweep(m: list[dict], cols: list[int], pk: _Packing,
            assumptions: list[dict]):
-    """Gauss-Jordan on the dict rows ``m`` of one component over its
-    columns ``cols``, in place; pivot rows are moved to the top and
-    symbolic pivots appended to ``assumptions``.  Returns ``(pivot columns
-    by row, final pivot)``."""
+    """Fraction-free Gauss-Jordan on the packed rows ``m`` of one component
+    over its columns ``cols``, in place; pivot rows are moved to the top
+    and symbolic pivots appended to ``assumptions``.  Returns ``(pivot
+    columns by row, final pivot)``."""
     pivots: list[int] = []
     prev = {0: 1}
     for c in cols:
@@ -375,7 +380,7 @@ def _sweep(m: list[dict], cols: list[int], pk: _Packing | None,
                 continue
             if sel is None:
                 sel = i
-            if pk is None or e.keys() == {0}:
+            if e.keys() == {0}:
                 sel = i  # prefer a rational pivot: no genericity assumption
                 break
         if sel is None:
@@ -383,31 +388,22 @@ def _sweep(m: list[dict], cols: list[int], pk: _Packing | None,
         m[sel], m[r] = m[r], m[sel]
         row_p = m[r]
         p = row_p[c]
-        if pk is None:
-            if p != 1:
-                inv = 1 / Fraction(p)
-                row_p = m[r] = {k: v * inv for k, v in row_p.items()}
-            for row in m:
-                f = row.get(c)
-                if f is not None and row is not row_p:
-                    _subtract(row, row_p, f)
-        else:
-            if p.keys() != {0}:
-                assumptions.append(p)
-            div = pk.divisor(prev)
-            for i, row in enumerate(m):
-                if i != r:
-                    m[i] = _combine_rows(row, row_p, c, p, div, pk)
-            prev = p
+        if p.keys() != {0}:
+            assumptions.append(p)
+        div = pk.divisor(prev)
+        for i, row in enumerate(m):
+            if i != r:
+                m[i] = _combine_rows(row, row_p, c, p, div, pk)
+        prev = p
         pivots.append(c)
-    return pivots, 1 if pk is None else prev
+    return pivots, prev
 
 
-def _reduce(m: list[dict], ncols: int, pk: _Packing | None):
-    """Gauss-Jordan on the dict rows ``m``, one connected component at a
-    time.  Returns the blocks ``(rows, columns, pivot columns, final
-    pivot)``, whose rows start with the pivot rows in pivot order, and the
-    symbolic pivots in block order."""
+def _reduce(m: list[dict], ncols: int, pk: _Packing):
+    """Fraction-free Gauss-Jordan on the packed rows ``m``, one connected
+    component at a time.  Returns the blocks ``(rows, columns, pivot
+    columns, final pivot)``, whose rows start with the pivot rows in pivot
+    order, and the symbolic pivots in block order."""
     blocks = []
     assumptions: list[dict] = []
     for rows, cols in _components(m, ncols):
@@ -427,20 +423,19 @@ def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
 
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
-    m, pk = _sparse(rows, ncols, 2 * min(len(rows), ncols))
-    if pk is None:
-        original = [dict(row) for row in m]
-    else:
-        original = [{c: e for c, e in enumerate(r) if e} for r in rows]
+    m, pk, den, original = _sparse(rows, ncols, 2 * min(len(rows), ncols))
     blocks, assumptions = _reduce(m, ncols, pk)
 
     vecs = {}
     for block, cols, pivots, d in blocks:
+        # the input's vector, or without constants the reduced row
+        # echelon one (see the module docstring)
+        scale = den ** len(pivots) if pk.names else d[0]
         pivot_set = set(pivots)
         for f in cols:
             if f in pivot_set:
                 continue
-            vec = {f: d}
+            vec = {f: pk.unpack(d, scale)}
             for row, c in zip(block, pivots):
                 entry = row.get(f)
                 if entry is None:
@@ -449,20 +444,19 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
                     raise RuntimeError("fraction-free elimination: pivot "
                                        "entry differs from the final pivot "
                                        "(bug)")
-                vec[c] = (-entry if pk is None
-                          else {k: -v for k, v in entry.items()})
+                vec[c] = pk.unpack({k: -v for k, v in entry.items()}, scale)
             vecs[f] = vec
     basis = [vecs[f] for f in sorted(vecs)]
 
-    if pk is None:
-        zero = 0
-        basis = [{c: ex.rational(v) for c, v in vec.items()} for vec in basis]
-    else:
-        zero = ex.ZERO
-        basis = [{c: pk.unpack(v) for c, v in vec.items()} for vec in basis]
     for vec in basis:  # exact verification of A v = 0
+        terms = {c: v._t for c, v in vec.items()}
         for row in original:
-            if sum((v * vec[k] for k, v in row.items() if k in vec), zero):
+            acc: dict = {}
+            for c, e in row.items():
+                v = terms.get(c)
+                if v is not None:
+                    kernel.add_into(acc, kernel.mul_terms(e._t, v), 1)
+            if acc:
                 raise RuntimeError("nullspace verification failed (bug)")
 
     dense = tuple(tuple(vec.get(c, ex.ZERO) for c in range(ncols))
@@ -474,7 +468,7 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
 
 
 def rank(rows: list[list[DiffExpr]], ncols: int) -> int:
-    m, pk = _sparse(rows, ncols, 2 * min(len(rows), ncols))
+    m, pk, _, _ = _sparse(rows, ncols, 2 * min(len(rows), ncols))
     return sum(len(pivots) for _, _, pivots, _ in _reduce(m, ncols, pk)[0])
 
 
@@ -484,15 +478,10 @@ def in_span(target: list[DiffExpr], vectors: list[list[DiffExpr]],
     constants are involved): ``vectors`` are reduced once and ``target`` is
     reduced against that echelon form."""
     r = min(len(vectors), ncols)
-    m, pk = _sparse(list(vectors) + [list(target)], ncols, r * r + 1)
+    m, pk, _, _ = _sparse(list(vectors) + [list(target)], ncols, r * r + 1)
     rest = m.pop()
     for block, _, pivots, _ in _reduce(m, ncols, pk)[0]:
         for row, c in zip(block, pivots):
-            f = rest.get(c)
-            if f is None:
-                continue
-            if pk is None:
-                _subtract(rest, row, f)
-            else:
+            if c in rest:
                 rest = _combine_rows(rest, row, c, row[c], None, pk)
     return not rest

@@ -12,7 +12,7 @@ returned expression is re-verified through the full residual check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 from . import expr as ex

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import expr as ex
-from .calculus import (DOperator, ZERO_OP, ev_apply, frechet, nabla_on_op,
-                       op_apply, op_commutator, total_d_power)
+from .calculus import (DOperator, ev_apply, frechet, nabla_on_op, op_apply,
+                       op_commutator, total_d_power)
 from .expr import (GEN_T, GEN_X, DiffExpr, is_constant, is_t_only, occurs,
                    partial, to_source, try_divide, try_nth_root, u_order)
 from .expr import x as x_expr

@@ -6,7 +6,6 @@ linear-in-t via a mastersymmetry pair)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expr as ex
 from .expr import GEN_T, DiffExpr, Scalar, as_scalar, is_t_only, occurs, partial, u_order

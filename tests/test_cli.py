@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -44,6 +45,16 @@ class TestCheck:
     def test_parse_error_exit_2(self):
         code, _ = run_cli("check", "--equation", "u3 +", "--candidate", "u1")
         assert code == 2
+
+    @pytest.mark.parametrize("candidate", ["(u1+u2+u3+x)^200",
+                                           "(u+1)^100000"])
+    def test_oversized_product_exit_2_promptly(self, candidate, capsys):
+        start = time.perf_counter()
+        code, out = run_cli("check", "--equation", "u3",
+                            "--candidate", candidate)
+        assert code == 2 and out == ""
+        assert "term pairs" in capsys.readouterr().err
+        assert time.perf_counter() - start < 2
 
 
 class TestClassify:

@@ -122,6 +122,29 @@ class TestScalar:
         assert as_scalar(u1) is None
 
 
+class TestTermBudget:
+    def test_product_over_the_budget_raises_before_any_work(self):
+        a = sum((u0 ** i for i in range(400)), ZERO)
+        b = sum((x ** i for i in range(251)), ZERO)
+        assert len(a) * len(b) > ex.MAX_PRODUCT_PAIRS
+        with mock.patch.object(ex.kernel, "mul_terms") as mul:
+            with pytest.raises(ExpressionError, match="term pairs"):
+                a * b
+        assert not mul.called
+
+    def test_product_at_the_budget_is_formed(self):
+        a = sum((u0 ** i for i in range(400)), ZERO)
+        b = sum((x ** i for i in range(250)), ZERO)
+        assert len(a) * len(b) == ex.MAX_PRODUCT_PAIRS
+        assert len(a * b) == ex.MAX_PRODUCT_PAIRS
+
+    def test_large_powers_raise(self):
+        with pytest.raises(ExpressionError, match="term pairs"):
+            (u1 + u2 + u3 + x) ** 200
+        with pytest.raises(ExpressionError, match="term pairs"):
+            (u0 + 1) ** 100000
+
+
 class TestDivision:
     def test_exact(self):
         assert try_divide(6 * u0 * u1 + 2 * u1, 2 * u1) == 3 * u0 + 1

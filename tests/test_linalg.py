@@ -432,6 +432,100 @@ def test_wide_constant_pool_gives_the_dense_bareiss_result(seed):
     assert in_span(target, rows, ncols) == expected
 
 
+# -- one domain: every matrix on the integer fraction-free sweep ----------
+
+def _reference_rref(rows, ncols):
+    """Pivot-normalising Gauss-Jordan over ``Fraction`` on the whole matrix,
+    the rational domain the integer sweep replaced: ``(basis, rank)``, the
+    basis vector of a free column f having 1 at f and minus the reduced row
+    echelon entries at the pivot columns."""
+    m = [{c: Fraction(e.term_items()[0][1]) for c, e in enumerate(r) if e}
+         for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if c in m[i]), None)
+        if sel is None:
+            continue
+        m[sel], m[r] = m[r], m[sel]
+        inv = 1 / m[r][c]
+        m[r] = {k: v * inv for k, v in m[r].items()}
+        for i, row in enumerate(m):
+            f = row.get(c)
+            if f is not None and i != r:
+                for k, v in m[r].items():
+                    nv = row.get(k, 0) - f * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for row, c in zip(m, pivots):
+            if f in row:
+                vec[c] = rational(-row[f])
+        basis.append(tuple(vec))
+    return tuple(basis), len(pivots)
+
+
+def _sevenths_and_thirteenths(rng, max_size=8):
+    """A sparse rational matrix with the benchmark's denominators."""
+    nrows = rng.randint(0, max_size)
+    ncols = rng.randint(1, max_size)
+    rows = [[ZERO if rng.random() < 0.5 else
+             _q(rng.randint(-30, 30), rng.choice([1, 7, 13, 91]))
+             for _ in range(ncols)] for _ in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_rational_matrices_give_the_reduced_row_echelon_basis(seed):
+    rng = random.Random(seed)
+    rows, ncols = _sevenths_and_thirteenths(rng)
+    res = nullspace(rows, ncols)
+    basis, rk = _reference_rref(rows, ncols)
+    assert res.basis == basis
+    assert res.rank == rk == rank(rows, ncols)
+    assert res.pivot_assumptions == ()
+    target = [_q(rng.randint(-5, 5), rng.choice([7, 13]))
+              for _ in range(ncols)]
+    if rows and rng.random() < 0.5:  # a member
+        target = [p + _q(5, 13) * q for p, q in zip(rows[0], rows[-1])]
+    expected = _reference_rref(rows + [target], ncols)[1] == rk
+    assert in_span(target, rows, ncols) == expected
+
+
+@pytest.mark.parametrize("make", [_sevenths_and_thirteenths, _wide_matrix],
+                         ids=["rational", "symbolic"])
+def test_the_sweep_sees_integers_only(monkeypatch, make):
+    # fractional entries are cleared once, by the lcm of all denominators
+    fms, seen = linalg._fms, []
+
+    def spy_fms(*polys):
+        seen.extend(c for poly in polys if poly for c in poly.values())
+        return fms(*polys)
+
+    monkeypatch.setattr(linalg, "_fms", spy_fms)
+    rng = random.Random(5)
+    fractional = False
+    for _ in range(20):
+        rows, ncols = make(rng)
+        fractional |= any(type(c) is Fraction for row in rows for e in row
+                          for _, c in e.term_items())
+        nullspace(rows, ncols)
+        rank(rows, ncols)
+        if rows:
+            in_span(rows.pop(), rows, ncols)
+    assert fractional
+    assert seen and all(type(c) is int for c in seen)
+
+
 # -- connected components -------------------------------------------------
 
 class TestComponents:
@@ -543,9 +637,17 @@ class TestInputCheck:
                 in_span(rows[0], [[ONE, ONE]], 2)
 
 
-def _packed(names, *polys):
+def _packed(names, num, *divisors):
+    """The packing of ``names`` and the polynomials cleared of denominators
+    as the sweep meets them: with ``den`` the lcm of all their
+    denominators, each divisor (an entry) times ``den`` and the numerator
+    (a product of two entries) times ``den^2``, so an exact quotient is
+    ``den`` times the rational one.  Returns ``(packing, polys, den)``."""
     pk = _Packing(sorted(names), 8)
-    return pk, [pk.pack(p) for p in polys]
+    den = lcm(*(c.denominator for p in (num, *divisors)
+                for _, c in p.term_items()))
+    return (pk, [pk.pack(num, den * den)]
+            + [pk.pack(p, den) for p in divisors], den)
 
 
 class TestPackedDivision:
@@ -559,7 +661,16 @@ class TestPackedDivision:
     def test_non_multiple_raises(self, num, den):
         # without the degree box the lex descent would go on for ever
         # through ever more negative powers
-        pk, (n, d) = _packed("abc", parse(num, "abc"), parse(den, "abc"))
+        pk, (n, d), _ = _packed("abc", parse(num, "abc"), parse(den, "abc"))
+        with pytest.raises(RuntimeError, match="inexact division"):
+            _divide(n, pk.divisor(d), pk)
+
+    @pytest.mark.parametrize("num, den", [("3*a + 3", "2*a + 2"),
+                                          ("3", "2"), ("a^2 - 1", "2*a - 2")])
+    def test_non_integral_quotient_raises(self, num, den):
+        # exact over Q but not over Z, which the cleared sweep never meets
+        pk = _Packing(["a"], 8)
+        n, d = (pk.pack(parse(p, "a"), 1) for p in (num, den))
         with pytest.raises(RuntimeError, match="inexact division"):
             _divide(n, pk.divisor(d), pk)
 
@@ -571,8 +682,8 @@ class TestPackedDivision:
     ])
     def test_exact_multiple_gives_the_quotient(self, q, den):
         qe, de = parse(q, "abc"), parse(den, "abc")
-        pk, (n, d) = _packed("abc", qe * de, de)
-        assert pk.unpack(_divide(n, pk.divisor(d), pk)) == qe
+        pk, (n, d), scale = _packed("abc", qe * de, de)
+        assert pk.unpack(_divide(n, pk.divisor(d), pk), scale) == qe
 
 
 def _products_reach(monkeypatch):
@@ -582,9 +693,10 @@ def _products_reach(monkeypatch):
     sparse, fms = linalg._sparse, linalg._fms
 
     def spy_sparse(rows, ncols, growth):
-        m, pk = sparse(rows, ncols, growth)
+        out = sparse(rows, ncols, growth)
+        pk = out[1]
         seen["pk"], seen["L"] = pk, pk.half
-        return m, pk
+        return out
 
     def spy_fms(p, a, f, b):
         pk = seen["pk"]

@@ -1,10 +1,10 @@
 """Term-map kernels: the inner loops of all expression arithmetic.
 
-A differential expression is stored as a mapping ``key -> coefficient``
-(int or Fraction; the kernels keep an integral Fraction product, so
-``parse("2*u1 + 4*u") / 2`` has two ``Fraction(n, 1)``, equal and hashing
-equal to ints, only slower).  A key is a sorted tuple of ``(slot, value)``
-pairs describing one normalized term:
+A differential expression is stored as a mapping ``key -> int`` of integer
+numerators over one common denominator, which the caller keeps (see
+``expr.DiffExpr``); every kernel below takes and returns ``int``
+coefficients only.  A key is a sorted tuple of ``(slot, value)`` pairs
+describing one normalized term:
 
 * ``((0, gen), power)``       -- generator power; ``gen`` is an int code
   (``u_i -> i``, ``x -> -1``, ``t -> -2``), ``power`` a positive int.
@@ -12,11 +12,18 @@ pairs describing one normalized term:
   are invertible, so powers may be negative).
 * ``((2, gen, cmono), coeff)`` -- one component of the single exponential
   factor of the term: ``coeff * cmono * gen`` inside the exponent, with
-  ``cmono`` a sorted tuple of ``(name, power)``.
+  ``cmono`` a sorted tuple of ``(name, power)``.  ``coeff`` is an exact
+  rational, an int when integral.
 
 Multiplying two terms adds the values of matching slots, which makes every
 kernel below a merge or a merge-of-products.  Zero values are never stored.
+A derivative multiplies a coefficient by a slot value, which for a rational
+exponential rate brings in its denominator: ``diff_terms`` and
+``total_d_terms`` scale their output by the lcm of the rate denominators
+they meet and return that scale beside it, so their products stay integer.
 """
+
+from math import gcd
 
 
 def mul_key(k1, k2):
@@ -109,11 +116,15 @@ def diff_terms(a, gen):
 
     Handles both the power rule on monomial slots and the chain rule on the
     exponential-argument slots (the exponent is linear, so each component
-    contributes its coefficient times its constant monomial).
+    contributes its coefficient times its constant monomial).  Returns
+    ``(terms, m)``: the derivative is ``terms / m``, with ``m`` the lcm of
+    the denominators of the rates met.
     """
     out = {}
     get = out.get
-    for key, c in a.items():
+    m = 1
+    for key, c0 in a.items():
+        c = c0 * m
         for idx, (slot, val) in enumerate(key):
             kind = slot[0]
             if kind == 0:
@@ -132,7 +143,15 @@ def diff_terms(a, gen):
                     nk = mul_key(key, tuple(((1, nm), e) for nm, e in cmono))
                 else:
                     nk = key
-                nc = c * val
+                if type(val) is int:
+                    nc = c * val
+                else:
+                    q = val.denominator
+                    if m % q:
+                        r = rescale(out, m, q)
+                        c *= r
+                        m *= r
+                    nc = c // q * val.numerator
             else:
                 continue
             v = get(nk)
@@ -145,7 +164,7 @@ def diff_terms(a, gen):
                 else:
                     del out[nk]
             get = out.get
-    return out
+    return out, m
 
 
 def total_d_terms(a):
@@ -155,11 +174,13 @@ def total_d_terms(a):
     ``u_i`` with the removed factor replaced by ``u_{i+1}``; the chain rule
     on each exponential component ``coeff * cmono * gen``, which contributes
     ``coeff * cmono * D(gen)`` (``D(x) = 1``, ``D(u_i) = u_{i+1}``,
-    ``D(t) = 0``).
+    ``D(t) = 0``).  Returns ``(terms, m)`` as ``diff_terms`` does.
     """
     out = {}
     get = out.get
-    for key, c in a.items():
+    m = 1
+    for key, c0 in a.items():
+        c = c0 * m
         n = len(key)
         for idx, (slot, val) in enumerate(key):
             kind, gen = slot[0], slot[1]
@@ -177,12 +198,21 @@ def total_d_terms(a):
                         nk = head + ((up, key[nxt][1] + 1),) + key[nxt + 1:]
                     else:
                         nk = head + ((up, 1),) + key[nxt:]
+                nc = c * val
             else:
                 factor = tuple(((1, nm), e) for nm, e in slot[2])
                 if gen >= 0:
                     factor = (((0, gen + 1), 1),) + factor
                 nk = mul_key(key, factor)
-            nc = c * val
+                if type(val) is int:
+                    nc = c * val
+                else:
+                    q = val.denominator
+                    if m % q:
+                        r = rescale(out, m, q)
+                        c *= r
+                        m *= r
+                    nc = c // q * val.numerator
             v = get(nk)
             if v is None:
                 out[nk] = nc
@@ -192,4 +222,14 @@ def total_d_terms(a):
                     out[nk] = v
                 else:
                     del out[nk]
-    return out
+    return out, m
+
+
+def rescale(out, m, q):
+    """The least factor ``r`` that makes ``m * r`` a multiple of ``q``;
+    ``out``, a term map on scale ``m``, is multiplied by it in place."""
+    r = q // gcd(m, q)
+    if r != 1:
+        for k in out:
+            out[k] *= r
+    return r

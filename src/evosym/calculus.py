@@ -18,7 +18,8 @@ from .expr import DiffExpr, partial, u_indices, u_order
 
 def total_d(e: DiffExpr) -> DiffExpr:
     """Total derivative with respect to x; raises the top u-index by one."""
-    return DiffExpr._adopt(ex.kernel.total_d_terms(e._t))
+    terms, m = ex.kernel.total_d_terms(e._t)
+    return ex._reduced(terms, e._den * m)
 
 
 def total_d_power(e: DiffExpr, j: int) -> DiffExpr:

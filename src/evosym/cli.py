@@ -14,6 +14,7 @@ Codes 2 and 3 are never verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -451,7 +452,12 @@ def _const_list(value: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in value.split(",") if c.strip())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after
+    it: building costs far more than a request's parse (each argument makes
+    a help formatter, which reads the terminal size), and ``parse_args``
+    does not mutate the parser."""
     top = argparse.ArgumentParser(
         prog="evosym",
         description="Symmetry calculus for scalar evolution equations "

@@ -5,6 +5,8 @@ a monomial in named constants and generators times at most one exponential
 factor ``exp(linear combination of x, t, u)``.  The normal form is unique, so
 semantic equality is structural equality and zero-testing is "is the term map
 empty".  All arithmetic is exact; there is no floating point anywhere.
+The rational coefficients of one expression are kept as integer numerators
+over one common denominator (``DiffExpr``), so the term loops run on ints.
 
 Generators are encoded as ints: ``u_i -> i``, ``x -> -1``, ``t -> -2``.  The
 term-map layout and the loops over it (products, sums, partial and total
@@ -121,7 +123,8 @@ class Scalar:
 
     def to_expr(self) -> "DiffExpr":
         key = tuple(((1, nm), e) for nm, e in self.consts)
-        return DiffExpr({key: _num(self.q)}) if self.q else ZERO
+        q = self.q
+        return _reduced({key: q.numerator}, q.denominator) if q else ZERO
 
     def __str__(self) -> str:
         return to_source(self.to_expr())
@@ -131,37 +134,55 @@ class Scalar:
 
 
 class DiffExpr:
-    """Canonical-form differential expression (immutable)."""
+    """Canonical-form differential expression (immutable).
 
-    __slots__ = ("_t", "_items", "_hash")
+    Stored as integer numerators ``_t: key -> int`` over one denominator
+    ``_den >= 1`` (the layout FLINT uses for ``fmpq_poly``), made unique by
+    ``gcd(_den, every numerator) == 1``; zero is ``({}, 1)``.  Equality and
+    hashing are therefore structural on ``(_den, _t)``, and arithmetic runs
+    on ``int`` only: a product multiplies the denominators, a sum scales by
+    their lcm, and each runs the gcd normalisation once.
+    ``DiffExpr(mapping)`` takes exact rational coefficients (ints or
+    Fractions); ``term_items`` gives them back.
+    """
+
+    __slots__ = ("_t", "_den", "_items", "_hash")
 
     def __init__(self, terms: Mapping) -> None:
-        object.__setattr__(self, "_t", dict(terms))
+        den = 1
+        for c in terms.values():
+            den = lcm(den, c.denominator)
+        # with every coefficient in lowest terms, gcd(den, numerators) == 1
+        object.__setattr__(self, "_t", {
+            k: c.numerator * (den // c.denominator)
+            for k, c in terms.items() if c})
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def _adopt(cls, terms: dict) -> "DiffExpr":
-        """Wrap a freshly built term dict without copying it; the caller
-        hands it over and keeps no reference."""
-        e = _new(cls)
-        _set_terms(e, terms)
-        _set_items(e, None)
-        _set_hash(e, None)
-        return e
 
     def __setattr__(self, *a):
         raise AttributeError("DiffExpr is immutable")
 
     # -- canonical views ---------------------------------------------------
 
-    def term_items(self) -> tuple:
-        """Terms as a tuple of ``(key, coefficient)`` in the canonical order."""
+    def _num_items(self) -> tuple:
+        """Terms as a tuple of ``(key, numerator)`` in the canonical order;
+        each coefficient is the numerator over ``_den``."""
         items = self._items
         if items is None:
-            items = tuple(sorted(self._t.items(), key=lambda kv: (_grade(kv[0]), kv[0])))
-            object.__setattr__(self, "_items", items)
+            items = tuple(sorted(self._t.items(),
+                                 key=lambda kv: (_grade(kv[0]), kv[0])))
+            _set_items(self, items)
         return items
+
+    def term_items(self) -> tuple:
+        """Terms as a tuple of ``(key, coefficient)`` in the canonical order;
+        coefficients are exact rationals, ints when integral."""
+        items = self._num_items()
+        den = self._den
+        if den == 1:
+            return items
+        return tuple((k, _num(Fraction(c, den))) for k, c in items)
 
     @property
     def is_zero(self) -> bool:
@@ -177,18 +198,21 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._t == other._t
+        return self._den == other._den and self._t == other._t
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            if not self._t:
-                h = hash(Fraction(0))
-            elif len(self._t) == 1 and () in self._t:
-                h = hash(self._t[()])  # rational constants hash like numbers
+            t = self._t
+            if not t:
+                h = hash(0)
+            elif len(t) == 1 and () in t:
+                # rational constants hash like numbers
+                c, den = t[()], self._den
+                h = hash(c if den == 1 else Fraction(c, den))
             else:
-                h = hash(self.term_items())
-            object.__setattr__(self, "_hash", h)
+                h = hash((self._den, self._num_items()))
+            _set_hash(self, h)
         return h
 
     # -- arithmetic --------------------------------------------------------
@@ -197,9 +221,7 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._t)
-        kernel.add_into(acc, other._t, 1)
-        return DiffExpr._adopt(acc)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -207,9 +229,7 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._t)
-        kernel.add_into(acc, other._t, -1)
-        return DiffExpr._adopt(acc)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "DiffExpr":
         other = _coerce(other)
@@ -218,7 +238,7 @@ class DiffExpr:
         return other - self
 
     def __neg__(self) -> "DiffExpr":
-        return DiffExpr._adopt({k: -c for k, c in self._t.items()})
+        return _reduced({k: -c for k, c in self._t.items()}, self._den)
 
     def __mul__(self, other) -> "DiffExpr":
         other = _coerce(other)
@@ -229,7 +249,7 @@ class DiffExpr:
             raise ExpressionError(
                 f"product of {len(a)} by {len(b)} terms exceeds the budget "
                 f"of {MAX_PRODUCT_PAIRS} term pairs")
-        return DiffExpr._adopt(kernel.mul_terms(a, b))
+        return _reduced(kernel.mul_terms(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -274,17 +294,53 @@ class DiffExpr:
         return f"DiffExpr({to_source(self)})"
 
 
-# slot setters for DiffExpr._adopt: cheaper than object.__setattr__
+# slot setters for _reduced: cheaper than object.__setattr__
 _new = object.__new__
 _set_terms = DiffExpr._t.__set__
+_set_den = DiffExpr._den.__set__
 _set_items = DiffExpr._items.__set__
 _set_hash = DiffExpr._hash.__set__
 
 
+def _reduced(terms: dict, den: int) -> DiffExpr:
+    """The expression with integer numerators ``terms`` over ``den > 0``,
+    in canonical form: both are divided by their gcd, which is skipped for
+    ``den == 1`` and stops at the first partial gcd of 1.  ``terms`` is a
+    freshly built dict, not copied; the caller keeps no reference to it."""
+    if den != 1:
+        g = den
+        for c in terms.values():
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+    e = _new(DiffExpr)
+    _set_terms(e, terms)
+    _set_den(e, den)
+    _set_items(e, None)
+    _set_hash(e, None)
+    return e
+
+
+def _combine(a: DiffExpr, b: DiffExpr, sign: int) -> DiffExpr:
+    """``a + sign * b`` over the lcm of the denominators."""
+    da, db = a._den, b._den
+    if da == db:
+        acc = dict(a._t)
+        kernel.add_into(acc, b._t, sign)
+        return _reduced(acc, da)
+    den = lcm(da, db)
+    sa = den // da
+    acc = {k: c * sa for k, c in a._t.items()} if sa != 1 else dict(a._t)
+    kernel.add_into(acc, b._t, sign * (den // db))
+    return _reduced(acc, den)
+
+
 def _num(v: Union[int, Fraction]):
     """``v`` as an int when it is integral (much faster than Fraction; the
-    two compare and hash identically).  Kernel products skip this, so a
-    coefficient can still be ``Fraction(n, 1)`` (see ``_kernel_py``)."""
+    two compare and hash identically)."""
     if isinstance(v, int):
         return v
     return v.numerator if v.denominator == 1 else v
@@ -294,8 +350,7 @@ def _coerce(v) -> DiffExpr | None:
     if isinstance(v, DiffExpr):
         return v
     if isinstance(v, (int, Fraction)):
-        v = _num(v)
-        return DiffExpr({(): v}) if v else ZERO
+        return _reduced({(): v.numerator}, v.denominator) if v else ZERO
     if isinstance(v, Scalar):
         return v.to_expr()
     return None
@@ -308,7 +363,9 @@ def _invert_term(e: DiffExpr) -> DiffExpr | None:
     (key, c), = e._t.items()
     if any(slot[0] == 0 for slot, _ in key):
         return None
-    return DiffExpr({tuple((s, -v) for s, v in key): _num(Fraction(1) / c)})
+    # (c / den)^-1 = den / c
+    den = e._den if c > 0 else -e._den
+    return _reduced({tuple((s, -v) for s, v in key): den}, abs(c))
 
 
 def _grade(key) -> int:
@@ -341,8 +398,9 @@ def const(name: str) -> DiffExpr:
 
 
 def rational(p: Union[int, Fraction], q: int = 1) -> DiffExpr:
-    v = _num(Fraction(p, q))
-    return DiffExpr({(): v}) if v else ZERO
+    if q == 1 and isinstance(p, (int, Fraction)):
+        return _coerce(p)
+    return _coerce(Fraction(p, q))
 
 
 def exp_of(arg) -> DiffExpr:
@@ -353,7 +411,7 @@ def exp_of(arg) -> DiffExpr:
     """
     arg = normalize(arg)
     slots = []
-    for key, c in arg._t.items():
+    for key, c in arg.term_items():
         gen = None
         cmono = []
         for slot, v in key:
@@ -396,10 +454,16 @@ def normalize(tree) -> DiffExpr:
     if op == "const":
         return const(tree[1])
     if op == "add":
+        # one add_into per summand, over the lcm of the denominators so far
         acc: dict = {}
+        den = 1
         for sub in tree[1:]:
-            kernel.add_into(acc, normalize(sub)._t, 1)
-        return DiffExpr(acc)
+            e = normalize(sub)
+            d = e._den
+            if den % d:
+                den *= kernel.rescale(acc, den, d)
+            kernel.add_into(acc, e._t, den // d)
+        return _reduced(acc, den)
     if op == "sub":
         return normalize(tree[1]) - normalize(tree[2])
     if op == "neg":
@@ -438,14 +502,16 @@ def _gencode(v) -> int:
         raise ExpressionError(f"unknown generator {v!r}")
     if isinstance(v, DiffExpr) and len(v._t) == 1:
         (key, c), = v._t.items()
-        if c == 1 and len(key) == 1 and key[0][0][0] == 0 and key[0][1] == 1:
+        if (c == 1 and v._den == 1 and len(key) == 1 and key[0][0][0] == 0
+                and key[0][1] == 1):
             return key[0][0][1]
     raise ExpressionError(f"not a generator: {v!r}")
 
 
 def partial(e: DiffExpr, v) -> DiffExpr:
     """Formal partial derivative; all generators are independent."""
-    return DiffExpr._adopt(kernel.diff_terms(e._t, _gencode(v)))
+    terms, m = kernel.diff_terms(e._t, _gencode(v))
+    return _reduced(terms, e._den * m)
 
 
 def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
@@ -462,7 +528,7 @@ def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
 
     total = ZERO
     for key, c in e._t.items():
-        factor = DiffExpr({(): c})
+        factor = rational(c, e._den)
         arg = ZERO
         for slot, v in key:
             if slot[0] == 0:
@@ -548,7 +614,7 @@ def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
     for key, c in e._t.items():
         o = term_u_order(key)
         (hi if o is not None and o >= cut else lo)[key] = c
-    return DiffExpr(hi), DiffExpr(lo)
+    return _reduced(hi, e._den), _reduced(lo, e._den)
 
 
 def u_free_part(e: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
@@ -557,7 +623,7 @@ def u_free_part(e: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
     free: dict = {}
     for key, c in e._t.items():
         (free if term_u_order(key) is None else dep)[key] = c
-    return DiffExpr(dep), DiffExpr(free)
+    return _reduced(dep, e._den), _reduced(free, e._den)
 
 
 def poly_degree(e: DiffExpr, v) -> int:
@@ -584,7 +650,7 @@ def split_by_power(e: DiffExpr, v) -> dict[int, DiffExpr]:
             else:
                 rest.append((slot, val))
         out.setdefault(p, {})[tuple(rest)] = c
-    return {p: DiffExpr(d) for p, d in out.items()}
+    return {p: _reduced(d, e._den) for p, d in out.items()}
 
 
 def as_scalar(e: DiffExpr) -> Scalar | None:
@@ -596,7 +662,7 @@ def as_scalar(e: DiffExpr) -> Scalar | None:
     (key, c), = e._t.items()
     if any(slot[0] != 1 for slot, _ in key):
         return None
-    return Scalar(c, ((slot[1], v) for slot, v in key))
+    return Scalar(Fraction(c, e._den), ((slot[1], v) for slot, v in key))
 
 
 def primitive_part(e: DiffExpr) -> DiffExpr:
@@ -607,18 +673,16 @@ def primitive_part(e: DiffExpr) -> DiffExpr:
     has lowest power 0 over the terms.  Zero stays zero."""
     if not e._t:
         return e
-    num, den = 0, 1
+    g = 0
     powers = []
     for key, c in e._t.items():
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
+        g = gcd(g, c)
         powers.append({slot[1]: v for slot, v in key if slot[0] == 1})
     low = {nm: min(p.get(nm, 0) for p in powers)
            for nm in set().union(*powers)}
     unit = tuple(((1, nm), -v) for nm, v in sorted(low.items()) if v)
-    scale = Fraction(den, num)
-    out = DiffExpr._adopt({kernel.mul_key(key, unit): _num(c * scale)
-                           for key, c in e._t.items()})
+    out = _reduced({kernel.mul_key(key, unit): c // g
+                  for key, c in e._t.items()}, 1)
     return -out if out.term_items()[-1][1] < 0 else out
 
 
@@ -680,8 +744,12 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
         # [lo_a - lo_b, hi_a - hi_b] + lead_b
         box = [(min(ka) - min(kb) + v, max(ka) - max(kb) + v)
                for ka, kb, v in zip(cols_a, cols_b, order(lead_b)[1])]
+    # integer arithmetic on the numerators: s * A = quo * B + rem, with A
+    # and B the numerators of a and b and s grown so that each quotient
+    # coefficient is an integer
     rem = dict(a._t)
     quo: dict = {}
+    s = 1
     while rem:
         lead_r = lead(rem)
         if box is not None and any(
@@ -691,10 +759,20 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
         qk = kernel.mul_key(lead_r, neg_lead_b)
         if any(slot[0] == 0 and v < 0 for slot, v in qk):
             return None
-        qc = _num(Fraction(rem[lead_r]) / cb)
+        r = rem[lead_r]
+        f = abs(cb) // gcd(r, cb)
+        if f != 1:
+            for k in rem:
+                rem[k] *= f
+            for k in quo:
+                quo[k] *= f
+            s *= f
+            r *= f
+        qc = r // cb
         quo[qk] = qc
         kernel.add_into(rem, kernel.mul_single(b._t, qk, qc), -1)
-    return DiffExpr._adopt(quo)
+    # a / b = (quo / s) * (b._den / a._den)
+    return _reduced({k: c * b._den for k, c in quo.items()}, s * a._den)
 
 
 def try_nth_root(e: DiffExpr, m: int) -> DiffExpr | None:
@@ -708,18 +786,18 @@ def try_nth_root(e: DiffExpr, m: int) -> DiffExpr | None:
     (key, c), = e._t.items()
     if c < 0:
         return None
-    num, den = _iroot(c.numerator, m), _iroot(c.denominator, m)
+    num, den = _iroot(c, m), _iroot(e._den, m)
     if num is None or den is None:
         return None
     slots = []
     for slot, v in key:
-        if slot[0] == 2:
-            slots.append((slot, v / m))
+        if slot[0] == 2:  # an exponential rate: any rational divides
+            slots.append((slot, _num(Fraction(v, m))))
         else:
             if v % m:
                 return None
             slots.append((slot, v // m))
-    return DiffExpr({tuple(slots): _num(Fraction(num, den))})
+    return _reduced({tuple(slots): num}, den)
 
 
 def _iroot(n: int, m: int) -> int | None:

@@ -3,9 +3,9 @@
 Matrix entries are constant expressions (elements of the ring of Laurent
 polynomials in the named constants over Q); any other entry, and a ragged
 matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads the
-matrix once and stores each entry times ``den``, the lcm of the
-denominators of all its coefficients, as a packed polynomial (below) with
-``int`` coefficients, in dict rows from column to nonzero value.  A
+matrix once and stores each entry times ``den``, the lcm of the entries'
+denominators (each ``DiffExpr`` keeps one), as a packed polynomial (below)
+with ``int`` coefficients, in dict rows from column to nonzero value.  A
 rational entry packs to the one monomial ``0``, so every matrix takes the
 same path.
 
@@ -36,7 +36,8 @@ the input.  Without named constants it is divided by d instead, ``den^r``
 times the input's final pivot: the sweep ends at d times the reduced row
 echelon form, so this gives that form's basis, with 1 at f.  Every vector
 is checked against every input row, ``A v = 0``, in expression term
-arithmetic, independently of the packing and the clearing.
+arithmetic (each row's products over the lcm of their denominators),
+independently of the packing and the clearing.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
@@ -123,7 +124,6 @@ without any step cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import _kernel_py as kernel
@@ -155,11 +155,12 @@ class _Packing:
         self.offset = sum(half * w for w in self.weights.values())
 
     def pack(self, e: DiffExpr, den: int) -> dict:
-        """``den * e`` packed; ``den`` is a multiple of every denominator
-        in ``e``, so the coefficients are ints."""
+        """``den * e`` packed; ``den`` is a multiple of ``e``'s
+        denominator, so the coefficients are ints."""
         w = self.weights
-        return {sum(v * w[slot[1]] for slot, v in key): int(c * den)
-                for key, c in e.term_items()}
+        s = den // e._den
+        return {sum(v * w[slot[1]] for slot, v in key): c * s
+                for key, c in e._num_items()}
 
     def digits(self, key: int) -> list[int]:
         """The exponents of ``key`` plus L, least significant name first."""
@@ -174,13 +175,13 @@ class _Packing:
         """``poly / den`` as an expression."""
         half = self.half
         rev = self.names[::-1]
+        sign = 1 if den > 0 else -1
         terms = {}
         for key, c in poly.items():
             slots = [((1, nm), d - half)
                      for nm, d in zip(rev, self.digits(key)) if d != half]
-            q, r = divmod(c, den)
-            terms[tuple(reversed(slots))] = Fraction(c, den) if r else q
-        return DiffExpr(terms)
+            terms[tuple(reversed(slots))] = sign * c
+        return ex._reduced(terms, sign * den)
 
     def extent(self, poly: dict) -> tuple[list[int], list[int]]:
         """Per-name lowest and highest digit over the monomials of
@@ -287,7 +288,7 @@ def _divide(num: dict, div, pk: _Packing) -> dict:
 def _sparse(rows: list[list[DiffExpr]], ncols: int, growth: int):
     """One scan of the matrix.  Returns ``(packed rows, packing, den, input
     rows)``: the input rows as dicts of their nonzero entries, and the same
-    rows times ``den``, the lcm of the denominators of all coefficients,
+    rows times ``den``, the lcm of the entries' denominators,
     packed with digit half-width ``growth * E`` (see the module
     docstring)."""
     original = []
@@ -301,9 +302,8 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int, growth: int):
         for c, e in enumerate(r):
             if not e:
                 continue
-            for key, co in e.term_items():
-                if type(co) is not int:
-                    den = lcm(den, co.denominator)
+            den = lcm(den, e._den)
+            for key in e._t:
                 for slot, v in key:
                     if slot[0] != 1:
                         raise ValueError(
@@ -449,13 +449,16 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
     basis = [vecs[f] for f in sorted(vecs)]
 
     for vec in basis:  # exact verification of A v = 0
-        terms = {c: v._t for c, v in vec.items()}
         for row in original:
+            # each product e * v over the lcm of its row's denominators
+            pairs = [(e, vec[c]) for c, e in row.items() if c in vec]
+            common = 1
+            for e, v in pairs:
+                common = lcm(common, e._den * v._den)
             acc: dict = {}
-            for c, e in row.items():
-                v = terms.get(c)
-                if v is not None:
-                    kernel.add_into(acc, kernel.mul_terms(e._t, v), 1)
+            for e, v in pairs:
+                kernel.add_into(acc, kernel.mul_terms(e._t, v._t),
+                                common // (e._den * v._den))
             if acc:
                 raise RuntimeError("nullspace verification failed (bug)")
 

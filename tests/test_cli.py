@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from evosym import parse
-from evosym.cli import REPORT_SCHEMA, main, parse_corpus
+from evosym.cli import REPORT_SCHEMA, build_parser, main, parse_corpus
 
 
 def run_cli(*argv):
@@ -202,6 +202,44 @@ class TestUsage:
     def test_missing_required_exit_2(self):
         code, _ = run_cli("check", "--equation", "u2")
         assert code == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    REQUESTS = [
+        ("check", "--equation", "u3 + a*u*u1", "--candidate", "u1",
+         "--const", "a,b"),
+        ("classify", "--equation", "u2 + c*u1^2", "--const", "c",
+         "--format", "json"),
+        # without --const, an earlier call's constants must not leak in
+        ("check", "--equation", "u3 + a*u*u1", "--candidate", "u1"),
+        ("timedep", "--expression", "exp(2*t)*u1 + t"),
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        code, out = run_cli(*argv)
+        return code, out, capsys.readouterr().err
+
+    def test_consecutive_calls_print_what_fresh_calls_print(self, capsys):
+        fresh = []
+        for argv in self.REQUESTS:
+            build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        parser = build_parser()
+        reused = [self._run(argv, capsys) for argv in self.REQUESTS]
+        assert build_parser() is parser
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+
+    def test_help_and_bad_flags_with_a_reused_parser(self, capsys):
+        check = ("check", "--equation", "u2", "--candidate", "u1")
+        assert run_cli(*check)[0] == 0
+        assert run_cli("--help")[0] == 0
+        assert "usage: evosym" in capsys.readouterr().out
+        assert run_cli("check", "--bogus")[0] == 2
+        assert run_cli(*check)[0] == 0
 
 
 class TestErrorExitCodes:

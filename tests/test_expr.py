@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (ExpressionError, Scalar, const, exp_of, normalize,
-                    parse, partial, rational, substitute, u, u_order, x, t)
+                    parse, partial, rational, substitute, total_d, u, u_order,
+                    x, t)
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, as_scalar, try_divide, try_nth_root
 
@@ -189,6 +191,15 @@ class TestDivision:
         assert try_nth_root(exp_of(2 * u0), 2) == exp_of(u0)
         assert try_nth_root(exp_of(3 * t) * u1 ** 2, 2) is not None
 
+    def test_roots_of_exponentials_keep_exact_rates(self):
+        third = try_nth_root(parse("exp(u)"), 3)
+        assert third == parse("exp(1/3*u)")
+        assert str(third) == "exp(1/3*u)"
+        half = try_nth_root(parse("exp(2*x)"), 2)
+        (key, _), = half.term_items()
+        assert [(v, type(v)) for _, v in key] == [(1, int)]
+        assert str(half) == "exp(x)"
+
 
 # -- randomized algebra laws -------------------------------------------------
 
@@ -247,6 +258,70 @@ def test_division_round_trip(seed):
     assert q is not None and q == a
 
 
+# -- one canonical form per value ---------------------------------------------
+
+def _assert_canonical(e):
+    """Integer numerators over a positive denominator, gcd 1, no zeros."""
+    nums = list(e._t.values())
+    assert type(e._den) is int and e._den > 0
+    assert all(type(c) is int and c for c in nums)
+    assert gcd(e._den, *nums) == 1
+
+
+def _assert_same_value(built, expected):
+    _assert_canonical(built)
+    _assert_canonical(expected)
+    assert built == expected
+    assert hash(built) == hash(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_one_value_has_one_canonical_form(seed):
+    """The same value built two ways gives equal objects with equal hashes,
+    each in canonical form, rational exponential rates included."""
+    rng = random.Random(seed)
+    a, b = (random_expr(rng, consts=("a",)) for _ in range(2))
+    if rng.random() < 0.5:
+        gen = ex.gen_expr(rng.choice((ex.GEN_X, ex.GEN_T, 0)))
+        a = a * exp_of(Fraction(rng.choice((-3, 1, 5)), 6) * gen)
+    s = Fraction(rng.choice((-6, 2, 7)), rng.choice((3, 13)))
+    _assert_same_value(a + b - b, a)
+    _assert_same_value((a * s) / s, a)
+    _assert_same_value(parse(ex.to_source(a), ["a"]), a)
+    if b:
+        _assert_same_value(try_divide(a * b, b), a)
+        _assert_same_value(partial(a * b, 0),
+                           partial(a, 0) * b + a * partial(b, 0))
+        _assert_same_value(total_d(a * b), total_d(a) * b + a * total_d(b))
+
+
+def test_derivatives_scale_by_every_rate_denominator():
+    # the second rate's denominator rescales what the first term gave
+    e = parse("exp(1/2*u) + x*exp(1/3*u) - 5/4*exp(2/5*x)*u1")
+    _assert_same_value(partial(e, 0),
+                       parse("1/2*exp(1/2*u) + 1/3*x*exp(1/3*u)"))
+    _assert_same_value(
+        total_d(e),
+        parse("1/2*u1*exp(1/2*u) + 1/3*x*u1*exp(1/3*u) + exp(1/3*u)"
+              " - 1/2*exp(2/5*x)*u1 - 5/4*exp(2/5*x)*u2"))
+
+
+def test_integral_products_are_ints():
+    e = (2 * u1 + 4 * u0) * Fraction(1, 2)
+    _assert_same_value(e, u1 + 2 * u0)
+    assert e._den == 1
+    _assert_same_value(parse("2*u1 + 4*u") / 2, e)
+    _assert_same_value(parse("3/7*u1") * parse("14/3*u"), 2 * u1 * u0)
+    _assert_same_value(parse("u1/2") + parse("u1/2"), u1)
+
+
+def test_rational_constants_hash_like_their_numbers():
+    for q in (Fraction(3, 7), Fraction(-2), Fraction(0)):
+        assert hash(ex.rational(q)) == hash(q)
+        assert ex.rational(q) == q
+
+
 # -- try_divide against the pairwise comparator it replaced -----------------
 
 def _reference_dense_le(k1, k2) -> bool:
@@ -288,9 +363,10 @@ def _reference_try_divide(a, b, cap):
         raise ZeroDivisionError("division by zero expression")
     if a.is_zero:
         return ZERO
-    lead_b, cb = _reference_lead(b._t)
+    b_terms = dict(b.term_items())
+    lead_b, cb = _reference_lead(b_terms)
     neg_lead_b = tuple((s, -v) for s, v in lead_b)
-    rem = dict(a._t)
+    rem = dict(a.term_items())
     quo = {}
     for _ in range(cap):
         if not rem:
@@ -301,7 +377,7 @@ def _reference_try_divide(a, b, cap):
             return None
         qc = ex._num(Fraction(cr) / cb)
         quo[qk] = qc
-        ex.kernel.add_into(rem, ex.kernel.mul_single(b._t, qk, qc), -1)
+        ex.kernel.add_into(rem, ex.kernel.mul_single(b_terms, qk, qc), -1)
     if not rem:
         return ex.DiffExpr(quo)
     raise ExpressionError("step cap")

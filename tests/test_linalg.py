@@ -526,6 +526,26 @@ def test_the_sweep_sees_integers_only(monkeypatch, make):
     assert seen and all(type(c) is int for c in seen)
 
 
+def test_the_a_v_check_fires_on_a_corrupted_basis(monkeypatch):
+    # the check sums products whose denominators differ (7, 13 and the
+    # corruption's 11); one wrong basis entry must make it raise
+    unpack, calls = _Packing.unpack, []
+
+    def corrupt_first(pk, poly, den=1):
+        e = unpack(pk, poly, den)
+        calls.append(e)
+        return e + rational(1, 11) if len(calls) == 1 else e
+
+    rows = [[rational(1, 7), rational(2, 13), ZERO],
+            [ZERO, rational(3, 13), rational(-5, 7)]]
+    assert len(nullspace(rows, 3).basis) == 1
+    monkeypatch.setattr(_Packing, "unpack", corrupt_first)
+    with pytest.raises(RuntimeError,
+                       match=r"^nullspace verification failed \(bug\)$"):
+        nullspace(rows, 3)
+    assert calls
+
+
 # -- connected components -------------------------------------------------
 
 class TestComponents:

@@ -123,8 +123,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants),
-                  non_linearizable=args.non_linearizable)
+    eq = classify(parse(args.equation, args.constants))
     verdict = (f"constant separant: {'yes' if eq.constant_separant else 'no'}; "
                f"KdV-like: {'yes' if eq.kdv_like else 'no'}")
     lines = [verdict,
@@ -478,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an equation")
     p.add_argument("--equation", required=True)
-    p.add_argument("--non-linearizable", action="store_true",
-                   help="record the (caller-asserted) non-linearizability flag")
     common(p)
     p.set_defaults(func=_cmd_classify)
 

@@ -51,7 +51,10 @@ def _gen_name(gen: int) -> str:
 
 
 class Scalar:
-    """Exact scalar: a rational times a monomial in named constants.
+    """Value view of a one-term constant: a rational times a monomial in
+    named constants, as ``as_scalar`` and ``ScalingResult.lam_scalar`` give
+    it.  It defines no arithmetic; compute on ``DiffExpr`` and view the
+    result.
 
     Constants are opaque and invertible; two scalars are equal exactly when
     their reduced rational parts and sorted constant powers coincide.
@@ -85,33 +88,6 @@ class Scalar:
         if not self.consts:
             return hash(self.q)
         return hash((self.q, self.consts))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.q, self.consts)
-
-    def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        merged: dict[str, int] = dict(self.consts)
-        for n, e in other.consts:
-            merged[n] = merged.get(n, 0) + e
-        return Scalar(self.q * other.q, merged.items())
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        return self * other ** -1
-
-    def __pow__(self, n: int) -> "Scalar":
-        if not isinstance(n, int):
-            raise ExpressionError("scalar powers must be integers")
-        if n < 0 and not self.q:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.q ** n, ((nm, e * n) for nm, e in self.consts))
 
     @property
     def is_one(self) -> bool:
@@ -254,17 +230,15 @@ class DiffExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "DiffExpr":
-        if isinstance(other, DiffExpr):
-            other = as_scalar(other)
-            if other is None:
-                raise ExpressionError("division is only defined by scalars")
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if isinstance(other, Scalar):
-            if not other:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (other ** -1).to_expr()
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other._t:
+            raise ZeroDivisionError("division by zero scalar")
+        if len(other._t) != 1 or any(slot[0] != 1
+                                     for slot, _ in next(iter(other._t))):
+            raise ExpressionError("division is only defined by scalars")
+        return self * _invert_term(other)
 
     def __pow__(self, n: int) -> "DiffExpr":
         if not isinstance(n, int):
@@ -615,15 +589,6 @@ def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
         o = term_u_order(key)
         (hi if o is not None and o >= cut else lo)[key] = c
     return _reduced(hi, e._den), _reduced(lo, e._den)
-
-
-def u_free_part(e: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
-    """Split into (terms with some u-dependence, terms free of u)."""
-    dep: dict = {}
-    free: dict = {}
-    for key, c in e._t.items():
-        (free if term_u_order(key) is None else dep)[key] = c
-    return _reduced(dep, e._den), _reduced(free, e._den)
 
 
 def poly_degree(e: DiffExpr, v) -> int:

@@ -7,13 +7,16 @@ the usual precedence, ``^`` right-associative with integer exponents,
 ``p/q``), insignificant whitespace.  Implicit multiplication is a syntax
 error.  ``parse`` returns the normalized expression; printing a normal form
 and re-parsing it is the identity.
+
+Numbers stay ``int`` from literal to coefficient: a literal is an ``int``
+node, ``a / b`` is ``a * (1 / b)`` and the division is exact in
+``DiffExpr``.  A token is a ``(kind, text, offset)`` tuple; the line and
+column of a ``ParseError`` are computed from the offset when it is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .expr import GEN_T, GEN_X, DiffExpr, ExpressionError, normalize
@@ -26,90 +29,83 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | an operator/paren | "end"
-    text: str
-    line: int
-    column: int
+def _error(source: str, message: str, offset: int) -> ParseError:
+    """A ParseError at ``offset``, with 1-based line and column."""
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    return ParseError(message, line, column)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+# whitespace, then a number, an identifier, an operator or parenthesis, or
+# (the last group) any other character, which is an error
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
+_KINDS = {1: "num", 2: "ident"}  # group 3's kind is its text
 _U_RE = re.compile(r"u_?(\d+)$")
+_RESERVED = frozenset({"x", "t", "u", "exp"})  # and what _U_RE matches
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """Tokens ``(kind, text, offset)``: kind is ``"num"``, ``"ident"``, the
+    operator or parenthesis itself, or ``"end"`` (text ``""``, offset the
+    length of the source) for the last one."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            line, col = _line_col(source, len(source) - len(stripped))
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        line, col = _line_col(source, m.start(1) if m.group(1)
-                              else m.start(2) if m.group(2) else m.start(3))
-        if m.group(1):
-            tokens.append(_Token("num", m.group(1), line, col))
-        elif m.group(2):
-            tokens.append(_Token("ident", m.group(2), line, col))
-        else:
-            tokens.append(_Token(m.group(3), m.group(3), line, col))
-        pos = m.end()
-    last_line, last_col = _line_col(source, len(source))
-    tokens.append(_Token("end", "", last_line, last_col))
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastindex
+        text = m.group(group)
+        if group == 4:
+            raise _error(source, f"unexpected character {text!r}",
+                         m.start(group))
+        tokens.append((_KINDS.get(group, text), text, m.start(group)))
+    tokens.append(("end", "", len(source)))
     return tokens
-
-
-def _line_col(source: str, pos: int) -> tuple[int, int]:
-    line = source.count("\n", 0, pos) + 1
-    col = pos - (source.rfind("\n", 0, pos) + 1) + 1
-    return line, col
 
 
 _MAX_DEPTH = 100
 """Deepest nesting of parentheses, unary minus, ``exp(...)`` and exponent
 parentheses or towers that the recursive descent accepts."""
 
-_ONE = ("num", Fraction(1))
+_ONE = ("num", 1)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], constants: frozenset[str]) -> None:
-        self.tokens = tokens
+    def __init__(self, source: str, constants: frozenset[str]) -> None:
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.constants = constants
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return _error(self.source, message, tok[2])
 
-    def advance(self) -> _Token:
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
+
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.advance()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found "
+                             f"{tok[1] or 'end of input'!r}", tok)
         return tok
 
-    @staticmethod
-    def descend(tok: _Token, depth: int) -> int:
+    def descend(self, tok: tuple, depth: int) -> int:
         if depth >= _MAX_DEPTH:
-            raise ParseError(f"expression nested too deeply (more than "
-                             f"{_MAX_DEPTH} levels)", tok.line, tok.column)
+            raise self.error(f"expression nested too deeply (more than "
+                             f"{_MAX_DEPTH} levels)", tok)
         return depth + 1
 
     def parse_expr(self, depth: int = 0):
         """A chain of ``+``/``-`` as one flat ``add`` node (``a - b`` is
         ``a + (-b)``), so long sums cost no recursion."""
         parts = [self.parse_product(depth)]
-        while self.peek().kind in ("+", "-"):
-            minus = self.advance().kind == "-"
+        while self.peek() in ("+", "-"):
+            minus = self.advance()[0] == "-"
             rhs = self.parse_product(depth)
             parts.append(("neg", rhs) if minus else rhs)
         return parts[0] if len(parts) == 1 else ("add", *parts)
@@ -118,58 +114,58 @@ class _Parser:
         """A chain of ``*``/``/`` as one flat ``mul`` node (``a / b`` is
         ``a * (1/b)``)."""
         parts = [self.parse_power(depth)]
-        while self.peek().kind in ("*", "/"):
-            divide = self.advance().kind == "/"
+        while self.peek() in ("*", "/"):
+            divide = self.advance()[0] == "/"
             rhs = self.parse_power(depth)
             parts.append(("div", _ONE, rhs) if divide else rhs)
         return parts[0] if len(parts) == 1 else ("mul", *parts)
 
     def parse_power(self, depth: int):
         base = self.parse_atom(depth)
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.advance()
             base = ("pow", base, self.parse_exponent(depth))
         return base
 
     def parse_exponent(self, depth: int) -> int:
         neg = False
-        tok = self.peek()
-        if tok.kind == "-":
+        tok = self.tokens[self.pos]
+        if tok[0] == "-":
             self.advance()
             neg = True
-            tok = self.peek()
-        if tok.kind == "num":
+            tok = self.tokens[self.pos]
+        if tok[0] == "num":
             self.advance()
-            base = int(tok.text)
-        elif tok.kind == "(":
+            base = int(tok[1])
+        elif tok[0] == "(":
             self.advance()
             base = self.parse_exponent(self.descend(tok, depth))
             self.expect(")")
         else:
-            raise ParseError("non-integer exponent", tok.line, tok.column)
+            raise self.error("non-integer exponent", tok)
         # right-associative exponent towers: u^2^3 means u^(2^3)
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             caret = self.advance()
             rest = self.parse_exponent(self.descend(caret, depth))
             if rest < 0:
-                raise ParseError("non-integer exponent", caret.line,
-                                 caret.column)
+                raise self.error("non-integer exponent", caret)
             base = base ** rest
         return -base if neg else base
 
     def parse_atom(self, depth: int):
         tok = self.advance()
-        if tok.kind == "num":
-            return ("num", Fraction(int(tok.text)))
-        if tok.kind == "-":
+        kind = tok[0]
+        if kind == "num":
+            return ("num", int(tok[1]))
+        if kind == "-":
             # unary minus binds tighter than * and looser than ^
             return ("neg", self.parse_power(self.descend(tok, depth)))
-        if tok.kind == "(":
+        if kind == "(":
             inner = self.parse_expr(self.descend(tok, depth))
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            name = tok.text
+        if kind == "ident":
+            name = tok[1]
             if name == "exp":
                 self.expect("(")
                 inner = self.parse_expr(self.descend(tok, depth))
@@ -185,32 +181,30 @@ class _Parser:
             if m:
                 idx = int(m.group(1))
                 if idx > 99:
-                    raise ParseError(f"u-index {idx} out of range (max 99)",
-                                     tok.line, tok.column)
+                    raise self.error(f"u-index {idx} out of range (max 99)",
+                                     tok)
                 return ("gen", idx)
             if name in self.constants:
                 return ("const", name)
-            raise ParseError(f"unknown identifier {name!r} "
-                             "(constants must be declared)", tok.line, tok.column)
-        raise ParseError(f"unexpected token {tok.text or 'end of input'!r}",
-                         tok.line, tok.column)
+            raise self.error(f"unknown identifier {name!r} "
+                             "(constants must be declared)", tok)
+        raise self.error(f"unexpected token {tok[1] or 'end of input'!r}",
+                         tok)
 
 
 def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
     """Parse a source string to its normalized expression."""
     names = frozenset(constants)
-    reserved = {"x", "t", "u", "exp"} | {f"u{i}" for i in range(100)}
     for name in names:
-        if name in reserved or _U_RE.match(name):
+        if name in _RESERVED or _U_RE.match(name):
             raise ValueError(f"constant name {name!r} collides with a "
                              "reserved identifier")
-    tokens = _tokenize(source)
-    p = _Parser(tokens, names)
+    p = _Parser(source, names)
     tree = p.parse_expr()
-    end = p.peek()
-    if end.kind != "end":
-        raise ParseError(f"unexpected token {end.text!r}", end.line, end.column)
+    end = p.tokens[p.pos]
+    if end[0] != "end":
+        raise p.error(f"unexpected token {end[1]!r}", end)
     try:
         return normalize(tree)
     except (ExpressionError, ZeroDivisionError) as err:
-        raise ParseError(str(err), end.line, end.column) from err
+        raise p.error(str(err), end) from err

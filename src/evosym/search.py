@@ -5,9 +5,12 @@ monomial pool (times optional t-powers and an optional fixed ``exp(lambda*t)``
 factor).  The compatibility residual is linear in the candidate, so the
 coefficient of every normalized term yields one exact linear condition; the
 nullspace of that system is the space of symmetries inside the ansatz.
-``linalg`` computes it by sparse exact elimination: in rationals when every
-coefficient is rational, fraction-free over the constants otherwise.  Every
-returned expression is re-verified through the full residual check.
+Each cell of the system is built once from the integer numerators of its
+image's terms.  ``linalg`` computes the nullspace by sparse exact
+elimination in one domain for every matrix, rational or not: fraction-free
+(Bareiss) on the cleared entries as integer polynomials in the named
+constants.  Every returned expression is re-verified through the full
+residual check; a linear-t pair through ``timedep.mastersymmetry_test``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from . import expr as ex
 from . import linalg
 from .expr import GEN_T, DiffExpr, partial
 from .symmetry import EvolutionEquation, SelfCheckError, bracket, is_symmetry
+from .timedep import mastersymmetry_test
 
 
 class PoolLimitError(RuntimeError):
@@ -99,32 +103,38 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
     return out
 
 
-def _strip_const_slots(key):
+def _split_const_slots(key) -> tuple[tuple, tuple]:
+    """A term key as (its non-constant slots, its constant slots)."""
     row_key = []
-    cmono = []
-    for slot, v in key:
-        if slot[0] == 1:
-            cmono.append((slot[1], v))
-        else:
-            row_key.append((slot, v))
-    return tuple(row_key), tuple(cmono)
+    cell_key = []
+    for sv in key:
+        (cell_key if sv[0][0] == 1 else row_key).append(sv)
+    return tuple(row_key), tuple(cell_key)
 
 
 def _linear_system(images: list[DiffExpr]) -> tuple[list[list[DiffExpr]], int]:
     """One row per normalized term shape, one column per pool entry; entries
-    are the constant coefficients."""
+    are the constant coefficients.  Rows come in the order the images'
+    canonical terms first name them; each cell is built once from its
+    numerators over its image's denominator."""
     row_index: dict[tuple, int] = {}
     rows: list[list[DiffExpr]] = []
     ncols = len(images)
     for col, img in enumerate(images):
-        for key, c in img.term_items():
-            row_key, cmono = _strip_const_slots(key)
+        cells: dict[int, dict] = {}
+        for key, c in img._num_items():
+            row_key, cell_key = _split_const_slots(key)
             i = row_index.get(row_key)
             if i is None:
                 i = row_index[row_key] = len(rows)
                 rows.append([ex.ZERO] * ncols)
-            entry = DiffExpr({tuple(((1, nm), e) for nm, e in cmono): c})
-            rows[i][col] = rows[i][col] + entry
+            cell = cells.get(i)
+            if cell is None:
+                cells[i] = {cell_key: c}
+            else:
+                cell[cell_key] = c
+        for i, terms in cells.items():
+            rows[i][col] = ex._reduced(terms, img._den)
     return rows, ncols
 
 
@@ -205,17 +215,12 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
             continue
         accepted.append(list(vec))
         G0 = _combine(vec, pool)
-        G1 = bracket(eq.F, G0)
-        if G1.is_zero:
+        res = mastersymmetry_test(eq, G0)
+        if res.G1.is_zero:
             raise SelfCheckError("quotient representative has {F, G0} = 0")
-        if not bracket(eq.F, G1).is_zero:
+        if not res.closes:
             raise SelfCheckError("kernel vector fails {F, {F, G0}} = 0")
-        if not is_symmetry(eq, G0 + ex.t * G1).is_symmetry:
-            raise SelfCheckError("G0 + t*G1 failed the residual check")
-        mu = ex.try_divide(G1, eq.F)
-        if mu is not None and not ex.is_constant(mu):
-            mu = None
-        pairs.append(MasterPair(G0=G0, G1=G1, mu=mu))
+        pairs.append(MasterPair(G0=G0, G1=res.G1, mu=res.mu))
     return LinearTimeSearchResult(pairs=tuple(pairs), pool_size=len(pool),
                                   pivot_assumptions=assumptions)
 

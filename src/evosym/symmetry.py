@@ -16,7 +16,7 @@ assertion, never decided here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 
 from . import expr as ex
 from .calculus import (DOperator, ev_apply, frechet, nabla_on_op, op_apply,
@@ -66,13 +66,12 @@ class EvolutionEquation:
     constant_separant: bool
     kdv_like: bool
     time_independent: bool
-    non_linearizable: bool = False  # caller assertion, never decided here
 
     def __str__(self) -> str:
         return f"u_t = {to_source(self.F)}"
 
 
-def classify(F: DiffExpr, non_linearizable: bool = False) -> EvolutionEquation:
+def classify(F: DiffExpr) -> EvolutionEquation:
     """Validate and classify a right-hand side.
 
     Rejects orders below 2 and any x-dependence (translation invariance is a
@@ -102,8 +101,7 @@ def classify(F: DiffExpr, non_linearizable: bool = False) -> EvolutionEquation:
                              deriv_depth=depth,
                              constant_separant=constant_separant,
                              kdv_like=kdv_like,
-                             time_independent=time_independent,
-                             non_linearizable=non_linearizable)
+                             time_independent=time_independent)
 
 
 # -- symmetry verification ----------------------------------------------------
@@ -286,7 +284,6 @@ def leading_coefficient_check(eq: EvolutionEquation,
 def _separant_power(sep: DiffExpr, k: int, n: int) -> DiffExpr | None:
     if k % n == 0:
         return sep ** (k // n)
-    from math import gcd
     g = gcd(k, n)
     p, m = k // g, n // g
     root = try_nth_root(sep, m)
@@ -439,7 +436,7 @@ def representation_decompose(eq: EvolutionEquation,
         u_top = 0
         u_parts = {}
         for j, coeff in by_power.items():
-            dep, _ = ex.u_free_part(coeff)
+            dep, _ = ex.split_u_order(coeff, 0)
             if dep:
                 u_top = max(u_top, j)
                 u_parts[j] = dep

@@ -114,9 +114,29 @@ class TestScalar:
             Scalar(Fraction(1, 2), [("a", 2), ("b", 1)])
 
     def test_arithmetic(self):
-        s = Scalar(2, [("a", 1)]) * Scalar(Fraction(1, 2), [("a", -1), ("b", 1)])
-        assert s == Scalar(1, [("b", 1)])
-        assert (s / s).is_one
+        # Scalar is a value view: the products and quotients run on DiffExpr
+        # constants, and as_scalar reads the results
+        a, b = const("a"), const("b")
+        s = (2 * a) * (Fraction(1, 2) * a ** -1 * b)
+        assert as_scalar(s) == Scalar(1, [("b", 1)])
+        assert as_scalar(s / s).is_one
+        assert as_scalar(s / (3 * a / 7)) == Scalar(Fraction(7, 3),
+                                                    [("a", -1), ("b", 1)])
+
+    def test_division_takes_one_term_constants_only(self):
+        assert u1 / Fraction(2, 3) == 3 * u1 / 2
+        assert u1 / (-2 * const("a")) == -u1 * const("a") ** -1 / 2
+        assert u1 / Scalar(Fraction(1, 5), [("b", 2)]) == \
+            5 * u1 * const("b") ** -2
+        for zero in (0, Fraction(0), ZERO):
+            with pytest.raises(ZeroDivisionError, match="zero scalar"):
+                u1 / zero
+        for divisor in (u0, exp_of(u0), const("a") + 1, x):
+            with pytest.raises(ExpressionError, match="only defined by scalars"):
+                u1 / divisor
+        for other in (1.5, "a"):
+            with pytest.raises(TypeError):
+                u1 / other
 
     def test_as_scalar(self):
         assert as_scalar(3 * const("a") ** 2 / 2) == Scalar(Fraction(3, 2), [("a", 2)])

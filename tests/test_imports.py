@@ -1,6 +1,6 @@
 """Every module-level import in the package is used (``__init__.py``, which
-imports to re-export, excepted), and the term kernels never touch
-``fractions.Fraction``."""
+imports to re-export, excepted), and neither the term kernels nor the
+parser touch ``fractions.Fraction``."""
 
 import ast
 from pathlib import Path
@@ -71,4 +71,11 @@ def test_the_term_kernels_use_no_fraction():
     # the kernels run on int numerators only; rational rates are scaled
     # to integers at the key level
     source = (PACKAGE / "_kernel_py.py").read_text()
+    assert fraction_uses(source) == []
+
+
+def test_the_parser_uses_no_fraction():
+    # literals are ints from token to coefficient; a / b divides exactly in
+    # DiffExpr
+    source = (PACKAGE / "parser.py").read_text()
     assert fraction_uses(source) == []

@@ -74,10 +74,41 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse(source)
 
-    def test_line_and_column_reported(self):
+    # every raise site, on sources of several lines (positions and messages
+    # as the parser with per-token positions gave them); a normalisation
+    # error is reported at the end of input
+    @pytest.mark.parametrize("source,line,column,message", [
+        ("u1 +\n  q", 2, 3, "unknown identifier 'q'"),
+        ("u1 +\n  2 $ u", 2, 5, "unexpected character '$'"),
+        ("u1\n\t+ u2 # u3", 2, 7, "unexpected character '#'"),
+        ("exp(u\n  u1)", 2, 3, "expected ')', found 'u1'"),
+        ("(u1 +\n u2\n", 3, 1, "expected ')', found 'end of input'"),
+        ("u1 +\nexp u", 2, 5, "expected '(', found 'u'"),
+        ("u1 +\n u^t", 2, 4, "non-integer exponent"),
+        ("u1 -\n 2^^3", 2, 4, "non-integer exponent"),
+        ("u1 +\n u^2^-2", 2, 5, "non-integer exponent"),
+        ("u1 +\n\n   u100", 3, 4, "u-index 100 out of range (max 99)"),
+        ("u1 +\n" + "(" * 101 + "u" + ")" * 101, 2, 101,
+         "expression nested too deeply (more than 100 levels)"),
+        ("u1 +\n u2 )", 2, 5, "unexpected token ')'"),
+        ("u1 +\n *u", 2, 2, "unexpected token '*'"),
+        ("u1 +\n", 2, 1, "unexpected token 'end of input'"),
+        ("u1 +\n 1/u", 2, 5, "division is only defined by scalars"),
+        ("u1 +\n u/0", 2, 5, "division by zero scalar"),
+        ("exp(u1)\n", 2, 1, "exponential argument must be linear"),
+    ], ids=["unknown-identifier", "unexpected-character",
+            "unexpected-character-after-tab", "expected-paren",
+            "expected-paren-at-end", "expected-exp-paren",
+            "non-integer-exponent", "exponent-missing",
+            "non-integer-exponent-in-tower", "u100", "depth-101",
+            "trailing-token", "unexpected-operator", "dangling-operator",
+            "division-by-u", "division-by-zero", "nonlinear-exp"])
+    def test_line_and_column_reported(self, source, line, column, message):
         with pytest.raises(ParseError) as err:
-            parse("u1 +\n  q")
-        assert err.value.line == 2 and err.value.column == 3
+            parse(source)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith(f" (line {line}, column {column})")
 
     def test_constant_name_collision_rejected(self):
         with pytest.raises(ValueError):

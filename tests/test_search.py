@@ -1,12 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evosym import (AnsatzConfig, PoolLimitError, classify, const,
                     expr_in_span, exp_of, find_linear_t_symmetries,
                     find_symmetries, is_symmetry, parse, u, u_order, x, t)
-from evosym.expr import ONE, rational
-from evosym.search import ansatz_terms
+from evosym import search
+from evosym.expr import ONE, ZERO, DiffExpr, rational
+from evosym.search import _linear_system, ansatz_terms
+from evosym.symmetry import SelfCheckError
+from evosym.timedep import MasterResult
 
 u0, u1 = u(0), u(1)
 F_KDV = parse("u3 + 6*u*u1")
@@ -146,6 +151,89 @@ class TestLinearT:
         with pytest.raises(ValueError):
             find_linear_t_symmetries(
                 kdv, AnsatzConfig(order=1, weight_max=3, t_degree_max=1))
+
+
+def _reference_linear_system(images):
+    """The system built term by term: a rational coefficient per term
+    (``term_items``), a ``DiffExpr`` per term, and ``+`` into its cell."""
+    row_index = {}
+    rows = []
+    ncols = len(images)
+    for col, img in enumerate(images):
+        for key, c in img.term_items():
+            row_key = tuple((s, v) for s, v in key if s[0] != 1)
+            cmono = tuple((s[1], v) for s, v in key if s[0] == 1)
+            i = row_index.get(row_key)
+            if i is None:
+                i = row_index[row_key] = len(rows)
+                rows.append([ZERO] * ncols)
+            entry = DiffExpr({tuple(((1, nm), e) for nm, e in cmono): c})
+            rows[i][col] = rows[i][col] + entry
+    return rows, ncols
+
+
+def _random_images(rng):
+    """Sums of terms with denominators 1, 7 and 13, powers of the named
+    constants a and b (negative ones too) and exponential factors with
+    constant rates; some images are differences of earlier ones, whose
+    common terms cancel (to zero for an image minus itself)."""
+    images = []
+    for _ in range(rng.randint(1, 6)):
+        if images and rng.random() < 0.3:
+            images.append(rng.choice(images) - rng.choice(images))
+            continue
+        img = ZERO
+        for _ in range(rng.randint(0, 6)):
+            term = rational(Fraction(rng.choice((-9, -4, -1, 1, 2, 5, 12)),
+                                     rng.choice((1, 7, 13))))
+            for _ in range(rng.randint(0, 2)):
+                term = term * rng.choice((u0, u1, u(2), x, t))
+            for name in ("a", "b"):
+                if rng.random() < 0.4:
+                    term = term * const(name) ** rng.choice((-1, 1, 2))
+            if rng.random() < 0.2:
+                term = term * exp_of(rng.choice((1, const("a"))) * t)
+            img = img + term
+        images.append(img)
+    return images
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_linear_system_matches_the_term_by_term_build(seed):
+    images = _random_images(random.Random(seed))
+    rows, ncols = _linear_system(images)
+    ref_rows, ref_ncols = _reference_linear_system(images)
+    assert ncols == ref_ncols == len(images)
+    assert rows == ref_rows  # the same rows in the same order, cell by cell
+
+
+def test_linear_t_pairs_are_rechecked_by_the_mastersymmetry_test(
+        kdv, monkeypatch):
+    cfg = AnsatzConfig(order=3, weight_max=5, x_degree_max=1)
+    calls = []
+    real = search.mastersymmetry_test
+
+    def spy(eq, G0):
+        calls.append(G0)
+        return real(eq, G0)
+
+    monkeypatch.setattr(search, "mastersymmetry_test", spy)
+    res = find_linear_t_symmetries(kdv, cfg)
+    assert [p.G0 for p in res.pairs] == calls
+
+    def open_pair(eq, G0):
+        got = real(eq, G0)
+        return MasterResult(got.G1, False, got.mu, None)
+
+    monkeypatch.setattr(search, "mastersymmetry_test", open_pair)
+    with pytest.raises(SelfCheckError, match="fails {F, {F, G0}} = 0"):
+        find_linear_t_symmetries(kdv, cfg)
+
+    monkeypatch.setattr(search, "mastersymmetry_test",
+                        lambda eq, G0: MasterResult(ZERO, True, None, None))
+    with pytest.raises(SelfCheckError, match="has {F, G0} = 0"):
+        find_linear_t_symmetries(kdv, cfg)
 
 
 class TestLargeSearches:

@@ -5,6 +5,10 @@ derivative ``h_* = sum (dh/du_i) D^i``, the evolutionary action
 ``nabla_h(r) = sum D^j(h) dr/du_j`` (never materialized as an infinite
 object; only the finitely many terms ``r`` actually needs are expanded),
 and finite-order operators in D with expression coefficients.
+
+``D`` and the partials are memoized on the expression (``DiffExpr._d``,
+``DiffExpr._parts``), so every operator here asks for ``D^j(e)`` or
+``de/du_i`` when it needs one and keeps no table of its own.
 """
 
 from __future__ import annotations
@@ -18,15 +22,18 @@ from .expr import DiffExpr, partial, u_indices, u_order
 
 def total_d(e: DiffExpr) -> DiffExpr:
     """Total derivative with respect to x; raises the top u-index by one."""
-    terms, m = ex.kernel.total_d_terms(e._t)
-    return ex._reduced(terms, e._den * m)
+    if e._d is None:
+        terms, m = ex.kernel.total_d_terms(e._t)
+        ex._set_d(e, ex._reduced(terms, e._den * m))
+    return e._d
 
 
 def total_d_power(e: DiffExpr, j: int) -> DiffExpr:
     if j < 0:
         raise ex.ExpressionError("D power must be >= 0")
     for _ in range(j):
-        e = total_d(e)
+        d = e._d  # read a memo hit without a call
+        e = total_d(e) if d is None else d
     return e
 
 
@@ -104,34 +111,18 @@ def frechet(h: DiffExpr) -> DOperator:
 
 
 def op_apply(op: DOperator, e: DiffExpr) -> DiffExpr:
-    out = ex.ZERO
-    de = e
-    prev = 0
-    for d, c in sorted(op.coeffs.items()):
-        de = total_d_power(de, d - prev)
-        prev = d
-        out = out + c * de
-    return out
+    return sum((c * total_d_power(e, d) for d, c in sorted(op.coeffs.items())),
+               ex.ZERO)
 
 
 def op_compose(a: DOperator, b: DOperator) -> DOperator:
     """Operator product a∘b via the iterated Leibniz rule
     ``D^i ∘ (c D^j) = sum_p C(i,p) D^p(c) D^{i+j-p}``."""
-    if a.is_zero or b.is_zero:
-        return ZERO_OP
-    max_i = a.degree
-    # D^p of every coefficient of b, p = 0..deg(a)
-    derivs: dict[int, list[DiffExpr]] = {}
-    for j, c in b.coeffs.items():
-        row = [c]
-        for _ in range(max_i):
-            row.append(total_d(row[-1]))
-        derivs[j] = row
     out: dict[int, DiffExpr] = {}
     for i, ai in a.coeffs.items():
-        for j in b.coeffs:
+        for j, bj in b.coeffs.items():
             for p in range(i + 1):
-                term = ai * derivs[j][p]
+                term = ai * total_d_power(bj, p)
                 if not term:
                     continue
                 term = comb(i, p) * term
@@ -150,17 +141,8 @@ def ev_apply(h: DiffExpr, r: DiffExpr) -> DiffExpr:
     Finite because r depends on finitely many u_j; coincides with
     ``op_apply(frechet(r), h)``.
     """
-    idx = u_indices(r)
-    if not idx:
-        return ex.ZERO
-    out = ex.ZERO
-    dh = h
-    prev = 0
-    for j in sorted(idx):
-        dh = total_d_power(dh, j - prev)
-        prev = j
-        out = out + dh * partial(r, j)
-    return out
+    return sum((total_d_power(h, j) * partial(r, j)
+                for j in sorted(u_indices(r))), ex.ZERO)
 
 
 def nabla_on_op(h: DiffExpr, op: DOperator) -> DOperator:

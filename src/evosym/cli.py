@@ -309,6 +309,9 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             if "order" not in spec or "weight" not in spec:
                 raise CorpusFormatError(
                     f"line {lineno}: find needs order= and weight=")
+            if spec["order"] < 0:
+                raise CorpusFormatError(
+                    f"line {lineno}: find order must be >= 0")
             if contains.strip():
                 spec["contains"] = contains.strip()
             cur["finds"].append(spec)

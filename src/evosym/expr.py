@@ -120,9 +120,15 @@ class DiffExpr:
     their lcm, and each runs the gcd normalisation once.
     ``DiffExpr(mapping)`` takes exact rational coefficients (ints or
     Fractions); ``term_items`` gives them back.
+
+    Filled lazily and then fixed: ``_items`` (canonical order), ``_hash``,
+    ``_d`` (``D(self)``, by ``calculus.total_d``) and ``_parts`` (generator
+    code -> ``∂self/∂gen``, by ``partial``).  A memo lives exactly as long
+    as its expression.  Fills are idempotent, so threads that race store
+    equal values and need no lock; shared results are never mutated.
     """
 
-    __slots__ = ("_t", "_den", "_items", "_hash")
+    __slots__ = ("_t", "_den", "_items", "_hash", "_d", "_parts")
 
     def __init__(self, terms: Mapping) -> None:
         den = 1
@@ -135,6 +141,8 @@ class DiffExpr:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_d", None)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, *a):
         raise AttributeError("DiffExpr is immutable")
@@ -274,6 +282,8 @@ _set_terms = DiffExpr._t.__set__
 _set_den = DiffExpr._den.__set__
 _set_items = DiffExpr._items.__set__
 _set_hash = DiffExpr._hash.__set__
+_set_d = DiffExpr._d.__set__
+_set_parts = DiffExpr._parts.__set__
 
 
 def _reduced(terms: dict, den: int) -> DiffExpr:
@@ -295,6 +305,8 @@ def _reduced(terms: dict, den: int) -> DiffExpr:
     _set_den(e, den)
     _set_items(e, None)
     _set_hash(e, None)
+    _set_d(e, None)
+    _set_parts(e, None)
     return e
 
 
@@ -484,8 +496,16 @@ def _gencode(v) -> int:
 
 def partial(e: DiffExpr, v) -> DiffExpr:
     """Formal partial derivative; all generators are independent."""
-    terms, m = kernel.diff_terms(e._t, _gencode(v))
-    return _reduced(terms, e._den * m)
+    gen = _gencode(v)
+    parts = e._parts
+    if parts is None:
+        parts = {}
+        _set_parts(e, parts)
+    got = parts.get(gen)
+    if got is None:
+        terms, m = kernel.diff_terms(e._t, gen)
+        got = parts[gen] = _reduced(terms, e._den * m)
+    return got
 
 
 def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:

@@ -48,6 +48,10 @@ class AnsatzConfig:
     exp_rate: DiffExpr | None = None
     max_pool: int = 4000
 
+    def __post_init__(self) -> None:
+        if self.order < 0:
+            raise ValueError(f"ansatz order must be >= 0, got {self.order}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -60,10 +64,12 @@ def _u_monomials(order: int, weight_max: int, w0: int):
     """All monomials in u_0..u_order with scaling weight <= weight_max."""
 
     def rec(i: int, budget: int):
-        if i > order:
-            yield ()
-            return
         w = i + w0
+        if i > order or w > budget:
+            # no later u_j fits (weights grow with j); budget < 0 fits nothing
+            if budget >= 0:
+                yield ()
+            return
         for e in count(0):
             if e * w > budget:
                 break

@@ -188,10 +188,6 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
     # levels 0..n+k-1 carry all content for k >= 1; an order-0 candidate
     # still contributes at D^n through the mixed second derivatives of F
     top = n + max(k, 1)
-    DG = _d_powers(G, n)
-    DF = _d_powers(F, k)
-    DdF = [_d_powers(c, top) for c in dF]
-    DdG = [_d_powers(c, top) for c in dG]
     Gt = partial(G, GEN_T)
 
     literal = []
@@ -200,11 +196,11 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
         for m in range(n + 1):
             term = partial(dF[m], l)
             if term:
-                e = e + DG[m] * term
+                e = e + total_d_power(G, m) * term
         for r in range(k + 1):
             term = partial(dG[r], l)
             if term:
-                e = e - DF[r] * term
+                e = e - total_d_power(F, r) * term
         for j in range(max(0, l + 1 - n), k + 1):
             for i in range(max(l + 1 - j, 0), n + 1):
                 p = i + j - l
@@ -213,9 +209,9 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
                 c1 = comb(i, p) if p <= i else 0
                 c2 = comb(j, p) if p <= j else 0
                 if c1:
-                    e = e + c1 * (dF[i] * DdG[j][p])
+                    e = e + c1 * (dF[i] * total_d_power(dG[j], p))
                 if c2:
-                    e = e - c2 * (dG[j] * DdF[i][p])
+                    e = e - c2 * (dG[j] * total_d_power(dF[i], p))
         literal.append(e)
 
     operator = linearized_residual_operator(eq, G)
@@ -229,13 +225,6 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
     closure = Gt - bracket(F, G)
     return DeterminingSystem(equations=tuple(literal), closure=closure,
                              n=n, k=k)
-
-
-def _d_powers(e: DiffExpr, top: int) -> list[DiffExpr]:
-    out = [e]
-    for _ in range(top):
-        out.append(total_d_power(out[-1], 1))
-    return out
 
 
 # -- leading-coefficient structure ---------------------------------------------

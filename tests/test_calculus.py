@@ -1,13 +1,18 @@
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (DOperator, D_OP, ZERO_OP, const, ev_apply, exp_of,
-                    frechet, nabla_on_op, op_apply, op_commutator, op_compose,
-                    parse, partial, to_source, total_d, total_d_power,
-                    u, u_order, x, t)
-from evosym.expr import ONE, ZERO, ExpressionError
+                    frechet, linalg, nabla_on_op, op_apply, op_commutator,
+                    op_compose, parse, partial, to_source, total_d,
+                    total_d_power, u, u_order, x, t)
+from evosym import expr as ex
+from evosym.expr import (GEN_T, GEN_X, ONE, ZERO, ExpressionError, kernel,
+                         rational)
 
 from conftest import random_expr
 
@@ -195,3 +200,121 @@ def test_compose_against_apply(seed):
     A, B = _random_operator(rng), _random_operator(rng)
     e = random_expr(rng, max_terms=2)
     assert op_apply(op_compose(A, B), e) == op_apply(A, op_apply(B, e))
+
+
+# -- the D and partial memos on DiffExpr --------------------------------------
+
+def _memo_expr(rng):
+    """A random expression with named constants, often times an exponential
+    with a rational rate (whose derivatives rescale the numerators)."""
+    e = random_expr(rng, max_terms=4, consts=("a", "b"))
+    if rng.random() < 0.6:
+        rate = Fraction(rng.choice((-3, -1, 1, 5)), rng.choice((2, 3, 7)))
+        arg = rational(rate) * rng.choice((u0, x, t)) + const("a") * x
+        e = e * exp_of(arg)
+    return e
+
+
+def _fresh(e, kernel_fn, *args):
+    """A derivative built from the kernel alone, bypassing every memo."""
+    terms, m = kernel_fn(e._t, *args)
+    return ex._reduced(terms, e._den * m)
+
+
+def _copy(e):
+    return ex._reduced(dict(e._t), e._den)
+
+
+_GENS = (GEN_X, GEN_T, 0, 1, 2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_memoized_derivatives_equal_fresh_kernel_results(seed):
+    rng = random.Random(seed)
+    e = _memo_expr(rng)
+    ref = _copy(e)
+    for j in range(4):
+        fresh = ref
+        for _ in range(j):
+            fresh = _fresh(_copy(fresh), kernel.total_d_terms)
+        got = total_d_power(e, j)
+        assert (got._den, got._t) == (fresh._den, fresh._t)
+        assert total_d_power(e, j) is got
+    assert total_d(e) is total_d(e) is total_d_power(e, 1)
+    for g in _GENS:
+        got = partial(e, g)
+        fresh = _fresh(_copy(e), kernel.diff_terms, g)
+        assert (got._den, got._t) == (fresh._den, fresh._t)
+        assert partial(e, g) is got
+    # a generator given by name or as an expression shares the memo
+    assert partial(e, "x") is partial(e, GEN_X)
+    assert partial(e, u1) is partial(e, 1)
+
+
+def _snapshot(e):
+    return e._t, dict(e._t), e._den
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_memoized_derivatives_are_not_mutated_by_use(seed):
+    rng = random.Random(seed)
+    e = _memo_expr(rng)
+    other = _memo_expr(rng)
+    held = [total_d(e), total_d_power(e, 2), partial(e, 0), partial(e, GEN_X)]
+    before = [_snapshot(d) for d in held]
+    for d in held:
+        d + other, other + d, d - other, other - d, -d
+        d * other, other * d, d * d, d / 3, d / const("b"), d ** 2, d ** 1
+        d + d, d - d
+    # the constant partials of a linear form are matrix entries
+    ca = rational(rng.choice((1, 2, 3))) * const("a") + rng.choice((-1, 1))
+    cb = rational(Fraction(1, rng.choice((2, 3)))) * const("b") + const("a")
+    lin = ca * u0 + cb * u1
+    entries = [partial(lin, 0), partial(lin, 1)]
+    held += entries
+    before += [_snapshot(d) for d in entries]
+    linalg.nullspace([entries, entries[::-1], [entries[0], ex.ZERO]], 2)
+    linalg.nullspace([[entries[0] * entries[1], entries[1] ** 2]], 2)
+    for d, (t0, t1, den) in zip(held, before):
+        assert d._t is t0 and d._t == t1 and d._den == den
+    assert total_d(e) is held[0] and partial(e, 0) is held[2]
+
+
+def test_memos_filled_from_many_threads_agree():
+    # racing fills may store equal values twice or drop one, never a wrong
+    # one: every thread must see the single-threaded results
+    sources = ["u3 + 6*u*u1", "u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1",
+               "x*u1 + 2*u + 3*t*(u3 + 6*u*u1)", "u2*exp(a*u + 1/2*x - t)"]
+    want = [[to_source(total_d_power(e, j)) for j in range(5)]
+            + [to_source(partial(e, g)) for g in _GENS]
+            for e in (parse(src, ("a",)) for src in sources)]
+    shared = [parse(src, ("a",)) for src in sources]
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(30):
+                i = rng.randrange(len(shared))
+                e = shared[i]
+                got = [to_source(total_d_power(e, j)) for j in range(5)] \
+                    + [to_source(partial(e, g)) for g in _GENS]
+                if got != want[i]:
+                    errors.append((i, got))
+        except Exception as err:  # reported below, not lost in the thread
+            errors.append(err)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []

@@ -154,6 +154,22 @@ class TestFind:
             # a monomial in the constants is nonzero with them
             assert len(parse(item[:-len(" != 0")], "abc")) > 1, item
 
+    def test_large_order_gives_the_order_one_answer(self):
+        # no u_i with i + base weight above the weight budget can enter, so
+        # order 100000 has order 1's pool; it must not recurse per index
+        args = ("find", "--equation", "u3+u*u1", "--weight", "3")
+        code, out = run_cli(*args, "--order", "100000")
+        assert (code, out) == run_cli(*args, "--order", "1")
+        assert code == 0 and "pool size: 3" in out
+
+    def test_negative_order_exit_2(self, capsys):
+        code, out = run_cli("find", "--equation", "u3+u*u1",
+                            "--order", "-1", "--weight", "3")
+        assert code == 2
+        assert out == ""
+        assert "error: ansatz order must be >= 0, got -1" \
+            in capsys.readouterr().err
+
 
 class TestCorpus:
     def test_full_corpus_green(self, corpus_path):
@@ -178,6 +194,15 @@ class TestCorpus:
         bad.write_text("name = orphan\n")
         code, _ = run_cli("corpus", "run", str(bad))
         assert code == 2
+
+    def test_negative_find_order_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.corpus"
+        bad.write_text("[entry]\nname = kdv\nequation = u3 + 6*u*u1\n"
+                       "find = order=-1 weight=3\n")
+        code, out = run_cli("corpus", "run", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "line 4: find order must be >= 0" in capsys.readouterr().err
 
     def test_corpus_verdicts_match_library(self, corpus_path):
         from evosym import classify, classify_time, is_symmetry, parse

@@ -1,6 +1,6 @@
 """Every module-level import in the package is used (``__init__.py``, which
-imports to re-export, excepted), and neither the term kernels nor the
-parser touch ``fractions.Fraction``."""
+imports to re-export, excepted), neither the term kernels nor the parser
+touch ``fractions.Fraction``, and no module keeps results in module state."""
 
 import ast
 from pathlib import Path
@@ -79,3 +79,114 @@ def test_the_parser_uses_no_fraction():
     # DiffExpr
     source = (PACKAGE / "parser.py").read_text()
     assert fraction_uses(source) == []
+
+
+# -- reuse lives on expression objects, not in module state -------------------
+
+_DICT_TYPES = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+               "WeakValueDictionary"}
+_CACHES = {"cache", "lru_cache"}
+
+
+def _is_dict(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        return name in _DICT_TYPES
+    return False
+
+
+class _MemoFinder(ast.NodeVisitor):
+    def __init__(self, module_dicts: set[str]) -> None:
+        self.dicts = module_dicts
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def _add(self, what: str) -> None:
+        self.found.append(f"{'.'.join(self.scope) or '<module>'}: {what}")
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Attribute(self, node) -> None:
+        if (node.attr in _CACHES and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            self._add(f"functools.{node.attr}")
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node) -> None:
+        if node.module == "functools":
+            for alias in node.names:
+                if alias.name in _CACHES:
+                    self._add(f"functools.{alias.name}")
+
+    def visit_Global(self, node) -> None:
+        self._add("global " + ", ".join(node.names))
+
+    def visit_Subscript(self, node) -> None:
+        if (self.scope and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in self.dicts):
+            self._add(f"writes {node.value.id}")
+        self.generic_visit(node)
+
+    def visit_Call(self, node) -> None:
+        f = node.func
+        if (self.scope and isinstance(f, ast.Attribute)
+                and f.attr in ("setdefault", "update", "__setitem__")
+                and isinstance(f.value, ast.Name)
+                and f.value.id in self.dicts):
+            self._add(f"writes {f.value.id}")
+        self.generic_visit(node)
+
+
+def module_memos(source: str) -> list[str]:
+    """Where ``source`` can keep results in module state, as
+    ``"<function>: <what>"``: a use of ``functools.cache`` or ``lru_cache``,
+    a ``global`` statement, or a function writing into a dict bound at
+    module level."""
+    tree = ast.parse(source)
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_dict(node.value):
+            dicts |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif (isinstance(node, ast.AnnAssign) and node.value is not None
+              and _is_dict(node.value) and isinstance(node.target, ast.Name)):
+            dicts.add(node.target.id)
+    finder = _MemoFinder(dicts)
+    finder.visit(tree)
+    return finder.found
+
+
+@pytest.mark.parametrize("source", [
+    "import functools\n@functools.lru_cache(maxsize=None)\ndef f(x):\n"
+    "    return x\n",
+    "from functools import cache\n",
+    "_SEEN = {}\ndef f(x):\n    _SEEN[x] = x\n",
+    "_SEEN: dict = dict()\nclass C:\n    def f(self, x):\n"
+    "        return _SEEN.setdefault(x, x)\n",
+    "_LAST = None\ndef f(x):\n    global _LAST\n    _LAST = x\n",
+])
+def test_the_memo_check_sees_every_form(source):
+    assert module_memos(source)
+
+
+def test_the_memo_check_passes_read_only_tables():
+    source = ("import functools\n_KINDS = {1: 'a'}\ndef f(k):\n"
+              "    out = {}\n    out[k] = _KINDS[k]\n    return out\n")
+    assert module_memos(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_level_memo(path):
+    # the D and partial memos live on DiffExpr objects, so no request (and
+    # no benchmark pass) can reuse another's work through module state; the
+    # CLI's argument parser, built once, is the one exception
+    allowed = ["build_parser: functools.cache"] if path == "cli.py" else []
+    assert module_memos((PACKAGE / path).read_text()) == allowed

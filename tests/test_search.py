@@ -37,6 +37,38 @@ class TestPool:
             ansatz_terms(kdv, AnsatzConfig(order=9, weight_max=40,
                                            max_pool=50))
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            AnsatzConfig(order=-1, weight_max=3)
+
+    def test_order_beyond_the_weight_budget_adds_nothing(self, kdv):
+        # u_i weighs i + 2, so with weight 7 no u_i above u_5 fits
+        cfg = AnsatzConfig(order=5, weight_max=7)
+        assert ansatz_terms(kdv, AnsatzConfig(order=100_000, weight_max=7)) \
+            == ansatz_terms(kdv, cfg)
+
+    @pytest.mark.parametrize("w0", [1, 2, 3])
+    def test_monomials_match_the_full_recursion(self, w0):
+        for order in range(6):
+            for weight in range(-1, 10):
+                assert list(search._u_monomials(order, weight, w0)) \
+                    == list(_reference_u_monomials(order, weight, w0))
+
+
+def _reference_u_monomials(order, weight_max, w0):
+    """The same monomials by the plain recursion: one level per index up to
+    ``order``, without stopping where the budget admits no further u_i."""
+    def rec(i, budget):
+        if i > order:
+            yield ()
+            return
+        e = 0
+        while e * (i + w0) <= budget:
+            for rest in rec(i + 1, budget - e * (i + w0)):
+                yield ((i, e),) + rest if e else rest
+            e += 1
+    return rec(0, weight_max)
+
 
 class TestFindSymmetries:
     def test_kdv_order_five(self, kdv):

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (DegenerateCaseError, SelfCheckError, bracket, classify,
-                    const, descent_bound, descent_leading_coeff_check,
-                    determining_system, dimension_bound, exp_of, is_symmetry,
+from evosym import (DOperator, DegenerateCaseError, SelfCheckError, bracket,
+                    classify, const, descent_bound,
+                    descent_leading_coeff_check, determining_system,
+                    dimension_bound, exp_of, is_symmetry,
                     leading_coefficient_check, linearized_residual_operator,
                     mastersymmetry_test, parse, representation_decompose, u,
                     u_order, x, t, x_descent)
@@ -137,6 +138,66 @@ class TestDeterminingSystem:
         if G.is_zero:
             return
         determining_system(eq, G)  # raises SelfCheckError on disagreement
+
+
+class TestDoubleConstructions:
+    """The two constructions of the bracket and of the determining system
+    share memoized D and partial results, but each still assembles its own
+    sum, so an error in one of them is caught."""
+
+    F_SRC = "u3 + 6*u*u1"
+    G_SRC = "u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1"
+
+    def test_a_wrong_evolutionary_action_is_caught(self, monkeypatch):
+        from evosym import symmetry
+        real = symmetry.ev_apply
+        calls = []
+
+        def perturbed(h, r):
+            calls.append(1)
+            out = real(h, r)
+            return out + u(9) if len(calls) == 1 else out
+
+        monkeypatch.setattr(symmetry, "ev_apply", perturbed)
+        with pytest.raises(SelfCheckError, match="disagree"):
+            bracket(parse(self.F_SRC), parse(self.G_SRC))
+
+    def test_a_wrong_operator_coefficient_is_caught(self, monkeypatch):
+        from evosym import symmetry
+        real = symmetry.linearized_residual_operator
+
+        def perturbed(eq, G):
+            op = real(eq, G)
+            coeffs = dict(op.coeffs)
+            coeffs[1] = op.coeff(1) + u0
+            return DOperator(coeffs)
+
+        monkeypatch.setattr(symmetry, "linearized_residual_operator",
+                            perturbed)
+        eq = classify(parse(self.F_SRC))
+        with pytest.raises(SelfCheckError,
+                           match="constructions disagree at D\\^1"):
+            determining_system(eq, parse(self.G_SRC))
+
+    def test_a_repeated_bracket_recomputes_products_only(self, monkeypatch):
+        from evosym import _kernel_py
+        F, G = parse(self.F_SRC), parse(self.G_SRC)
+        counts = {}
+        for name in ("total_d_terms", "diff_terms", "mul_terms"):
+            real = getattr(_kernel_py, name)
+
+            def spy(*args, _real=real, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(_kernel_py, name, spy)
+        first = bracket(F, G)
+        once = dict(counts)
+        counts.clear()
+        assert bracket(F, G) == first
+        assert once["total_d_terms"] > 0 and once["diff_terms"] > 0
+        assert "total_d_terms" not in counts and "diff_terms" not in counts
+        assert counts["mul_terms"] == once["mul_terms"] > 0
 
 
 class TestLeadingCoefficient:

@@ -75,6 +75,30 @@ def add_into(acc, terms, factor):
                 del acc[key]
 
 
+def addmul_into(acc, a, b, factor):
+    """In-place ``acc += factor * a * b``: each term pair goes straight into
+    ``acc`` (no product dict is built); drops keys whose coefficient
+    cancels."""
+    if not factor or not a or not b:
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= factor
+        for kb, cb in b.items():
+            k = mul_key(ka, kb)
+            v = get(k)
+            if v is None:
+                acc[k] = ca * cb
+            else:
+                v = v + ca * cb
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+
+
 def mul_single(terms, key, coeff):
     """Product of a term map with one term ``coeff * key``."""
     if not coeff:
@@ -89,25 +113,8 @@ def mul_single(terms, key, coeff):
 
 def mul_terms(a, b):
     """Full product of two term maps."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
     out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = mul_key(ka, kb)
-            v = get(k)
-            if v is None:
-                out[k] = ca * cb
-            else:
-                v = v + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-            get = out.get
+    addmul_into(out, a, b, 1)
     return out
 
 

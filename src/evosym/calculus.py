@@ -8,7 +8,9 @@ and finite-order operators in D with expression coefficients.
 
 ``D`` and the partials are memoized on the expression (``DiffExpr._d``,
 ``DiffExpr._parts``), so every operator here asks for ``D^j(e)`` or
-``de/du_i`` when it needs one and keeps no table of its own.
+``de/du_i`` when it needs one and keeps no table of its own.  Each sum of
+products (``op_apply``, ``ev_apply``, one degree of ``op_compose``) is
+accumulated in one term dict by ``expr.sum_of_products``.
 """
 
 from __future__ import annotations
@@ -111,24 +113,22 @@ def frechet(h: DiffExpr) -> DOperator:
 
 
 def op_apply(op: DOperator, e: DiffExpr) -> DiffExpr:
-    return sum((c * total_d_power(e, d) for d, c in sorted(op.coeffs.items())),
-               ex.ZERO)
+    return ex.sum_of_products((1, c, total_d_power(e, d))
+                              for d, c in op.coeffs.items())
 
 
 def op_compose(a: DOperator, b: DOperator) -> DOperator:
     """Operator product a∘b via the iterated Leibniz rule
-    ``D^i ∘ (c D^j) = sum_p C(i,p) D^p(c) D^{i+j-p}``."""
-    out: dict[int, DiffExpr] = {}
+    ``D^i ∘ (c D^j) = sum_p C(i,p) D^p(c) D^{i+j-p}``, one fused sum per
+    output degree."""
+    products: dict[int, list] = {}
     for i, ai in a.coeffs.items():
         for j, bj in b.coeffs.items():
             for p in range(i + 1):
-                term = ai * total_d_power(bj, p)
-                if not term:
-                    continue
-                term = comb(i, p) * term
-                d = i + j - p
-                out[d] = out.get(d, ex.ZERO) + term
-    return DOperator(out)
+                products.setdefault(i + j - p, []).append(
+                    (comb(i, p), ai, total_d_power(bj, p)))
+    return DOperator({d: ex.sum_of_products(triples)
+                      for d, triples in products.items()})
 
 
 def op_commutator(a: DOperator, b: DOperator) -> DOperator:
@@ -141,8 +141,8 @@ def ev_apply(h: DiffExpr, r: DiffExpr) -> DiffExpr:
     Finite because r depends on finitely many u_j; coincides with
     ``op_apply(frechet(r), h)``.
     """
-    return sum((total_d_power(h, j) * partial(r, j)
-                for j in sorted(u_indices(r))), ex.ZERO)
+    return ex.sum_of_products((1, total_d_power(h, j), partial(r, j))
+                              for j in u_indices(r))
 
 
 def nabla_on_op(h: DiffExpr, op: DOperator) -> DOperator:

@@ -229,10 +229,16 @@ class DiffExpr:
         if other is None:
             return NotImplemented
         a, b = self._t, other._t
-        if len(a) * len(b) > MAX_PRODUCT_PAIRS:
-            raise ExpressionError(
-                f"product of {len(a)} by {len(b)} terms exceeds the budget "
-                f"of {MAX_PRODUCT_PAIRS} term pairs")
+        if not a or not b:
+            return ZERO
+        # a one-term rational factor scales the numerators: no key merges
+        if len(b) == 1 and () in b:
+            return _reduced({k: c * b[()] for k, c in a.items()},
+                            self._den * other._den)
+        if len(a) == 1 and () in a:
+            return _reduced({k: c * a[()] for k, c in b.items()},
+                            self._den * other._den)
+        _check_budget(a, b)
         return _reduced(kernel.mul_terms(a, b), self._den * other._den)
 
     __rmul__ = __mul__
@@ -308,6 +314,49 @@ def _reduced(terms: dict, den: int) -> DiffExpr:
     _set_d(e, None)
     _set_parts(e, None)
     return e
+
+
+def _check_budget(a: dict, b: dict) -> None:
+    if len(a) * len(b) > MAX_PRODUCT_PAIRS:
+        raise ExpressionError(
+            f"product of {len(a)} by {len(b)} terms exceeds the budget "
+            f"of {MAX_PRODUCT_PAIRS} term pairs")
+
+
+def sum_of_products(triples: Iterable[tuple[int, DiffExpr, DiffExpr]]
+                    ) -> DiffExpr:
+    """``sum f * a * b`` over ``(int f, DiffExpr a, DiffExpr b)`` triples,
+    accumulated in one term dict (FLINT's ``addmul``).
+
+    Every product is checked against ``MAX_PRODUCT_PAIRS`` and the lcm of
+    the product denominators is taken before any work; each product then
+    goes straight into the sum (``kernel.addmul_into``), and the sum is
+    put in canonical form once.  Zero factors and operands add nothing.
+    """
+    products = [(f, a, b) for f, a, b in triples if f and a._t and b._t]
+    den = 1
+    for _, a, b in products:
+        _check_budget(a._t, b._t)
+        d = a._den * b._den
+        if den % d:
+            den = lcm(den, d)
+    acc: dict = {}
+    for f, a, b in products:
+        kernel.addmul_into(acc, a._t, b._t, f * (den // (a._den * b._den)))
+    return _reduced(acc, den)
+
+
+def _sum(exprs: Iterable[DiffExpr]) -> DiffExpr:
+    """The sum of expressions, added in one term dict over the lcm of the
+    denominators met so far."""
+    acc: dict = {}
+    den = 1
+    for e in exprs:
+        d = e._den
+        if den % d:
+            den *= kernel.rescale(acc, den, d)
+        kernel.add_into(acc, e._t, den // d)
+    return _reduced(acc, den)
 
 
 def _combine(a: DiffExpr, b: DiffExpr, sign: int) -> DiffExpr:
@@ -440,16 +489,7 @@ def normalize(tree) -> DiffExpr:
     if op == "const":
         return const(tree[1])
     if op == "add":
-        # one add_into per summand, over the lcm of the denominators so far
-        acc: dict = {}
-        den = 1
-        for sub in tree[1:]:
-            e = normalize(sub)
-            d = e._den
-            if den % d:
-                den *= kernel.rescale(acc, den, d)
-            kernel.add_into(acc, e._t, den // d)
-        return _reduced(acc, den)
+        return _sum(normalize(sub) for sub in tree[1:])
     if op == "sub":
         return normalize(tree[1]) - normalize(tree[2])
     if op == "neg":
@@ -520,8 +560,7 @@ def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
         got = binds.get(gen)
         return gen_expr(gen) if got is None else got
 
-    total = ZERO
-    for key, c in e._t.items():
+    def term_image(key, c: int) -> DiffExpr:
         factor = rational(c, e._den)
         arg = ZERO
         for slot, v in key:
@@ -534,8 +573,9 @@ def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
                 arg = arg + cm * image(slot[1])
         if arg:
             factor = factor * exp_of(arg)
-        total = total + factor
-    return total
+        return factor
+
+    return _sum(term_image(key, c) for key, c in e._t.items())
 
 
 def u_indices(e: DiffExpr) -> set[int]:

@@ -36,8 +36,8 @@ the input.  Without named constants it is divided by d instead, ``den^r``
 times the input's final pivot: the sweep ends at d times the reduced row
 echelon form, so this gives that form's basis, with 1 at f.  Every vector
 is checked against every input row, ``A v = 0``, in expression term
-arithmetic (each row's products over the lcm of their denominators),
-independently of the packing and the clearing.
+arithmetic (each row as one fused sum of products,
+``expr.sum_of_products``), independently of the packing and the clearing.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
@@ -126,7 +126,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from . import _kernel_py as kernel
 from . import expr as ex
 from .expr import DiffExpr
 
@@ -450,16 +449,8 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
 
     for vec in basis:  # exact verification of A v = 0
         for row in original:
-            # each product e * v over the lcm of its row's denominators
-            pairs = [(e, vec[c]) for c, e in row.items() if c in vec]
-            common = 1
-            for e, v in pairs:
-                common = lcm(common, e._den * v._den)
-            acc: dict = {}
-            for e, v in pairs:
-                kernel.add_into(acc, kernel.mul_terms(e._t, v._t),
-                                common // (e._den * v._den))
-            if acc:
+            if ex.sum_of_products((1, e, vec[c])
+                                  for c, e in row.items() if c in vec):
                 raise RuntimeError("nullspace verification failed (bug)")
 
     dense = tuple(tuple(vec.get(c, ex.ZERO) for c in range(ncols))

@@ -145,11 +145,8 @@ def _linear_system(images: list[DiffExpr]) -> tuple[list[list[DiffExpr]], int]:
 
 
 def _combine(vec, pool: list[DiffExpr]) -> DiffExpr:
-    out = ex.ZERO
-    for c, term in zip(vec, pool):
-        if c:
-            out = out + c * term
-    return ex.primitive_part(out)
+    return ex.primitive_part(
+        ex.sum_of_products((1, c, term) for c, term in zip(vec, pool)))
 
 
 def find_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,

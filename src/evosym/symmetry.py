@@ -192,27 +192,27 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
 
     literal = []
     for l in range(top):
-        e = -partial(Gt, l) if l <= k else ex.ZERO
+        products = [(-1, ex.ONE, partial(Gt, l))] if l <= k else []
         for m in range(n + 1):
             term = partial(dF[m], l)
             if term:
-                e = e + total_d_power(G, m) * term
+                products.append((1, total_d_power(G, m), term))
         for r in range(k + 1):
             term = partial(dG[r], l)
             if term:
-                e = e - total_d_power(F, r) * term
+                products.append((-1, total_d_power(F, r), term))
         for j in range(max(0, l + 1 - n), k + 1):
             for i in range(max(l + 1 - j, 0), n + 1):
                 p = i + j - l
                 if p < 0:
                     continue
-                c1 = comb(i, p) if p <= i else 0
-                c2 = comb(j, p) if p <= j else 0
-                if c1:
-                    e = e + c1 * (dF[i] * total_d_power(dG[j], p))
-                if c2:
-                    e = e - c2 * (dG[j] * total_d_power(dF[i], p))
-        literal.append(e)
+                if p <= i:
+                    products.append(
+                        (comb(i, p), dF[i], total_d_power(dG[j], p)))
+                if p <= j:
+                    products.append(
+                        (-comb(j, p), dG[j], total_d_power(dF[i], p)))
+        literal.append(ex.sum_of_products(products))
 
     operator = linearized_residual_operator(eq, G)
     if operator.degree is not None and operator.degree >= top:

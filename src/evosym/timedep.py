@@ -100,12 +100,12 @@ class AnnihilatorOp:
         return len(self.coeffs) - 1
 
     def apply(self, e: DiffExpr) -> DiffExpr:
-        out = ex.ZERO
-        de = e
-        for a_l in self.coeffs:
-            out = out + a_l * de
-            de = partial(de, GEN_T)
-        return out
+        products = []
+        for l, a_l in enumerate(self.coeffs):
+            if l:
+                e = partial(e, GEN_T)
+            products.append((1, a_l, e))
+        return ex.sum_of_products(products)
 
     def __str__(self) -> str:
         parts = []
@@ -134,13 +134,21 @@ def annihilator(G: DiffExpr) -> AnnihilatorOp:
         spectrum = list(cls.spectrum)
     coeffs = [ex.ONE]
     for lam, m in spectrum:
-        for _ in range(m + 1):
-            # multiply the coefficient list by (d/dt - lambda)
-            nxt = [ex.ZERO] * (len(coeffs) + 1)
-            for l, a in enumerate(coeffs):
-                nxt[l + 1] = nxt[l + 1] + a
-                nxt[l] = nxt[l] - lam * a
-            coeffs = nxt
+        # (d/dt - lambda)^k by the binomial theorem: coefficient l is
+        # C(k, l) * (-lambda)^(k - l), all zero below l = k when lambda = 0
+        k = m + 1
+        factor = [ex.ZERO] * (k + 1)
+        binom, power, step = 1, ex.ONE, -lam
+        for l in range(k, -1, -1):
+            if not power:
+                break
+            factor[l] = binom * power
+            power = power * step
+            binom = binom * l // (k - l + 1)  # C(k, l - 1)
+        coeffs = [ex.sum_of_products((1, a, factor[d - i])
+                                     for i, a in enumerate(coeffs)
+                                     if 0 <= d - i <= k)
+                  for d in range(len(coeffs) + k)]
     op = AnnihilatorOp(coeffs=tuple(coeffs))
     if not op.apply(G).is_zero:
         raise SelfCheckError("annihilator does not kill its target")

@@ -93,6 +93,30 @@ class TestSubstitute:
         with pytest.raises(ExpressionError):
             substitute(exp_of(2 * u0), {u0: u0 ** 2})
 
+    @pytest.mark.parametrize("src, bindings, expected, den", [
+        # results of the term-by-term summation this accumulation replaced
+        ("a*exp(2*u)*u1 + 3/7*exp(-x)*u + b^-1*t",
+         {"u": "x + 2/13*t", "t": "a*u1"},
+         "a*u1*exp(4/13*t + 2*x) + a*b^-1*u1 + 3/7*x*exp(-x)"
+         " + 6/91*t*exp(-x)", 91),
+        ("exp(a*u + 1/3*x)*u2 - 2*a*b*u*u1 + exp(t)",
+         {"u": "b*x - t", "u2": "exp(x)*u1"},
+         "-2*a*b^2*u1*x + 2*a*b*u1*t + u1*exp(-a*t + 4/3*x + a*b*x)"
+         " + exp(t)", 1),
+        ("u^2*exp(b*t) + 5/13*a^2*u1 - 1/7*exp(2*u)",
+         {"u": "u + a*x", "u1": "u + 1"},
+         "u^2*exp(b*t) + 2*a*u*x*exp(b*t) + 5/13*a^2*u"
+         " + a^2*x^2*exp(b*t) - 1/7*exp(2*a*x + 2*u) + 5/13*a^2", 91),
+        ("u*exp(x) - x*exp(x) + 2/7*a*u1", {"u": "x", "u1": "7/2*a^-1"},
+         "1", 1),
+    ])
+    def test_exponentials_and_constants(self, src, bindings, expected, den):
+        names = ["a", "b"]
+        out = substitute(parse(src, names),
+                         {g: parse(v, names) for g, v in bindings.items()})
+        assert ex.to_source(out) == expected
+        assert out == parse(expected, names) and out._den == den
+
 
 class TestUOrder:
     def test_kdv(self):
@@ -165,6 +189,48 @@ class TestTermBudget:
             (u1 + u2 + u3 + x) ** 200
         with pytest.raises(ExpressionError, match="term pairs"):
             (u0 + 1) ** 100000
+
+
+class TestSumOfProducts:
+    """``sum_of_products`` checks every product's budget before any work and
+    adds nothing for a zero factor or operand."""
+
+    BIG_A = sum((u0 ** i for i in range(400)), ZERO)
+
+    def test_a_product_over_the_budget_raises_before_any_work(self):
+        b = sum((x ** i for i in range(251)), ZERO)
+        assert len(self.BIG_A) * len(b) > ex.MAX_PRODUCT_PAIRS
+        triples = [(1, u1, u2), (2, self.BIG_A, b)]
+        with mock.patch.object(ex.kernel, "addmul_into") as addmul:
+            with pytest.raises(ExpressionError, match="term pairs"):
+                ex.sum_of_products(triples)
+        assert not addmul.called
+
+    def test_a_product_at_the_budget_is_formed(self):
+        b = sum((x ** i for i in range(250)), ZERO)
+        assert len(self.BIG_A) * len(b) == ex.MAX_PRODUCT_PAIRS
+        out = ex.sum_of_products([(1, self.BIG_A, b)])
+        assert len(out) == ex.MAX_PRODUCT_PAIRS
+        assert out == self.BIG_A * b
+
+    def test_no_products_give_zero(self):
+        out = ex.sum_of_products([])
+        assert out == ZERO and out._den == 1
+
+    def test_zero_factors_and_operands_add_nothing(self):
+        e = parse("3/7*u1 + exp(x)")
+        with mock.patch.object(ex.kernel, "addmul_into") as addmul:
+            assert ex.sum_of_products([(0, e, e), (5, ZERO, e),
+                                       (-1, e, ZERO)]) == ZERO
+        assert not addmul.called
+        assert ex.sum_of_products([(2, e, u0), (0, e, e), (3, ZERO, e)]) \
+            == 2 * e * u0
+
+    def test_full_cancellation_gives_canonical_zero(self):
+        a, b = parse("2/7*u1 + exp(a*x)", ["a"]), parse("u - 1/13", ["a"])
+        out = ex.sum_of_products([(3, a, b), (-1, b, a), (-2, a, b)])
+        assert out == ZERO and out._t == {} and out._den == 1
+        assert hash(out) == hash(ZERO)
 
 
 class TestDivision:
@@ -276,6 +342,55 @@ def test_division_round_trip(seed):
     prod = a * b
     q = try_divide(prod, b)
     assert q is not None and q == a
+
+
+# -- fused sums of products -----------------------------------------------------
+
+def _random_factor(rng: random.Random) -> ex.DiffExpr:
+    """A random expression with named constants and exponentials, its
+    coefficients over 7 or 13."""
+    e = random_expr(rng, max_terms=4, consts=("a", "b"))
+    if rng.random() < 0.5:
+        e = e * exp_of(rng.choice((-2, 1, 3)) * ex.gen_expr(
+            rng.choice((ex.GEN_X, ex.GEN_T, 0))))
+    return e * Fraction(rng.choice((-5, 1, 2, 6)), rng.choice((7, 13)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_sum_of_products_matches_the_naive_sum(seed):
+    rng = random.Random(seed)
+    triples = [(rng.choice((-3, -1, 0, 1, 2, 14)), _random_factor(rng),
+                _random_factor(rng)) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:  # a sum that cancels in part or in full
+        f, a, b = triples[0]
+        triples.append((-f, b, a))
+    fused = ex.sum_of_products(triples)
+    naive = sum((f * a * b for f, a, b in triples), ZERO)
+    _assert_canonical(fused)
+    assert fused._den == naive._den and fused._t == naive._t
+    assert hash(fused) == hash(naive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_one_term_rational_factors_only_scale(seed):
+    rng = random.Random(seed)
+    e = _random_factor(rng)
+    cases = [(3, e), (e, Fraction(2, 7)), (ZERO, e), (e, ZERO),
+             (-13, e), (e, e._den)]
+    full = []
+    for p, q in cases:
+        p, q = ex._coerce(p), ex._coerce(q)
+        full.append(ex._reduced(ex.kernel.mul_terms(p._t, q._t),
+                                p._den * q._den))
+    with mock.patch.object(ex.kernel, "mul_terms") as mul, \
+            mock.patch.object(ex.kernel, "mul_key") as key:
+        fast = [p * q for p, q in cases]
+    assert not mul.called and not key.called
+    for got, want in zip(fast, full):
+        _assert_same_value(got, want)
+        assert got._den == want._den and got._t == want._t
 
 
 # -- one canonical form per value ---------------------------------------------

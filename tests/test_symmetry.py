@@ -180,10 +180,13 @@ class TestDoubleConstructions:
             determining_system(eq, parse(self.G_SRC))
 
     def test_a_repeated_bracket_recomputes_products_only(self, monkeypatch):
+        # every product of two term maps is formed by addmul_into: a fused
+        # sum adds each product into its accumulator, and mul_terms adds
+        # its one product into an empty dict
         from evosym import _kernel_py
         F, G = parse(self.F_SRC), parse(self.G_SRC)
         counts = {}
-        for name in ("total_d_terms", "diff_terms", "mul_terms"):
+        for name in ("total_d_terms", "diff_terms", "addmul_into"):
             real = getattr(_kernel_py, name)
 
             def spy(*args, _real=real, _name=name):
@@ -197,7 +200,7 @@ class TestDoubleConstructions:
         assert bracket(F, G) == first
         assert once["total_d_terms"] > 0 and once["diff_terms"] > 0
         assert "total_d_terms" not in counts and "diff_terms" not in counts
-        assert counts["mul_terms"] == once["mul_terms"] > 0
+        assert counts["addmul_into"] == once["addmul_into"] > 0
 
 
 class TestLeadingCoefficient:

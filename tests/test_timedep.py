@@ -79,6 +79,34 @@ class TestAnnihilator:
         assert om.coeffs[1] == -(lam + mu)
         assert om.apply(exp_of(lam * t) * u0 + exp_of(mu * t) * u1).is_zero
 
+    @pytest.mark.parametrize("shape", ["t^{k}*u1", "t^{k}*exp(2*t)*u1",
+                                       "t^{k}*exp(a*t)*u1 + exp(-t)*u"])
+    def test_products_grow_linearly_in_the_t_degree(self, monkeypatch, shape):
+        from evosym import expr as ex
+        counts = []
+        real_mul, real_addmul = ex.DiffExpr.__mul__, ex.kernel.addmul_into
+
+        def mul(a, b):
+            counts.append(1)
+            return real_mul(a, b)
+
+        def addmul(*args):
+            counts.append(1)
+            return real_addmul(*args)
+
+        monkeypatch.setattr(ex.DiffExpr, "__mul__", mul)
+        monkeypatch.setattr(ex.DiffExpr, "__rmul__", mul)
+        monkeypatch.setattr(ex.kernel, "addmul_into", addmul)
+        products = {}
+        for k in (100, 200):
+            G = parse(shape.format(k=k), ["a"])
+            counts.clear()
+            om = annihilator(G)
+            products[k] = len(counts)
+            assert om.order == k + 1 + shape.count("exp(-t)")
+        # (d/dt - lambda) applied k + 1 times would form about k^2 / 2
+        assert products[200] <= 2 * products[100] + 10
+
 
 class TestDtClosure:
     def test_galilean(self, kdv):

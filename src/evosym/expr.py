@@ -391,6 +391,14 @@ def _coerce(v) -> DiffExpr | None:
     return None
 
 
+def _expression(v) -> DiffExpr:
+    """``v`` as an expression (numbers and ``Scalar`` are coerced)."""
+    e = _coerce(v)
+    if e is None:
+        raise ExpressionError(f"not an expression: {v!r}")
+    return e
+
+
 def _invert_term(e: DiffExpr) -> DiffExpr | None:
     # invertible <=> a single term free of generator powers
     if len(e._t) != 1:
@@ -441,10 +449,10 @@ def rational(p: Union[int, Fraction], q: int = 1) -> DiffExpr:
 def exp_of(arg) -> DiffExpr:
     """``exp(arg)`` for ``arg`` a scalar-linear combination of x, t, u.
 
-    ``exp(0)`` normalizes to 1; products of exponentials merge by adding
-    arguments (that falls out of the slot encoding).
+    ``exp(0)`` is 1; products of exponentials merge by adding arguments
+    (that falls out of the slot encoding).
     """
-    arg = normalize(arg)
+    arg = _expression(arg)
     slots = []
     for key, c in arg.term_items():
         gen = None
@@ -465,50 +473,6 @@ def exp_of(arg) -> DiffExpr:
                 "with no constant term")
         slots.append(((2, gen, tuple(sorted(cmono))), c))
     return DiffExpr({tuple(sorted(slots)): 1})
-
-
-# -- the raw-tree normalizer ----------------------------------------------
-
-def normalize(tree) -> DiffExpr:
-    """Evaluate a raw expression tree to its unique canonical form.
-
-    Accepts ``DiffExpr`` (returned as-is: normalization is idempotent),
-    numbers, ``Scalar``, or nested tuples ``("add"|"sub"|"mul"|"div"|"neg"|
-    "pow"|"exp"|"gen"|"const"|"num", ...)`` as produced by the parser.
-    """
-    e = _coerce(tree)
-    if e is not None:
-        return e
-    if not isinstance(tree, tuple) or not tree:
-        raise ExpressionError(f"cannot normalize {tree!r}")
-    op = tree[0]
-    if op == "num":
-        return rational(tree[1])
-    if op == "gen":
-        return gen_expr(tree[1])
-    if op == "const":
-        return const(tree[1])
-    if op == "add":
-        return _sum(normalize(sub) for sub in tree[1:])
-    if op == "sub":
-        return normalize(tree[1]) - normalize(tree[2])
-    if op == "neg":
-        return -normalize(tree[1])
-    if op == "mul":
-        out = normalize(tree[1])
-        for sub in tree[2:]:
-            out = out * normalize(sub)
-        return out
-    if op == "div":
-        return normalize(tree[1]) / normalize(tree[2])
-    if op == "pow":
-        n = tree[2]
-        if not isinstance(n, int):
-            raise ExpressionError("non-integer exponent")
-        return normalize(tree[1]) ** n
-    if op == "exp":
-        return exp_of(normalize(tree[1]))
-    raise ExpressionError(f"unknown node {op!r}")
 
 
 # -- calculus-free structural operations -----------------------------------
@@ -549,12 +513,12 @@ def partial(e: DiffExpr, v) -> DiffExpr:
 
 
 def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
-    """Simultaneous substitution ``generator -> expression``, then normalize.
+    """Simultaneous substitution ``generator -> expression``, in normal form.
 
     Substitutions must keep every exponential argument linear in x, t, u;
     otherwise the result leaves the expression class and this raises.
     """
-    binds = {_gencode(g): normalize(v) for g, v in bindings.items()}
+    binds = {_gencode(g): _expression(v) for g, v in bindings.items()}
 
     def image(gen: int) -> DiffExpr:
         got = binds.get(gen)

@@ -2,16 +2,21 @@
 
 Identifiers: ``x``, ``t``, ``u`` (= u_0), ``u1``..``u99`` (``u_1`` also
 accepted), plus pre-declared named constants.  Operators ``+ - * / ^`` with
-the usual precedence, ``^`` right-associative with integer exponents,
-``exp(...)`` the only function, integer literals (rationals are written
-``p/q``), insignificant whitespace.  Implicit multiplication is a syntax
-error.  ``parse`` returns the normalized expression; printing a normal form
-and re-parsing it is the identity.
+the usual precedence, ``^`` right-associative with integer exponents of at
+most ``_MAX_EXPONENT`` in absolute value, ``exp(...)`` the only function,
+integer literals (rationals are written ``p/q``), insignificant whitespace.
+Implicit multiplication is a syntax error.  Printing a normal form and
+re-parsing it is the identity.
 
-Numbers stay ``int`` from literal to coefficient: a literal is an ``int``
-node, ``a / b`` is ``a * (1 / b)`` and the division is exact in
-``DiffExpr``.  A token is a ``(kind, text, offset)`` tuple; the line and
-column of a ``ParseError`` are computed from the offset when it is raised.
+The recursive descent parses straight to the normal form: each rule returns
+the ``DiffExpr`` of what it read (syntax-directed evaluation), so no syntax
+tree is built.  Numbers stay ``int`` from literal to coefficient and the
+division ``a / b`` is exact in ``DiffExpr``.  An error of the arithmetic
+itself (division by a non-scalar or by zero, a nonlinear exponential
+argument, a negative power of a generator, a product over its budget) is
+reported at the end of input, even when a grammar error follows it.  A
+token is a ``(kind, text, offset)`` tuple; the line and column of a
+``ParseError`` are computed from the offset when it is raised.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .expr import GEN_T, GEN_X, DiffExpr, ExpressionError, normalize
+from .expr import (GEN_T, GEN_X, DiffExpr, ExpressionError, _sum, const,
+                   exp_of, gen_expr, rational)
 
 
 class ParseError(ValueError):
@@ -65,7 +71,9 @@ _MAX_DEPTH = 100
 """Deepest nesting of parentheses, unary minus, ``exp(...)`` and exponent
 parentheses or towers that the recursive descent accepts."""
 
-_ONE = ("num", 1)
+_MAX_EXPONENT = 100_000
+"""Largest absolute value of an exponent, a literal or the value of a tower;
+checked before a tower is computed, so ``u^9^9^9`` is refused at once."""
 
 
 class _Parser:
@@ -100,31 +108,30 @@ class _Parser:
                              f"{_MAX_DEPTH} levels)", tok)
         return depth + 1
 
-    def parse_expr(self, depth: int = 0):
-        """A chain of ``+``/``-`` as one flat ``add`` node (``a - b`` is
+    def parse_expr(self, depth: int = 0) -> DiffExpr:
+        """A chain of ``+``/``-`` summed in one term dict (``a - b`` is
         ``a + (-b)``), so long sums cost no recursion."""
         parts = [self.parse_product(depth)]
         while self.peek() in ("+", "-"):
             minus = self.advance()[0] == "-"
             rhs = self.parse_product(depth)
-            parts.append(("neg", rhs) if minus else rhs)
-        return parts[0] if len(parts) == 1 else ("add", *parts)
+            parts.append(-rhs if minus else rhs)
+        return parts[0] if len(parts) == 1 else _sum(parts)
 
-    def parse_product(self, depth: int):
-        """A chain of ``*``/``/`` as one flat ``mul`` node (``a / b`` is
-        ``a * (1/b)``)."""
-        parts = [self.parse_power(depth)]
+    def parse_product(self, depth: int) -> DiffExpr:
+        """A chain of ``*``/``/``, evaluated left to right."""
+        out = self.parse_power(depth)
         while self.peek() in ("*", "/"):
             divide = self.advance()[0] == "/"
             rhs = self.parse_power(depth)
-            parts.append(("div", _ONE, rhs) if divide else rhs)
-        return parts[0] if len(parts) == 1 else ("mul", *parts)
+            out = out / rhs if divide else out * rhs
+        return out
 
-    def parse_power(self, depth: int):
+    def parse_power(self, depth: int) -> DiffExpr:
         base = self.parse_atom(depth)
         if self.peek() == "^":
             self.advance()
-            base = ("pow", base, self.parse_exponent(depth))
+            base = base ** self.parse_exponent(depth)
         return base
 
     def parse_exponent(self, depth: int) -> int:
@@ -137,6 +144,8 @@ class _Parser:
         if tok[0] == "num":
             self.advance()
             base = int(tok[1])
+            if base > _MAX_EXPONENT:
+                raise self.exponent_error(tok)
         elif tok[0] == "(":
             self.advance()
             base = self.parse_exponent(self.descend(tok, depth))
@@ -149,17 +158,26 @@ class _Parser:
             rest = self.parse_exponent(self.descend(caret, depth))
             if rest < 0:
                 raise self.error("non-integer exponent", caret)
+            # |base| and rest are at most _MAX_EXPONENT, and 2^bits exceeds
+            # it, so the power below is only computed when it is small
+            if abs(base) > 1 and (rest >= _MAX_EXPONENT.bit_length()
+                                  or abs(base) ** rest > _MAX_EXPONENT):
+                raise self.exponent_error(caret)
             base = base ** rest
         return -base if neg else base
 
-    def parse_atom(self, depth: int):
+    def exponent_error(self, tok: tuple) -> ParseError:
+        return self.error(f"exponent out of range (max {_MAX_EXPONENT})",
+                          tok)
+
+    def parse_atom(self, depth: int) -> DiffExpr:
         tok = self.advance()
         kind = tok[0]
         if kind == "num":
-            return ("num", int(tok[1]))
+            return rational(int(tok[1]))
         if kind == "-":
             # unary minus binds tighter than * and looser than ^
-            return ("neg", self.parse_power(self.descend(tok, depth)))
+            return -self.parse_power(self.descend(tok, depth))
         if kind == "(":
             inner = self.parse_expr(self.descend(tok, depth))
             self.expect(")")
@@ -170,22 +188,22 @@ class _Parser:
                 self.expect("(")
                 inner = self.parse_expr(self.descend(tok, depth))
                 self.expect(")")
-                return ("exp", inner)
+                return exp_of(inner)
             if name == "x":
-                return ("gen", GEN_X)
+                return gen_expr(GEN_X)
             if name == "t":
-                return ("gen", GEN_T)
+                return gen_expr(GEN_T)
             if name == "u":
-                return ("gen", 0)
+                return gen_expr(0)
             m = _U_RE.match(name)
             if m:
                 idx = int(m.group(1))
                 if idx > 99:
                     raise self.error(f"u-index {idx} out of range (max 99)",
                                      tok)
-                return ("gen", idx)
+                return gen_expr(idx)
             if name in self.constants:
-                return ("const", name)
+                return const(name)
             raise self.error(f"unknown identifier {name!r} "
                              "(constants must be declared)", tok)
         raise self.error(f"unexpected token {tok[1] or 'end of input'!r}",
@@ -193,18 +211,18 @@ class _Parser:
 
 
 def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
-    """Parse a source string to its normalized expression."""
+    """Parse a source string to its normal form."""
     names = frozenset(constants)
     for name in names:
         if name in _RESERVED or _U_RE.match(name):
             raise ValueError(f"constant name {name!r} collides with a "
                              "reserved identifier")
     p = _Parser(source, names)
-    tree = p.parse_expr()
+    try:
+        value = p.parse_expr()
+    except (ExpressionError, ZeroDivisionError) as err:
+        raise p.error(str(err), p.tokens[-1]) from err
     end = p.tokens[p.pos]
     if end[0] != "end":
         raise p.error(f"unexpected token {end[1]!r}", end)
-    try:
-        return normalize(tree)
-    except (ExpressionError, ZeroDivisionError) as err:
-        raise p.error(str(err), end) from err
+    return value

@@ -15,7 +15,7 @@ assertion, never decided here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
 
 from . import expr as ex
@@ -111,15 +111,11 @@ class SymmetryReport:
     """Verdict of a symmetry check.
 
     ``residual = dG/dt - {F, G}`` is zero exactly when G is a symmetry.
-    ``leading`` holds ``dG/du_i`` for the top band of indices
-    ``max(2, k-n+1)..k`` (where the leading-coefficient structure theory
-    applies).
     """
 
     candidate: DiffExpr
     order: int | None
     residual: DiffExpr
-    leading: dict[int, DiffExpr] = field(default_factory=dict)
 
     @property
     def is_symmetry(self) -> bool:
@@ -129,13 +125,7 @@ class SymmetryReport:
 def is_symmetry(eq: EvolutionEquation, G: DiffExpr) -> SymmetryReport:
     """Check ``dG/dt = {F, G}``; a nonzero residual is a verdict, not an error."""
     residual = partial(G, GEN_T) - bracket(eq.F, G)
-    k = u_order(G)
-    leading = {}
-    if k is not None and k >= 2:
-        for i in range(max(2, k - eq.n + 1), k + 1):
-            leading[i] = partial(G, i)
-    return SymmetryReport(candidate=G, order=k, residual=residual,
-                          leading=leading)
+    return SymmetryReport(candidate=G, order=u_order(G), residual=residual)
 
 
 def linearized_residual_operator(eq: EvolutionEquation, G: DiffExpr) -> DOperator:

@@ -57,6 +57,30 @@ class TestCheck:
         assert time.perf_counter() - start < 2
 
 
+class TestBounds:
+    """Exponent towers and annihilator orders over their bounds are refused
+    before the work; without the bounds each of these runs for more than
+    10 s."""
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("check", "--equation", "u3 + u*u1", "--candidate", "u^2^3^4^5"),
+         "exponent out of range (max 100000)"),
+        (("check", "--equation", "u3 + u*u1", "--candidate", "u^9^9^9"),
+         "exponent out of range (max 100000)"),
+        (("timedep", "--expression", "t^3000*exp(2*t)*u1"),
+         "exceeds the bound of 400"),
+        (("timedep", "--expression", "t^100000*u1"),
+         "exceeds the bound of 400"),
+    ], ids=["tower-2^3^4^5", "tower-9^9^9", "annihilator-3001",
+            "annihilator-100001"])
+    def test_exit_2_promptly(self, argv, bound, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert bound in capsys.readouterr().err
+        assert time.perf_counter() - start < 2
+
+
 class TestClassify:
     def test_fourth_corpus_equation(self):
         code, out = run_cli("classify", "--equation", "u3 + u1^3 + c*u1 + d",

@@ -6,9 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (ExpressionError, Scalar, const, exp_of, normalize,
-                    parse, partial, rational, substitute, total_d, u, u_order,
-                    x, t)
+from evosym import (ExpressionError, Scalar, const, exp_of, parse, partial,
+                    rational, substitute, to_source, total_d, u, u_order, x,
+                    t)
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, as_scalar, try_divide, try_nth_root
 
@@ -31,22 +31,13 @@ class TestNormalize:
         assert exp_of(ZERO) == ONE
         assert exp_of(2 * u0) * exp_of(-2 * u0) == ONE
 
-    def test_tree_input(self):
-        tree = ("add", ("mul", ("num", Fraction(6)), ("gen", 0), ("gen", 1)),
-                ("pow", ("gen", 3), 1))
-        assert normalize(tree) == 6 * u0 * u1 + u3
-
-    def test_idempotent_on_expressions(self):
-        e = 6 * u0 * u1 + u3
-        assert normalize(e) is e
-
     def test_non_integer_exponent_rejected(self):
-        with pytest.raises(ExpressionError):
-            normalize(("pow", ("gen", 0), Fraction(1, 2)))
+        with pytest.raises(ExpressionError, match="non-integer exponent"):
+            u0 ** Fraction(1, 2)
 
     def test_division_by_non_scalar_rejected(self):
-        with pytest.raises(ExpressionError):
-            normalize(("div", ("num", Fraction(1)), ("gen", 0)))
+        with pytest.raises(ExpressionError, match="only defined by scalars"):
+            ONE / u0
 
     def test_negative_power_of_generator_rejected(self):
         with pytest.raises(ExpressionError):
@@ -62,6 +53,16 @@ class TestNormalize:
             exp_of(u1)
         with pytest.raises(ExpressionError):
             exp_of(ONE + u0)
+
+    @pytest.mark.parametrize("bad", ["u", ("gen", 0), None, 1.5],
+                             ids=["text", "tuple", "none", "float"])
+    def test_exp_and_substitute_take_expressions_and_numbers(self, bad):
+        assert exp_of(0) == ONE
+        assert substitute(u0 * u1, {u0: Fraction(1, 2), u1: 4}) == 2
+        with pytest.raises(ExpressionError, match="not an expression"):
+            exp_of(bad)
+        with pytest.raises(ExpressionError, match="not an expression"):
+            substitute(u0, {u0: bad})
 
 
 class TestPartial:
@@ -298,7 +299,7 @@ def test_normalize_idempotence_and_cancellation(seed):
     rng = random.Random(seed)
     e1 = random_expr(rng, consts=("a",))
     e2 = random_expr(rng, consts=("a",))
-    assert normalize(e1) == e1
+    assert parse(to_source(e1), ("a",)) == e1
     assert (e1 + e2) - e2 == e1
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import ParseError, const, exp_of, parse, to_source, u, x, t
+from evosym import (ExpressionError, ParseError, const, exp_of, parse,
+                    to_source, u, x, t)
 from evosym.expr import ZERO, rational
 
 from conftest import random_expr
@@ -36,6 +37,16 @@ class TestGrammar:
             parse("u^-2^2")  # the tower makes the generator power negative
         with pytest.raises(ParseError):
             parse("u^2^-2")  # non-integer tower value
+
+    def test_exponents_up_to_the_bound(self):
+        assert parse("u^100000") == u0 ** 100000
+        assert parse("a^-(10^5)", ("a",)) == const("a") ** -100000
+        assert parse("2^2^4") == rational(65536)
+        assert parse("u^1^100000 + u^0^100000 + a^(-1)^99999", ("a",)) == \
+            u0 + 1 + const("a") ** -1
+        for source in ("u^2^17", "u^(-2)^17", "u^317^2", "2^10^10^10"):
+            with pytest.raises(ParseError, match="exponent out of range"):
+                parse(source)
 
     def test_rational_literals(self):
         assert parse("3/2*u1") == 3 * u1 / 2
@@ -96,13 +107,25 @@ class TestErrors:
         ("u1 +\n 1/u", 2, 5, "division is only defined by scalars"),
         ("u1 +\n u/0", 2, 5, "division by zero scalar"),
         ("exp(u1)\n", 2, 1, "exponential argument must be linear"),
+        # the value is computed while parsing, so an evaluation error before
+        # a grammar error is the one reported
+        ("u1 +\n 1/u + )", 2, 9, "division is only defined by scalars"),
+        ("u1 +\n exp(u1) )", 2, 11, "exponential argument must be linear"),
+        ("u1 +\n u/0 $", 2, 6, "unexpected character '$'"),
+        ("u1 +\n u^2^3^4^5", 2, 7, "exponent out of range (max 100000)"),
+        ("u1 +\n u^9^9^9", 2, 7, "exponent out of range (max 100000)"),
+        ("u1 +\n u^100001", 2, 4, "exponent out of range (max 100000)"),
     ], ids=["unknown-identifier", "unexpected-character",
             "unexpected-character-after-tab", "expected-paren",
             "expected-paren-at-end", "expected-exp-paren",
             "non-integer-exponent", "exponent-missing",
             "non-integer-exponent-in-tower", "u100", "depth-101",
             "trailing-token", "unexpected-operator", "dangling-operator",
-            "division-by-u", "division-by-zero", "nonlinear-exp"])
+            "division-by-u", "division-by-zero", "nonlinear-exp",
+            "division-by-u-before-trailing-token",
+            "nonlinear-exp-before-trailing-token",
+            "bad-character-before-division-by-zero", "tower-2^3^4^5",
+            "tower-9^9^9", "exponent-literal"])
     def test_line_and_column_reported(self, source, line, column, message):
         with pytest.raises(ParseError) as err:
             parse(source)
@@ -174,3 +197,100 @@ class TestInputSize:
     def test_deep_nesting_is_a_parse_error(self, source):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse(source)
+
+
+class TestAgainstPython:
+    """Random derivations of the grammar, rendered once as grammar source
+    and once as Python source over ``DiffExpr`` values, must parse to what
+    Python evaluates them to: Python's own parser settles precedence, unary
+    minus against ``^``, right-associative towers and division chains."""
+
+    ENV = {"u": u0, "u1": u1, "u_3": u3, "x": x, "t": t, "a": const("a"),
+           "rational": rational, "exp_of": exp_of}
+
+    def expr(self, rng, depth):
+        src, py = self.product(rng, depth)
+        for _ in range(rng.randint(0, 2)):
+            op = rng.choice((" + ", "-", " - "))
+            rhs_src, rhs_py = self.product(rng, depth)
+            src, py = src + op + rhs_src, py + op + rhs_py
+        return src, py
+
+    def product(self, rng, depth):
+        src, py = self.power(rng, depth)
+        for _ in range(rng.randint(0, 2)):
+            op = rng.choice(("*", "/", " * "))
+            # most divisors are scalars, so that most sources have a value
+            rhs_src, rhs_py = (self.power(rng, 0, ("a",))
+                               if op == "/" and rng.random() < 0.7
+                               else self.power(rng, depth))
+            src, py = src + op + rhs_src, py + op + rhs_py
+        return src, py
+
+    def power(self, rng, depth, names=("u", "u1", "u_3", "x", "t", "a")):
+        src, py, minus = self.atom(rng, depth, names)
+        # after a unary minus the power it applies to has taken any ``^``
+        if not minus and rng.random() < 0.3:
+            e = self.exponent(rng, 2, signed=True)
+            src, py = f"{src}^{e}", f"{py}**{e.replace('^', '**')}"
+        return src, py
+
+    def atom(self, rng, depth, names):
+        """``(source, python, is a unary minus)``."""
+        kind = rng.choice(("num", "name", "name") if depth <= 0 else
+                          ("num", "name", "minus", "paren", "exp"))
+        if kind == "num":
+            n = rng.randint(0, 12)
+            return str(n), f"rational({n})", False
+        if kind == "name":
+            name = rng.choice(names)
+            return name, name, False
+        if kind == "minus":
+            src, py = self.power(rng, depth - 1)
+            return "-" + src, "-" + py, True
+        if kind == "exp" and rng.random() < 0.7:
+            src, py = self.linear(rng)
+        else:
+            src, py = self.expr(rng, depth - 1)
+        if kind == "paren":
+            return f"({src})", f"({py})", False
+        return f"exp({src})", f"exp_of({py})", False
+
+    def linear(self, rng):
+        """A combination of x, t and u that ``exp`` accepts."""
+        src, py = [], []
+        for _ in range(rng.randint(1, 2)):
+            c_src, c_py = rng.choice((("2", "rational(2)"), ("a", "a"),
+                                      ("-a", "-a"),
+                                      ("1/3", "rational(1)/rational(3)")))
+            gen = rng.choice(("x", "t", "u"))
+            src.append(f"{c_src}*{gen}")
+            py.append(f"{c_py}*{gen}")
+        return " + ".join(src), " + ".join(py)
+
+    def exponent(self, rng, depth, signed):
+        """An exponent in grammar source (Python's differs in ``**`` only);
+        a tower's upper part is never negative (the grammar rejects that)
+        and nesting stays shallow, so every value is small."""
+        out = "-" if signed and rng.random() < 0.15 else ""
+        if depth > 0 and rng.random() < 0.2:
+            out += f"({self.exponent(rng, depth - 1, signed)})"
+        else:
+            out += str(rng.randint(0, 3))
+        if depth > 0 and rng.random() < 0.3:
+            out += "^" + self.exponent(rng, 0, signed=False)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds)
+    def test_parse_agrees_with_python(self, seed):
+        rng = random.Random(seed)
+        src, py = self.expr(rng, 2)
+        try:
+            want = eval(py, dict(self.ENV))
+        except (ExpressionError, ZeroDivisionError) as err:
+            with pytest.raises(ParseError) as got:
+                parse(src, ("a",))
+            assert str(got.value).startswith(str(err)), (src, py)
+        else:
+            assert parse(src, ("a",)) == want, (src, py)

@@ -78,10 +78,6 @@ class TestIsSymmetry:
     def test_kdv_non_symmetries(self, kdv, G):
         assert not is_symmetry(kdv, G).is_symmetry
 
-    def test_leading_coefficients_extracted(self, kdv):
-        rep = is_symmetry(kdv, G_SCALE)
-        assert rep.leading[3] == 3 * t
-
     def test_symmetries_form_a_lie_algebra(self, kdv):
         G5 = parse("u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1")
         syms = [u1, F_KDV, G_GAL, G_SCALE, G5]

@@ -107,6 +107,27 @@ class TestAnnihilator:
         # (d/dt - lambda) applied k + 1 times would form about k^2 / 2
         assert products[200] <= 2 * products[100] + 10
 
+    @pytest.mark.parametrize("shape, order", [
+        ("t^400*u1", 401), ("t^3000*exp(2*t)*u1", 3001),
+        ("t^200*exp(a*t)*u1 + t^199*exp(b*t)*u", 401)])
+    def test_order_over_the_bound_raises_before_any_product(
+            self, monkeypatch, shape, order):
+        from evosym import expr as ex, timedep
+        assert timedep.MAX_ANNIHILATOR_ORDER == 400
+        assert annihilator(parse("t^399*u1")).order == 400
+        G = parse(shape, ["a", "b"])
+
+        def product(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(ex.DiffExpr, "__mul__", product)
+        monkeypatch.setattr(ex.DiffExpr, "__rmul__", product)
+        monkeypatch.setattr(ex, "sum_of_products", product)
+        with pytest.raises(ex.ExpressionError,
+                           match=f"annihilator of order {order} exceeds "
+                                 "the bound of 400"):
+            annihilator(G)
+
 
 class TestDtClosure:
     def test_galilean(self, kdv):

@@ -100,7 +100,11 @@ def addmul_into(acc, a, b, factor):
 
 
 def mul_single(terms, key, coeff):
-    """Product of a term map with one term ``coeff * key``."""
+    """Product of a term map with one term ``coeff * key``.
+
+    Unused by evosym itself: the benchmark's tracer (perfbench/tracer.py)
+    patches this name, so it stays until the tracer reads statistics the
+    library collects."""
     if not coeff:
         return {}
     if not key:

@@ -89,6 +89,35 @@ def _compact_time(cls) -> str:
 
 # -- subcommand handlers -----------------------------------------------------
 
+def _structure(eq, rep, descended_lead: bool = False):
+    """The structure checks of a verified symmetry: the leading coefficient
+    (order >= 2; ``None`` below), the x-power decomposition (``None`` with
+    x inside an exponential), the x-descent and, with ``descended_lead``,
+    the descended-leading-coefficient bound.  A failed check is a bug: it
+    raises ``SelfCheckError`` naming the candidate in source form, which
+    exits 3 and never as a verdict."""
+    try:
+        lead = dec = None
+        if rep.order is not None and rep.order >= 2:
+            lead = leading_coefficient_check(eq, rep)
+            if not lead.ok and not lead.inconclusive:
+                raise SelfCheckError(f"leading coefficient: {lead.detail}")
+        if not ex.has_exp_in(rep.candidate, ex.GEN_X):
+            dec = representation_decompose(eq, rep)
+        trace = x_descent(eq, rep)
+        # the descended-leading-coefficient bound is degenerate for n = 2
+        if (descended_lead and eq.constant_separant and eq.time_independent
+                and eq.n >= 3 and rep.order is not None
+                and rep.order > eq.n - 1):
+            v = descent_leading_coeff_check(eq, rep)
+            if not v.ok:
+                raise SelfCheckError(v.detail)
+    except SelfCheckError as err:
+        raise SelfCheckError(f"structure check failed for "
+                             f"{ex.to_source(rep.candidate)}: {err}") from err
+    return lead, dec, trace
+
+
 def _cmd_check(args, out) -> int:
     eq = classify(parse(args.equation, args.constants))
     G = parse(args.candidate, args.constants)
@@ -99,18 +128,17 @@ def _cmd_check(args, out) -> int:
              f"order: {rep.order}",
              f"time dependence: {cls}"]
     if rep.is_symmetry:
-        if rep.order is not None and rep.order >= 2:
-            lead = leading_coefficient_check(eq, rep)
+        lead, dec, trace = _structure(eq, rep)
+        if lead is not None:
             lines.append(f"leading coefficient: "
-                         f"{'ok' if lead.ok else 'FAILED'} ({lead.detail})")
-        if ex.has_exp_in(G, ex.GEN_X):
+                         f"{'ok' if lead.ok else 'inconclusive'} "
+                         f"({lead.detail})")
+        if dec is None:
             lines.append("x-power decomposition: skipped "
                          "(x inside an exponential)")
         else:
-            dec = representation_decompose(eq, rep)
             lines.append(f"x-power decomposition: s = {dec.s}, "
                          f"psi = {dec.psi}")
-        trace = x_descent(eq, rep)
         lines.append(f"x-descent: {len(trace.steps) - 1} step(s)"
                      + (f" ({trace.note})" if trace.note else ""))
     report = _report("check", verdict, order=rep.order, flags=_flags(eq),
@@ -364,10 +392,9 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
         if expect_time is not None and not _time_matches(cls, expect_time):
             problems.append(f"time class mismatch for {source}: "
                             f"got {_compact_time(cls)}, want {expect_time}")
-        try:
-            _structure_suite(eq, rep, lines)
-        except SelfCheckError as err:
-            problems.append(f"structure check failed for {source}: {err}")
+        dec = _structure(eq, rep, descended_lead=True)[1]
+        lines.append("  structure ok"
+                     + ("" if dec is None else f" (s = {dec.s})"))
     if verified:
         lines.append(f"time-shape probe: {probe_time_shapes(eq, verified)} "
                      f"({len(verified)} verified symmetries)")
@@ -403,26 +430,6 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
                 problems.append(
                     f"find result does not span {spec['contains']}")
     return lines, problems
-
-
-def _structure_suite(eq, rep, lines: list[str]) -> None:
-    """Structural invariants every verified symmetry must satisfy."""
-    if rep.order is not None and rep.order >= 2:
-        lead = leading_coefficient_check(eq, rep)
-        if not lead.ok and not lead.inconclusive:
-            raise SelfCheckError(lead.detail)
-    note = ""
-    if not ex.has_exp_in(rep.candidate, ex.GEN_X):
-        dec = representation_decompose(eq, rep)
-        note = f" (s = {dec.s})"
-    x_descent(eq, rep)
-    # the descended-leading-coefficient bound is degenerate for n = 2
-    if (eq.constant_separant and eq.time_independent and eq.n >= 3
-            and rep.order is not None and rep.order > eq.n - 1):
-        v = descent_leading_coeff_check(eq, rep)
-        if not v.ok:
-            raise SelfCheckError(v.detail)
-    lines.append(f"  structure ok{note}")
 
 
 def _cmd_corpus(args, out) -> int:

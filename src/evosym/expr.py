@@ -15,8 +15,9 @@ derivatives) live in ``_kernel_py``, imported here as ``kernel``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Iterable, Mapping, Union
 
 from . import _kernel_py as kernel
@@ -24,10 +25,11 @@ from . import _kernel_py as kernel
 GEN_X = -1
 GEN_T = -2
 
-# Not a limit: try_divide decides every division without one.  The
-# benchmark's tracer (perfbench/tracer.py) reads this name as the step count
-# at which it reports a None result as a give-up, so it stays until that
-# counter goes.
+# Not a limit, and unused by evosym itself: try_divide decides every
+# division without one.  The benchmark's tracer (perfbench/tracer.py) reads
+# this name as the step count at which it reports a None result as a
+# give-up, so it stays until the tracer reads statistics the library
+# collects.
 _DIV_STEP_CAP = 10_000
 
 
@@ -677,91 +679,203 @@ def primitive_part(e: DiffExpr) -> DiffExpr:
 
 # -- exact division and roots ----------------------------------------------
 
+class _Packing:
+    """Packed exponent vectors (Monagan & Pearce) over term slots: with the
+    slots sorted, ``n`` of them, a term key ``{slot_i: v_i}`` is the integer
+    ``sum v_i * m_i * B^(n-1-i)``, one signed ("balanced") digit per slot,
+    the first slot most significant; ``m_i`` is ``rate_scale``, the lcm of
+    the denominators, for an exponential rate and 1 for any other slot, so
+    every digit is an integer.  A polynomial is a dict from that integer to
+    its ``int`` coefficient.  When every digit lies in ``[-L, L]`` and ``B =
+    2L + 1`` the packing is one-to-one, a product of terms is one integer
+    addition, and integer order is the lexicographic order of the digit
+    vectors, a group order: the lead of a product is the sum of the leads."""
+
+    __slots__ = ("slots", "half", "base", "offset", "weights", "rate_scale")
+
+    def __init__(self, slots: list, half: int, rate_scale: int = 1) -> None:
+        self.slots, self.half, self.rate_scale = slots, half, rate_scale
+        self.base = base = 2 * half + 1
+        n = len(slots)
+        self.weights = {s: base ** (n - 1 - i) * (rate_scale if s[0] == 2
+                                                  else 1)
+                        for i, s in enumerate(slots)}
+        # adding the offset turns every balanced digit d into d + L >= 0
+        self.offset = half * sum(base ** i for i in range(n))
+
+    def pack(self, e: DiffExpr, den: int) -> dict:
+        """``den * e`` packed; ``den`` is a multiple of ``e``'s
+        denominator, so the coefficients are ints."""
+        w = self.weights
+        s = den // e._den
+        return {int(sum(v * w[slot] for slot, v in key)): c * s
+                for key, c in e._t.items()}
+
+    def digits(self, key: int) -> list[int]:
+        """The digits of ``key`` plus L, least significant slot first."""
+        z = key + self.offset
+        out = []
+        for _ in self.slots:
+            z, d = divmod(z, self.base)
+            out.append(d)
+        return out
+
+    def unpack(self, poly: dict, den: int = 1) -> DiffExpr:
+        """``poly / den`` as an expression."""
+        half, scale = self.half, self.rate_scale
+        rev = self.slots[::-1]
+        sign = 1 if den > 0 else -1
+        terms = {}
+        for key, c in poly.items():
+            slots = [(s, d - half if s[0] != 2
+                      else _num(Fraction(d - half, scale)))
+                     for s, d in zip(rev, self.digits(key)) if d != half]
+            terms[tuple(reversed(slots))] = sign * c
+        return _reduced(terms, sign * den)
+
+    def extent(self, poly: dict) -> tuple[list[int], list[int]]:
+        """Per-slot lowest and highest digit over the terms of ``poly``,
+        least significant slot first."""
+        zs = [k + self.offset for k in poly]
+        base = self.base
+        lo, hi = [], []
+        w = 1
+        for _ in self.slots:
+            ds = [z // w % base for z in zs]
+            lo.append(min(ds))
+            hi.append(max(ds))
+            w *= base
+        return lo, hi
+
+    def divisor(self, den: dict):
+        """What ``_divide`` needs of a divisor: ``None`` when it is 1, else
+        its terms, leading term and coefficient, digit extent and leading
+        digits."""
+        if den == {0: 1}:
+            return None
+        lead = max(den)
+        lo, hi = self.extent(den)
+        return den, lead, den[lead], lo, hi, self.digits(lead)
+
+
+def _divide(num: dict, div, pk: _Packing) -> tuple[dict, int] | None:
+    """The one exact division: ``(quo, s)`` with ``s * num = quo * den``,
+    for ``den`` the divisor (``div``, from ``_Packing.divisor``) and ``s``
+    the least positive int that makes the quotient's coefficients ints, or
+    None when ``den`` does not divide ``num``, which is consumed.
+
+    The next quotient term is the lead of the remainder minus the lead of
+    the divisor; each step cancels the lead of the remainder and adds
+    smaller terms only.  Laurent polynomials are a domain, in which the
+    lowest and the highest value of a slot add under products, so every
+    term of an exact quotient lies in the box from the lowest value in
+    ``num`` minus the lowest in ``den`` to the highest minus the highest.  A
+    quotient term outside it refutes the division.  Inside it, every
+    remainder term stays in the slot ranges of ``num``, which the packing
+    must hold as it must hold the box; the box is finite and the leads
+    strictly decrease, so the division ends without a step cap.  A one-term
+    divisor divides term by term."""
+    if div is None:
+        return num, 1
+    den, lead, cb, dlo, dhi, ldig = div
+    if len(den) == 1:
+        quo = {}
+        for k, c in num.items():
+            q, r = divmod(c, cb)
+            if r:
+                s = abs(cb) // gcd(cb, *num.values())
+                return {k - lead: c * s // cb for k, c in num.items()}, s
+            quo[k - lead] = q
+        return quo, 1
+    lo, hi = pk.extent(num)
+    # the quotient term lr - lead must lie in [lo - dlo, hi - dhi] per
+    # slot, i.e. the remainder's lead lr in [lo - dlo + ld, hi - dhi + ld]
+    box = [(l - dl + ld, h - dh + ld)
+           for l, h, dl, dh, ld in zip(lo, hi, dlo, dhi, ldig)]
+    base, offset = pk.base, pk.offset
+    quo = {}
+    s = 1
+    get = num.get
+    while num:
+        lr = max(num)
+        z = lr + offset
+        for l, h in box:
+            z, d = divmod(z, base)
+            if d < l or d > h:
+                return None
+        qk = lr - lead
+        qc, r = divmod(num[lr], cb)
+        if r:  # scale by the least f that makes f * num[lr] a multiple
+            f = abs(cb) // gcd(r, cb)
+            for k in num:
+                num[k] *= f
+            for k in quo:
+                quo[k] *= f
+            s *= f
+            qc = num[lr] // cb
+        quo[qk] = qc
+        for k, c in den.items():
+            k += qk
+            v = get(k)
+            if v is None:
+                num[k] = -qc * c
+            else:
+                v -= qc * c
+                if v:
+                    num[k] = v
+                else:
+                    del num[k]
+    return quo, s
+
+
+def _slot_ranges(terms: dict) -> tuple[dict, int]:
+    """In one pass over the keys: each slot's lowest and highest value (0
+    counted when a key lacks the slot), and the lcm of the denominators."""
+    ranges: dict = {}
+    m = 1
+    for key in terms:
+        for s, v in key:
+            r = ranges.get(s)
+            ranges[s] = (v, v, 1) if r is None else (
+                min(r[0], v), max(r[1], v), r[2] + 1)
+            if type(v) is not int:
+                m = lcm(m, v.denominator)
+    n = len(terms)
+    return {s: (lo, hi) if k == n else (min(lo, 0), max(hi, 0))
+            for s, (lo, hi, k) in ranges.items()}, m
+
+
 def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     """Exact quotient ``a / b`` in the expression class, or None.
 
-    Sparse division steered by a graded monomial order: terms compare by
-    total degree in x, t and the u_i, then lexicographically by exponent
-    vectors over the slots of ``a`` and ``b`` (no step adds a slot).  The
-    order is compatible with products, so each step cancels the lead of the
-    remainder and adds smaller terms only.  Generator exponents in the
-    quotient must stay non-negative (constants and exponential factors are
-    invertible, generators are not).
-
-    The division decides.  The terms form a domain (Laurent polynomials in
-    the slot values) in which the highest and the lowest value of a slot add
-    under products, so every term of an exact quotient has each slot
-    between the lowest value in ``a`` minus the lowest in ``b`` and the
-    highest in ``a`` minus the highest in ``b``.  A quotient term outside
-    that box proves that ``b`` does not divide ``a``.  Inside it, every
-    remainder term keeps within the slot ranges of ``a`` and on the lattice
-    the slot values of ``a`` and ``b`` generate; the box holds finitely many
-    such points and the leads strictly decrease, so the division ends.
-    """
+    ``a`` and ``b`` are packed over their slots with the least digit
+    half-width that holds the slot ranges of both and the quotient's box,
+    and divided by ``_divide``, which decides.  Its quotient is the unique
+    Laurent one; constants and exponential factors are invertible but
+    generators are not, so a negative generator power in it means that
+    ``b`` does not divide ``a`` in the class."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero expression")
     if a.is_zero:
         return ZERO
-    pos: dict = {}
-    orders: dict = {}
-
-    def order(key):
-        o = orders.get(key)
-        if o is None:
-            vec = [0] * len(pos)
-            for s, v in key:
-                vec[pos[s]] = v
-            o = orders[key] = (_grade(key), vec)
-        return o
-
-    def lead(terms):
-        if len(terms) == 1:
-            return next(iter(terms))
-        if not pos:  # most divisions are of one term by one term
-            slots = sorted({s for key in (*a._t, *b._t) for s, _ in key})
-            pos.update((s, i) for i, s in enumerate(slots))
-        return max(terms, key=order)
-
-    lead_b = lead(b._t)
-    cb = b._t[lead_b]
-    neg_lead_b = tuple((s, -v) for s, v in lead_b)
-    box = None
-    if len(b._t) > 1:  # a one-term divisor divides term by term
-        cols_a = list(zip(*(order(key)[1] for key in a._t)))
-        cols_b = list(zip(*(order(key)[1] for key in b._t)))
-        # the quotient term is lead_r - lead_b, so lead_r must lie in
-        # [lo_a - lo_b, hi_a - hi_b] + lead_b
-        box = [(min(ka) - min(kb) + v, max(ka) - max(kb) + v)
-               for ka, kb, v in zip(cols_a, cols_b, order(lead_b)[1])]
-    # integer arithmetic on the numerators: s * A = quo * B + rem, with A
-    # and B the numerators of a and b and s grown so that each quotient
-    # coefficient is an integer
-    rem = dict(a._t)
-    quo: dict = {}
-    s = 1
-    while rem:
-        lead_r = lead(rem)
-        if box is not None and any(
-                not lo <= v <= hi
-                for v, (lo, hi) in zip(order(lead_r)[1], box)):
-            return None
-        qk = kernel.mul_key(lead_r, neg_lead_b)
-        if any(slot[0] == 0 and v < 0 for slot, v in qk):
-            return None
-        r = rem[lead_r]
-        f = abs(cb) // gcd(r, cb)
-        if f != 1:
-            for k in rem:
-                rem[k] *= f
-            for k in quo:
-                quo[k] *= f
-            s *= f
-            r *= f
-        qc = r // cb
-        quo[qk] = qc
-        kernel.add_into(rem, kernel.mul_single(b._t, qk, qc), -1)
+    (ra, ma), (rb, mb) = _slot_ranges(a._t), _slot_ranges(b._t)
+    scale = lcm(ma, mb)
+    slots = sorted(ra.keys() | rb.keys())
+    half = 0
+    for s in slots:
+        (lo_a, hi_a), (lo_b, hi_b) = ra.get(s, (0, 0)), rb.get(s, (0, 0))
+        top = max(-lo_a, hi_a, -lo_b, hi_b, abs(lo_a - lo_b), abs(hi_a - hi_b))
+        half = max(half, int(top * scale) if s[0] == 2 else top)
+    pk = _Packing(slots, half, scale)
+    got = _divide(pk.pack(a, a._den), pk.divisor(pk.pack(b, b._den)), pk)
+    if got is None:
+        return None
     # a / b = (quo / s) * (b._den / a._den)
-    return _reduced({k: c * b._den for k, c in quo.items()}, s * a._den)
+    quo, s = got
+    q = pk.unpack({k: c * b._den for k, c in quo.items()}, s * a._den)
+    if any(slot[0] == 0 and v < 0 for key in q._t for slot, v in key):
+        return None
+    return q
 
 
 def try_nth_root(e: DiffExpr, m: int) -> DiffExpr | None:
@@ -813,6 +927,22 @@ def _print_sort_key(item):
     return (top, _grade(key), key)
 
 
+def _num_src(q) -> str:
+    """An int or Fraction in the grammar.  An integer with more digits than
+    Python converts to text (``sys.get_int_max_str_digits()``, 0 for no
+    limit) raises ``ExpressionError`` naming both."""
+    try:
+        return str(q)
+    except ValueError:
+        n = max(abs(q.numerator), q.denominator)
+        digits = int(log10(n)) + 1  # a float: off by one at most
+        digits += (10 ** digits <= n) - (10 ** (digits - 1) > n)
+        raise ExpressionError(
+            f"an integer of {digits} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string "
+            "conversion") from None
+
+
 def _mono_src(name: str, power: int) -> str:
     if power == 1:
         return name
@@ -825,7 +955,7 @@ def _arg_src(slots) -> str:
         factors = [_mono_src(nm, p) for nm, p in cmono] + [_gen_name(gen)]
         mag = abs(q)
         if mag != 1:
-            factors.insert(0, str(mag))
+            factors.insert(0, _num_src(mag))
         piece = "*".join(factors)
         if not parts:
             parts.append(piece if q > 0 else f"-{piece}")
@@ -850,7 +980,7 @@ def to_source(e: DiffExpr) -> str:
             factors.append(f"exp({_arg_src(atoms)})")
         mag = abs(c)
         if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+            factors.insert(0, _num_src(mag))
         body = "*".join(factors)
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")

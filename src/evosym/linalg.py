@@ -4,27 +4,28 @@ Matrix entries are constant expressions (elements of the ring of Laurent
 polynomials in the named constants over Q); any other entry, and a ragged
 matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads the
 matrix once and stores each entry times ``den``, the lcm of the entries'
-denominators (each ``DiffExpr`` keeps one), as a packed polynomial (below)
-with ``int`` coefficients, in dict rows from column to nonzero value.  A
-rational entry packs to the one monomial ``0``, so every matrix takes the
-same path.
+denominators (each ``DiffExpr`` keeps one), as a packed polynomial
+(``expr._Packing``, one slot ``(1, name)`` per named constant) with ``int``
+coefficients, in dict rows from column to nonzero value.  A rational entry
+packs to the one monomial ``0``, so every matrix takes the same path.
 
-One elimination (``_reduce``) serves ``nullspace``, ``rank`` and
-``in_span``: it splits the matrix into its connected components (below) and
-runs one fraction-free Gauss-Jordan (Bareiss) pivot loop, ``_sweep``, on
-each.  Within a component, columns are swept left to right; the pivot row
-is the first remaining row with a nonzero entry, or the first with a
-rational one when there is one.  Every sweep updates the component's rows
-to ``(p * row - row[c] * pivot_row) / prev``, with ``p`` the pivot and
-``prev`` the previous pivot of the component (1 before its first), on the
-cells where the row or the pivot row is nonzero.  After the last sweep
-every pivot entry of a component equals its final pivot d.
+One elimination (``_reduce``) serves ``nullspace`` and ``rank``, and
+``in_span`` compares two ranks.  It splits the matrix into its connected
+components (below) and runs one fraction-free Gauss-Jordan (Bareiss) pivot
+loop, ``_sweep``, on each.  Within a component, columns are swept left to
+right; the pivot row is the first remaining row with a nonzero entry, or
+the first with a rational one when there is one.  Every sweep updates the
+component's rows to ``(p * row - row[c] * pivot_row) / prev``, with ``p``
+the pivot and ``prev`` the previous pivot of the component (1 before its
+first), on the cells where the row or the pivot row is nonzero.  After the
+last sweep every pivot entry of a component equals its final pivot d.
 
 Integers.  After k sweeps every entry of a component's pivot rows is a k x
 k minor of the component, hence of the input (Cramer's rule), and every
 entry of its other rows a (k+1) x (k+1) minor (Sylvester's identity).  So
 every division is exact in Laurent polynomials over Z, the ring of the
-cleared entries, and a remainder is a bug and raises.  A minor of order j
+cleared entries.  Each is ``expr._divide``, the one exact division, and a
+refuted division or a remainder is a bug and raises.  A minor of order j
 is ``den^j`` times the input's, so zero tests, pivot choices and ranks are
 the input's, and each pivot is a rational unit times the input's.
 
@@ -78,47 +79,16 @@ listed pivot is nonzero, each step specializes (its divisions are exact and
 its divisor nonzero), so the rank there is the generic rank and the basis
 specializes to a basis of the kernel.
 
-Packed polynomials.  With the constant names sorted, ``n`` of them, a
-monomial ``prod name_i^e_i`` is the integer ``sum e_i * B^(n-1-i)`` (one
-signed "balanced" digit per name, the first name most significant), and a
-polynomial is a dict from that integer to its integer coefficient.  When
-every digit lies in ``[-L, L]`` and ``B = 2L + 1`` the packing is one-to-one,
-a product of monomials is one integer addition, and integer order is the
-lexicographic order of exponent vectors, which is a group order: it is
-compatible with multiplication, so the leading monomial of a product is the
-sum of the leading monomials.
-
-The exponent bound.  Let E be the largest ``|e_i|`` in any input entry and
-R the number of rows or of columns that is smaller (a bound on the rank).
-Every entry after k sweeps is a minor of order at most k + 1 (above), and k
-is at most the component's rank, so at most R.  A minor of order j is a sum
-of products of j entries, so its exponents lie in ``[-jE, jE]``.  Sweep k
-multiplies entries that are minors of order at most k, so every product and
-numerator has exponents in ``[-2kE, 2kE]``; quotients are the next entries,
-and the division below forms no monomial outside the range of its
-numerator.  ``nullspace`` and ``rank`` therefore take ``L = 2RE``.
-``in_span`` reduces its vectors the same way, then reduces the target,
-which spans components, against the final rows of every component without
-dividing: ``target = d * target - target[c] * row``, with d that
-component's final pivot and the row's entries minors of order at most R,
-adds at most ``RE`` to the exponents per pivot.  The components have at
-most R pivots together, so the exponents end in ``[-(R^2 + 1)E, (R^2 +
-1)E]``, and ``in_span`` takes ``L = (R^2 + 1)E`` (never below ``2RE``).
-
-Exact division.  ``_divide`` is the division algorithm for that order: the
-next quotient monomial is the lead of the remainder minus the lead of the
-divisor, its coefficient the integer quotient of their coefficients.  The
-lead of the remainder strictly decreases at each step, since the step
-cancels it and adds only smaller monomials.  If the quotient q is exact,
-the per-name degree range of q is that of the numerator minus that of the
-divisor (the top and bottom degrees of a product add, Laurent polynomials
-being a domain), and every quotient monomial lies in that box.  A quotient
-monomial outside it therefore proves that the division is not exact, and
-the division raises there; so does a coefficient division with a
-remainder.  Inside the box, the remainder's monomials stay in the
-numerator's range; the box is finite and the leads strictly decrease, so
-the division ends after at most as many steps as the box has points,
-without any step cap.
+The exponent bound.  Let E be the largest ``|e_i|`` of a constant's power
+in any input entry and R the number of rows or of columns that is smaller
+(a bound on the rank).  Every entry after k sweeps is a minor of order at
+most k + 1 (above), and k is at most the component's rank, so at most R.
+A minor of order j is a sum of products of j entries, so its exponents lie
+in ``[-jE, jE]``.  Sweep k multiplies entries that are minors of order at
+most k, so every product and numerator has exponents in ``[-2kE, 2kE]``;
+quotients are the next entries, and the division forms no monomial outside
+the range of its numerator.  The packing therefore takes the digit
+half-width ``L = 2RE``.
 """
 
 from __future__ import annotations
@@ -135,76 +105,6 @@ class NullspaceResult:
     basis: tuple[tuple[DiffExpr, ...], ...]
     rank: int
     pivot_assumptions: tuple[DiffExpr, ...]  # symbolic pivots assumed nonzero
-
-
-class _Packing:
-    """The monomial packing of one matrix (see the module docstring):
-    sorted names, half-width ``L`` of a digit and base ``B = 2L + 1``."""
-
-    __slots__ = ("names", "half", "base", "offset", "weights")
-
-    def __init__(self, names: list[str], half: int) -> None:
-        self.names = names
-        self.half = half
-        self.base = 2 * half + 1
-        n = len(names)
-        self.weights = {nm: self.base ** (n - 1 - i)
-                        for i, nm in enumerate(names)}
-        # adding the offset turns every balanced digit e into e + L >= 0
-        self.offset = sum(half * w for w in self.weights.values())
-
-    def pack(self, e: DiffExpr, den: int) -> dict:
-        """``den * e`` packed; ``den`` is a multiple of ``e``'s
-        denominator, so the coefficients are ints."""
-        w = self.weights
-        s = den // e._den
-        return {sum(v * w[slot[1]] for slot, v in key): c * s
-                for key, c in e._num_items()}
-
-    def digits(self, key: int) -> list[int]:
-        """The exponents of ``key`` plus L, least significant name first."""
-        z = key + self.offset
-        out = []
-        for _ in self.names:
-            z, d = divmod(z, self.base)
-            out.append(d)
-        return out
-
-    def unpack(self, poly: dict, den: int = 1) -> DiffExpr:
-        """``poly / den`` as an expression."""
-        half = self.half
-        rev = self.names[::-1]
-        sign = 1 if den > 0 else -1
-        terms = {}
-        for key, c in poly.items():
-            slots = [((1, nm), d - half)
-                     for nm, d in zip(rev, self.digits(key)) if d != half]
-            terms[tuple(reversed(slots))] = sign * c
-        return ex._reduced(terms, sign * den)
-
-    def extent(self, poly: dict) -> tuple[list[int], list[int]]:
-        """Per-name lowest and highest digit over the monomials of
-        ``poly``, least significant name first."""
-        zs = [k + self.offset for k in poly]
-        base = self.base
-        lo, hi = [], []
-        w = 1
-        for _ in self.names:
-            ds = [z // w % base for z in zs]
-            lo.append(min(ds))
-            hi.append(max(ds))
-            w *= base
-        return lo, hi
-
-    def divisor(self, den: dict):
-        """What ``_divide`` needs of a divisor: ``None`` when it is 1, else
-        its terms, leading term and coefficient, digit extent and leading
-        digits."""
-        if den == {0: 1}:
-            return None
-        lead = max(den)
-        lo, hi = self.extent(den)
-        return den, lead, den[lead], lo, hi, self.digits(lead)
 
 
 _INEXACT = "fraction-free elimination: inexact division (bug)"
@@ -234,62 +134,11 @@ def _fms(p: dict, a: dict | None, f: dict | None, b: dict | None) -> dict:
     return out
 
 
-def _divide(num: dict, div, pk: _Packing) -> dict:
-    """The exact quotient of ``num`` by the divisor ``div`` (from
-    ``_Packing.divisor``); ``num`` is consumed.  Raises ``RuntimeError`` as
-    soon as a quotient monomial leaves the box an exact quotient fills, or
-    a quotient coefficient is not an integer."""
-    if div is None:
-        return num
-    den, lead, cb, dlo, dhi, ldig = div
-    if len(den) == 1:  # a unit
-        quo = {}
-        for k, c in num.items():
-            q, r = divmod(c, cb)
-            if r:
-                raise RuntimeError(_INEXACT)
-            quo[k - lead] = q
-        return quo
-    lo, hi = pk.extent(num)
-    # the quotient monomial lr - lead must lie in [lo - dlo, hi - dhi] per
-    # name, i.e. the remainder's lead lr in [lo - dlo + ld, hi - dhi + ld]
-    box = [(l - dl + ld, h - dh + ld)
-           for l, h, dl, dh, ld in zip(lo, hi, dlo, dhi, ldig)]
-    base, offset = pk.base, pk.offset
-    quo = {}
-    get = num.get
-    while num:
-        lr = max(num)
-        z = lr + offset
-        for l, h in box:
-            z, d = divmod(z, base)
-            if d < l or d > h:
-                raise RuntimeError(_INEXACT)
-        qk = lr - lead
-        qc, r = divmod(num[lr], cb)
-        if r:
-            raise RuntimeError(_INEXACT)
-        quo[qk] = qc
-        for k, c in den.items():
-            k += qk
-            v = get(k)
-            if v is None:
-                num[k] = -qc * c
-            else:
-                v -= qc * c
-                if v:
-                    num[k] = v
-                else:
-                    del num[k]
-    return quo
-
-
-def _sparse(rows: list[list[DiffExpr]], ncols: int, growth: int):
+def _sparse(rows: list[list[DiffExpr]], ncols: int):
     """One scan of the matrix.  Returns ``(packed rows, packing, den, input
     rows)``: the input rows as dicts of their nonzero entries, and the same
-    rows times ``den``, the lcm of the entries' denominators,
-    packed with digit half-width ``growth * E`` (see the module
-    docstring)."""
+    rows times ``den``, the lcm of the entries' denominators, packed with
+    digit half-width ``2RE`` (see the module docstring)."""
     original = []
     names: set[str] = set()
     top = 0
@@ -311,22 +160,28 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int, growth: int):
                     top = max(top, abs(v))
             row[c] = e
         original.append(row)
-    pk = _Packing(sorted(names), growth * top)
+    pk = ex._Packing([(1, nm) for nm in sorted(names)],
+                     2 * min(len(rows), ncols) * top)
     m = [{c: pk.pack(e, den) for c, e in row.items()} for row in original]
     return m, pk, den, original
 
 
 def _combine_rows(row: dict, row_p: dict, c: int, p: dict, div,
-                  pk: _Packing) -> dict:
+                  pk: ex._Packing) -> dict:
     """``(p * row - row[c] * row_p) / prev`` over the cells where ``row``
-    or ``row_p`` is nonzero; ``div`` is ``pk.divisor(prev)``."""
+    or ``row_p`` is nonzero; ``div`` is ``pk.divisor(prev)``.  Every
+    division is exact over Z (see the module docstring), so a refuted one
+    or one that needs a scale is a bug and raises."""
     fi = row.get(c)
     keys = row.keys() | row_p.keys() if fi is not None else row.keys()
     out = {}
     for k in keys:
         num = _fms(p, row.get(k), fi, row_p.get(k))
         if num:
-            out[k] = _divide(num, div, pk)
+            got = ex._divide(num, div, pk)
+            if got is None or got[1] != 1:
+                raise RuntimeError(_INEXACT)
+            out[k] = got[0]
     return out
 
 
@@ -360,7 +215,7 @@ def _components(m: list[dict],
     return list(comps.values())
 
 
-def _sweep(m: list[dict], cols: list[int], pk: _Packing,
+def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
            assumptions: list[dict]):
     """Fraction-free Gauss-Jordan on the packed rows ``m`` of one component
     over its columns ``cols``, in place; pivot rows are moved to the top
@@ -398,7 +253,7 @@ def _sweep(m: list[dict], cols: list[int], pk: _Packing,
     return pivots, prev
 
 
-def _reduce(m: list[dict], ncols: int, pk: _Packing):
+def _reduce(m: list[dict], ncols: int, pk: ex._Packing):
     """Fraction-free Gauss-Jordan on the packed rows ``m``, one connected
     component at a time.  Returns the blocks ``(rows, columns, pivot
     columns, final pivot)``, whose rows start with the pivot rows in pivot
@@ -422,14 +277,14 @@ def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
 
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
-    m, pk, den, original = _sparse(rows, ncols, 2 * min(len(rows), ncols))
+    m, pk, den, original = _sparse(rows, ncols)
     blocks, assumptions = _reduce(m, ncols, pk)
 
     vecs = {}
     for block, cols, pivots, d in blocks:
         # the input's vector, or without constants the reduced row
         # echelon one (see the module docstring)
-        scale = den ** len(pivots) if pk.names else d[0]
+        scale = den ** len(pivots) if pk.slots else d[0]
         pivot_set = set(pivots)
         for f in cols:
             if f in pivot_set:
@@ -462,20 +317,13 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
 
 
 def rank(rows: list[list[DiffExpr]], ncols: int) -> int:
-    m, pk, _, _ = _sparse(rows, ncols, 2 * min(len(rows), ncols))
+    m, pk, _, _ = _sparse(rows, ncols)
     return sum(len(pivots) for _, _, pivots, _ in _reduce(m, ncols, pk)[0])
 
 
 def in_span(target: list[DiffExpr], vectors: list[list[DiffExpr]],
             ncols: int) -> bool:
     """Whether ``target`` lies in the span of ``vectors`` (generically, when
-    constants are involved): ``vectors`` are reduced once and ``target`` is
-    reduced against that echelon form."""
-    r = min(len(vectors), ncols)
-    m, pk, _, _ = _sparse(list(vectors) + [list(target)], ncols, r * r + 1)
-    rest = m.pop()
-    for block, _, pivots, _ in _reduce(m, ncols, pk)[0]:
-        for row, c in zip(block, pivots):
-            if c in rest:
-                rest = _combine_rows(rest, row, c, row[c], None, pk)
-    return not rest
+    constants are involved): whether adding it leaves the rank as it is."""
+    vectors = list(vectors)
+    return rank(vectors + [list(target)], ncols) == rank(vectors, ncols)

@@ -22,6 +22,7 @@ token is a ``(kind, text, offset)`` tuple; the line and column of a
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable
 
 from .expr import (GEN_T, GEN_X, DiffExpr, ExpressionError, _sum, const,
@@ -56,11 +57,17 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     operator or parenthesis itself, or ``"end"`` (text ``""``, offset the
     length of the source) for the last one."""
     tokens = []
+    # a literal of more digits than int() converts (0: no limit) is an error
+    limit = sys.get_int_max_str_digits()
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
         text = m.group(group)
         if group == 4:
             raise _error(source, f"unexpected character {text!r}",
+                         m.start(group))
+        if group == 1 and 0 < limit < len(text):
+            raise _error(source, f"integer literal of {len(text)} digits "
+                         f"exceeds the limit of {limit} digits",
                          m.start(group))
         tokens.append((_KINDS.get(group, text), text, m.start(group)))
     tokens.append(("end", "", len(source)))

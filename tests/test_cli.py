@@ -1,12 +1,17 @@
 import io
 import json
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from evosym import parse
+from evosym import cli, parse
 from evosym.cli import REPORT_SCHEMA, build_parser, main, parse_corpus
+from evosym.symmetry import LeadingCoefficientVerdict, SelfCheckError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*argv):
@@ -330,8 +335,101 @@ class TestErrorExitCodes:
         assert out == ""
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("candidate, message", [
+        ("2^20000*u1", "error: an integer of 6021 digits exceeds the limit "
+         f"of {sys.get_int_max_str_digits()} digits"),
+        ("7" * 5001 + "*u1", "error: integer literal of 5001 digits exceeds "
+         f"the limit of {sys.get_int_max_str_digits()} digits (line 1, "
+         "column 1)"),
+    ], ids=["printed", "literal"])
+    def test_long_integers_exit_2(self, capsys, candidate, message):
+        # 2^20000*u1 is a symmetry whose answer prints the coefficient
+        code, out = run_cli("check", "--equation", "u3 + u*u1",
+                            "--candidate", candidate)
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
     def test_division_by_zero_is_a_parse_error(self, capsys):
         code, _ = run_cli("check", "--equation", "u3 + 6*u*u1",
                           "--candidate", "u1/0")
         assert code == 2
         assert "error: division by zero" in capsys.readouterr().err
+
+
+class TestStructureFailures:
+    """A failed structure check on a verified symmetry is a bug: it exits 3
+    naming the candidate in source form, from ``check`` and ``corpus run``
+    alike, never with a verdict code; an inconclusive leading coefficient
+    is reported as such."""
+
+    # the message prints the normal form, not the source as written
+    CHECK = ("check", "--equation", "u3 + 6*u*u1",
+             "--candidate", "6*u*u1 + u3")
+    CORPUS = ("[entry]\nname = kdv\nequation = u3 + 6*u*u1\n"
+              "symmetry = 6*u*u1 + u3\n")
+    ERROR = ("internal error: SelfCheckError: structure check failed for "
+             "u3 + 6*u1*u: ")
+
+    @staticmethod
+    def _fail_lead(monkeypatch, inconclusive=False):
+        verdict = LeadingCoefficientVerdict(False, inconclusive, None,
+                                            "forced for the test")
+        monkeypatch.setattr(cli, "leading_coefficient_check",
+                            lambda eq, rep: verdict)
+
+    @staticmethod
+    def _fail_descent(monkeypatch):
+        def broken(eq, rep):
+            raise SelfCheckError("x-descent: order bound violated")
+
+        monkeypatch.setattr(cli, "x_descent", broken)
+
+    @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent"])
+    def test_check_exits_3(self, monkeypatch, capsys, fail):
+        getattr(self, fail)(monkeypatch)
+        for fmt in ("text", "json"):
+            code, out = run_cli(*self.CHECK, "--format", fmt)
+            assert code == 3 and out == ""
+            assert self.ERROR in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent"])
+    def test_corpus_run_exits_3(self, monkeypatch, capsys, tmp_path, fail):
+        getattr(self, fail)(monkeypatch)
+        path = tmp_path / "one.corpus"
+        path.write_text(self.CORPUS)
+        for fmt in ("text", "json"):
+            code, out = run_cli("corpus", "run", str(path), "--format", fmt)
+            assert code == 3 and out == ""
+            err = capsys.readouterr().err
+            assert self.ERROR in err and "MISMATCH" not in err
+
+    def test_inconclusive_is_not_a_failure(self, monkeypatch):
+        self._fail_lead(monkeypatch, inconclusive=True)
+        code, out = run_cli(*self.CHECK)
+        assert code == 0
+        assert "leading coefficient: inconclusive (forced for the test)" \
+            in out
+        assert "FAILED" not in out
+
+
+class TestGoldenOutputs:
+    """In-process CLI output pinned byte for byte by files under
+    ``tests/data`` (the corpus in text and JSON, and the fifth-order family
+    ``u5 + a*u*u3 + b*u1*u2 + c*u^2*u1`` searched at order 7, weight 9:
+    two elements and three assumptions)."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("corpus", "run", "{corpus}"), "corpus_run.txt"),
+        (("corpus", "run", "{corpus}", "--format", "json"),
+         "corpus_run.json"),
+        (("find", "--equation", "u5 + a*u*u3 + b*u1*u2 + c*u^2*u1",
+          "--order", "7", "--weight", "9", "--const", "a,b,c"),
+         "find_fifth_order_o7w9.txt"),
+    ])
+    def test_output_matches_the_golden_file(self, corpus_path, capsys, argv,
+                                            golden):
+        argv = [a.format(corpus=corpus_path) for a in argv]
+        code, out = run_cli(*argv)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert out == (DATA / golden).read_text(encoding="utf-8")

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from evosym import const, exp_of, linalg, parse, u, x
 from evosym.expr import ONE, ZERO, DiffExpr, as_scalar, rational
-from evosym.linalg import _divide, _Packing, in_span, nullspace, rank
+from evosym.expr import _divide, _Packing
+from evosym.linalg import in_span, nullspace, rank
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -663,11 +664,18 @@ def _packed(names, num, *divisors):
     denominators, each divisor (an entry) times ``den`` and the numerator
     (a product of two entries) times ``den^2``, so an exact quotient is
     ``den`` times the rational one.  Returns ``(packing, polys, den)``."""
-    pk = _Packing(sorted(names), 8)
+    pk = _Packing([(1, nm) for nm in sorted(names)], 8)
     den = lcm(*(c.denominator for p in (num, *divisors)
                 for _, c in p.term_items()))
     return (pk, [pk.pack(num, den * den)]
             + [pk.pack(p, den) for p in divisors], den)
+
+
+def _inexact_in_the_sweep(num: dict, div, pk) -> None:
+    """The sweep's combination step on a cell whose numerator is ``num``
+    (pivot 1, a row without the pivot column) raises on the division."""
+    with pytest.raises(RuntimeError, match="inexact division"):
+        linalg._combine_rows({0: num}, {}, 1, {0: 1}, div, pk)
 
 
 class TestPackedDivision:
@@ -680,19 +688,23 @@ class TestPackedDivision:
     ])
     def test_non_multiple_raises(self, num, den):
         # without the degree box the lex descent would go on for ever
-        # through ever more negative powers
+        # through ever more negative powers; the shared division refutes,
+        # and the sweep raises on the refutation
         pk, (n, d), _ = _packed("abc", parse(num, "abc"), parse(den, "abc"))
-        with pytest.raises(RuntimeError, match="inexact division"):
-            _divide(n, pk.divisor(d), pk)
+        assert _divide(dict(n), pk.divisor(d), pk) is None
+        _inexact_in_the_sweep(n, pk.divisor(d), pk)
 
     @pytest.mark.parametrize("num, den", [("3*a + 3", "2*a + 2"),
                                           ("3", "2"), ("a^2 - 1", "2*a - 2")])
     def test_non_integral_quotient_raises(self, num, den):
-        # exact over Q but not over Z, which the cleared sweep never meets
-        pk = _Packing(["a"], 8)
+        # exact over Q but not over Z, which the cleared sweep never meets:
+        # the shared division needs the scale 2, and the sweep raises
+        pk = _Packing([(1, "a")], 8)
         n, d = (pk.pack(parse(p, "a"), 1) for p in (num, den))
-        with pytest.raises(RuntimeError, match="inexact division"):
-            _divide(n, pk.divisor(d), pk)
+        quo, s = _divide(dict(n), pk.divisor(d), pk)
+        assert s == 2
+        assert pk.unpack(quo, s) * pk.unpack(d) == pk.unpack(n)
+        _inexact_in_the_sweep(n, pk.divisor(d), pk)
 
     @pytest.mark.parametrize("q, den", [
         ("a - 1", "a + 1"),
@@ -703,7 +715,9 @@ class TestPackedDivision:
     def test_exact_multiple_gives_the_quotient(self, q, den):
         qe, de = parse(q, "abc"), parse(den, "abc")
         pk, (n, d), scale = _packed("abc", qe * de, de)
-        assert pk.unpack(_divide(n, pk.divisor(d), pk), scale) == qe
+        quo, s = _divide(n, pk.divisor(d), pk)
+        assert s == 1
+        assert pk.unpack(quo, scale) == qe
 
 
 def _products_reach(monkeypatch):
@@ -712,8 +726,8 @@ def _products_reach(monkeypatch):
     seen = {"L": None, "top": 0}
     sparse, fms = linalg._sparse, linalg._fms
 
-    def spy_sparse(rows, ncols, growth):
-        out = sparse(rows, ncols, growth)
+    def spy_sparse(rows, ncols):
+        out = sparse(rows, ncols)
         pk = out[1]
         seen["pk"], seen["L"] = pk, pk.half
         return out
@@ -739,8 +753,8 @@ def _matrix(cells):
 
 
 def test_exponents_at_the_proven_bound(monkeypatch):
-    # E = 2: with R = 3 pivots nullspace takes L = 2RE = 12 and in_span
-    # L = (R^2 + 1)E = 20; products in both matrices reach exactly L
+    # E = 2: with R = 3 pivots nullspace takes L = 2RE = 12, and so does
+    # in_span, two ranks on the same sweep; products in both reach exactly L
     rows = _matrix([["b^-2", "b^2 - 1", "b^2"],
                     ["b^2 + a", "b^2 + a", "b^2 - 1"],
                     ["b^2 + a", "b^2 - 1", "a^-2"],
@@ -754,9 +768,9 @@ def test_exponents_at_the_proven_bound(monkeypatch):
     rows = _matrix([["b^2 - 1", "b^2", "1"],
                     ["b^-2", "b^2", "a^-2"],
                     ["0", "a*b", "b^2"]])
-    target = _matrix([["2", "a^-2", "b^2 + a"]])[0]
+    target = _matrix([["a*b", "b^-2", "b^2"]])[0]
     seen["top"] = 0
     got = in_span(target, rows, 3)
-    assert (seen["L"], seen["top"]) == (20, 20)
+    assert (seen["L"], seen["top"]) == (12, 12)
     assert got == (_reference_nullspace(rows, 3)[1]
                    == _reference_nullspace(rows + [target], 3)[1])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,11 @@ class TestErrors:
         ("u1 +\n u^2^3^4^5", 2, 7, "exponent out of range (max 100000)"),
         ("u1 +\n u^9^9^9", 2, 7, "exponent out of range (max 100000)"),
         ("u1 +\n u^100001", 2, 4, "exponent out of range (max 100000)"),
+        # more digits than Python converts to an int
+        ("u1 +\n " + "7" * 5001, 2, 2, "integer literal of 5001 digits "
+         f"exceeds the limit of {sys.get_int_max_str_digits()} digits"),
+        ("u1 +\n u^" + "0" * 5001, 2, 4, "integer literal of 5001 digits "
+         f"exceeds the limit of {sys.get_int_max_str_digits()} digits"),
     ], ids=["unknown-identifier", "unexpected-character",
             "unexpected-character-after-tab", "expected-paren",
             "expected-paren-at-end", "expected-exp-paren",
@@ -125,7 +131,8 @@ class TestErrors:
             "division-by-u-before-trailing-token",
             "nonlinear-exp-before-trailing-token",
             "bad-character-before-division-by-zero", "tower-2^3^4^5",
-            "tower-9^9^9", "exponent-literal"])
+            "tower-9^9^9", "exponent-literal", "long-literal",
+            "long-exponent-literal"])
     def test_line_and_column_reported(self, source, line, column, message):
         with pytest.raises(ParseError) as err:
             parse(source)

@@ -5,9 +5,9 @@ calculus, symmetry verification and determining systems, x-dependence and
 time-dependence structure theory, and a finite-ansatz symmetry search.
 """
 
-from .expr import (DiffExpr, ExpressionError, Scalar, ZERO, ONE, const,
-                   exp_of, partial, rational, substitute, to_source, u,
-                   u_order, x, t)
+from .expr import (DiffExpr, ExpressionError, ZERO, ONE, const, exp_of,
+                   partial, rational, substitute, to_source, u, u_order, x,
+                   t)
 from .calculus import (DOperator, D_OP, ZERO_OP, ev_apply, frechet,
                        nabla_on_op, op_apply, op_commutator, op_compose,
                        total_d, total_d_power)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 BACKEND = "python"  # the term kernels (``_kernel_py``) are pure Python
 
 __all__ = [
-    "BACKEND", "DiffExpr", "ExpressionError", "Scalar", "ZERO", "ONE",
+    "BACKEND", "DiffExpr", "ExpressionError", "ZERO", "ONE",
     "const", "exp_of", "partial", "rational", "substitute",
     "to_source", "u", "u_order", "x", "t",
     "DOperator", "D_OP", "ZERO_OP", "ev_apply", "frechet", "nabla_on_op",

@@ -12,7 +12,8 @@ describing one normalized term:
   are invertible, so powers may be negative).
 * ``((2, gen, cmono), coeff)`` -- one component of the single exponential
   factor of the term: ``coeff * cmono * gen`` inside the exponent, with
-  ``cmono`` a sorted tuple of ``(name, power)``.  ``coeff`` is an exact
+  ``cmono`` a key of named-constant slots ``((1, name), power)`` only, so
+  the chain rule multiplies it in as it is.  ``coeff`` is an exact
   rational, an int when integral.
 
 Multiplying two terms adds the values of matching slots, which makes every
@@ -149,11 +150,7 @@ def diff_terms(a, gen):
             elif kind == 2:
                 if slot[1] != gen:
                     continue
-                cmono = slot[2]
-                if cmono:
-                    nk = mul_key(key, tuple(((1, nm), e) for nm, e in cmono))
-                else:
-                    nk = key
+                nk = mul_key(key, slot[2])
                 if type(val) is int:
                     nc = c * val
                 else:
@@ -211,7 +208,7 @@ def total_d_terms(a):
                         nk = head + ((up, 1),) + key[nxt:]
                 nc = c * val
             else:
-                factor = tuple(((1, nm), e) for nm, e in slot[2])
+                factor = slot[2]
                 if gen >= 0:
                     factor = (((0, gen + 1), 1),) + factor
                 nk = mul_key(key, factor)

@@ -89,11 +89,11 @@ def _compact_time(cls) -> str:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _structure(eq, rep, descended_lead: bool = False):
+def _structure(eq, rep):
     """The structure checks of a verified symmetry: the leading coefficient
     (order >= 2; ``None`` below), the x-power decomposition (``None`` with
-    x inside an exponential), the x-descent and, with ``descended_lead``,
-    the descended-leading-coefficient bound.  A failed check is a bug: it
+    x inside an exponential), the x-descent and, where it applies, the
+    descended-leading-coefficient bound.  A failed check is a bug: it
     raises ``SelfCheckError`` naming the candidate in source form, which
     exits 3 and never as a verdict."""
     try:
@@ -106,9 +106,8 @@ def _structure(eq, rep, descended_lead: bool = False):
             dec = representation_decompose(eq, rep)
         trace = x_descent(eq, rep)
         # the descended-leading-coefficient bound is degenerate for n = 2
-        if (descended_lead and eq.constant_separant and eq.time_independent
-                and eq.n >= 3 and rep.order is not None
-                and rep.order > eq.n - 1):
+        if (eq.constant_separant and eq.time_independent and eq.n >= 3
+                and rep.order is not None and rep.order > eq.n - 1):
             v = descent_leading_coeff_check(eq, rep)
             if not v.ok:
                 raise SelfCheckError(v.detail)
@@ -392,7 +391,7 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
         if expect_time is not None and not _time_matches(cls, expect_time):
             problems.append(f"time class mismatch for {source}: "
                             f"got {_compact_time(cls)}, want {expect_time}")
-        dec = _structure(eq, rep, descended_lead=True)[1]
+        dec = _structure(eq, rep)[1]
         lines.append("  structure ok"
                      + ("" if dec is None else f" (s = {dec.s})"))
     if verified:

@@ -52,65 +52,6 @@ def _gen_name(gen: int) -> str:
     return f"u{gen}"
 
 
-class Scalar:
-    """Value view of a one-term constant: a rational times a monomial in
-    named constants, as ``as_scalar`` and ``ScalingResult.lam_scalar`` give
-    it.  It defines no arithmetic; compute on ``DiffExpr`` and view the
-    result.
-
-    Constants are opaque and invertible; two scalars are equal exactly when
-    their reduced rational parts and sorted constant powers coincide.
-    """
-
-    __slots__ = ("q", "consts")
-
-    def __init__(self, q: Union[int, Fraction] = 1,
-                 consts: Iterable[tuple[str, int]] = ()) -> None:
-        q = Fraction(q)
-        consts = tuple(sorted((n, int(e)) for n, e in consts if e))
-        if not q:
-            consts = ()
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "consts", consts)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Scalar is immutable")
-
-    def __bool__(self) -> bool:
-        return bool(self.q)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.q == other.q and self.consts == other.consts
-
-    def __hash__(self):
-        if not self.consts:
-            return hash(self.q)
-        return hash((self.q, self.consts))
-
-    @property
-    def is_one(self) -> bool:
-        return self.q == 1 and not self.consts
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.consts
-
-    def to_expr(self) -> "DiffExpr":
-        key = tuple(((1, nm), e) for nm, e in self.consts)
-        q = self.q
-        return _reduced({key: q.numerator}, q.denominator) if q else ZERO
-
-    def __str__(self) -> str:
-        return to_source(self.to_expr())
-
-    def __repr__(self) -> str:
-        return f"Scalar({self})"
-
-
 class DiffExpr:
     """Canonical-form differential expression (immutable).
 
@@ -173,6 +114,12 @@ class DiffExpr:
     @property
     def is_zero(self) -> bool:
         return not self._t
+
+    @property
+    def is_rational(self) -> bool:
+        """True for a rational number, zero included: no term has a
+        constant, generator or exponential factor."""
+        return all(not key for key in self._t)
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -388,13 +335,11 @@ def _coerce(v) -> DiffExpr | None:
         return v
     if isinstance(v, (int, Fraction)):
         return _reduced({(): v.numerator}, v.denominator) if v else ZERO
-    if isinstance(v, Scalar):
-        return v.to_expr()
     return None
 
 
 def _expression(v) -> DiffExpr:
-    """``v`` as an expression (numbers and ``Scalar`` are coerced)."""
+    """``v`` as an expression (ints and Fractions are coerced)."""
     e = _coerce(v)
     if e is None:
         raise ExpressionError(f"not an expression: {v!r}")
@@ -452,28 +397,28 @@ def exp_of(arg) -> DiffExpr:
     """``exp(arg)`` for ``arg`` a scalar-linear combination of x, t, u.
 
     ``exp(0)`` is 1; products of exponentials merge by adding arguments
-    (that falls out of the slot encoding).
+    (that falls out of the slot encoding).  Each term ``c * cmono * gen`` of
+    the argument becomes the slot ``((2, gen, cmono), c)``, its constant
+    monomial ``cmono`` kept as the term's own ``((1, name), power)`` slots.
     """
     arg = _expression(arg)
     slots = []
     for key, c in arg.term_items():
         gen = None
-        cmono = []
         for slot, v in key:
             if slot[0] == 0:
                 if gen is not None or v != 1 or slot[1] not in (GEN_X, GEN_T, 0):
                     raise ExpressionError(
                         "exponential argument must be linear in x, t, u")
                 gen = slot[1]
-            elif slot[0] == 1:
-                cmono.append((slot[1], v))
-            else:
+            elif slot[0] == 2:
                 raise ExpressionError("nested exponentials are not allowed")
         if gen is None:
             raise ExpressionError(
                 "exponential argument must be a combination of x, t, u "
                 "with no constant term")
-        slots.append(((2, gen, tuple(sorted(cmono))), c))
+        cmono = tuple(sv for sv in key if sv[0][0] == 1)
+        slots.append(((2, gen, cmono), c))
     return DiffExpr({tuple(sorted(slots)): 1})
 
 
@@ -535,8 +480,7 @@ def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
             elif slot[0] == 1:
                 factor = factor * DiffExpr({((slot, v),): 1})
             else:
-                cm = DiffExpr({tuple(((1, nm), p) for nm, p in slot[2]): v})
-                arg = arg + cm * image(slot[1])
+                arg = arg + DiffExpr({slot[2]: v}) * image(slot[1])
         if arg:
             factor = factor * exp_of(arg)
         return factor
@@ -644,16 +588,12 @@ def split_by_power(e: DiffExpr, v) -> dict[int, DiffExpr]:
     return {p: _reduced(d, e._den) for p, d in out.items()}
 
 
-def as_scalar(e: DiffExpr) -> Scalar | None:
-    """The expression as a Scalar, or None when it is not one."""
-    if e.is_zero:
-        return Scalar(0)
-    if len(e._t) != 1:
+def as_scalar(e: DiffExpr) -> DiffExpr | None:
+    """``e`` itself when it is zero or one term of a rational times named
+    constants (a constant is a ``DiffExpr``), else None."""
+    if len(e._t) > 1 or any(slot[0] != 1 for key in e._t for slot, _ in key):
         return None
-    (key, c), = e._t.items()
-    if any(slot[0] != 1 for slot, _ in key):
-        return None
-    return Scalar(Fraction(c, e._den), ((slot[1], v) for slot, v in key))
+    return e
 
 
 def primitive_part(e: DiffExpr) -> DiffExpr:
@@ -853,7 +793,9 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     and divided by ``_divide``, which decides.  Its quotient is the unique
     Laurent one; constants and exponential factors are invertible but
     generators are not, so a negative generator power in it means that
-    ``b`` does not divide ``a`` in the class."""
+    ``b`` does not divide ``a`` in the class.  A slot whose quotient box
+    ``[lo_a - lo_b, hi_a - hi_b]`` is empty refutes the division before
+    anything is packed."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero expression")
     if a.is_zero:
@@ -864,6 +806,8 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     half = 0
     for s in slots:
         (lo_a, hi_a), (lo_b, hi_b) = ra.get(s, (0, 0)), rb.get(s, (0, 0))
+        if lo_a - lo_b > hi_a - hi_b:
+            return None
         top = max(-lo_a, hi_a, -lo_b, hi_b, abs(lo_a - lo_b), abs(hi_a - hi_b))
         half = max(half, int(top * scale) if s[0] == 2 else top)
     pk = _Packing(slots, half, scale)
@@ -952,7 +896,7 @@ def _mono_src(name: str, power: int) -> str:
 def _arg_src(slots) -> str:
     parts = []
     for (_, gen, cmono), q in slots:
-        factors = [_mono_src(nm, p) for nm, p in cmono] + [_gen_name(gen)]
+        factors = [_mono_src(s[1], p) for s, p in cmono] + [_gen_name(gen)]
         mag = abs(q)
         if mag != 1:
             factors.insert(0, _num_src(mag))

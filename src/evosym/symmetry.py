@@ -61,7 +61,6 @@ class EvolutionEquation:
     F: DiffExpr
     n: int
     separant: DiffExpr
-    f: DiffExpr | None
     deriv_depth: int
     constant_separant: bool
     kdv_like: bool
@@ -97,8 +96,7 @@ def classify(F: DiffExpr) -> EvolutionEquation:
         if not is_t_only(partial(F, n - i)):
             break
         depth = i
-    return EvolutionEquation(F=F, n=n, separant=separant, f=f,
-                             deriv_depth=depth,
+    return EvolutionEquation(F=F, n=n, separant=separant, deriv_depth=depth,
                              constant_separant=constant_separant,
                              kdv_like=kdv_like,
                              time_independent=time_independent)

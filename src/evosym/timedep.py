@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .expr import GEN_T, DiffExpr, Scalar, as_scalar, is_t_only, occurs, partial, u_order
+from .expr import GEN_T, DiffExpr, is_t_only, occurs, partial, u_order
 from .symmetry import EvolutionEquation, SelfCheckError, SymmetryReport, bracket, is_symmetry
 
 TIME_INDEPENDENT = "independent"
@@ -52,16 +52,9 @@ class TimeDependenceClass:
 
 def _term_rate(key) -> tuple:
     """The exp(lambda*t) content of a term key, as a sorted tuple of
-    (constant-monomial, Fraction) components."""
+    (constant-monomial key, rational) components."""
     return tuple(sorted((slot[2], v) for slot, v in key
                         if slot[0] == 2 and slot[1] == GEN_T))
-
-
-def _rate_expr(rate: tuple) -> DiffExpr:
-    terms = {}
-    for cmono, q in rate:
-        terms[tuple(((1, nm), e) for nm, e in cmono)] = q
-    return DiffExpr(terms)
 
 
 def _t_degree(key) -> int:
@@ -86,7 +79,7 @@ def classify_time(G: DiffExpr) -> TimeDependenceClass:
         if deg == 0:
             return TimeDependenceClass(TIME_INDEPENDENT)
         return TimeDependenceClass(POLYNOMIAL, degree=deg)
-    spec = tuple(sorted(((_rate_expr(r), m) for r, m in spectrum.items()),
+    spec = tuple(sorted(((DiffExpr(dict(r)), m) for r, m in spectrum.items()),
                         key=lambda it: it[0].term_items()))
     return TimeDependenceClass(QUASIPOLYNOMIAL,
                                degree=max(spectrum.values()), spectrum=spec)
@@ -217,10 +210,6 @@ class ScalingResult:
     @property
     def found(self) -> bool:
         return self.lam is not None
-
-    @property
-    def lam_scalar(self) -> Scalar | None:
-        return None if self.lam is None else as_scalar(self.lam)
 
 
 def scaling_test(eq: EvolutionEquation, Q0: DiffExpr) -> ScalingResult:

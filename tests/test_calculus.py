@@ -132,8 +132,11 @@ def test_total_d_matches_partial_composition(seed):
     "(u3 + 6*u*u1)*exp(a*u + b*x - t) + a^-1*x*u2",
     "x^2*u1^3*exp(2*u - x) + a*b*u*u1",
     "t*u^2*u1*exp(-3/2*a*u + 1/2*t) - exp(b*x)",
+    "u1*exp(a*b^-1*x + a^2*u - 3/2*b*t)",
 ])
 def test_total_d_against_sympy(source):
+    """``D`` and ``partial`` by x, t and u, each against sympy: the
+    exponential rates' constant monomials go through both kernels."""
     sp = pytest.importorskip("sympy")
     names = {"x": sp.Symbol("x"), "t": sp.Symbol("t"), "a": sp.Symbol("a"),
              "b": sp.Symbol("b"), "exp": sp.exp, "u": sp.Symbol("u0")}
@@ -148,6 +151,9 @@ def test_total_d_against_sympy(source):
     expected = sp.diff(f, names["x"]) + sum(
         us[i + 1] * sp.diff(f, us[i]) for i in range(len(us) - 1))
     assert sp.expand(to_sympy(total_d(e)) - expected) == 0
+    for gen in ("x", "t", "u"):
+        got = to_sympy(partial(e, gen))
+        assert sp.expand(got - sp.diff(f, names[gen])) == 0
 
 
 # -- randomized laws ----------------------------------------------------------

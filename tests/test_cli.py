@@ -9,7 +9,8 @@ import pytest
 
 from evosym import cli, parse
 from evosym.cli import REPORT_SCHEMA, build_parser, main, parse_corpus
-from evosym.symmetry import LeadingCoefficientVerdict, SelfCheckError
+from evosym.symmetry import (DescentLeadingVerdict, LeadingCoefficientVerdict,
+                             SelfCheckError)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -384,7 +385,14 @@ class TestStructureFailures:
 
         monkeypatch.setattr(cli, "x_descent", broken)
 
-    @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent"])
+    @staticmethod
+    def _fail_descended_lead(monkeypatch):
+        verdict = DescentLeadingVerdict(False, 0, None, "forced for the test")
+        monkeypatch.setattr(cli, "descent_leading_coeff_check",
+                            lambda eq, rep: verdict)
+
+    @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent",
+                                      "_fail_descended_lead"])
     def test_check_exits_3(self, monkeypatch, capsys, fail):
         getattr(self, fail)(monkeypatch)
         for fmt in ("text", "json"):
@@ -392,7 +400,8 @@ class TestStructureFailures:
             assert code == 3 and out == ""
             assert self.ERROR in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent"])
+    @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent",
+                                      "_fail_descended_lead"])
     def test_corpus_run_exits_3(self, monkeypatch, capsys, tmp_path, fail):
         getattr(self, fail)(monkeypatch)
         path = tmp_path / "one.corpus"

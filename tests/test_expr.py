@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (ExpressionError, Scalar, const, exp_of, parse, partial,
+from evosym import (ExpressionError, const, exp_of, parse, partial,
                     rational, substitute, to_source, total_d, u, u_order, x,
                     t)
 from evosym import expr as ex
@@ -135,24 +135,29 @@ class TestUOrder:
 
 
 class TestScalar:
+    """A one-term constant is a ``DiffExpr``: a rational times named
+    constants, in the one normal form."""
+
     def test_normal_form_equality(self):
-        assert Scalar(Fraction(2, 4), [("b", 1), ("a", 2)]) == \
-            Scalar(Fraction(1, 2), [("a", 2), ("b", 1)])
+        a, b = const("a"), const("b")
+        s1 = Fraction(2, 4) * b * a ** 2
+        s2 = Fraction(1, 2) * a ** 2 * b
+        assert s1 == s2 and hash(s1) == hash(s2)
+        assert s1.term_items() == (((((1, "a"), 2), ((1, "b"), 1)),
+                                    Fraction(1, 2)),)
 
     def test_arithmetic(self):
-        # Scalar is a value view: the products and quotients run on DiffExpr
-        # constants, and as_scalar reads the results
         a, b = const("a"), const("b")
         s = (2 * a) * (Fraction(1, 2) * a ** -1 * b)
-        assert as_scalar(s) == Scalar(1, [("b", 1)])
-        assert as_scalar(s / s).is_one
-        assert as_scalar(s / (3 * a / 7)) == Scalar(Fraction(7, 3),
-                                                    [("a", -1), ("b", 1)])
+        assert s == b
+        assert s / s == ONE and (s / s).is_rational
+        assert s / (3 * a / 7) == Fraction(7, 3) * a ** -1 * b
+        assert to_source(s / (3 * a / 7)) == "7/3*a^-1*b"
 
     def test_division_takes_one_term_constants_only(self):
         assert u1 / Fraction(2, 3) == 3 * u1 / 2
         assert u1 / (-2 * const("a")) == -u1 * const("a") ** -1 / 2
-        assert u1 / Scalar(Fraction(1, 5), [("b", 2)]) == \
+        assert u1 / (Fraction(1, 5) * const("b") ** 2) == \
             5 * u1 * const("b") ** -2
         for zero in (0, Fraction(0), ZERO):
             with pytest.raises(ZeroDivisionError, match="zero scalar"):
@@ -165,9 +170,14 @@ class TestScalar:
                 u1 / other
 
     def test_as_scalar(self):
-        assert as_scalar(3 * const("a") ** 2 / 2) == Scalar(Fraction(3, 2), [("a", 2)])
+        s = 3 * const("a") ** 2 / 2
+        assert as_scalar(s) is s and not s.is_rational
+        assert as_scalar(ZERO) is ZERO and ZERO.is_rational
+        assert as_scalar(rational(-4, 3)).is_rational
         assert as_scalar(const("a") + const("b")) is None
+        assert as_scalar(const("a") + 1) is None
         assert as_scalar(u1) is None
+        assert as_scalar(exp_of(const("a") * t)) is None
 
 
 class TestTermBudget:
@@ -267,17 +277,9 @@ class TestDivision:
         q = try_divide(u0 ** 10001 - 1, u0 - 1)
         assert q == sum((u0 ** i for i in range(10001)), ZERO)
 
-    @pytest.mark.parametrize("num, den", [
-        # a lex descent through ever lower powers of the invertible factors
-        # would not end; the quotient's degree box is empty
-        ("exp(x)", "exp(x) + 2"),
-        ("-3/2", "-3*exp(2/3*a*u) + exp(-1/3*t) + 2"),
-        ("1", "a + 1"),
-        ("u1^2 + a", "u1 - a^-1*exp(u)"),
-    ])
-    def test_non_multiple_is_decided_promptly(self, monkeypatch, num, den):
-        # the shared division refutes at the first lead: it returns None
-        # with the remainder untouched, so no quotient term was formed
+    @staticmethod
+    def _divide_spy(monkeypatch):
+        """Record ``(result, remainder untouched)`` for each ``_divide``."""
         divide, seen = ex._divide, []
 
         def spy(rem, div, pk):
@@ -287,6 +289,35 @@ class TestDivision:
             return out
 
         monkeypatch.setattr(ex, "_divide", spy)
+        return seen
+
+    @pytest.mark.parametrize("num, den", [
+        # a lex descent through ever lower powers of the invertible factors
+        # would not end; the quotient's degree box is empty
+        ("exp(x)", "exp(x) + 2"),
+        ("-3/2", "-3*exp(2/3*a*u) + exp(-1/3*t) + 2"),
+        ("1", "a + 1"),
+        ("u1^2 + a", "u1 - a^-1*exp(u)"),
+        ("u1", "u1 + u2"),
+    ])
+    def test_non_multiple_is_decided_promptly(self, monkeypatch, num, den):
+        # some slot's quotient box is empty (the divisor's range of it is
+        # wider than the numerator's), so nothing is packed or divided
+        seen = self._divide_spy(monkeypatch)
+        assert try_divide(parse(num, "a"), parse(den, "a")) is None
+        assert seen == []
+
+    @pytest.mark.parametrize("num, den", [
+        ("u1 + u2", "u1*u2 + 1"),
+        ("u1^2 + u2^2", "u1*u2 + 1"),
+        ("a*exp(x) + u", "exp(x)*u + a^-1"),
+    ])
+    def test_non_multiple_in_the_slot_boxes_fails_at_the_first_lead(
+            self, monkeypatch, num, den):
+        # every slot's box is nonempty, so the shared division runs; it
+        # refutes at the first lead and returns None with the remainder
+        # untouched, so no quotient term was formed
+        seen = self._divide_spy(monkeypatch)
         assert try_divide(parse(num, "a"), parse(den, "a")) is None
         assert seen == [(None, True)]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import const, exp_of, linalg, parse, u, x
-from evosym.expr import ONE, ZERO, DiffExpr, as_scalar, rational
+from evosym.expr import ONE, ZERO, rational
 from evosym.expr import _divide, _Packing
 from evosym.linalg import in_span, nullspace, rank
 
@@ -150,15 +150,14 @@ def _reference_nullspace(rows, ncols):
             if m[i][piv_c]:
                 if sel is None:
                     sel = i
-                s = ex.as_scalar(m[i][piv_c])
-                if s is not None and s.is_rational:
+                if m[i][piv_c].is_rational:
                     sel = i
                     break
         if sel is None:
             continue
         m[sel], m[piv_r] = m[piv_r], m[sel]
         p = m[piv_r][piv_c]
-        if ex.as_scalar(p) is None or not ex.as_scalar(p).is_rational:
+        if not p.is_rational:
             assumptions.append(p)
         for i in range(nrows):
             if i == piv_r:
@@ -227,15 +226,16 @@ def _reference_primitive(p):
     """``p`` over the largest rational times constant monomial dividing
     all its terms, with its leading term (last in canonical order)
     positive."""
-    scalars = [as_scalar(DiffExpr({k: c})) for k, c in p.term_items()]
+    items = p.term_items()
     num = den = 0
-    for s in scalars:
-        num = gcd(num, s.q.numerator)
-        den = s.q.denominator if not den else lcm(den, s.q.denominator)
+    for _, c in items:
+        q = Fraction(c)
+        num = gcd(num, q.numerator)
+        den = q.denominator if not den else lcm(den, q.denominator)
     content = rational(Fraction(num, den))
-    for nm in {nm for s in scalars for nm, _ in s.consts}:
-        content = content * const(nm) ** min(dict(s.consts).get(nm, 0)
-                                             for s in scalars)
+    powers = [{s[1]: v for s, v in key} for key, _ in items]
+    for nm in set().union(*powers):
+        content = content * const(nm) ** min(pw.get(nm, 0) for pw in powers)
     out = p * content ** -1
     return -out if out.term_items()[-1][1] < 0 else out
 

@@ -313,3 +313,44 @@ def test_fifth_order_family_system_gives_the_dense_bareiss_result(
     assert res.pivot_assumptions  # the constants reach the pivots
     assert (res.basis, res.rank, res.pivot_assumptions) \
         == _blockwise_reference(rows, ncols)
+
+
+FIFTH_ORDER = "u5 + {a}*u*u3 + {b}*u1*u2 + {c}*u^2*u1"
+
+
+def _at_point(e, values):
+    """A constant expression evaluated at numbers for its constants, read
+    from its terms."""
+    out = Fraction(0)
+    for key, c in e.term_items():
+        term = Fraction(c)
+        for slot, power in key:
+            assert slot[0] == 1, "an assumption has constant slots only"
+            term *= Fraction(values[slot[1]]) ** power
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("point, dim", [
+    ((5, 5, 5), 3),      # Sawada-Kotera
+    ((10, 25, 20), 3),   # Kaup-Kupershmidt
+    ((10, 20, 30), 4),   # Lax
+    ((10, 20, 20), 2),   # on b = 2a, off the integrable loci
+], ids=["sawada-kotera", "kaup-kupershmidt", "lax", "off-the-loci"])
+def test_pivot_assumptions_vanish_where_the_dimension_rises(point, dim):
+    # the symbolic search's answer holds where its assumptions are nonzero,
+    # so a point with more symmetries than it must zero one of them; a zero
+    # assumption need not raise the dimension (the last point)
+    cfg = AnsatzConfig(order=7, weight_max=9)
+    symbolic = find_symmetries(
+        classify(parse(FIFTH_ORDER.format(a="a", b="b", c="c"),
+                       ["a", "b", "c"])), cfg)
+    assert len(symbolic.basis) == 2 and symbolic.pivot_assumptions
+    values = dict(zip("abc", point))
+    numeric = find_symmetries(classify(parse(FIFTH_ORDER.format(**values))),
+                              cfg)
+    assert len(numeric.basis) == dim
+    vanishing = [p for p in symbolic.pivot_assumptions
+                 if _at_point(p, values) == 0]
+    if dim > len(symbolic.basis):
+        assert vanishing

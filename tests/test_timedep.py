@@ -157,7 +157,7 @@ class TestScaling:
         res = scaling_test(heat, exp_of(x))
         assert res.found and res.lam == ONE
         assert res.certified is not None and res.certified.is_symmetry
-        assert res.lam_scalar is not None and res.lam_scalar.q == 1
+        assert res.lam.is_rational
 
     def test_degenerate_lambda_zero(self, kdv):
         res = scaling_test(kdv, u1)

@@ -1,31 +1,48 @@
 """Exact sparse row reduction over rationals extended by named constants.
 
 Matrix entries are constant expressions (elements of the ring of Laurent
-polynomials in the named constants over Q); any other entry, and a ragged
-matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads the
-matrix once and stores each entry times ``den``, the lcm of the entries'
-denominators (each ``DiffExpr`` keeps one), as a packed polynomial
-(``expr._Packing``, one slot ``(1, name)`` per named constant) with ``int``
-coefficients, in dict rows from column to nonzero value.  A rational entry
-packs to the one monomial ``0``, so every matrix takes the same path.
+polynomials in the named constants over Q); any other entry (a ``DiffExpr``
+with a variable, or not a ``DiffExpr`` at all, ``int`` 0 included), and a
+ragged matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads
+the matrix once and stores each entry times ``den``, the lcm of the
+entries' denominators (each ``DiffExpr`` keeps one), as a packed
+polynomial (``expr._Packing``, one slot ``(1, name)`` per named constant)
+with ``int`` coefficients, in dict rows from column to nonzero value.  A
+rational entry packs to the one monomial ``0``, so every matrix takes the
+same path.
 
 One elimination (``_reduce``) serves ``nullspace`` and ``rank``, and
 ``in_span`` compares two ranks.  It splits the matrix into its connected
 components (below) and runs one fraction-free Gauss-Jordan (Bareiss) pivot
 loop, ``_sweep``, on each.  Within a component, columns are swept left to
-right; the pivot row is the first remaining row with a nonzero entry, or
-the first with a rational one when there is one.  Every sweep updates the
-component's rows to ``(p * row - row[c] * pivot_row) / prev``, with ``p``
-the pivot and ``prev`` the previous pivot of the component (1 before its
-first), on the cells where the row or the pivot row is nonzero.  After the
-last sweep every pivot entry of a component equals its final pivot d.
+right.  Sweep k takes a pivot ``p`` in column c and turns every other row
+of the component into ``(p * row - row[c] * pivot_row) / prev``, with
+``prev`` the previous pivot of the component (1 before its first); a row
+without column c is only scaled by ``p / prev``.
+
+The pending scale.  ``_sweep`` leaves a row without the pivot column
+alone.  Each stored row X keeps ``base``, the pivot at its last real update
+(1 before any), and stands for the row ``X * prev / base`` of the sweep
+above: the scales ``p_j / p_{j-1}`` of the sweeps it skipped telescope to
+``prev / base``.  A row with column c becomes ``(p * X - X[c] * R) / base``
+on the cells where X or R is nonzero, and its base becomes p; this is
+``(p * M - M[c] * R) / prev`` for M the row X stands for, the same entries
+as before, so the division by the row's own base is exact as every other.
+The pivot row R is brought up to date, ``X * prev / base``, before ``p =
+R[c]`` is read, and after the last sweep every pivot row is brought up to
+the final pivot d, so every pivot entry of a component equals d.  The
+pivot row is the first remaining row with a nonzero entry, or the first
+whose current entry ``prev * X[c] / base`` is rational when there is one:
+the stored entry of a skipped row can be rational where the current one
+is not.
 
 Integers.  After k sweeps every entry of a component's pivot rows is a k x
 k minor of the component, hence of the input (Cramer's rule), and every
-entry of its other rows a (k+1) x (k+1) minor (Sylvester's identity).  So
-every division is exact in Laurent polynomials over Z, the ring of the
-cleared entries.  Each is ``expr._divide``, the one exact division, and a
-refuted division or a remainder is a bug and raises.  A minor of order j
+entry of its other rows a (k+1) x (k+1) minor (Sylvester's identity); so
+is every quotient of the pending scale, which is such an entry.  So every
+division is exact in Laurent polynomials over Z, the ring of the cleared
+entries.  Each is ``expr._divide``, the one exact division, and a refuted
+division or a remainder is a bug and raises.  A minor of order j
 is ``den^j`` times the input's, so zero tests, pivot choices and ranks are
 the input's, and each pivot is a rational unit times the input's.
 
@@ -36,9 +53,11 @@ component, so divided by ``den^r`` it is the vector of the same sweep on
 the input.  Without named constants it is divided by d instead, ``den^r``
 times the input's final pivot: the sweep ends at d times the reduced row
 echelon form, so this gives that form's basis, with 1 at f.  Every vector
-is checked against every input row, ``A v = 0``, in expression term
-arithmetic (each row as one fused sum of products,
-``expr.sum_of_products``), independently of the packing and the clearing.
+is checked against the input, ``A v = 0``, in expression term arithmetic
+(each row as one fused sum of products, ``expr.sum_of_products``),
+independently of the packing and the clearing.  Only the rows that share
+a column with v are summed, found through one column-to-rows index: every
+other row's sum has no terms and is zero, so the check proves the same.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
@@ -85,10 +104,14 @@ in any input entry and R the number of rows or of columns that is smaller
 most k + 1 (above), and k is at most the component's rank, so at most R.
 A minor of order j is a sum of products of j entries, so its exponents lie
 in ``[-jE, jE]``.  Sweep k multiplies entries that are minors of order at
-most k, so every product and numerator has exponents in ``[-2kE, 2kE]``;
-quotients are the next entries, and the division forms no monomial outside
-the range of its numerator.  The packing therefore takes the digit
-half-width ``L = 2RE``.
+most k: the pivot and the up-to-date pivot row, and a stored row, which
+was last updated at an earlier sweep and so holds minors of order at most
+k (``prev``, which brings a row up to date, has order k - 1, and the final
+pivot d and the stored rows it multiplies have order at most the
+component's rank).  So every product and numerator has exponents in
+``[-2kE, 2kE]``; quotients are entries of the sweep, and the division
+forms no monomial outside the range of its numerator.  The packing
+therefore takes the digit half-width ``L = 2RE``.
 """
 
 from __future__ import annotations
@@ -148,10 +171,15 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int):
             raise ValueError("ragged matrix")
         row = {}
         for c, e in enumerate(r):
-            if not e:
+            try:
+                t = e._t
+            except AttributeError:
+                raise ValueError("matrix entries must be constant "
+                                 "expressions") from None
+            if not t:
                 continue
             den = lcm(den, e._den)
-            for key in e._t:
+            for key in t:
                 for slot, v in key:
                     if slot[0] != 1:
                         raise ValueError(
@@ -166,23 +194,35 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int):
     return m, pk, den, original
 
 
+def _exact(num: dict, div, pk: ex._Packing) -> dict:
+    """``num / base`` for ``div = pk.divisor(base)``.  Every division of
+    the sweep is exact over Z (see the module docstring), so a refuted one
+    or one that needs a scale is a bug and raises."""
+    got = ex._divide(num, div, pk)
+    if got is None or got[1] != 1:
+        raise RuntimeError(_INEXACT)
+    return got[0]
+
+
 def _combine_rows(row: dict, row_p: dict, c: int, p: dict, div,
                   pk: ex._Packing) -> dict:
-    """``(p * row - row[c] * row_p) / prev`` over the cells where ``row``
-    or ``row_p`` is nonzero; ``div`` is ``pk.divisor(prev)``.  Every
-    division is exact over Z (see the module docstring), so a refuted one
-    or one that needs a scale is a bug and raises."""
+    """``(p * row - row[c] * row_p) / base`` over the cells where ``row``
+    or ``row_p`` is nonzero; ``div`` is ``pk.divisor(base)``, for ``base``
+    the pivot at the row's last update."""
     fi = row.get(c)
-    keys = row.keys() | row_p.keys() if fi is not None else row.keys()
     out = {}
-    for k in keys:
+    for k in row.keys() | row_p.keys():
         num = _fms(p, row.get(k), fi, row_p.get(k))
         if num:
-            got = ex._divide(num, div, pk)
-            if got is None or got[1] != 1:
-                raise RuntimeError(_INEXACT)
-            out[k] = got[0]
+            out[k] = _exact(num, div, pk)
     return out
+
+
+def _rescale(row: dict, s: dict, div, pk: ex._Packing) -> dict:
+    """``row * s / base``, the row brought up to the pivot ``s``; ``div``
+    is ``pk.divisor(base)``."""
+    return {k: _exact(_fms(s, v, None, None), div, pk)
+            for k, v in row.items()}
 
 
 def _components(m: list[dict],
@@ -218,15 +258,19 @@ def _components(m: list[dict],
 def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
            assumptions: list[dict]):
     """Fraction-free Gauss-Jordan on the packed rows ``m`` of one component
-    over its columns ``cols``, in place; pivot rows are moved to the top
-    and symbolic pivots appended to ``assumptions``.  Returns ``(pivot
-    columns by row, final pivot)``."""
+    over its columns ``cols``, in place; pivot rows are moved to the top,
+    brought up to the final pivot, and symbolic pivots appended to
+    ``assumptions``.  Returns ``(pivot columns by row, final pivot)``."""
     pivots: list[int] = []
-    prev = {0: 1}
+    # each row's (base, pk.divisor(base)), base the pivot at its last
+    # update, and the same pair for the last pivot, prev
+    cur = ({0: 1}, None)
+    stamp = [cur] * len(m)
     for c in cols:
         r = len(pivots)
         if r == len(m):
             break
+        prev = cur[0]
         sel = None
         for i in range(r, len(m)):
             e = m[i].get(c)
@@ -234,23 +278,32 @@ def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
                 continue
             if sel is None:
                 sel = i
+            if stamp[i] is not cur:  # the current entry, prev * e / base
+                e = _exact(_fms(prev, e, None, None), stamp[i][1], pk)
             if e.keys() == {0}:
                 sel = i  # prefer a rational pivot: no genericity assumption
                 break
         if sel is None:
             continue
         m[sel], m[r] = m[r], m[sel]
+        stamp[sel], stamp[r] = stamp[r], stamp[sel]
+        if stamp[r] is not cur:
+            m[r] = _rescale(m[r], prev, stamp[r][1], pk)
         row_p = m[r]
         p = row_p[c]
         if p.keys() != {0}:
             assumptions.append(p)
-        div = pk.divisor(prev)
+        cur = stamp[r] = (p, pk.divisor(p))
         for i, row in enumerate(m):
-            if i != r:
-                m[i] = _combine_rows(row, row_p, c, p, div, pk)
-        prev = p
+            if c in row and i != r:
+                m[i] = _combine_rows(row, row_p, c, p, stamp[i][1], pk)
+                stamp[i] = cur
         pivots.append(c)
-    return pivots, prev
+    d = cur[0]
+    for i in range(len(pivots)):
+        if stamp[i] is not cur:
+            m[i] = _rescale(m[i], d, stamp[i][1], pk)
+    return pivots, d
 
 
 def _reduce(m: list[dict], ncols: int, pk: ex._Packing):
@@ -302,10 +355,16 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
             vecs[f] = vec
     basis = [vecs[f] for f in sorted(vecs)]
 
-    for vec in basis:  # exact verification of A v = 0
-        for row in original:
+    # exact verification of A v = 0, on the rows that share a column with
+    # v: every other row's sum has no terms
+    rows_at: dict[int, list[int]] = {}
+    for i, row in enumerate(original):
+        for c in row:
+            rows_at.setdefault(c, []).append(i)
+    for vec in basis:
+        for i in {i for c in vec for i in rows_at.get(c, ())}:
             if ex.sum_of_products((1, e, vec[c])
-                                  for c, e in row.items() if c in vec):
+                                  for c, e in original[i].items() if c in vec):
                 raise RuntimeError("nullspace verification failed (bug)")
 
     dense = tuple(tuple(vec.get(c, ex.ZERO) for c in range(ncols))

@@ -9,8 +9,6 @@ never trusted from the implementation under test.
 import random
 import time
 
-import pytest
-
 from evosym import (AnsatzConfig, annihilator, bracket, classify,
                     classify_time, descent_bound, descent_leading_coeff_check,
                     determining_system, ev_apply, exp_of, expr_in_span,

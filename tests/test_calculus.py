@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (DOperator, D_OP, ZERO_OP, const, ev_apply, exp_of,
+from evosym import (DOperator, D_OP, const, ev_apply, exp_of,
                     frechet, linalg, nabla_on_op, op_apply, op_commutator,
                     op_compose, parse, partial, to_source, total_d,
                     total_d_power, u, u_order, x, t)
 from evosym import expr as ex
-from evosym.expr import (GEN_T, GEN_X, ONE, ZERO, ExpressionError, kernel,
+from evosym.expr import (GEN_T, GEN_X, ONE, ExpressionError, kernel,
                          rational)
 
 from conftest import random_expr

@@ -1,13 +1,15 @@
-"""Every module-level import in the package is used (``__init__.py``, which
-imports to re-export, excepted), neither the term kernels nor the parser
-touch ``fractions.Fraction``, and no module keeps results in module state."""
+"""Every module-level import in the package (``__init__.py``, which imports
+to re-export, excepted) and in the tests is used, neither the term kernels
+nor the parser touch ``fractions.Fraction``, and no module keeps results in
+module state."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "evosym"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "evosym"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,10 +33,12 @@ def test_the_check_sees_unused_and_used_names():
     assert unused_imports(source) == ["os", "gcd"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"] + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_imports_are_used(path):
-    assert unused_imports((PACKAGE / path).read_text()) == []
+    assert unused_imports(path.read_text()) == []
 
 
 def fraction_uses(source: str) -> list[str]:

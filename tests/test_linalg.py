@@ -643,6 +643,50 @@ def test_block_structured_matrices_match_the_references(seed, symbolic):
     assert in_span(target, rows, ncols) == expected
 
 
+# -- the pending scale --------------------------------------------------------
+
+@pytest.mark.parametrize("cells, assumptions", [
+    ([["a", "0"], ["a", "1 + a"], ["0", "1"]], ("a + 1",)),
+    ([["a", "0", "1"], ["a", "1 + a", "0"], ["0", "1", "1"]],
+     ("a + 1", "a + 2")),
+])
+def test_the_rational_preference_reads_the_current_entry(cells, assumptions):
+    # the first sweep leaves the third row, without column 0, at its stored
+    # entry 1 in column 1, whose current entry is the pivot a; read from
+    # the stored entry, the preference would take the third row as pivot
+    # and lose the assumption a + 1 of the second row's a^2 + a
+    rows = _matrix(cells)
+    res = nullspace(rows, len(cells[0]))
+    assert (res.basis, res.rank, res.pivot_assumptions) \
+        == _blockwise_reference(rows, len(cells[0]))
+    assert res.pivot_assumptions == tuple(parse(p, "a") for p in assumptions)
+
+
+@pytest.mark.parametrize("symbolic, seed", [(False, 24), (True, 26)],
+                         ids=["rational", "symbolic"])
+def test_only_rows_holding_the_pivot_column_are_combined(monkeypatch,
+                                                         symbolic, seed):
+    # a row without the pivot column keeps its pending scale and is left
+    # alone; in these matrices a sweep rescaling every row of a component
+    # would combine 2 and 4 such rows
+    combine, seen = linalg._combine_rows, []
+
+    def spy_combine(row, row_p, c, *rest):
+        seen.append(c in row)
+        return combine(row, row_p, c, *rest)
+
+    monkeypatch.setattr(linalg, "_combine_rows", spy_combine)
+    rows, ncols = _block_matrix(random.Random(seed), symbolic)
+    res = nullspace(rows, ncols)
+    assert seen and all(seen)
+    assert res.rank == _reference_nullspace(rows, ncols)[1]
+    if symbolic:
+        assert (res.basis, res.rank, res.pivot_assumptions) \
+            == _blockwise_reference(rows, ncols)
+    else:
+        assert res.basis == _reference_rref(rows, ncols)[0]
+
+
 class TestInputCheck:
     @pytest.mark.parametrize("entry", [u(), x, exp_of(x), const("a") * u(2)])
     def test_non_constant_entries_are_rejected(self, entry):
@@ -656,6 +700,20 @@ class TestInputCheck:
                 in_span([ZERO, ZERO], rows, 2)
             with pytest.raises(ValueError, match="constant expressions"):
                 in_span(rows[0], [[ONE, ONE]], 2)
+
+    @pytest.mark.parametrize("entry", [3, 0, 1.5, "a", None])
+    def test_non_expression_entries_are_rejected(self, entry):
+        # an int 0 is not read as zero, nor any other entry as a constant
+        for rows in ([[entry]], [[ONE, entry]]):
+            ncols = len(rows[0])
+            with pytest.raises(ValueError, match="constant expressions"):
+                nullspace(rows, ncols)
+            with pytest.raises(ValueError, match="constant expressions"):
+                rank(rows, ncols)
+            with pytest.raises(ValueError, match="constant expressions"):
+                in_span([ZERO] * ncols, rows, ncols)
+            with pytest.raises(ValueError, match="constant expressions"):
+                in_span(rows[0], [[ONE] * ncols], ncols)
 
 
 def _packed(names, num, *divisors):
@@ -673,7 +731,7 @@ def _packed(names, num, *divisors):
 
 def _inexact_in_the_sweep(num: dict, div, pk) -> None:
     """The sweep's combination step on a cell whose numerator is ``num``
-    (pivot 1, a row without the pivot column) raises on the division."""
+    (pivot 1 and an empty pivot row) raises on the division."""
     with pytest.raises(RuntimeError, match="inexact division"):
         linalg._combine_rows({0: num}, {}, 1, {0: 1}, div, pk)
 

@@ -9,7 +9,7 @@ from evosym import (DOperator, DegenerateCaseError, SelfCheckError, bracket,
                     dimension_bound, exp_of, is_symmetry,
                     leading_coefficient_check, linearized_residual_operator,
                     mastersymmetry_test, parse, representation_decompose, u,
-                    u_order, x, t, x_descent)
+                    x, t, x_descent)
 from evosym.expr import ONE, ZERO, ExpressionError, rational
 
 from conftest import bracket_oracle, random_expr, random_rhs

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (annihilator, classify, classify_time, const,
-                    dt_closure_check, exp_of, is_symmetry,
-                    mastersymmetry_test, parse, partial,
-                    predict_time_dependence, probe_time_shapes,
+                    dt_closure_check, exp_of, mastersymmetry_test, parse,
+                    partial, predict_time_dependence, probe_time_shapes,
                     scaling_test, u, x, t)
 from evosym.expr import ONE, ZERO, rational
 from evosym.timedep import POLYNOMIAL, QUASIPOLYNOMIAL, TIME_INDEPENDENT

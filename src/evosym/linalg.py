@@ -12,13 +12,19 @@ rational entry packs to the one monomial ``0``, so every matrix takes the
 same path.
 
 One elimination (``_reduce``) serves ``nullspace`` and ``rank``, and
-``in_span`` compares two ranks.  It splits the matrix into its connected
-components (below) and runs one fraction-free Gauss-Jordan (Bareiss) pivot
-loop, ``_sweep``, on each.  Within a component, columns are swept left to
-right.  Sweep k takes a pivot ``p`` in column c and turns every other row
-of the component into ``(p * row - row[c] * pivot_row) / prev``, with
-``prev`` the previous pivot of the component (1 before its first); a row
-without column c is only scaled by ``p / prev``.
+``in_span`` compares two ranks.  ``nullspace`` also returns the pivot
+columns, ascending; its ``rank`` is their number.  A column is a pivot
+exactly when it lies outside the span of the columns before it (over the
+field of fractions of the constants; see "The verdicts" below), so a
+caller reads whether an expression depends on earlier ones off the pivots
+of one sweep, with no second elimination.  ``_reduce`` splits the matrix
+into its connected components (below) and runs one fraction-free
+Gauss-Jordan (Bareiss) pivot loop, ``_sweep``, on each.  Within a
+component, columns are swept left to right.  Sweep k takes a pivot ``p``
+in column c and turns every other row of the component into ``(p * row -
+row[c] * pivot_row) / prev``, with ``prev`` the previous pivot of the
+component (1 before its first); a row without column c is only scaled by
+``p / prev``.
 
 The pending scale.  ``_sweep`` leaves a row without the pivot column
 alone.  Each stored row X keeps ``base``, the pivot at its last real update
@@ -126,8 +132,12 @@ from .expr import DiffExpr
 @dataclass(frozen=True)
 class NullspaceResult:
     basis: tuple[tuple[DiffExpr, ...], ...]
-    rank: int
+    pivots: tuple[int, ...]  # ascending; outside the earlier columns' span
     pivot_assumptions: tuple[DiffExpr, ...]  # symbolic pivots assumed nonzero
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 _INEXACT = "fraction-free elimination: inexact division (bug)"
@@ -370,7 +380,8 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
     dense = tuple(tuple(vec.get(c, ex.ZERO) for c in range(ncols))
                   for vec in basis)
     return NullspaceResult(
-        basis=dense, rank=ncols - len(basis),
+        basis=dense,
+        pivots=tuple(sorted(c for _, _, pivots, _ in blocks for c in pivots)),
         pivot_assumptions=normalize_assumptions(
             pk.unpack(p) for p in assumptions))
 

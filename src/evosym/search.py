@@ -11,6 +11,16 @@ elimination in one domain for every matrix, rational or not: fraction-free
 (Bareiss) on the cleared entries as integer polynomials in the named
 constants.  Every returned expression is re-verified through the full
 residual check; a linear-t pair through ``timedep.mastersymmetry_test``.
+
+The linear-t search eliminates ``{F, {F, G0}} = 0`` on the pool once and
+takes the quotient by the plain symmetries on the images ``G1 = {F, G0}``
+of that kernel's vectors, combined from the first brackets already built.
+``G0 -> {F, G0}`` is linear and vanishes exactly on the plain symmetries,
+so a kernel vector lies in their span plus that of the earlier vectors
+exactly when its ``G1`` lies in the span of the earlier ``G1``: the pairs
+are the kernel vectors at the pivot columns of one elimination of the
+``G1`` system, in the order and with the selection of a greedy span test.
+``expr_in_span`` likewise reads whether the target's column is a pivot.
 """
 
 from __future__ import annotations
@@ -193,46 +203,43 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
                              ) -> LinearTimeSearchResult:
     """Search the time-independent pool for G0 with ``{F, {F, G0}} = 0`` and
     ``{F, G0} != 0``; each pair generates the certified symmetry
-    ``G0 + t {F, G0}``.  Returned pairs represent the quotient modulo plain
-    time-independent symmetries of the pool."""
+    ``G0 + t {F, G0}``.  The pairs span the quotient modulo plain symmetries:
+    the kernel vectors whose ``G1`` is outside the span of earlier ``G1``s."""
     if not eq.time_independent:
         raise ValueError("linear-t search requires a time-independent equation")
     if cfg.t_degree_max or cfg.exp_rate is not None:
         raise ValueError("the linear-t pool must be time-independent")
     if pool is None:
         pool = ansatz_terms(eq, cfg)
+    if not pool:
+        raise ValueError("empty ansatz pool")
+    if any(ex.occurs(m, GEN_T) for m in pool):
+        raise ValueError("the linear-t pool must be time-independent")
     first = [bracket(eq.F, m) for m in pool]
     second = [bracket(eq.F, g) for g in first]
 
-    rows2, ncols = _linear_system(second)
-    ker2 = linalg.nullspace(rows2, ncols)
-    rows1, _ = _linear_system(first)
-    ker1 = linalg.nullspace(rows1, ncols)
-
-    assumptions = linalg.normalize_assumptions(
-        ker2.pivot_assumptions + ker1.pivot_assumptions)
-    accepted: list[tuple[DiffExpr, ...]] = [list(v) for v in ker1.basis]
+    ker2 = linalg.nullspace(*_linear_system(second))
+    G1s = [ex.sum_of_products((1, c, f) for c, f in zip(vec, first))
+           for vec in ker2.basis]
+    quotient = linalg.nullspace(*_linear_system(G1s))
     pairs = []
-    for vec in ker2.basis:
-        if linalg.in_span(list(vec), accepted, ncols):
-            continue
-        accepted.append(list(vec))
-        G0 = _combine(vec, pool)
+    for j in quotient.pivots:
+        G0 = _combine(ker2.basis[j], pool)
         res = mastersymmetry_test(eq, G0)
         if res.G1.is_zero:
             raise SelfCheckError("quotient representative has {F, G0} = 0")
         if not res.closes:
             raise SelfCheckError("kernel vector fails {F, {F, G0}} = 0")
         pairs.append(MasterPair(G0=G0, G1=res.G1, mu=res.mu))
-    return LinearTimeSearchResult(pairs=tuple(pairs), pool_size=len(pool),
-                                  pivot_assumptions=assumptions)
+    return LinearTimeSearchResult(
+        pairs=tuple(pairs), pool_size=len(pool),
+        pivot_assumptions=linalg.normalize_assumptions(
+            ker2.pivot_assumptions + quotient.pivot_assumptions))
 
 
 def expr_in_span(target: DiffExpr, basis: list[DiffExpr]) -> bool:
     """Whether an expression is a linear combination (over constants) of the
-    given expressions; used by recovery tests and the corpus runner."""
-    images = list(basis) + [target]
-    rows, ncols = _linear_system(images)
-    base_cols = [[row[i] for row in rows] for i in range(len(basis))]
-    tgt_col = [row[ncols - 1] for row in rows]
-    return linalg.in_span(tgt_col, base_cols, len(rows))
+    given expressions (generically, when constants are involved): whether
+    its column is no pivot.  Used by recovery tests and the corpus runner."""
+    return len(basis) not in linalg.nullspace(
+        *_linear_system([*basis, target])).pivots

@@ -631,6 +631,12 @@ def test_block_structured_matrices_match_the_references(seed, symbolic):
         assert len(res.basis) == _dense_rational_nullity(rows, ncols)
     assert res.rank == rank(rows, ncols) == _reference_nullspace(rows,
                                                                  ncols)[1]
+    # the pivots are the columns that raise the rank of their prefix
+    prefix = [_reference_nullspace([r[:k] for r in rows], k)[1]
+              for k in range(ncols + 1)]
+    assert res.pivots == tuple(c for c in range(ncols)
+                               if prefix[c + 1] > prefix[c])
+    assert res.rank == len(res.pivots)
     # a target across the blocks, a member half the time
     factor = const("a") if symbolic else _q(3)
     if rows and rng.random() < 0.5:

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from evosym import (AnsatzConfig, PoolLimitError, classify, const,
                     expr_in_span, exp_of, find_linear_t_symmetries,
                     find_symmetries, is_symmetry, parse, u, u_order, x, t)
-from evosym import search
+from evosym import linalg, search
 from evosym.expr import ONE, ZERO, DiffExpr, rational
 from evosym.search import _linear_system, ansatz_terms
-from evosym.symmetry import SelfCheckError
-from evosym.timedep import MasterResult
+from evosym.symmetry import SelfCheckError, bracket
+from evosym.timedep import MasterResult, mastersymmetry_test
+from test_linalg import _reference_nullspace
 
 u0, u1 = u(0), u(1)
 F_KDV = parse("u3 + 6*u*u1")
@@ -184,6 +185,95 @@ class TestLinearT:
             find_linear_t_symmetries(
                 kdv, AnsatzConfig(order=1, weight_max=3, t_degree_max=1))
 
+    @pytest.mark.parametrize("element", [t * u1, exp_of(t) * u1])
+    def test_time_dependent_pool_element_rejected(self, kdv, element):
+        with pytest.raises(ValueError, match="must be time-independent"):
+            find_linear_t_symmetries(
+                kdv, AnsatzConfig(order=1, weight_max=3), pool=[u1, element])
+
+    @pytest.mark.parametrize("cfg, pool", [
+        (AnsatzConfig(order=1, weight_max=3), []),
+        (AnsatzConfig(order=0, weight_max=-1), None),
+    ], ids=["explicit", "generated"])
+    def test_empty_pool_rejected(self, kdv, cfg, pool):
+        # no search ran, so there is no "no pairs" to report
+        with pytest.raises(ValueError, match="empty ansatz pool"):
+            find_linear_t_symmetries(kdv, cfg, pool=pool)
+
+
+def _reference_linear_t(eq, cfg):
+    """The quotient by a greedy span test, the reference for the pivot
+    read: the kernel of ``G0 -> {F, G0}`` by an elimination of its own,
+    then a loop that keeps each second-kernel vector outside the span of
+    that kernel and of the vectors kept before it.  Returns the ``(G0, G1,
+    mu)`` triples."""
+    pool = ansatz_terms(eq, cfg)
+    first = [bracket(eq.F, m) for m in pool]
+    second = [bracket(eq.F, g) for g in first]
+    ker2 = linalg.nullspace(*_linear_system(second))
+    ker1 = linalg.nullspace(*_linear_system(first))
+    accepted = [list(v) for v in ker1.basis]
+    pairs = []
+    for vec in ker2.basis:
+        if linalg.in_span(list(vec), accepted, len(pool)):
+            continue
+        accepted.append(list(vec))
+        G0 = search._combine(vec, pool)
+        res = mastersymmetry_test(eq, G0)
+        pairs.append((G0, res.G1, res.mu))
+    return pairs
+
+
+O3W5X1 = AnsatzConfig(order=3, weight_max=5, x_degree_max=1)
+
+
+@pytest.mark.parametrize("src, names, cfg", [
+    ("u3 + 6*u*u1", "", O3W5X1),
+    ("u2 + 2*u*u1", "", O3W5X1),
+    ("u3", "", AnsatzConfig(order=1, weight_max=3, x_degree_max=1)),
+    # KdV and Burgers rescaled by 5/7 and 7/5, (1/k) F(k u)
+    ("u3 + 30/7*u*u1", "", O3W5X1),
+    ("u3 + 42/5*u*u1", "", O3W5X1),
+    ("u2 + 10/7*u*u1", "", O3W5X1),
+    ("u2 + 14/5*u*u1", "", O3W5X1),
+    ("u3 + a*u*u1", "a", O3W5X1),
+    ("u3 + a*u*u1 + b*u^2*u1 + c*u1", "abc", O3W5X1),
+    ("u5 + a*u*u3 + b*u1*u2 + c*u^2*u1", "abc",
+     AnsatzConfig(order=4, weight_max=5, x_degree_max=1, base_weight=1)),
+])
+def test_linear_t_pairs_match_the_greedy_quotient(src, names, cfg):
+    eq = classify(parse(src, list(names)))
+    res = find_linear_t_symmetries(eq, cfg)
+    assert res.pairs
+    assert [(p.G0, p.G1, p.mu) for p in res.pairs] \
+        == _reference_linear_t(eq, cfg)
+
+
+def test_linear_t_runs_two_eliminations_and_expr_in_span_one(
+        kdv, monkeypatch):
+    calls = []
+    for name in ("nullspace", "rank", "in_span"):
+        def spy(*args, real=getattr(linalg, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    res = find_linear_t_symmetries(kdv, O3W5X1)
+    assert calls == ["nullspace", "nullspace"]  # ker2 and the G1 system
+    calls.clear()
+    assert expr_in_span(u1, [p.G1 for p in res.pairs])
+    assert calls == ["nullspace"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_expr_in_span_matches_the_two_rank_definition(seed):
+    def rank(exprs):
+        return _reference_nullspace(*_reference_linear_system(exprs))[1]
+
+    *basis, target = _random_images(random.Random(seed))
+    for tgt, span in ((target, basis), (ZERO, basis), (target, [])):
+        assert expr_in_span(tgt, span) == (rank(span + [tgt]) == rank(span))
+
 
 def _reference_linear_system(images):
     """The system built term by term: a rational coefficient per term
@@ -329,6 +419,42 @@ def _at_point(e, values):
             term *= Fraction(values[slot[1]]) ** power
         out += term
     return out
+
+
+def test_linear_t_lists_the_pivots_its_pairs_are_read_from():
+    abc = ["a", "b", "c"]
+    fifth = classify(parse(FIFTH_ORDER.format(a="a", b="b", c="c"), abc))
+    res = find_linear_t_symmetries(
+        fifth, AnsatzConfig(order=3, weight_max=6, x_degree_max=1))
+    # a pivot of the first kernel, which the quotient no longer eliminates
+    assert parse("b - 2*a", abc) not in res.pivot_assumptions
+    # a pivot of the G1 system, which the greedy loop's sweeps never listed
+    third = classify(parse("u3 + a*u*u1 + b*u^2*u1 + c*u1", abc))
+    res = find_linear_t_symmetries(third, O3W5X1)
+    assert res.pivot_assumptions == (parse("2*b*c + a^2", abc),)
+
+
+def test_linear_t_is_generic_where_only_a_first_kernel_pivot_vanishes():
+    # at this point the first kernel's pivot 70*c + b^2 - 9*a^2 - 7*a*b
+    # vanishes and no listed assumption does: the first kernel keeps its
+    # generic dimension there, and the numeric search its generic pairs
+    cfg = AnsatzConfig(order=4, weight_max=5, x_degree_max=1, base_weight=1)
+    values = {"a": 2, "b": 1, "c": Fraction(7, 10)}
+
+    def first_kernel(eq):
+        return linalg.nullspace(*_linear_system(
+            [bracket(eq.F, m) for m in ansatz_terms(eq, cfg)]))
+
+    eq = classify(parse(FIFTH_ORDER.format(a="a", b="b", c="c"),
+                        ["a", "b", "c"]))
+    symbolic = find_linear_t_symmetries(eq, cfg)
+    assert all(_at_point(p, values) != 0 for p in symbolic.pivot_assumptions)
+    ker1 = first_kernel(eq)
+    assert any(_at_point(p, values) == 0 for p in ker1.pivot_assumptions)
+    at = classify(parse(FIFTH_ORDER.format(a=2, b=1, c="7/10")))
+    assert len(first_kernel(at).basis) == len(ker1.basis)
+    assert len(find_linear_t_symmetries(at, cfg).pairs) \
+        == len(symbolic.pairs) == 1
 
 
 @pytest.mark.parametrize("point, dim", [

@@ -13,7 +13,7 @@ from .calculus import (DOperator, D_OP, ZERO_OP, ev_apply, frechet,
                        total_d, total_d_power)
 from .symmetry import (DegenerateCaseError, DeterminingSystem,
                        EvolutionEquation, SelfCheckError, SymmetryReport,
-                       bracket, classify, descent_bound,
+                       bracket, check_structure, classify, descent_bound,
                        descent_leading_coeff_check, determining_system,
                        dimension_bound, is_symmetry,
                        leading_coefficient_check,
@@ -38,10 +38,11 @@ __all__ = [
     "DOperator", "D_OP", "ZERO_OP", "ev_apply", "frechet", "nabla_on_op",
     "op_apply", "op_commutator", "op_compose", "total_d", "total_d_power",
     "DegenerateCaseError", "DeterminingSystem", "EvolutionEquation",
-    "SelfCheckError", "SymmetryReport", "bracket", "classify",
-    "descent_bound", "descent_leading_coeff_check", "determining_system",
-    "dimension_bound", "is_symmetry", "leading_coefficient_check",
-    "linearized_residual_operator", "representation_decompose", "x_descent",
+    "SelfCheckError", "SymmetryReport", "bracket", "check_structure",
+    "classify", "descent_bound", "descent_leading_coeff_check",
+    "determining_system", "dimension_bound", "is_symmetry",
+    "leading_coefficient_check", "linearized_residual_operator",
+    "representation_decompose", "x_descent",
     "AnnihilatorOp", "TimeDependenceClass", "annihilator", "classify_time",
     "dt_closure_check", "mastersymmetry_test", "predict_time_dependence",
     "probe_time_shapes", "scaling_test",

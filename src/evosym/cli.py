@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from . import expr as ex
 from .parser import ParseError, parse
 from .search import AnsatzConfig, PoolLimitError, expr_in_span, find_symmetries
-from .symmetry import (EvolutionEquation, SelfCheckError, classify,
-                       determining_system, is_symmetry,
-                       leading_coefficient_check, representation_decompose,
-                       descent_leading_coeff_check, x_descent)
+from .symmetry import (EvolutionEquation, check_structure, classify,
+                       determining_system, is_symmetry)
 from .timedep import (POLYNOMIAL, TIME_INDEPENDENT, annihilator,
                       classify_time, mastersymmetry_test,
                       predict_time_dependence, probe_time_shapes,
@@ -89,34 +87,6 @@ def _compact_time(cls) -> str:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _structure(eq, rep):
-    """The structure checks of a verified symmetry: the leading coefficient
-    (order >= 2; ``None`` below), the x-power decomposition (``None`` with
-    x inside an exponential), the x-descent and, where it applies, the
-    descended-leading-coefficient bound.  A failed check is a bug: it
-    raises ``SelfCheckError`` naming the candidate in source form, which
-    exits 3 and never as a verdict."""
-    try:
-        lead = dec = None
-        if rep.order is not None and rep.order >= 2:
-            lead = leading_coefficient_check(eq, rep)
-            if not lead.ok and not lead.inconclusive:
-                raise SelfCheckError(f"leading coefficient: {lead.detail}")
-        if not ex.has_exp_in(rep.candidate, ex.GEN_X):
-            dec = representation_decompose(eq, rep)
-        trace = x_descent(eq, rep)
-        # the descended-leading-coefficient bound is degenerate for n = 2
-        if (eq.constant_separant and eq.time_independent and eq.n >= 3
-                and rep.order is not None and rep.order > eq.n - 1):
-            v = descent_leading_coeff_check(eq, rep)
-            if not v.ok:
-                raise SelfCheckError(v.detail)
-    except SelfCheckError as err:
-        raise SelfCheckError(f"structure check failed for "
-                             f"{ex.to_source(rep.candidate)}: {err}") from err
-    return lead, dec, trace
-
-
 def _cmd_check(args, out) -> int:
     eq = classify(parse(args.equation, args.constants))
     G = parse(args.candidate, args.constants)
@@ -127,10 +97,10 @@ def _cmd_check(args, out) -> int:
              f"order: {rep.order}",
              f"time dependence: {cls}"]
     if rep.is_symmetry:
-        lead, dec, trace = _structure(eq, rep)
+        lead, dec, trace = check_structure(eq, rep)
         if lead is not None:
             lines.append(f"leading coefficient: "
-                         f"{'ok' if lead.ok else 'inconclusive'} "
+                         f"{'inconclusive' if lead.inconclusive else 'ok'} "
                          f"({lead.detail})")
         if dec is None:
             lines.append("x-power decomposition: skipped "
@@ -391,7 +361,7 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
         if expect_time is not None and not _time_matches(cls, expect_time):
             problems.append(f"time class mismatch for {source}: "
                             f"got {_compact_time(cls)}, want {expect_time}")
-        dec = _structure(eq, rep)[1]
+        dec = check_structure(eq, rep)[1]
         lines.append("  structure ok"
                      + ("" if dec is None else f" (s = {dec.s})"))
     if verified:

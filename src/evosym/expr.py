@@ -15,6 +15,7 @@ derivatives) live in ``_kernel_py``, imported here as ``kernel``.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm, log10
@@ -429,6 +430,25 @@ def exp_of(arg) -> DiffExpr:
 
 # -- calculus-free structural operations -----------------------------------
 
+# the spelling of u_i, in the grammar and in generator names: ``u`` alone
+# (i = 0), or ``u``, one optional ``_`` and ASCII digits
+U_NAME = re.compile(r"u(?:_?([0-9]+))?")
+MAX_U_INDEX = 99
+
+
+def u_name_index(name: str) -> int | None:
+    """The index ``i`` of a name spelled by ``U_NAME``, None for any other
+    name; an index over ``MAX_U_INDEX`` raises."""
+    m = U_NAME.fullmatch(name)
+    if m is None:
+        return None
+    idx = int(m.group(1) or 0)
+    if idx > MAX_U_INDEX:
+        raise ExpressionError(
+            f"u-index {idx} out of range (max {MAX_U_INDEX})")
+    return idx
+
+
 def _gencode(v) -> int:
     if isinstance(v, int):
         return v
@@ -437,10 +457,9 @@ def _gencode(v) -> int:
             return GEN_X
         if v == "t":
             return GEN_T
-        if v == "u":
-            return 0
-        if v.startswith("u") and v[1:].lstrip("_").isdigit():
-            return int(v[1:].lstrip("_"))
+        idx = u_name_index(v)
+        if idx is not None:
+            return idx
         raise ExpressionError(f"unknown generator {v!r}")
     if isinstance(v, DiffExpr) and len(v._t) == 1:
         (key, c), = v._t.items()
@@ -566,15 +585,16 @@ def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
     return _reduced(hi, e._den), _reduced(lo, e._den)
 
 
-def poly_degree(e: DiffExpr, v) -> int:
-    """Monomial degree in a generator (exponential factors not counted)."""
+def power_outside_exp(e: DiffExpr, v) -> bool:
+    """True when some term with no exponential in a generator has a power
+    of it."""
     gen = _gencode(v)
-    deg = 0
     for key in e._t:
-        for slot, p in key:
-            if slot[0] == 0 and slot[1] == gen:
-                deg = max(deg, p)
-    return deg
+        slots = [slot for slot, _ in key]
+        if (0, gen) in slots and not any(
+                slot[0] == 2 and slot[1] == gen for slot in slots):
+            return True
+    return False
 
 
 def split_by_power(e: DiffExpr, v) -> dict[int, DiffExpr]:

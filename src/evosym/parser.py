@@ -1,11 +1,11 @@
 """Expression grammar for the command line and corpus files.
 
 Identifiers: ``x``, ``t``, ``u`` (= u_0), ``u1``..``u99`` (``u_1`` also
-accepted), plus pre-declared named constants.  Operators ``+ - * / ^`` with
-the usual precedence, ``^`` right-associative with integer exponents of at
-most ``_MAX_EXPONENT`` in absolute value, ``exp(...)`` the only function,
-integer literals (rationals are written ``p/q``), insignificant whitespace.
-Implicit multiplication is a syntax error.  Printing a normal form and
+accepted; ``expr.U_NAME`` spells them), plus pre-declared named constants.
+Operators ``+ - * / ^`` with the usual precedence, ``^`` right-associative
+with integer exponents of at most ``_MAX_EXPONENT`` in absolute value,
+``exp(...)`` the only function, integer literals (rationals are written
+``p/q``), insignificant whitespace.  Implicit multiplication is a syntax error.  Printing a normal form and
 re-parsing it is the identity.
 
 The recursive descent parses straight to the normal form: each rule returns
@@ -25,8 +25,8 @@ import re
 import sys
 from typing import Iterable
 
-from .expr import (GEN_T, GEN_X, DiffExpr, ExpressionError, _sum, const,
-                   exp_of, gen_expr, rational)
+from .expr import (GEN_T, GEN_X, U_NAME, DiffExpr, ExpressionError, _sum,
+                   const, exp_of, gen_expr, rational, u_name_index)
 
 
 class ParseError(ValueError):
@@ -48,8 +48,7 @@ def _error(source: str, message: str, offset: int) -> ParseError:
 _TOKEN_RE = re.compile(
     r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
 _KINDS = {1: "num", 2: "ident"}  # group 3's kind is its text
-_U_RE = re.compile(r"u_?(\d+)$")
-_RESERVED = frozenset({"x", "t", "u", "exp"})  # and what _U_RE matches
+_RESERVED = frozenset({"x", "t", "exp"})  # and what U_NAME matches
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -200,14 +199,11 @@ class _Parser:
                 return gen_expr(GEN_X)
             if name == "t":
                 return gen_expr(GEN_T)
-            if name == "u":
-                return gen_expr(0)
-            m = _U_RE.match(name)
-            if m:
-                idx = int(m.group(1))
-                if idx > 99:
-                    raise self.error(f"u-index {idx} out of range (max 99)",
-                                     tok)
+            try:
+                idx = u_name_index(name)
+            except ExpressionError as err:
+                raise self.error(str(err), tok) from err
+            if idx is not None:
                 return gen_expr(idx)
             if name in self.constants:
                 return const(name)
@@ -221,7 +217,7 @@ def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
     """Parse a source string to its normal form."""
     names = frozenset(constants)
     for name in names:
-        if name in _RESERVED or _U_RE.match(name):
+        if name in _RESERVED or U_NAME.fullmatch(name):
             raise ValueError(f"constant name {name!r} collides with a "
                              "reserved identifier")
     p = _Parser(source, names)

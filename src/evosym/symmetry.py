@@ -10,10 +10,12 @@ ways and cross-checks them: as the coefficients ``E_l`` of the linearized
 residual operator ``L``, and as ``-dR/du_l`` for the residual
 ``R = dG/dt - {F, G}``.  Since ``(h_*(r))_* = nabla_r(h_*) + h_* r_*``,
 ``L = -R_*``.  It also extracts and tests the structure of leading
-coefficients, bounds and decomposes the x-dependence of verified symmetries,
-and computes the dimension bound for symmetry spaces of non-linearizable
-equations (non-linearizability itself is always a caller assertion, never
-decided here).
+coefficients, bounds and decomposes the x-dependence of verified symmetries
+(``check_structure`` runs every such check that applies; a violated
+statement raises ``SelfCheckError`` where it is checked), and computes the
+dimension bound for symmetry spaces of non-linearizable equations
+(non-linearizability itself is always a caller assertion, never decided
+here).
 """
 
 from __future__ import annotations
@@ -198,7 +200,6 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
 
 @dataclass(frozen=True)
 class LeadingCoefficientVerdict:
-    ok: bool
     inconclusive: bool
     c_k: DiffExpr | None
     detail: str
@@ -211,7 +212,8 @@ def leading_coefficient_check(eq: EvolutionEquation,
     With a constant separant this reduces to "depends on t only".  For a
     non-constant separant the fractional power is attempted as an exact
     root/power; when it does not exist in the expression class the verdict
-    is inconclusive rather than forced.
+    is inconclusive rather than forced.  A factor that fails is a bug and
+    raises ``SelfCheckError``.
     """
     if not report.is_symmetry:
         raise ValueError("leading-coefficient check needs a verified symmetry")
@@ -221,20 +223,18 @@ def leading_coefficient_check(eq: EvolutionEquation,
     lead = partial(report.candidate, k)
     if eq.constant_separant:
         if is_t_only(lead):
-            return LeadingCoefficientVerdict(True, False, lead, "c_k(t) = dG/du_k")
-        return LeadingCoefficientVerdict(
-            False, False, None, "dG/du_k depends on x or u")
+            return LeadingCoefficientVerdict(False, lead, "c_k(t) = dG/du_k")
+        raise SelfCheckError("leading coefficient: dG/du_k depends on x or u")
     power = _separant_power(eq.separant, k, eq.n)
     if power is None:
         return LeadingCoefficientVerdict(
-            False, True, None,
+            True, None,
             f"separant^({k}/{eq.n}) is not expressible in the expression class")
     quot = try_divide(lead, power)
     if quot is not None and is_t_only(quot):
-        return LeadingCoefficientVerdict(True, False, quot,
-                                         "c_k(t) * separant^(k/n)")
-    return LeadingCoefficientVerdict(
-        False, False, None, "dG/du_k is not c_k(t) * separant^(k/n)")
+        return LeadingCoefficientVerdict(False, quot, "c_k(t) * separant^(k/n)")
+    raise SelfCheckError(
+        "leading coefficient: dG/du_k is not c_k(t) * separant^(k/n)")
 
 
 def _separant_power(sep: DiffExpr, k: int, n: int) -> DiffExpr | None:
@@ -260,17 +260,15 @@ def descent_bound(k: int, n: int, q: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if q not in (-1, 0, 1):
         raise ValueError("q must be -1, 0 or 1")
     if q == -1:
-        if n < 2:
-            raise ValueError("n must be >= 2")
         return k // (n - 1)
     if n == 2:
         raise DegenerateCaseError(
             "descent bound with q >= 0 is degenerate for n = 2")
-    if n < 2:
-        raise ValueError("n must be >= 2")
     base = k // (n - 1)
     if k % (n - 1) <= q:
         return max(0, base - 1)
@@ -288,21 +286,16 @@ def x_descent(eq: EvolutionEquation, report: SymmetryReport) -> DescentTrace:
     checking at every step that the derivative is again a symmetry and that
     ``ord dG/dx <= max(1, ord G - n + 1)`` holds.  A bound violation is a
     hard failure.  x inside an exponential factor can never be
-    differentiated away; the trace stops once the polynomial x-dependence is
-    exhausted and says so."""
+    differentiated away; the trace stops, and says so, once no term free of
+    an exponential in x has a power of x left (a step on ``x * exp(x)``
+    would only reproduce its x-degree)."""
     if not report.is_symmetry:
         raise ValueError("x-descent needs a verified symmetry")
     cur = report.candidate
     steps = [(cur, report.order)]
-    note = ""
-    while occurs(cur, GEN_X):
-        if ex.poly_degree(cur, GEN_X) == 0:
-            note = ("x-dependence carried by an exponential factor; "
-                    "descent is stationary")
-            break
+    # a power of x outside the exponentials makes dG/dx nonzero
+    while ex.power_outside_exp(cur, GEN_X):
         nxt = partial(cur, GEN_X)
-        if nxt.is_zero:
-            break
         if not is_symmetry(eq, nxt).is_symmetry:
             raise SelfCheckError("x-descent: dG/dx is not a symmetry")
         prev_order = u_order(cur) or 0
@@ -311,6 +304,8 @@ def x_descent(eq: EvolutionEquation, report: SymmetryReport) -> DescentTrace:
             raise SelfCheckError("x-descent: order bound violated")
         steps.append((nxt, nxt_order))
         cur = nxt
+    note = ("x-dependence carried by an exponential factor; descent is "
+            "stationary") if occurs(cur, GEN_X) else ""
     return DescentTrace(steps=tuple(steps), note=note)
 
 
@@ -361,19 +356,10 @@ def representation_decompose(eq: EvolutionEquation,
                     f"x-power decomposition: coefficient of x^{j} has order "
                     f"{u_order(hi)} > {bound}")
         if j == 0:
-            g_list.append(hi)
             psi = lo
-        else:
-            g_list.append(coeff)
+        g_list.append(coeff if j else hi)
 
-    while len(g_list) > 1 and g_list[-1].is_zero:
-        g_list.pop()
-    s = len(g_list) - 1
-
-    rebuilt = psi
-    for j, g_j in enumerate(g_list):
-        rebuilt = rebuilt + x_expr ** j * g_j
-    if rebuilt != G:
+    if sum((x_expr ** j * g_j for j, g_j in enumerate(g_list)), psi) != G:
         raise SelfCheckError("x-power decomposition: reconstruction failed")
 
     try:
@@ -407,7 +393,7 @@ def representation_decompose(eq: EvolutionEquation,
                     f"x-power decomposition: u-content at x^{j} exceeds "
                     f"order {bound}")
 
-    return XPowerDecomposition(s=s, g=tuple(g_list), psi=psi,
+    return XPowerDecomposition(s=top_power, g=tuple(g_list), psi=psi,
                                s_effective=s_eff, s_bound_used=s_bound,
                                remark_applied=remark)
 
@@ -416,7 +402,6 @@ def representation_decompose(eq: EvolutionEquation,
 
 @dataclass(frozen=True)
 class DescentLeadingVerdict:
-    ok: bool
     r: int
     Q: DiffExpr
     detail: str
@@ -427,7 +412,8 @@ def descent_leading_coeff_check(eq: EvolutionEquation,
     """For a constant-separant, time-independent equation and a verified
     symmetry of order ``k > n-1``: after ``r`` x-derivatives (r the q=0
     descent bound) the result Q must lie in order <= n-1 and its leading
-    coefficient must equal ``(1/n^r) d^r c_k / dt^r``."""
+    coefficient must equal ``(1/n^r) d^r c_k / dt^r``.  A violation is a bug
+    and raises ``SelfCheckError``."""
     if not (eq.constant_separant and eq.time_independent):
         raise ValueError("check requires a constant-separant, "
                          "time-independent equation")
@@ -442,25 +428,51 @@ def descent_leading_coeff_check(eq: EvolutionEquation,
         Q = partial(Q, GEN_X)
     c_k = partial(report.candidate, k)
     if not is_t_only(c_k):
-        return DescentLeadingVerdict(False, r, Q, "c_k is not a function of t")
+        raise SelfCheckError("c_k is not a function of t")
     rhs = c_k
     for _ in range(r):
         rhs = partial(rhs, GEN_T)
     rhs = rhs / ex.rational(eq.n ** r)
     if Q.is_zero:
         if rhs.is_zero:
-            return DescentLeadingVerdict(True, r, Q, "descended to zero")
-        return DescentLeadingVerdict(False, r, Q,
-                                     "descended to zero but d^r c_k/dt^r != 0")
-    q_ord = u_order(Q) or 0
+            return DescentLeadingVerdict(r, Q, "descended to zero")
+        raise SelfCheckError("descended to zero but d^r c_k/dt^r != 0")
+    q_ord = u_order(Q)
     if q_ord > eq.n - 1:
-        return DescentLeadingVerdict(False, r, Q,
-                                     f"descended order {q_ord} > n-1")
-    lead = partial(Q, q_ord) if u_order(Q) is not None else ex.ZERO
-    if lead == rhs:
-        return DescentLeadingVerdict(
-            True, r, Q, f"dQ/du_{q_ord} = (1/{eq.n}^{r}) d^{r}c_k/dt^{r}")
-    return DescentLeadingVerdict(False, r, Q, "leading coefficient mismatch")
+        raise SelfCheckError(f"descended order {q_ord} > n-1")
+    if partial(Q, q_ord) != rhs:
+        raise SelfCheckError("leading coefficient mismatch")
+    return DescentLeadingVerdict(
+        r, Q, f"dQ/du_{q_ord} = (1/{eq.n}^{r}) d^{r}c_k/dt^{r}")
+
+
+# -- all structure checks of a verified symmetry ---------------------------------
+
+def check_structure(eq: EvolutionEquation, report: SymmetryReport
+                    ) -> tuple[LeadingCoefficientVerdict | None,
+                               XPowerDecomposition | None, DescentTrace]:
+    """Run the structure checks that apply to a verified symmetry: the
+    leading coefficient (order >= 2; ``None`` below), the x-power
+    decomposition (``None`` with x inside an exponential), the x-descent
+    and, where it applies, the descended-leading-coefficient bound.  A
+    failed check is a bug: it raises ``SelfCheckError`` naming the
+    candidate in source form."""
+    k = report.order
+    try:
+        lead = dec = None
+        if k is not None and k >= 2:
+            lead = leading_coefficient_check(eq, report)
+        if not ex.has_exp_in(report.candidate, GEN_X):
+            dec = representation_decompose(eq, report)
+        trace = x_descent(eq, report)
+        # the descended-leading-coefficient bound is degenerate for n = 2
+        if (eq.constant_separant and eq.time_independent and eq.n >= 3
+                and k is not None and k > eq.n - 1):
+            descent_leading_coeff_check(eq, report)
+    except SelfCheckError as err:
+        raise SelfCheckError(f"structure check failed for "
+                             f"{to_source(report.candidate)}: {err}") from err
+    return lead, dec, trace
 
 
 # -- dimension bound --------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Time dependence of symmetries: classification, annihilators, closure
-under d/dt, and the two existence tests for time-dependent symmetries of
-time-independent equations (exponential-in-t via a scaling relation,
-linear-in-t via a mastersymmetry pair)."""
+under d/dt (a violated statement raises ``SelfCheckError``), and the two
+existence tests for time-dependent symmetries of time-independent equations
+(exponential-in-t via a scaling relation, linear-in-t via a mastersymmetry
+pair; a time-dependent equation is refused with ``ValueError``)."""
 
 from __future__ import annotations
 
@@ -164,7 +165,6 @@ def annihilator(G: DiffExpr) -> AnnihilatorOp:
 
 @dataclass(frozen=True)
 class DtClosureVerdict:
-    ok: bool
     dt_order: int | None
     reduced: DiffExpr | None
     reduced_order: int | None
@@ -174,7 +174,8 @@ class DtClosureVerdict:
 def dt_closure_check(eq: EvolutionEquation, G: DiffExpr) -> DtClosureVerdict:
     """For a time-independent equation and a verified symmetry G: dG/dt must
     again be a symmetry of order <= ord G, and applying the annihilator of
-    the leading coefficient c_k must produce a symmetry of order <= k-1."""
+    the leading coefficient c_k must produce a symmetry of order <= k-1.
+    A violation is a bug and raises ``SelfCheckError``."""
     if not eq.time_independent:
         raise ValueError("closure check requires a time-independent equation")
     rep = is_symmetry(eq, G)
@@ -186,23 +187,22 @@ def dt_closure_check(eq: EvolutionEquation, G: DiffExpr) -> DtClosureVerdict:
         raise SelfCheckError("dG/dt is not a symmetry")
     gt_ord = u_order(Gt)
     if gt_ord is not None and k is not None and gt_ord > k:
-        return DtClosureVerdict(False, gt_ord, None, None,
-                                "order of dG/dt exceeds ord G")
+        raise SelfCheckError("order of dG/dt exceeds ord G")
     if k is None or k < 1:
-        return DtClosureVerdict(True, gt_ord, None, None,
+        return DtClosureVerdict(gt_ord, None, None,
                                 "order < 1: leading-coefficient step skipped")
     c_k = partial(G, k)
     if not is_t_only(c_k):
-        return DtClosureVerdict(True, gt_ord, None, None,
+        return DtClosureVerdict(gt_ord, None, None,
                                 "c_k not t-only: reduction step skipped")
     om = annihilator(c_k)
     reduced = om.apply(G)
     if not is_symmetry(eq, reduced).is_symmetry:
         raise SelfCheckError("annihilator image is not a symmetry")
     r_ord = u_order(reduced)
-    ok = r_ord is None or r_ord <= k - 1
-    detail = "Omega(G) has order <= k-1" if ok else "Omega(G) order too high"
-    return DtClosureVerdict(ok, gt_ord, reduced, r_ord, detail)
+    if r_ord is not None and r_ord > k - 1:
+        raise SelfCheckError("Omega(G) order too high")
+    return DtClosureVerdict(gt_ord, reduced, r_ord, "Omega(G) has order <= k-1")
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,11 @@ class MasterResult:
 
 def mastersymmetry_test(eq: EvolutionEquation, G0: DiffExpr) -> MasterResult:
     """Compute ``G1 = {F, G0}`` and report whether the pair generates the
-    linear-in-t symmetry ``G0 + t*G1`` (certified when it does)."""
+    linear-in-t symmetry ``G0 + t*G1`` (certified when it does).  The
+    construction needs ``dF/dt = 0``, so F must be time-independent."""
+    if not eq.time_independent:
+        raise ValueError("mastersymmetry test requires a time-independent "
+                         "equation")
     if occurs(G0, GEN_T):
         raise ValueError("G0 must be time-independent")
     G1 = bracket(eq.F, G0)

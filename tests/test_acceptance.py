@@ -114,7 +114,7 @@ def test_criterion_4_structure_invariants_across_corpus(kdv):
         k = rep.order
         if k is not None and k >= 2:
             lead = leading_coefficient_check(eq, rep)
-            assert lead.ok, (name, G, lead.detail)
+            assert not lead.inconclusive, (name, G, lead.detail)
         trace = x_descent(eq, rep)  # raises on a bound violation
         for (prev, po), (cur, co) in zip(trace.steps, trace.steps[1:]):
             assert co is None or co <= max(1, (po or 0) - eq.n + 1)
@@ -130,8 +130,8 @@ def test_criterion_4_structure_invariants_across_corpus(kdv):
     rep = is_symmetry(kdv, G_SCALE)
     assert partial(G_SCALE, 3) == 3 * t            # c_3 = 3t
     assert descent_bound(3, 3, 0) == 1             # r = 1
-    v = descent_leading_coeff_check(kdv, rep)
-    assert v.ok and v.r == 1
+    v = descent_leading_coeff_check(kdv, rep)  # raises on a violation
+    assert v.r == 1
     assert partial(v.Q, 1) == ONE                  # dQ/du_1 = 1
     assert partial(partial(G_SCALE, 3), "t") / rational(3) == ONE
     report(4, f"leading-coefficient form, descent bounds and decomposition "

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -7,10 +9,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from evosym import cli, parse
+import evosym
+from evosym import parse, symmetry
 from evosym.cli import REPORT_SCHEMA, build_parser, main, parse_corpus
-from evosym.symmetry import (DescentLeadingVerdict, LeadingCoefficientVerdict,
-                             SelfCheckError)
+from evosym.symmetry import LeadingCoefficientVerdict, SelfCheckError
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -158,6 +160,15 @@ class TestScalingMaster:
         assert code == 0
         assert "mastersymmetry pair" in out
         assert "mu = 3" in out
+
+    @pytest.mark.parametrize("equation, g0", [("u2+t*u1", "x*u1"),
+                                              ("u3+t*u*u1", "1")])
+    def test_master_needs_a_time_independent_equation(self, equation, g0,
+                                                      capsys):
+        code, out = run_cli("master", "--equation", equation, "--g0", g0)
+        assert code == 2 and out == ""
+        assert ("error: mastersymmetry test requires a time-independent "
+                "equation") in capsys.readouterr().err
 
     def test_master_degenerate(self):
         code, out = run_cli("master", "--equation", "u3 + 6*u*u1",
@@ -379,24 +390,22 @@ class TestStructureFailures:
              "u3 + 6*u1*u: ")
 
     @staticmethod
-    def _fail_lead(monkeypatch, inconclusive=False):
-        verdict = LeadingCoefficientVerdict(False, inconclusive, None,
-                                            "forced for the test")
-        monkeypatch.setattr(cli, "leading_coefficient_check",
-                            lambda eq, rep: verdict)
-
-    @staticmethod
-    def _fail_descent(monkeypatch):
+    def _fail(monkeypatch, check, message):
         def broken(eq, rep):
-            raise SelfCheckError("x-descent: order bound violated")
+            raise SelfCheckError(message)
 
-        monkeypatch.setattr(cli, "x_descent", broken)
+        monkeypatch.setattr(symmetry, check, broken)
 
-    @staticmethod
-    def _fail_descended_lead(monkeypatch):
-        verdict = DescentLeadingVerdict(False, 0, None, "forced for the test")
-        monkeypatch.setattr(cli, "descent_leading_coeff_check",
-                            lambda eq, rep: verdict)
+    def _fail_lead(self, monkeypatch):
+        self._fail(monkeypatch, "leading_coefficient_check",
+                   "leading coefficient: forced for the test")
+
+    def _fail_descent(self, monkeypatch):
+        self._fail(monkeypatch, "x_descent", "x-descent: order bound violated")
+
+    def _fail_descended_lead(self, monkeypatch):
+        self._fail(monkeypatch, "descent_leading_coeff_check",
+                   "forced for the test")
 
     @pytest.mark.parametrize("fail", ["_fail_lead", "_fail_descent",
                                       "_fail_descended_lead"])
@@ -420,12 +429,48 @@ class TestStructureFailures:
             assert self.ERROR in err and "MISMATCH" not in err
 
     def test_inconclusive_is_not_a_failure(self, monkeypatch):
-        self._fail_lead(monkeypatch, inconclusive=True)
+        verdict = LeadingCoefficientVerdict(True, None, "forced for the test")
+        monkeypatch.setattr(symmetry, "leading_coefficient_check",
+                            lambda eq, rep: verdict)
         code, out = run_cli(*self.CHECK)
         assert code == 0
         assert "leading coefficient: inconclusive (forced for the test)" \
             in out
         assert "FAILED" not in out
+
+
+class TestExponentialDescent:
+    """``(x + 2*t)*exp(x + t)`` solves the heat equation, so it is a
+    symmetry of ``u_t = u_2``; d/dx keeps its x-degree at 1, so the
+    x-descent must stop at once rather than step forever.  Each run is a
+    process with a 2 s wall bound."""
+
+    HEAT = ("--equation", "u2", "--candidate", "(x+2*t)*exp(x+t)")
+    STATIONARY = ("x-descent: 0 step(s) (x-dependence carried by an "
+                  "exponential factor; descent is stationary)")
+
+    @staticmethod
+    def _run(*argv):
+        src = Path(evosym.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "evosym.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=2)
+
+    def test_check(self):
+        proc = self._run("check", *self.HEAT)
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: SYMMETRY" in proc.stdout
+        assert self.STATIONARY in proc.stdout
+
+    def test_corpus_run(self, tmp_path):
+        path = tmp_path / "heat.corpus"
+        path.write_text("[entry]\nname = heat\nequation = u2\n"
+                        "symmetry = (x+2*t)*exp(x+t)\n")
+        proc = self._run("corpus", "run", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "  structure ok\n" in proc.stdout
 
 
 class TestGoldenOutputs:

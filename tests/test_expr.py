@@ -7,8 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (ExpressionError, const, exp_of, parse, partial,
-                    rational, substitute, to_source, total_d, u, u_order, x,
+from evosym import (ExpressionError, ParseError, const, exp_of, parse,
+                    partial, rational, substitute, to_source, total_d, u, u_order, x,
                     t)
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, as_scalar, try_divide, try_nth_root
@@ -79,6 +79,24 @@ class TestPartial:
     def test_symbolic_rate(self):
         lam = const("lam")
         assert partial(exp_of(lam * t), t) == lam * exp_of(lam * t)
+
+    @pytest.mark.parametrize("name", [
+        "x", "t", "u", "u0", "u3", "u_3", "u03", "u99", "u_99",
+        "u__3", "u_", "u3_", "u100", "u1000", "u\u0663", "u\u00b3", "U3",
+        "v3"])
+    def test_generator_names_follow_the_grammar(self, name):
+        # a name differentiates exactly when it parses, by what it parses to
+        e = u3 ** 2 + u(99) * x * t
+        try:
+            gen = parse(name)
+        except ParseError:
+            with pytest.raises(ExpressionError):
+                partial(e, name)
+        else:
+            assert partial(e, name) == partial(e, gen)
+
+    def test_integer_codes_are_unbounded(self):
+        assert partial(u(1000) ** 2, 1000) == 2 * u(1000)
 
 
 class TestSubstitute:

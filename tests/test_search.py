@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (AnsatzConfig, PoolLimitError, classify, const,
-                    expr_in_span, exp_of, find_linear_t_symmetries,
+from evosym import (AnsatzConfig, PoolLimitError, check_structure, classify,
+                    const, expr_in_span, exp_of, find_linear_t_symmetries,
                     find_symmetries, is_symmetry, parse, u, u_order, x, t)
 from evosym import linalg, search
 from evosym.expr import ONE, ZERO, DiffExpr, rational
@@ -134,6 +134,28 @@ class TestFindSymmetries:
             rng.shuffle(shuffled)
             res2 = find_symmetries(kdv, cfg, pool=shuffled)
             assert len(res2.basis) == len(res.basis)
+
+
+@pytest.mark.parametrize("src, names, cfg, x_dependent", [
+    ("u3 + 6*u*u1", (), AnsatzConfig(order=7, weight_max=9), 0),
+    ("u5 + a*u*u3 + b*u1*u2 + c*u^2*u1", ("a", "b", "c"),
+     AnsatzConfig(order=7, weight_max=9), 0),
+    ("u3 + 6*u*u1", (), AnsatzConfig(order=3, weight_max=5, t_degree_max=1,
+                                     x_degree_max=1), 1),
+    ("u2 + 2*u*u1", (), AnsatzConfig(order=2, weight_max=3, t_degree_max=1,
+                                     x_degree_max=1, base_weight=1), 1),
+], ids=["kdv-o7w9", "fifth-order-o7w9", "kdv-o3w5-t1x1",
+        "burgers-o2w3-t1x1"])
+def test_search_results_pass_the_structure_checks(src, names, cfg,
+                                                  x_dependent):
+    # the paper's structure theorems hold on every basis element; the
+    # x-dependent elements exercise the decomposition and the descent
+    eq = classify(parse(src, names))
+    basis = find_symmetries(eq, cfg).basis
+    checked = [check_structure(eq, is_symmetry(eq, g)) for g in basis]
+    assert len(checked) == len(basis) >= 2
+    assert sum(dec.s == 1 and len(trace.steps) == 2
+               for _, dec, trace in checked) == x_dependent
 
 
 class TestPlantAndRecover:

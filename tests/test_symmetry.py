@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (DOperator, DegenerateCaseError, SelfCheckError, bracket,
-                    classify, const, descent_bound,
+                    check_structure, classify, const, descent_bound,
                     descent_leading_coeff_check, determining_system,
                     dimension_bound, exp_of, is_symmetry,
                     leading_coefficient_check, linearized_residual_operator,
                     mastersymmetry_test, parse, partial,
                     representation_decompose, total_d_power, u, x, t,
                     x_descent)
+from evosym import symmetry
 from evosym.expr import GEN_T, ONE, ZERO, ExpressionError, rational, u_order
 
 from conftest import bracket_oracle, random_expr, random_rhs
@@ -247,11 +248,11 @@ class TestDoubleConstructions:
 class TestLeadingCoefficient:
     def test_equation_itself(self, kdv):
         v = leading_coefficient_check(kdv, is_symmetry(kdv, F_KDV))
-        assert v.ok and v.c_k == ONE
+        assert not v.inconclusive and v.c_k == ONE
 
     def test_time_dependent_symmetry(self, kdv):
         v = leading_coefficient_check(kdv, is_symmetry(kdv, G_SCALE))
-        assert v.ok and v.c_k == 3 * t
+        assert not v.inconclusive and v.c_k == 3 * t
 
     def test_order_precondition(self, kdv):
         with pytest.raises(ValueError):
@@ -264,7 +265,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, F)
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.ok and v.c_k == ONE
+        assert not v.inconclusive and v.c_k == ONE
 
     def test_divisibility_with_constants(self):
         # u_t = a^2 u_2 has the symmetry u_4 (k/n = 2): c_4 = a^-4
@@ -273,7 +274,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, u(4))
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.ok and v.c_k == a ** -4
+        assert not v.inconclusive and v.c_k == a ** -4
 
     def test_inconclusive_when_root_missing(self):
         # u_t = a u_2 has the symmetry u_3, but a^(3/2) has no exact
@@ -283,7 +284,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, u3)
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.inconclusive and not v.ok
+        assert v.inconclusive and v.c_k is None
 
 
 class TestDescentBound:
@@ -321,6 +322,14 @@ class TestXDescent:
         trace = x_descent(heat, is_symmetry(heat, G))
         assert "exponential" in trace.note
 
+    def test_a_power_of_x_beside_an_exponential_stops(self, heat):
+        # d/dx keeps the x-degree of x*exp(x + t) at 1; the polynomial part
+        # x*u + 2*t*u1 descends once and the trace stops
+        G = parse("x*u + 2*t*u1 + (x + 2*t)*exp(x + t)")
+        trace = x_descent(heat, is_symmetry(heat, G))
+        assert len(trace.steps) == 2 and "stationary" in trace.note
+        assert trace.steps[1][0] == parse("u + (1 + x + 2*t)*exp(x + t)")
+
 
 class TestRepresentation:
     def test_scaling_symmetry(self, kdv):
@@ -346,15 +355,82 @@ class TestRepresentation:
 class TestDescentLeadingCoeff:
     def test_time_dependent_order3(self, kdv):
         v = descent_leading_coeff_check(kdv, is_symmetry(kdv, G_SCALE))
-        assert v.ok and v.r == 1 and v.Q == u1
+        assert v.r == 1 and v.Q == u1
 
     def test_descends_to_zero(self, kdv):
         v = descent_leading_coeff_check(kdv, is_symmetry(kdv, F_KDV))
-        assert v.ok and v.detail == "descended to zero"
+        assert v.detail == "descended to zero"
 
     def test_low_order_precondition(self, kdv):
         with pytest.raises(ValueError):
             descent_leading_coeff_check(kdv, is_symmetry(kdv, G_GAL))
+
+
+class TestViolationsRaise:
+    """A violated structure statement is a bug and raises
+    ``SelfCheckError`` where it is found.  No verified symmetry violates a
+    theorem, so each case corrupts the helper that its check reads."""
+
+    @staticmethod
+    def _rescaled_t_derivative(monkeypatch, factor):
+        real = symmetry.partial
+
+        def scaled(e, v):
+            d = real(e, v)
+            return factor(d) if v == GEN_T else d
+
+        monkeypatch.setattr(symmetry, "partial", scaled)
+
+    def test_leading_coefficient_not_t_only(self, kdv, monkeypatch):
+        rep = is_symmetry(kdv, F_KDV)
+        monkeypatch.setattr(symmetry, "is_t_only", lambda e: False)
+        with pytest.raises(SelfCheckError, match="depends on x or u"):
+            leading_coefficient_check(kdv, rep)
+
+    def test_leading_coefficient_not_a_multiple(self, monkeypatch):
+        eq = classify(u0 ** 2 * u2)
+        rep = is_symmetry(eq, eq.F)
+        monkeypatch.setattr(symmetry, "try_divide", lambda a, b: None)
+        with pytest.raises(SelfCheckError,
+                           match=r"is not c_k\(t\) \* separant"):
+            leading_coefficient_check(eq, rep)
+
+    def test_descended_c_k_not_t_only(self, kdv, monkeypatch):
+        rep = is_symmetry(kdv, G_SCALE)
+        monkeypatch.setattr(symmetry, "is_t_only", lambda e: False)
+        with pytest.raises(SelfCheckError, match="not a function of t"):
+            descent_leading_coeff_check(kdv, rep)
+
+    def test_descended_to_zero_with_nonzero_rhs(self, kdv, monkeypatch):
+        rep = is_symmetry(kdv, F_KDV)
+        self._rescaled_t_derivative(monkeypatch, lambda d: ONE)
+        with pytest.raises(SelfCheckError, match="descended to zero but"):
+            descent_leading_coeff_check(kdv, rep)
+
+    def test_descended_order_too_high(self, kdv, monkeypatch):
+        rep = is_symmetry(kdv, G_SCALE)
+        monkeypatch.setattr(symmetry, "u_order", lambda e: 5)
+        with pytest.raises(SelfCheckError, match="descended order 5 > n-1"):
+            descent_leading_coeff_check(kdv, rep)
+
+    def test_descended_leading_coefficient_mismatch(self, kdv, monkeypatch):
+        rep = is_symmetry(kdv, G_SCALE)
+        self._rescaled_t_derivative(monkeypatch, lambda d: 2 * d)
+        with pytest.raises(SelfCheckError,
+                           match="leading coefficient mismatch"):
+            descent_leading_coeff_check(kdv, rep)
+
+    def test_check_structure_names_the_candidate(self, kdv, monkeypatch):
+        def broken(eq, rep):
+            raise SelfCheckError("leading coefficient mismatch")
+
+        rep = is_symmetry(kdv, G_SCALE)
+        monkeypatch.setattr(symmetry, "descent_leading_coeff_check", broken)
+        with pytest.raises(SelfCheckError) as err:
+            check_structure(kdv, rep)
+        assert str(err.value) == (
+            "structure check failed for 3*u3*t + 18*u1*u*t + u1*x + 2*u: "
+            "leading coefficient mismatch")
 
 
 class TestSecondOrderEquation:

@@ -8,7 +8,10 @@ from evosym import (annihilator, classify, classify_time, const,
                     partial, predict_time_dependence, probe_time_shapes,
                     scaling_test, u, x, t)
 from evosym.expr import ONE, ZERO, ExpressionError, rational
-from evosym.timedep import POLYNOMIAL, QUASIPOLYNOMIAL, TIME_INDEPENDENT
+from evosym import timedep
+from evosym.symmetry import SelfCheckError
+from evosym.timedep import (POLYNOMIAL, QUASIPOLYNOMIAL, TIME_INDEPENDENT,
+                            AnnihilatorOp)
 
 from conftest import random_expr
 
@@ -150,15 +153,15 @@ class TestAnnihilator:
 class TestDtClosure:
     def test_galilean(self, kdv):
         v = dt_closure_check(kdv, 1 + 6 * t * u1)
-        assert v.ok and v.dt_order == 1
+        assert v.dt_order == 1
 
     def test_time_independent_symmetry(self, kdv):
-        assert dt_closure_check(kdv, u1).ok
+        assert dt_closure_check(kdv, u1).reduced.is_zero
 
     def test_scaling_symmetry(self, kdv):
         G = x * u1 + 2 * u0 + 3 * t * F_KDV
         v = dt_closure_check(kdv, G)
-        assert v.ok and v.dt_order == 3
+        assert v.dt_order == 3
 
     def test_requires_time_independent_equation(self):
         eq = classify(u2 + t * u1)
@@ -168,6 +171,19 @@ class TestDtClosure:
     def test_requires_symmetry(self, kdv):
         with pytest.raises(ValueError):
             dt_closure_check(kdv, u2)
+
+    # no symmetry violates the closure statements: each violation below
+    # corrupts the helper that the check reads, and must raise
+    def test_dt_order_too_high_raises(self, kdv, monkeypatch):
+        monkeypatch.setattr(timedep, "u_order", lambda e: 99)
+        with pytest.raises(SelfCheckError, match="exceeds ord G"):
+            dt_closure_check(kdv, 1 + 6 * t * u1)
+
+    def test_reduced_order_too_high_raises(self, kdv, monkeypatch):
+        monkeypatch.setattr(timedep, "annihilator",
+                            lambda e: AnnihilatorOp((ONE,)))
+        with pytest.raises(SelfCheckError, match="order too high"):
+            dt_closure_check(kdv, u1)
 
 
 class TestScaling:
@@ -218,6 +234,14 @@ class TestMastersymmetry:
         res = mastersymmetry_test(kdv, u0 * u2)
         assert not res.G1.is_zero and not res.closes
         assert res.certified is None
+
+    @pytest.mark.parametrize("F, G0", [("u2 + t*u1", "x*u1"),
+                                       ("u3 + t*u*u1", "1"),
+                                       ("u2 + t*u", "x*u1")])
+    def test_requires_time_independent_equation(self, F, G0):
+        # G0 + t*G1 is a symmetry only when dF/dt = 0
+        with pytest.raises(ValueError, match="time-independent equation"):
+            mastersymmetry_test(classify(parse(F)), parse(G0))
 
 
 class TestPrediction:

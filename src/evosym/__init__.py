@@ -11,11 +11,10 @@ from .expr import (DiffExpr, ExpressionError, ZERO, ONE, const, exp_of,
 from .calculus import (DOperator, D_OP, ZERO_OP, ev_apply, frechet,
                        nabla_on_op, op_apply, op_commutator, op_compose,
                        total_d, total_d_power)
-from .symmetry import (DegenerateCaseError, DeterminingSystem,
-                       EvolutionEquation, SelfCheckError, SymmetryReport,
-                       bracket, check_structure, classify, descent_bound,
-                       descent_leading_coeff_check, determining_system,
-                       dimension_bound, is_symmetry,
+from .symmetry import (DeterminingSystem, EvolutionEquation, SelfCheckError,
+                       SymmetryReport, bracket, check_structure, classify,
+                       descent_bound, descent_leading_coeff_check,
+                       determining_system, dimension_bound, is_symmetry,
                        leading_coefficient_check,
                        linearized_residual_operator,
                        representation_decompose, x_descent)
@@ -37,9 +36,9 @@ __all__ = [
     "to_source", "u", "u_order", "x", "t",
     "DOperator", "D_OP", "ZERO_OP", "ev_apply", "frechet", "nabla_on_op",
     "op_apply", "op_commutator", "op_compose", "total_d", "total_d_power",
-    "DegenerateCaseError", "DeterminingSystem", "EvolutionEquation",
-    "SelfCheckError", "SymmetryReport", "bracket", "check_structure",
-    "classify", "descent_bound", "descent_leading_coeff_check",
+    "DeterminingSystem", "EvolutionEquation", "SelfCheckError",
+    "SymmetryReport", "bracket", "check_structure", "classify",
+    "descent_bound", "descent_leading_coeff_check",
     "determining_system", "dimension_bound", "is_symmetry",
     "leading_coefficient_check", "linearized_residual_operator",
     "representation_decompose", "x_descent",

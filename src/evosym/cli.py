@@ -99,9 +99,8 @@ def _cmd_check(args, out) -> int:
     if rep.is_symmetry:
         lead, dec, trace = check_structure(eq, rep)
         if lead is not None:
-            lines.append(f"leading coefficient: "
-                         f"{'inconclusive' if lead.inconclusive else 'ok'} "
-                         f"({lead.detail})")
+            lines.append(f"leading coefficient: ok "
+                         f"(c_{rep.order}(t)^{lead.m} = {lead.c_k_m})")
         if dec is None:
             lines.append("x-power decomposition: skipped "
                          "(x inside an exponential)")

@@ -823,8 +823,8 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     anything is packed."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero expression")
-    if a.is_zero:
-        return ZERO
+    if a.is_zero or b == ONE:
+        return a
     (ra, ma), (rb, mb) = _slot_ranges(a._t), _slot_ranges(b._t)
     scale = lcm(ma, mb)
     slots = sorted(ra.keys() | rb.keys())
@@ -845,47 +845,6 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
     if any(slot[0] == 0 and v < 0 for key in q._t for slot, v in key):
         return None
     return q
-
-
-def try_nth_root(e: DiffExpr, m: int) -> DiffExpr | None:
-    """Exact m-th root of a single-term expression, when one exists."""
-    if m <= 0:
-        raise ExpressionError("root index must be positive")
-    if m == 1:
-        return e
-    if len(e._t) != 1:
-        return None
-    (key, c), = e._t.items()
-    if c < 0:
-        return None
-    num, den = _iroot(c, m), _iroot(e._den, m)
-    if num is None or den is None:
-        return None
-    slots = []
-    for slot, v in key:
-        if slot[0] == 2:  # an exponential rate: any rational divides
-            slots.append((slot, _num(Fraction(v, m))))
-        else:
-            if v % m:
-                return None
-            slots.append((slot, v // m))
-    return _reduced({tuple(slots): num}, den)
-
-
-def _iroot(n: int, m: int) -> int | None:
-    if n in (0, 1):
-        return n
-    lo, hi = 1, 1 << ((n.bit_length() + m - 1) // m)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** m
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 # -- printing ---------------------------------------------------------------

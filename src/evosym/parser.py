@@ -4,9 +4,10 @@ Identifiers: ``x``, ``t``, ``u`` (= u_0), ``u1``..``u99`` (``u_1`` also
 accepted; ``expr.U_NAME`` spells them), plus pre-declared named constants.
 Operators ``+ - * / ^`` with the usual precedence, ``^`` right-associative
 with integer exponents of at most ``_MAX_EXPONENT`` in absolute value,
-``exp(...)`` the only function, integer literals (rationals are written
-``p/q``), insignificant whitespace.  Implicit multiplication is a syntax error.  Printing a normal form and
-re-parsing it is the identity.
+``exp(...)`` the only function, integer literals of ASCII digits
+(rationals are written ``p/q``), insignificant whitespace.  Implicit
+multiplication is a syntax error.  Printing a normal form and re-parsing
+it is the identity.
 
 The recursive descent parses straight to the normal form: each rule returns
 the ``DiffExpr`` of what it read (syntax-directed evaluation), so no syntax
@@ -46,7 +47,7 @@ def _error(source: str, message: str, offset: int) -> ParseError:
 # whitespace, then a number, an identifier, an operator or parenthesis, or
 # (the last group) any other character, which is an error
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
+    r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
 _KINDS = {1: "num", 2: "ident"}  # group 3's kind is its text
 _RESERVED = frozenset({"x", "t", "exp"})  # and what U_NAME matches
 

@@ -26,7 +26,6 @@ are the kernel vectors at the pivot columns of one elimination of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from . import expr as ex
 from . import linalg
@@ -71,23 +70,28 @@ class SearchResult:
 
 
 def _u_monomials(order: int, weight_max: int, w0: int):
-    """All monomials in u_0..u_order with scaling weight <= weight_max."""
-
-    def rec(i: int, budget: int):
-        w = i + w0
-        if i > order or w > budget:
-            # no later u_j fits (weights grow with j); budget < 0 fits nothing
-            if budget >= 0:
-                yield ()
+    """All monomials in u_0..u_order with scaling weight <= weight_max, as
+    ``((i, e_i), ...)`` over the nonzero exponents, in lexicographic order
+    of ``(e_0, ..., e_order)``: each step raises the highest exponent that
+    still fits (u_j weighs j + w0) and zeroes those above it."""
+    if weight_max < 0:
+        return
+    combo: list[tuple[int, int]] = []
+    free = weight_max
+    while True:
+        yield tuple(combo)
+        j = min(order, free - w0)
+        while combo and j < combo[-1][0]:
+            i, e = combo.pop()
+            free += e * (i + w0)
+            j = min(i - 1, free - w0)
+        if j < 0:
             return
-        for e in count(0):
-            if e * w > budget:
-                break
-            for rest in rec(i + 1, budget - e * w):
-                yield ((i, e),) + rest if e else rest
-
-    for combo in rec(0, weight_max):
-        yield combo
+        if combo and combo[-1][0] == j:
+            combo[-1] = (j, combo[-1][1] + 1)
+        else:
+            combo.append((j, 1))
+        free -= j + w0
 
 
 def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:

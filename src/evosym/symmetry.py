@@ -27,7 +27,7 @@ from . import expr as ex
 from .calculus import (DOperator, ev_apply, frechet, nabla_on_op, op_apply,
                        op_commutator)
 from .expr import (GEN_T, GEN_X, DiffExpr, is_constant, is_t_only, occurs,
-                   partial, to_source, try_divide, try_nth_root, u_order)
+                   partial, to_source, try_divide, u_order)
 from .expr import x as x_expr
 
 
@@ -35,10 +35,6 @@ class SelfCheckError(RuntimeError):
     """Two independent constructions of the same object disagreed, or a
     proved structural bound failed on a verified symmetry.  Either case
     means an implementation bug, so it is a hard failure."""
-
-
-class DegenerateCaseError(ValueError):
-    """Raised where the n = 2 case makes a bound formula degenerate."""
 
 
 # -- the Lie bracket ---------------------------------------------------------
@@ -200,52 +196,34 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
 
 @dataclass(frozen=True)
 class LeadingCoefficientVerdict:
-    inconclusive: bool
-    c_k: DiffExpr | None
-    detail: str
+    """``c_k_m = c_k(t)^m``, with ``m`` the denominator of ``k/n`` in lowest
+    terms (``c_k`` itself when n divides k)."""
+
+    m: int
+    c_k_m: DiffExpr
 
 
 def leading_coefficient_check(eq: EvolutionEquation,
                               report: SymmetryReport) -> LeadingCoefficientVerdict:
-    """Check that ``dG/du_k`` factors as (function of t) x separant^(k/n).
+    """Check that ``dG/du_k = c_k(t) * separant^(k/n)``.
 
-    With a constant separant this reduces to "depends on t only".  For a
-    non-constant separant the fractional power is attempted as an exact
-    root/power; when it does not exist in the expression class the verdict
-    is inconclusive rather than forced.  A factor that fails is a bug and
-    raises ``SelfCheckError``.
+    Raised to the power ``m``, with ``k/n = p/m`` in lowest terms, the
+    statement needs no root: ``(dG/du_k)^m / separant^p`` is an exact
+    quotient that depends on t only, and it is ``c_k(t)^m``.  A factor that
+    fails is a bug and raises ``SelfCheckError``.
     """
     if not report.is_symmetry:
         raise ValueError("leading-coefficient check needs a verified symmetry")
     k = report.order
     if k is None or k < 2:
         raise ValueError("leading-coefficient check needs order k >= 2")
-    lead = partial(report.candidate, k)
-    if eq.constant_separant:
-        if is_t_only(lead):
-            return LeadingCoefficientVerdict(False, lead, "c_k(t) = dG/du_k")
-        raise SelfCheckError("leading coefficient: dG/du_k depends on x or u")
-    power = _separant_power(eq.separant, k, eq.n)
-    if power is None:
-        return LeadingCoefficientVerdict(
-            True, None,
-            f"separant^({k}/{eq.n}) is not expressible in the expression class")
-    quot = try_divide(lead, power)
-    if quot is not None and is_t_only(quot):
-        return LeadingCoefficientVerdict(False, quot, "c_k(t) * separant^(k/n)")
-    raise SelfCheckError(
-        "leading coefficient: dG/du_k is not c_k(t) * separant^(k/n)")
-
-
-def _separant_power(sep: DiffExpr, k: int, n: int) -> DiffExpr | None:
-    if k % n == 0:
-        return sep ** (k // n)
-    g = gcd(k, n)
-    p, m = k // g, n // g
-    root = try_nth_root(sep, m)
-    if root is not None:
-        return root ** p
-    return try_nth_root(sep ** p, m)
+    g = gcd(k, eq.n)
+    p, m = k // g, eq.n // g
+    quot = try_divide(partial(report.candidate, k) ** m, eq.separant ** p)
+    if quot is None or not is_t_only(quot):
+        raise SelfCheckError(
+            "leading coefficient: dG/du_k is not c_k(t) * separant^(k/n)")
+    return LeadingCoefficientVerdict(m, quot)
 
 
 # -- x-dependence bounds -------------------------------------------------------
@@ -267,8 +245,7 @@ def descent_bound(k: int, n: int, q: int) -> int:
     if q == -1:
         return k // (n - 1)
     if n == 2:
-        raise DegenerateCaseError(
-            "descent bound with q >= 0 is degenerate for n = 2")
+        raise ValueError("descent bound with q >= 0 is degenerate for n = 2")
     base = k // (n - 1)
     if k % (n - 1) <= q:
         return max(0, base - 1)
@@ -362,10 +339,8 @@ def representation_decompose(eq: EvolutionEquation,
     if sum((x_expr ** j * g_j for j, g_j in enumerate(g_list)), psi) != G:
         raise SelfCheckError("x-power decomposition: reconstruction failed")
 
-    try:
-        s_bound = descent_bound(k, n, 1)
-    except DegenerateCaseError:
-        s_bound = descent_bound(k, n, -1)  # n = 2: only the raw bound applies
+    # n = 2: only the raw bound applies
+    s_bound = descent_bound(k, n, 1 if n > 2 else -1)
     if s_eff > s_bound:
         raise SelfCheckError(
             f"x-power decomposition: s = {s_eff} exceeds bound {s_bound}")
@@ -452,11 +427,12 @@ def check_structure(eq: EvolutionEquation, report: SymmetryReport
                     ) -> tuple[LeadingCoefficientVerdict | None,
                                XPowerDecomposition | None, DescentTrace]:
     """Run the structure checks that apply to a verified symmetry: the
-    leading coefficient (order >= 2; ``None`` below), the x-power
-    decomposition (``None`` with x inside an exponential), the x-descent
-    and, where it applies, the descended-leading-coefficient bound.  A
-    failed check is a bug: it raises ``SelfCheckError`` naming the
-    candidate in source form."""
+    leading coefficient (order >= 2, as ``c_k(t)^m`` with ``m`` the
+    denominator of ``k/n``, so every separant is decided; ``None`` below
+    order 2), the x-power decomposition (``None`` with x inside an
+    exponential), the x-descent and, where it applies, the
+    descended-leading-coefficient bound.  A failed check is a bug: it
+    raises ``SelfCheckError`` naming the candidate in source form."""
     k = report.order
     try:
         lead = dec = None

@@ -113,16 +113,16 @@ def test_criterion_4_structure_invariants_across_corpus(kdv):
         assert rep.is_symmetry, (name, G)
         k = rep.order
         if k is not None and k >= 2:
+            # raises unless (dG/du_k)^m / separant^p is t-only, p/m = k/n
             lead = leading_coefficient_check(eq, rep)
-            assert not lead.inconclusive, (name, G, lead.detail)
+            p = k * lead.m // eq.n
+            assert lead.c_k_m * eq.separant ** p == \
+                partial(G, k) ** lead.m, (name, G)
         trace = x_descent(eq, rep)  # raises on a bound violation
         for (prev, po), (cur, co) in zip(trace.steps, trace.steps[1:]):
             assert co is None or co <= max(1, (po or 0) - eq.n + 1)
         dec = representation_decompose(eq, rep)
-        try:
-            bound = descent_bound(k or 0, eq.n, 1)
-        except Exception:
-            bound = descent_bound(k or 0, eq.n, -1)
+        bound = descent_bound(k or 0, eq.n, 1 if eq.n > 2 else -1)
         assert dec.s_effective <= bound
         checked += 1
 

@@ -12,7 +12,7 @@ import pytest
 import evosym
 from evosym import parse, symmetry
 from evosym.cli import REPORT_SCHEMA, build_parser, main, parse_corpus
-from evosym.symmetry import LeadingCoefficientVerdict, SelfCheckError
+from evosym.symmetry import SelfCheckError
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -21,6 +21,15 @@ def run_cli(*argv):
     buf = io.StringIO()
     code = main(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+def run_process(*argv):
+    """The CLI in a fresh process with a 2 s wall bound."""
+    src = Path(evosym.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "evosym.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=2)
 
 
 class TestCheck:
@@ -49,6 +58,22 @@ class TestCheck:
         assert f"verdict: {report['verdict']}" in text
         assert f"order: {report['order']}" in text
         assert report["flags"]["kdv_like"] is True
+
+    @pytest.mark.parametrize("argv, line", [
+        (("--equation", "(u+1)^3*u3", "--candidate",
+          "2*u5*(u+1)^5 + 10*u4*u1*(u+1)^4 + 10*u3*u2*(u+1)^4 "
+          "+ 5*u3*u1^2*(u+1)^3"), "leading coefficient: ok (c_5(t)^3 = 8)"),
+        (("--equation", "a*u2", "--candidate", "u3", "--const", "a"),
+         "leading coefficient: ok (c_3(t)^2 = a^-3)"),
+        (("--equation", "u3 + 6*u*u1", "--candidate",
+          "x*u1 + 2*u + 3*t*(u3 + 6*u*u1)"),
+         "leading coefficient: ok (c_3(t)^1 = 3*t)"),
+    ], ids=["shifted-harry-dym-o5", "a-u2-o3", "kdv-scaling"])
+    def test_leading_coefficient_power(self, argv, line):
+        # n does not divide k in the first two: separant^(k/n) has no
+        # exact representative, its m-th power does
+        code, out = run_cli("check", *argv)
+        assert code == 0 and line in out.splitlines()
 
     def test_parse_error_exit_2(self):
         code, _ = run_cli("check", "--equation", "u3 +", "--candidate", "u1")
@@ -210,6 +235,22 @@ class TestFind:
         assert (code, out) == run_cli(*args, "--order", "1")
         assert code == 0 and "pool size: 3" in out
 
+    def test_exp_rate_multiplies_the_generated_pool(self):
+        # u_t = u_2 + u: exp(t) solves it, u*exp(t) does not
+        code, out = run_cli("find", "--equation", "u2 + u", "--order", "0",
+                            "--weight", "2", "--exp-rate", "1")
+        assert code == 0
+        assert out == "basis of dimension 1\npool size: 2\nG = exp(t)\n"
+
+    def test_deep_pool_reaches_the_cap(self):
+        # u_0..u_998 all fit the weight budget; the pool generator must not
+        # recurse once per index
+        proc = run_process("find", "--equation", "u3+6*u*u1",
+                           "--order", "1000", "--weight", "1000")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: ansatz pool exceeds the cap of 4000 "
+                               "entries; tighten the configuration\n")
+
     def test_negative_order_exit_2(self, capsys):
         code, out = run_cli("find", "--equation", "u3+u*u1",
                             "--order", "-1", "--weight", "3")
@@ -236,6 +277,44 @@ class TestCorpus:
         code, out = run_cli("corpus", "run", str(bad))
         assert code == 1
         assert "MISMATCH" in out
+
+    KDV = "[entry]\nname = kdv\nequation = u3 + 6*u*u1\n"
+
+    @pytest.mark.parametrize("line, mismatch", [
+        ("constant_separant = no", "constant-separant flag mismatch"),
+        ("kdv_like = no", "KdV-like flag mismatch"),
+        ("symmetry = u1; time = polynomial 1",
+         "time class mismatch for u1: got independent, want polynomial 1"),
+        ("not_symmetry = u1", "expected non-symmetry verified: u1"),
+        ("predict = quasipolynomial",
+         "prediction mismatch: got polynomial, want quasipolynomial"),
+        ("find = order=3 weight=5 contains= u2",
+         "find result does not span u2"),
+    ], ids=["constant-separant", "kdv-like", "time-class", "non-symmetry",
+            "prediction", "find-contains"])
+    def test_each_mismatch_exit_1(self, tmp_path, line, mismatch):
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}{line}\n")
+        code, out = run_cli("corpus", "run", str(path))
+        assert code == 1
+        assert out.splitlines()[0] == "[kdv] mismatch"
+        assert f"  MISMATCH: {mismatch}" in out.splitlines()
+
+    @pytest.mark.parametrize("line, message", [
+        ("constant_separant = maybe", "expected yes/no, got 'maybe'"),
+        ("symmetry u1", "expected key = value"),
+        ("symmetry = u1; kind = x", "unknown symmetry attribute"),
+        ("find = order=1 depth=3", "unknown find parameter 'depth'"),
+        ("find = order=1", "find needs order= and weight="),
+        ("colour = red", "unknown key 'colour'"),
+    ], ids=["yes-no", "key-value", "symmetry-attribute", "find-parameter",
+            "find-order-weight", "unknown-key"])
+    def test_each_format_error_exit_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}{line}\n")
+        code, out = run_cli("corpus", "run", str(path))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: line 4: {message}\n"
 
     def test_format_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.corpus"
@@ -368,6 +447,13 @@ class TestErrorExitCodes:
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
 
+    def test_non_ascii_digit_exit_2(self, capsys):
+        code, out = run_cli("check", "--equation", "u3 + 6*u*u1",
+                            "--candidate", "\u0663*u1")
+        assert code == 2 and out == ""
+        assert ("error: unexpected character '\u0663' (line 1, column 1)"
+                in capsys.readouterr().err)
+
     def test_division_by_zero_is_a_parse_error(self, capsys):
         code, _ = run_cli("check", "--equation", "u3 + 6*u*u1",
                           "--candidate", "u1/0")
@@ -378,8 +464,7 @@ class TestErrorExitCodes:
 class TestStructureFailures:
     """A failed structure check on a verified symmetry is a bug: it exits 3
     naming the candidate in source form, from ``check`` and ``corpus run``
-    alike, never with a verdict code; an inconclusive leading coefficient
-    is reported as such."""
+    alike, never with a verdict code."""
 
     # the message prints the normal form, not the source as written
     CHECK = ("check", "--equation", "u3 + 6*u*u1",
@@ -428,16 +513,6 @@ class TestStructureFailures:
             err = capsys.readouterr().err
             assert self.ERROR in err and "MISMATCH" not in err
 
-    def test_inconclusive_is_not_a_failure(self, monkeypatch):
-        verdict = LeadingCoefficientVerdict(True, None, "forced for the test")
-        monkeypatch.setattr(symmetry, "leading_coefficient_check",
-                            lambda eq, rep: verdict)
-        code, out = run_cli(*self.CHECK)
-        assert code == 0
-        assert "leading coefficient: inconclusive (forced for the test)" \
-            in out
-        assert "FAILED" not in out
-
 
 class TestExponentialDescent:
     """``(x + 2*t)*exp(x + t)`` solves the heat equation, so it is a
@@ -449,17 +524,8 @@ class TestExponentialDescent:
     STATIONARY = ("x-descent: 0 step(s) (x-dependence carried by an "
                   "exponential factor; descent is stationary)")
 
-    @staticmethod
-    def _run(*argv):
-        src = Path(evosym.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-m", "evosym.cli", *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=2)
-
     def test_check(self):
-        proc = self._run("check", *self.HEAT)
+        proc = run_process("check", *self.HEAT)
         assert proc.returncode == 0, proc.stderr
         assert "verdict: SYMMETRY" in proc.stdout
         assert self.STATIONARY in proc.stdout
@@ -468,7 +534,7 @@ class TestExponentialDescent:
         path = tmp_path / "heat.corpus"
         path.write_text("[entry]\nname = heat\nequation = u2\n"
                         "symmetry = (x+2*t)*exp(x+t)\n")
-        proc = self._run("corpus", "run", str(path))
+        proc = run_process("corpus", "run", str(path))
         assert proc.returncode == 0, proc.stderr
         assert "  structure ok\n" in proc.stdout
 

@@ -11,7 +11,7 @@ from evosym import (ExpressionError, ParseError, const, exp_of, parse,
                     partial, rational, substitute, to_source, total_d, u, u_order, x,
                     t)
 from evosym import expr as ex
-from evosym.expr import ZERO, ONE, as_scalar, try_divide, try_nth_root
+from evosym.expr import ZERO, ONE, as_scalar, try_divide
 
 from conftest import random_expr
 
@@ -294,6 +294,7 @@ def _narrower_try_divide(monkeypatch, a, b):
 class TestDivision:
     def test_exact(self):
         assert try_divide(6 * u0 * u1 + 2 * u1, 2 * u1) == 3 * u0 + 1
+        assert try_divide(u0 / 2 + u1, ONE) == u0 / 2 + u1
 
     def test_inexact(self):
         assert try_divide(u0 + 1, u1) is None
@@ -407,25 +408,6 @@ class TestDivision:
         q = try_divide(u0 ** 9000 - 1, u0 - 1)
         assert len(q) == 9000
         assert q == sum((u0 ** i for i in range(9000)), ZERO)
-
-    def test_roots(self):
-        assert try_nth_root(4 * u1 ** 2 * const("a") ** 2, 2) == 2 * u1 * const("a")
-        assert try_nth_root(u0 + u1, 2) is None
-        assert try_nth_root(2 * u1 ** 2, 2) is None
-
-    def test_roots_of_exponentials(self):
-        # exponential factors have every root: exp(2u)^(1/2) = exp(u)
-        assert try_nth_root(exp_of(2 * u0), 2) == exp_of(u0)
-        assert try_nth_root(exp_of(3 * t) * u1 ** 2, 2) is not None
-
-    def test_roots_of_exponentials_keep_exact_rates(self):
-        third = try_nth_root(parse("exp(u)"), 3)
-        assert third == parse("exp(1/3*u)")
-        assert str(third) == "exp(1/3*u)"
-        half = try_nth_root(parse("exp(2*x)"), 2)
-        (key, _), = half.term_items()
-        assert [(v, type(v)) for _, v in key] == [(1, int)]
-        assert str(half) == "exp(x)"
 
 
 # -- randomized algebra laws -------------------------------------------------

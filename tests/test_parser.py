@@ -93,6 +93,8 @@ class TestErrors:
         ("u1 +\n  q", 2, 3, "unknown identifier 'q'"),
         ("u1 +\n  2 $ u", 2, 5, "unexpected character '$'"),
         ("u1\n\t+ u2 # u3", 2, 7, "unexpected character '#'"),
+        # integer literals take ASCII digits only (Arabic-Indic three)
+        ("u1 +\n \u0663*u", 2, 2, "unexpected character '\u0663'"),
         ("exp(u\n  u1)", 2, 3, "expected ')', found 'u1'"),
         ("(u1 +\n u2\n", 3, 1, "expected ')', found 'end of input'"),
         ("u1 +\nexp u", 2, 5, "expected '(', found 'u'"),
@@ -122,7 +124,8 @@ class TestErrors:
         ("u1 +\n u^" + "0" * 5001, 2, 4, "integer literal of 5001 digits "
          f"exceeds the limit of {sys.get_int_max_str_digits()} digits"),
     ], ids=["unknown-identifier", "unexpected-character",
-            "unexpected-character-after-tab", "expected-paren",
+            "unexpected-character-after-tab", "non-ascii-digit",
+            "expected-paren",
             "expected-paren-at-end", "expected-exp-paren",
             "non-integer-exponent", "exponent-missing",
             "non-integer-exponent-in-tower", "u100", "depth-101",

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (DOperator, DegenerateCaseError, SelfCheckError, bracket,
+from evosym import (DOperator, SelfCheckError, bracket,
                     check_structure, classify, const, descent_bound,
                     descent_leading_coeff_check, determining_system,
                     dimension_bound, exp_of, is_symmetry,
@@ -248,11 +248,11 @@ class TestDoubleConstructions:
 class TestLeadingCoefficient:
     def test_equation_itself(self, kdv):
         v = leading_coefficient_check(kdv, is_symmetry(kdv, F_KDV))
-        assert not v.inconclusive and v.c_k == ONE
+        assert v.m == 1 and v.c_k_m == ONE
 
     def test_time_dependent_symmetry(self, kdv):
         v = leading_coefficient_check(kdv, is_symmetry(kdv, G_SCALE))
-        assert not v.inconclusive and v.c_k == 3 * t
+        assert v.m == 1 and v.c_k_m == 3 * t
 
     def test_order_precondition(self, kdv):
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, F)
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert not v.inconclusive and v.c_k == ONE
+        assert v.m == 1 and v.c_k_m == ONE
 
     def test_divisibility_with_constants(self):
         # u_t = a^2 u_2 has the symmetry u_4 (k/n = 2): c_4 = a^-4
@@ -274,17 +274,27 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, u(4))
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert not v.inconclusive and v.c_k == a ** -4
+        assert v.m == 1 and v.c_k_m == a ** -4
 
-    def test_inconclusive_when_root_missing(self):
-        # u_t = a u_2 has the symmetry u_3, but a^(3/2) has no exact
-        # representative in the expression class
+    def test_fractional_power_of_a_constant(self):
+        # u_t = a u_2 has the symmetry u_3: 1 = c_3 a^(3/2), so c_3^2 = a^-3
         a = const("a")
         eq = classify(a * u2)
         rep = is_symmetry(eq, u3)
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.inconclusive and v.c_k is None
+        assert v.m == 2 and v.c_k_m == a ** -3
+
+    def test_fractional_power_of_a_sum(self):
+        # Harry Dym shifted by u -> u+1 and its order-5 flow, k/n = 5/3:
+        # (dG/du_5)^3 = 8 (u+1)^15 = 8 separant^5
+        eq = classify(parse("(u+1)^3*u3"))
+        rep = is_symmetry(eq, parse(
+            "2*u5*(u+1)^5 + 10*u4*u1*(u+1)^4 + 10*u3*u2*(u+1)^4 "
+            "+ 5*u3*u1^2*(u+1)^3"))
+        assert rep.is_symmetry
+        v = leading_coefficient_check(eq, rep)
+        assert v.m == 3 and v.c_k_m == 8
 
 
 class TestDescentBound:
@@ -296,7 +306,7 @@ class TestDescentBound:
         assert descent_bound(3, 3, 1) == 0
 
     def test_degenerate_n2(self):
-        with pytest.raises(DegenerateCaseError):
+        with pytest.raises(ValueError, match="degenerate for n = 2"):
             descent_bound(3, 2, 0)
         assert descent_bound(3, 2, -1) == 3
 
@@ -384,7 +394,8 @@ class TestViolationsRaise:
     def test_leading_coefficient_not_t_only(self, kdv, monkeypatch):
         rep = is_symmetry(kdv, F_KDV)
         monkeypatch.setattr(symmetry, "is_t_only", lambda e: False)
-        with pytest.raises(SelfCheckError, match="depends on x or u"):
+        with pytest.raises(SelfCheckError,
+                           match=r"is not c_k\(t\) \* separant"):
             leading_coefficient_check(kdv, rep)
 
     def test_leading_coefficient_not_a_multiple(self, monkeypatch):

@@ -85,6 +85,13 @@ def _compact_time(cls) -> str:
     return "quasipolynomial"
 
 
+def _ratio_src(num, den) -> str:
+    """``num/den`` in source form, a denominator of one left out."""
+    def atom(e) -> str:
+        return str(e) if str(e).replace("^", "").isalnum() else f"({e})"
+    return str(num) if den == ex.ONE else f"{atom(num)}/{atom(den)}"
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_check(args, out) -> int:
@@ -99,8 +106,9 @@ def _cmd_check(args, out) -> int:
     if rep.is_symmetry:
         lead, dec, trace = check_structure(eq, rep)
         if lead is not None:
-            lines.append(f"leading coefficient: ok "
-                         f"(c_{rep.order}(t)^{lead.m} = {lead.c_k_m})")
+            power = "" if lead.m == 1 else f"^{lead.m}"
+            lines.append(f"leading coefficient: ok (c_{rep.order}(t){power} "
+                         f"= {_ratio_src(lead.num, lead.den)})")
         if dec is None:
             lines.append("x-power decomposition: skipped "
                          "(x inside an exponential)")

@@ -554,15 +554,20 @@ def is_constant(e: DiffExpr) -> bool:
     return all(slot[0] == 1 for key in e._t for slot, _ in key)
 
 
+def split_t_only(e: DiffExpr) -> dict[tuple, DiffExpr]:
+    """The t-only coefficient (named constants included) of each factor in
+    x and u, keyed by that factor's term key."""
+    out: dict[tuple, dict] = {}
+    for key, c in e._t.items():
+        rest = tuple(sv for sv in key if sv[0][0] != 1 and sv[0][1] != GEN_T)
+        t_only = tuple(sv for sv in key if sv[0][0] == 1 or sv[0][1] == GEN_T)
+        out.setdefault(rest, {})[t_only] = c
+    return {r: _reduced(d, e._den) for r, d in out.items()}
+
+
 def is_t_only(e: DiffExpr) -> bool:
     """True when the expression is free of x and every u_i."""
-    for key in e._t:
-        for slot, _ in key:
-            if slot[0] == 1:
-                continue
-            if slot[1] != GEN_T:
-                return False
-    return True
+    return set(split_t_only(e)) <= {()}
 
 
 def term_u_order(key) -> int | None:

@@ -196,11 +196,13 @@ def determining_system(eq: EvolutionEquation, G: DiffExpr) -> DeterminingSystem:
 
 @dataclass(frozen=True)
 class LeadingCoefficientVerdict:
-    """``c_k_m = c_k(t)^m``, with ``m`` the denominator of ``k/n`` in lowest
-    terms (``c_k`` itself when n divides k)."""
+    """``c_k(t)^m = num / den``, both t-only, with ``m`` the denominator of
+    ``k/n`` in lowest terms; ``den`` is ``ONE`` when the quotient lies in
+    the expression class."""
 
     m: int
-    c_k_m: DiffExpr
+    num: DiffExpr
+    den: DiffExpr
 
 
 def leading_coefficient_check(eq: EvolutionEquation,
@@ -208,9 +210,12 @@ def leading_coefficient_check(eq: EvolutionEquation,
     """Check that ``dG/du_k = c_k(t) * separant^(k/n)``.
 
     Raised to the power ``m``, with ``k/n = p/m`` in lowest terms, the
-    statement needs no root: ``(dG/du_k)^m / separant^p`` is an exact
-    quotient that depends on t only, and it is ``c_k(t)^m``.  A factor that
-    fails is a bug and raises ``SelfCheckError``.
+    statement needs no root: ``L = (dG/du_k)^m`` is ``c_k(t)^m`` times
+    ``S = separant^p``.  Then ``c_k(t)^m = num / den`` for the t-only
+    coefficients ``den`` of ``S`` and ``num`` of ``L`` at one factor in x
+    and u, and the statement holds exactly when ``L * den == S * num``:
+    no division, so t in the denominator of ``c_k(t)`` is decided too.  A
+    failure is a bug and raises ``SelfCheckError``.
     """
     if not report.is_symmetry:
         raise ValueError("leading-coefficient check needs a verified symmetry")
@@ -219,11 +224,17 @@ def leading_coefficient_check(eq: EvolutionEquation,
         raise ValueError("leading-coefficient check needs order k >= 2")
     g = gcd(k, eq.n)
     p, m = k // g, eq.n // g
-    quot = try_divide(partial(report.candidate, k) ** m, eq.separant ** p)
-    if quot is None or not is_t_only(quot):
+    L, S = partial(report.candidate, k) ** m, eq.separant ** p
+    parts = ex.split_t_only(S)
+    rest = min(parts, key=lambda r: (len(parts[r]), r))
+    num, den = ex.split_t_only(L).get(rest, ex.ZERO), parts[rest]
+    if L * den != S * num:
         raise SelfCheckError(
             "leading coefficient: dG/du_k is not c_k(t) * separant^(k/n)")
-    return LeadingCoefficientVerdict(m, quot)
+    quot = try_divide(num, den)
+    if quot is None:
+        return LeadingCoefficientVerdict(m, num, den)
+    return LeadingCoefficientVerdict(m, quot, ex.ONE)
 
 
 # -- x-dependence bounds -------------------------------------------------------
@@ -428,11 +439,11 @@ def check_structure(eq: EvolutionEquation, report: SymmetryReport
                                XPowerDecomposition | None, DescentTrace]:
     """Run the structure checks that apply to a verified symmetry: the
     leading coefficient (order >= 2, as ``c_k(t)^m`` with ``m`` the
-    denominator of ``k/n``, so every separant is decided; ``None`` below
-    order 2), the x-power decomposition (``None`` with x inside an
-    exponential), the x-descent and, where it applies, the
-    descended-leading-coefficient bound.  A failed check is a bug: it
-    raises ``SelfCheckError`` naming the candidate in source form."""
+    denominator of ``k/n``; ``None`` below order 2), the x-power
+    decomposition (``None`` with x inside an exponential), the x-descent
+    and, where it applies, the descended-leading-coefficient bound.  A
+    failed check is a bug: it raises ``SelfCheckError`` naming the
+    candidate in source form."""
     k = report.order
     try:
         lead = dec = None

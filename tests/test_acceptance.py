@@ -116,8 +116,8 @@ def test_criterion_4_structure_invariants_across_corpus(kdv):
             # raises unless (dG/du_k)^m / separant^p is t-only, p/m = k/n
             lead = leading_coefficient_check(eq, rep)
             p = k * lead.m // eq.n
-            assert lead.c_k_m * eq.separant ** p == \
-                partial(G, k) ** lead.m, (name, G)
+            assert lead.num * eq.separant ** p == \
+                lead.den * partial(G, k) ** lead.m, (name, G)
         trace = x_descent(eq, rep)  # raises on a bound violation
         for (prev, po), (cur, co) in zip(trace.steps, trace.steps[1:]):
             assert co is None or co <= max(1, (po or 0) - eq.n + 1)

@@ -67,11 +67,20 @@ class TestCheck:
          "leading coefficient: ok (c_3(t)^2 = a^-3)"),
         (("--equation", "u3 + 6*u*u1", "--candidate",
           "x*u1 + 2*u + 3*t*(u3 + 6*u*u1)"),
-         "leading coefficient: ok (c_3(t)^1 = 3*t)"),
-    ], ids=["shifted-harry-dym-o5", "a-u2-o3", "kdv-scaling"])
+         "leading coefficient: ok (c_3(t) = 3*t)"),
+        (("--equation", "t*u2", "--candidate", "u3"),
+         "leading coefficient: ok (c_3(t)^2 = 1/t^3)"),
+        (("--equation", "t*u2", "--candidate", "u2"),
+         "leading coefficient: ok (c_2(t) = 1/t)"),
+        (("--equation", "(t+1)*(u3 + 6*u*u1)", "--candidate",
+          "3*(t^2/2 + t)*(u3 + 6*u*u1) + x*u1 + 2*u"),
+         "leading coefficient: ok (c_3(t) = (3/2*t^2 + 3*t)/(t + 1))"),
+    ], ids=["shifted-harry-dym-o5", "a-u2-o3", "kdv-scaling", "t-u2-o3",
+            "t-u2-o2", "rescaled-kdv-scaling"])
     def test_leading_coefficient_power(self, argv, line):
         # n does not divide k in the first two: separant^(k/n) has no
-        # exact representative, its m-th power does
+        # exact representative, its m-th power does; c_k(t) has t in its
+        # denominator in the last three
         code, out = run_cli("check", *argv)
         assert code == 0 and line in out.splitlines()
 

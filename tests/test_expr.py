@@ -11,7 +11,7 @@ from evosym import (ExpressionError, ParseError, const, exp_of, parse,
                     partial, rational, substitute, to_source, total_d, u, u_order, x,
                     t)
 from evosym import expr as ex
-from evosym.expr import ZERO, ONE, as_scalar, try_divide
+from evosym.expr import ZERO, ONE, DiffExpr, as_scalar, try_divide
 
 from conftest import random_expr
 
@@ -150,6 +150,21 @@ class TestUOrder:
 
     def test_atom_only_dependence(self):
         assert u_order(exp_of(-2 * u0)) == 0
+
+
+class TestSplitTOnly:
+    def test_groups_by_the_factor_free_of_t(self):
+        a = const("a")
+        e = parse("(t + a)*u1*exp(x + 2*t) + t^2*u1*exp(x) - 3*x + 5",
+                  ["a"])
+        parts = ex.split_t_only(e)
+        assert parts == {
+            (u1 * exp_of(x)).term_items()[0][0]:
+                (t + a) * exp_of(2 * t) + t ** 2,
+            x.term_items()[0][0]: rational(-3),
+            (): rational(5)}
+        assert sum((c * DiffExpr({r: 1}) for r, c in parts.items()),
+                   ZERO) == e
 
 
 class TestScalar:

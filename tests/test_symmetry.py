@@ -248,11 +248,11 @@ class TestDoubleConstructions:
 class TestLeadingCoefficient:
     def test_equation_itself(self, kdv):
         v = leading_coefficient_check(kdv, is_symmetry(kdv, F_KDV))
-        assert v.m == 1 and v.c_k_m == ONE
+        assert (v.m, v.num, v.den) == (1, ONE, ONE)
 
     def test_time_dependent_symmetry(self, kdv):
         v = leading_coefficient_check(kdv, is_symmetry(kdv, G_SCALE))
-        assert v.m == 1 and v.c_k_m == 3 * t
+        assert (v.m, v.num, v.den) == (1, 3 * t, ONE)
 
     def test_order_precondition(self, kdv):
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, F)
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.m == 1 and v.c_k_m == ONE
+        assert (v.m, v.num, v.den) == (1, ONE, ONE)
 
     def test_divisibility_with_constants(self):
         # u_t = a^2 u_2 has the symmetry u_4 (k/n = 2): c_4 = a^-4
@@ -274,7 +274,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, u(4))
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.m == 1 and v.c_k_m == a ** -4
+        assert (v.m, v.num, v.den) == (1, a ** -4, ONE)
 
     def test_fractional_power_of_a_constant(self):
         # u_t = a u_2 has the symmetry u_3: 1 = c_3 a^(3/2), so c_3^2 = a^-3
@@ -283,7 +283,7 @@ class TestLeadingCoefficient:
         rep = is_symmetry(eq, u3)
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.m == 2 and v.c_k_m == a ** -3
+        assert (v.m, v.num, v.den) == (2, a ** -3, ONE)
 
     def test_fractional_power_of_a_sum(self):
         # Harry Dym shifted by u -> u+1 and its order-5 flow, k/n = 5/3:
@@ -294,7 +294,32 @@ class TestLeadingCoefficient:
             "+ 5*u3*u1^2*(u+1)^3"))
         assert rep.is_symmetry
         v = leading_coefficient_check(eq, rep)
-        assert v.m == 3 and v.c_k_m == 8
+        assert (v.m, v.num, v.den) == (3, 8, ONE)
+
+    @pytest.mark.parametrize("G, m, den", [
+        (u3, 2, t ** 3),  # 1 = c_3 t^(3/2): c_3^2 = 1/t^3
+        (u2, 1, t),       # 1 = c_2 t: c_2 = 1/t
+        (u(4), 1, t ** 2),
+    ], ids=["u3", "u2", "u4"])
+    def test_t_in_the_denominator(self, G, m, den):
+        # u_t = t u_2: c_k(t) has t in its denominator, which no exact
+        # quotient in the expression class holds; its reciprocal is one
+        eq = classify(t * u2)
+        rep = is_symmetry(eq, G)
+        assert rep.is_symmetry
+        v = leading_coefficient_check(eq, rep)
+        assert (v.m, v.num, v.den) == (m, ONE, den)
+
+    def test_neither_quotient_in_the_class(self):
+        # u_t = (t+1) K for K the KdV flow has the scaling symmetry
+        # 3 tau K + x u_1 + 2 u, tau = t^2/2 + t: c_3 = 3 tau / (t+1)
+        K = parse("u3 + 6*u*u1")
+        eq = classify((t + 1) * K)
+        tau = t ** 2 / 2 + t
+        rep = is_symmetry(eq, 3 * tau * K + parse("x*u1 + 2*u"))
+        assert rep.is_symmetry
+        v = leading_coefficient_check(eq, rep)
+        assert (v.m, v.num, v.den) == (1, 3 * tau, t + 1)
 
 
 class TestDescentBound:
@@ -392,16 +417,21 @@ class TestViolationsRaise:
         monkeypatch.setattr(symmetry, "partial", scaled)
 
     def test_leading_coefficient_not_t_only(self, kdv, monkeypatch):
+        # dG/du_k = u for KdV's separant 1: no t-only coefficient at all
         rep = is_symmetry(kdv, F_KDV)
-        monkeypatch.setattr(symmetry, "is_t_only", lambda e: False)
+        real = symmetry.partial
+        monkeypatch.setattr(symmetry, "partial", lambda e, v: real(e, v) * u0)
         with pytest.raises(SelfCheckError,
                            match=r"is not c_k\(t\) \* separant"):
             leading_coefficient_check(kdv, rep)
 
     def test_leading_coefficient_not_a_multiple(self, monkeypatch):
+        # dG/du_k = u^2 + 1 for the separant u^2: the coefficients at u^2
+        # agree, the rest does not
         eq = classify(u0 ** 2 * u2)
         rep = is_symmetry(eq, eq.F)
-        monkeypatch.setattr(symmetry, "try_divide", lambda a, b: None)
+        real = symmetry.partial
+        monkeypatch.setattr(symmetry, "partial", lambda e, v: real(e, v) + 1)
         with pytest.raises(SelfCheckError,
                            match=r"is not c_k\(t\) \* separant"):
             leading_coefficient_check(eq, rep)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -25,10 +26,9 @@ from .parser import ParseError, parse
 from .search import AnsatzConfig, PoolLimitError, expr_in_span, find_symmetries
 from .symmetry import (EvolutionEquation, check_structure, classify,
                        determining_system, is_symmetry)
-from .timedep import (POLYNOMIAL, TIME_INDEPENDENT, annihilator,
-                      classify_time, mastersymmetry_test,
-                      predict_time_dependence, probe_time_shapes,
-                      scaling_test)
+from .timedep import (POLYNOMIAL, annihilator, classify_time,
+                      mastersymmetry_test, predict_time_dependence,
+                      probe_time_shapes, scaling_test)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -69,7 +69,7 @@ def _flags(eq: EvolutionEquation) -> dict:
             "deriv_depth": eq.deriv_depth}
 
 
-def _emit(report: dict, lines: list[str], fmt: str, out) -> None:
+def _emit(report: dict | list, lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
     else:
@@ -78,11 +78,7 @@ def _emit(report: dict, lines: list[str], fmt: str, out) -> None:
 
 
 def _compact_time(cls) -> str:
-    if cls.kind == TIME_INDEPENDENT:
-        return "independent"
-    if cls.kind == POLYNOMIAL:
-        return f"polynomial {cls.degree}"
-    return "quasipolynomial"
+    return f"polynomial {cls.degree}" if cls.kind == POLYNOMIAL else cls.kind
 
 
 def _ratio_src(num, den) -> str:
@@ -260,8 +256,9 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
     entries: list[dict] = []
     cur: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # "#" starts a comment anywhere: the expression grammar has no "#"
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if line == "[entry]":
             cur = {"symmetries": [], "non_symmetries": [], "finds": []}
@@ -309,6 +306,10 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 if k not in ("order", "weight", "t_degree", "x_degree"):
                     raise CorpusFormatError(
                         f"line {lineno}: unknown find parameter {k!r}")
+                if not re.fullmatch(r"-?[0-9]+", v):
+                    raise CorpusFormatError(
+                        f"line {lineno}: find {k} must be an integer, "
+                        f"got {v!r}")
                 spec[k] = int(v)
             if "order" not in spec or "weight" not in spec:
                 raise CorpusFormatError(
@@ -412,23 +413,18 @@ def _cmd_corpus(args, out) -> int:
     with open(args.path, encoding="utf-8") as fh:
         entries = parse_corpus(fh.read())
     entries.sort(key=lambda e: e.name)
-    any_problem = False
-    reports = []
+    # nothing is printed until every entry has run: a rejected entry
+    # (exit 2) must not leave the verdicts of the entries before it
+    reports, text = [], []
     for entry in entries:
         lines, problems = run_corpus_entry(entry)
         verdict = "ok" if not problems else "mismatch"
-        any_problem = any_problem or bool(problems)
-        if args.format == "json":
-            reports.append(_report("corpus", verdict, entry=entry.name))
-        else:
-            print(f"[{entry.name}] {verdict}", file=out)
-            for line in lines:
-                print(f"  {line}", file=out)
-            for p in problems:
-                print(f"  MISMATCH: {p}", file=out)
-    if args.format == "json":
-        print(json.dumps(reports, indent=2, sort_keys=True), file=out)
-    return 1 if any_problem else 0
+        reports.append(_report("corpus", verdict, entry=entry.name))
+        text += [f"[{entry.name}] {verdict}",
+                 *(f"  {line}" for line in lines),
+                 *(f"  MISMATCH: {p}" for p in problems)]
+    _emit(reports, text, args.format, out)
+    return 1 if any(r["verdict"] != "ok" for r in reports) else 0
 
 
 # -- argument plumbing ---------------------------------------------------------

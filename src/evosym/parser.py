@@ -46,8 +46,9 @@ def _error(source: str, message: str, offset: int) -> ParseError:
 
 # whitespace, then a number, an identifier, an operator or parenthesis, or
 # (the last group) any other character, which is an error
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
+    rf"\s*(?:([0-9]+)|({_IDENT_RE.pattern})|([-+*/^()])|(\S))")
 _KINDS = {1: "num", 2: "ident"}  # group 3's kind is its text
 _RESERVED = frozenset({"x", "t", "exp"})  # and what U_NAME matches
 
@@ -218,6 +219,8 @@ def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
     """Parse a source string to its normal form."""
     names = frozenset(constants)
     for name in names:
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"constant name {name!r} is not an identifier")
         if name in _RESERVED or U_NAME.fullmatch(name):
             raise ValueError(f"constant name {name!r} collides with a "
                              "reserved identifier")

@@ -58,8 +58,11 @@ class AnsatzConfig:
     max_pool: int = 4000
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"ansatz order must be >= 0, got {self.order}")
+        for name, low in (("order", 0), ("base_weight", 1), ("max_pool", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(
+                    f"ansatz {name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -329,55 +329,41 @@ def representation_decompose(eq: EvolutionEquation,
     n = eq.n
     by_power = ex.split_by_power(G, GEN_X)
     top_power = max(by_power, default=0)
+    # With dF/du_n, ..., dF/du_{n-j} functions of t only (j >= 1), psi may
+    # carry no u-dependence at all, but s is only bounded by [k/(n-1)].
+    remark = eq.deriv_depth >= 1
 
     g_list: list[DiffExpr] = []
     psi = ex.ZERO
-    s_eff = 0
+    s_eff = u_top = 0
     for j in range(top_power + 1):
         coeff = by_power.get(j, ex.ZERO)
+        bound = k - j * (n - 1)
         hi, lo = ex.split_u_order(coeff, 2)
         if hi:
             s_eff = j
-            bound = k - j * (n - 1)
-            if (u_order(hi) or 0) > bound:
+            if u_order(hi) > bound:
                 raise SelfCheckError(
                     f"x-power decomposition: coefficient of x^{j} has order "
                     f"{u_order(hi)} > {bound}")
+        dep = ex.split_u_order(coeff, 0)[0] if remark else ex.ZERO
+        if dep:
+            u_top = j
+            if u_order(dep) > bound:
+                raise SelfCheckError(
+                    f"x-power decomposition: u-content at x^{j} exceeds "
+                    f"order {bound}")
         if j == 0:
             psi = lo
         g_list.append(coeff if j else hi)
 
     if sum((x_expr ** j * g_j for j, g_j in enumerate(g_list)), psi) != G:
         raise SelfCheckError("x-power decomposition: reconstruction failed")
-
-    # n = 2: only the raw bound applies
-    s_bound = descent_bound(k, n, 1 if n > 2 else -1)
-    if s_eff > s_bound:
-        raise SelfCheckError(
-            f"x-power decomposition: s = {s_eff} exceeds bound {s_bound}")
-
-    # With dF/du_n, ..., dF/du_{n-j} functions of t only (j >= 1), psi may
-    # carry no u-dependence at all, but s is only bounded by [k/(n-1)].
-    remark = eq.deriv_depth >= 1
-    if remark:
-        remark_bound = descent_bound(k, n, -1)
-        u_top = 0
-        u_parts = {}
-        for j, coeff in by_power.items():
-            dep, _ = ex.split_u_order(coeff, 0)
-            if dep:
-                u_top = max(u_top, j)
-                u_parts[j] = dep
-        if u_top > remark_bound:
+    s_bound = descent_bound(k, n, 1 if n > 2 else -1)  # n = 2: the raw bound
+    for s, bound in ((s_eff, s_bound), (u_top, descent_bound(k, n, -1))):
+        if s > bound:
             raise SelfCheckError(
-                f"x-power decomposition: s = {u_top} exceeds bound "
-                f"{remark_bound}")
-        for j, dep in u_parts.items():
-            bound = k - j * (n - 1)
-            if (u_order(dep) or 0) > bound:
-                raise SelfCheckError(
-                    f"x-power decomposition: u-content at x^{j} exceeds "
-                    f"order {bound}")
+                f"x-power decomposition: s = {s} exceeds bound {bound}")
 
     return XPowerDecomposition(s=top_power, g=tuple(g_list), psi=psi,
                                s_effective=s_eff, s_bound_used=s_bound,

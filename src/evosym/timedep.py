@@ -28,17 +28,29 @@ MAX_ANNIHILATOR_ORDER = 400
 
 @dataclass(frozen=True)
 class TimeDependenceClass:
-    """Shape of the t-dependence of an expression.
+    """Shape of the t-dependence of an expression: its spectrum.
 
-    ``spectrum`` maps each exponential rate lambda (a constant expression;
-    0 for the plain polynomial part) to the maximal attached t-degree.
-    ``kind`` is independent, polynomial or quasipolynomial: every
-    expression of this package has one of these shapes.
+    ``spectrum`` pairs each exponential rate lambda (a constant expression;
+    0 for the plain part) with the maximal t-degree attached to it; the zero
+    expression has the empty spectrum.  ``kind`` (independent, polynomial or
+    quasipolynomial) and ``degree`` are read off it.
     """
 
-    kind: str
-    degree: int = 0
     spectrum: tuple[tuple[DiffExpr, int], ...] = ()
+
+    @property
+    def degree(self) -> int:
+        return max((m for _, m in self.spectrum), default=0)
+
+    @property
+    def kind(self) -> str:
+        if any(lam for lam, _ in self.spectrum):
+            return QUASIPOLYNOMIAL
+        return POLYNOMIAL if self.degree else TIME_INDEPENDENT
+
+    @property
+    def is_polynomial_shape(self) -> bool:
+        return self.kind != QUASIPOLYNOMIAL
 
     def __str__(self) -> str:
         if self.kind == TIME_INDEPENDENT:
@@ -48,10 +60,6 @@ class TimeDependenceClass:
         inner = ", ".join(f"(lambda = {lam}, degree {m})"
                           for lam, m in self.spectrum)
         return f"quasipolynomial in t: {inner}"
-
-    @property
-    def is_polynomial_shape(self) -> bool:
-        return self.kind in (TIME_INDEPENDENT, POLYNOMIAL)
 
 
 def _term_rate(key) -> tuple:
@@ -69,24 +77,15 @@ def _t_degree(key) -> int:
 
 
 def classify_time(G: DiffExpr) -> TimeDependenceClass:
-    """Group the normal form by exp(lambda*t) factors and t-degrees and
-    report the tightest matching shape."""
+    """Group the normal form by exp(lambda*t) factors, keeping the top
+    t-degree of each rate."""
     spectrum: dict[tuple, int] = {}
     for key, _ in G.term_items():
         rate = _term_rate(key)
-        deg = _t_degree(key)
-        spectrum[rate] = max(spectrum.get(rate, 0), deg)
-    if not spectrum:
-        return TimeDependenceClass(TIME_INDEPENDENT)
-    if set(spectrum) == {()}:
-        deg = spectrum[()]
-        if deg == 0:
-            return TimeDependenceClass(TIME_INDEPENDENT)
-        return TimeDependenceClass(POLYNOMIAL, degree=deg)
-    spec = tuple(sorted(((DiffExpr(dict(r)), m) for r, m in spectrum.items()),
-                        key=lambda it: it[0].term_items()))
-    return TimeDependenceClass(QUASIPOLYNOMIAL,
-                               degree=max(spectrum.values()), spectrum=spec)
+        spectrum[rate] = max(spectrum.get(rate, 0), _t_degree(key))
+    return TimeDependenceClass(tuple(sorted(
+        ((DiffExpr(dict(r)), m) for r, m in spectrum.items()),
+        key=lambda it: it[0].term_items())))
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,7 @@ def annihilator(G: DiffExpr) -> AnnihilatorOp:
     """Minimal-degree constant-coefficient annihilator of G's t-dependence:
     the product of ``(d/dt - lambda)^(m_lambda + 1)``; for purely polynomial
     dependence of degree p this is ``(d/dt)^(p+1)``."""
-    cls = classify_time(G)
-    if cls.kind == TIME_INDEPENDENT:
-        spectrum: list[tuple[DiffExpr, int]] = [(ex.ZERO, 0)]
-    elif cls.kind == POLYNOMIAL:
-        spectrum = [(ex.ZERO, cls.degree)]
-    else:
-        spectrum = list(cls.spectrum)
+    spectrum = classify_time(G).spectrum or ((ex.ZERO, 0),)
     order = sum(m + 1 for _, m in spectrum)
     if order > MAX_ANNIHILATOR_ORDER:
         raise ex.ExpressionError(
@@ -331,9 +324,7 @@ def predict_time_dependence(eq: EvolutionEquation,
             raise ValueError(
                 f"basis element has order {rep.order} > cap {cap}: {g}")
         classes.append(classify_time(g))
-    if all(c.is_polynomial_shape for c in classes):
-        prediction = POLYNOMIAL
-    else:
-        prediction = QUASIPOLYNOMIAL
+    prediction = (POLYNOMIAL if all(c.is_polynomial_shape for c in classes)
+                  else QUASIPOLYNOMIAL)
     return TimePrediction(prediction=prediction, classes=tuple(classes),
                           basis_order_cap=cap, corollary_mode=corollary_mode)

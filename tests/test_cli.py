@@ -268,6 +268,21 @@ class TestFind:
         assert "error: ansatz order must be >= 0, got -1" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--base-weight", "0", "ansatz base_weight must be >= 1, got 0"),
+        ("--base-weight", "-2", "ansatz base_weight must be >= 1, got -2"),
+        ("--max-pool", "0", "ansatz max_pool must be >= 1, got 0"),
+        ("--max-pool", "-1", "ansatz max_pool must be >= 1, got -1"),
+    ])
+    def test_invalid_configuration_exit_2_promptly(self, capsys, flag, value,
+                                                   message):
+        start = time.perf_counter()
+        code, out = run_cli("find", "--equation", "u3+6*u*u1", "--order", "2",
+                            "--weight", "3", flag, value)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert time.perf_counter() - start < 2
+
 
 class TestCorpus:
     def test_full_corpus_green(self, corpus_path):
@@ -315,15 +330,41 @@ class TestCorpus:
         ("symmetry = u1; kind = x", "unknown symmetry attribute"),
         ("find = order=1 depth=3", "unknown find parameter 'depth'"),
         ("find = order=1", "find needs order= and weight="),
+        ("find = order=x weight=3", "find order must be an integer, got 'x'"),
         ("colour = red", "unknown key 'colour'"),
     ], ids=["yes-no", "key-value", "symmetry-attribute", "find-parameter",
-            "find-order-weight", "unknown-key"])
+            "find-order-weight", "find-integer", "unknown-key"])
     def test_each_format_error_exit_2(self, tmp_path, capsys, line, message):
         path = tmp_path / "one.corpus"
         path.write_text(f"{self.KDV}{line}\n")
         code, out = run_cli("corpus", "run", str(path))
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: line 4: {message}\n"
+
+    def test_readme_example_runs_verbatim(self, tmp_path):
+        # "#" starts a comment anywhere on a line, as the README example has
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Corpus files", 1)[1].split("```\n")[1]
+        assert "constants = " in block and "# comma list" in block
+        path = tmp_path / "readme.corpus"
+        path.write_text(block)
+        [entry] = parse_corpus(block)
+        assert entry.constants == ()
+        assert entry.basis == ("u1", "1 + 6*t*u1")
+        assert entry.predict == "polynomial"
+        code, out = run_cli("corpus", "run", str(path))
+        assert code == 0, out
+        assert out.splitlines()[0] == "[kdv] ok"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rejected_later_entry_prints_no_verdict(self, tmp_path, capsys,
+                                                    fmt):
+        path = tmp_path / "two.corpus"
+        path.write_text("[entry]\nname = a\nequation = u2\n"
+                        "[entry]\nname = b\nequation = u2\nsymmetry = u1 +\n")
+        code, out = run_cli("corpus", "run", str(path), "--format", fmt)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: unexpected token")
 
     def test_format_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.corpus"
@@ -462,6 +503,12 @@ class TestErrorExitCodes:
         assert code == 2 and out == ""
         assert ("error: unexpected character '\u0663' (line 1, column 1)"
                 in capsys.readouterr().err)
+
+    def test_constant_name_not_an_identifier_exit_2(self, capsys):
+        code, out = run_cli("check", "--equation", "u3 + 6*u*u1",
+                            "--candidate", "u1", "--const", "1x, a b")
+        assert code == 2 and out == ""
+        assert "is not an identifier" in capsys.readouterr().err
 
     def test_division_by_zero_is_a_parse_error(self, capsys):
         code, _ = run_cli("check", "--equation", "u3 + 6*u*u1",

@@ -149,6 +149,11 @@ class TestErrors:
         with pytest.raises(ValueError):
             parse("u1", ("u7",))
 
+    @pytest.mark.parametrize("name", ["# c", "1x", "a b", "", "a-b", "\u00e9"])
+    def test_constant_name_must_be_an_identifier(self, name):
+        with pytest.raises(ValueError, match="is not an identifier"):
+            parse("u1", (name,))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("source,consts", [

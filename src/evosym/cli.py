@@ -14,15 +14,16 @@ Codes 2 and 3 are never verdicts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import expr as ex
-from .parser import ParseError, parse
+from .parser import parse
 from .search import AnsatzConfig, PoolLimitError, expr_in_span, find_symmetries
 from .symmetry import (EvolutionEquation, check_structure, classify,
                        determining_system, is_symmetry)
@@ -237,6 +238,8 @@ class CorpusEntry:
     basis: tuple[str, ...] = ()
     predict: str | None = None
     finds: tuple[dict, ...] = ()
+    # each key's line numbers, one per value in file order
+    lines: dict[str, list[int]] = field(default_factory=dict)
 
 
 class CorpusFormatError(ValueError):
@@ -261,7 +264,8 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         if not line:
             continue
         if line == "[entry]":
-            cur = {"symmetries": [], "non_symmetries": [], "finds": []}
+            cur = {"symmetries": [], "non_symmetries": [], "finds": [],
+                   "lines": {}}
             entries.append(cur)
             continue
         if cur is None:
@@ -271,17 +275,12 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "name":
-            cur["name"] = value
-        elif key == "equation":
-            cur["equation"] = value
-        elif key == "constants":
-            cur["constants"] = tuple(
-                c.strip() for c in value.split(",") if c.strip())
-        elif key == "constant_separant":
-            cur["expect_constant_separant"] = _parse_bool(value, f"line {lineno}")
-        elif key == "kdv_like":
-            cur["expect_kdv_like"] = _parse_bool(value, f"line {lineno}")
+        if key in ("name", "equation", "predict"):
+            cur[key] = value
+        elif key in ("constants", "basis"):
+            cur[key] = _const_list(value)
+        elif key in ("constant_separant", "kdv_like"):
+            cur[f"expect_{key}"] = _parse_bool(value, f"line {lineno}")
         elif key == "symmetry":
             source, _, time_part = value.partition(";")
             expect_time = None
@@ -294,10 +293,6 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             cur["symmetries"].append((source.strip(), expect_time))
         elif key == "not_symmetry":
             cur["non_symmetries"].append(value)
-        elif key == "basis":
-            cur["basis"] = tuple(s.strip() for s in value.split(",") if s.strip())
-        elif key == "predict":
-            cur["predict"] = value
         elif key == "find":
             spec: dict = {}
             head, _, contains = value.partition("contains=")
@@ -322,11 +317,11 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             cur["finds"].append(spec)
         else:
             raise CorpusFormatError(f"line {lineno}: unknown key {key!r}")
+        cur["lines"].setdefault(key, []).append(lineno)
     out = []
     for raw_entry in entries:
-        raw_entry["symmetries"] = tuple(raw_entry["symmetries"])
-        raw_entry["non_symmetries"] = tuple(raw_entry["non_symmetries"])
-        raw_entry["finds"] = tuple(raw_entry["finds"])
+        for key in ("symmetries", "non_symmetries", "finds"):
+            raw_entry[key] = tuple(raw_entry[key])
         if "name" not in raw_entry or "equation" not in raw_entry:
             raise CorpusFormatError("every entry needs name and equation")
         out.append(CorpusEntry(**raw_entry))
@@ -342,11 +337,26 @@ def _time_matches(cls, expected: str) -> bool:
     return expected == cls.kind
 
 
+@contextlib.contextmanager
+def _value_at(entry: CorpusEntry, key: str, i: int = -1):
+    """Appends the corpus line and the entry of the i-th value of ``key``
+    to a ``ValueError`` (a parse or expression error among them) or a
+    ``PoolLimitError`` raised while that value is read or checked."""
+    try:
+        yield
+    except (ValueError, PoolLimitError) as err:
+        if key in entry.lines:
+            err.args = (f"{err} (corpus line {entry.lines[key][i]}, "
+                        f"entry {entry.name!r})",)
+        raise
+
+
 def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
     """Evaluate one entry; returns (log lines, mismatch descriptions)."""
     lines: list[str] = []
     problems: list[str] = []
-    eq = classify(parse(entry.equation, entry.constants))
+    with _value_at(entry, "equation"):
+        eq = classify(parse(entry.equation, entry.constants))
     if entry.expect_constant_separant is not None and \
             eq.constant_separant != entry.expect_constant_separant:
         problems.append("constant-separant flag mismatch")
@@ -357,37 +367,44 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
                  f"{eq.constant_separant}; KdV-like: {eq.kdv_like}")
 
     verified: list = []
-    for source, expect_time in entry.symmetries:
-        G = parse(source, entry.constants)
-        rep = is_symmetry(eq, G)
-        if not rep.is_symmetry:
-            problems.append(f"expected symmetry failed: {source}")
-            continue
-        verified.append(G)
-        cls = classify_time(G)
-        lines.append(f"symmetry ok: {source} (order {rep.order}, {cls})")
-        if expect_time is not None and not _time_matches(cls, expect_time):
-            problems.append(f"time class mismatch for {source}: "
-                            f"got {_compact_time(cls)}, want {expect_time}")
-        dec = check_structure(eq, rep)[1]
-        lines.append("  structure ok"
-                     + ("" if dec is None else f" (s = {dec.s})"))
+    for i, (source, expect_time) in enumerate(entry.symmetries):
+        with _value_at(entry, "symmetry", i):
+            G = parse(source, entry.constants)
+            rep = is_symmetry(eq, G)
+            if not rep.is_symmetry:
+                problems.append(f"expected symmetry failed: {source}")
+                continue
+            verified.append(G)
+            cls = classify_time(G)
+            lines.append(f"symmetry ok: {source} (order {rep.order}, {cls})")
+            if (expect_time is not None
+                    and not _time_matches(cls, expect_time)):
+                problems.append(
+                    f"time class mismatch for {source}: "
+                    f"got {_compact_time(cls)}, want {expect_time}")
+            dec = check_structure(eq, rep)[1]
+            lines.append("  structure ok"
+                         + ("" if dec is None else f" (s = {dec.s})"))
     if verified:
         lines.append(f"time-shape probe: {probe_time_shapes(eq, verified)} "
                      f"({len(verified)} verified symmetries)")
 
-    for source in entry.non_symmetries:
-        G = parse(source, entry.constants)
-        rep = is_symmetry(eq, G)
-        if rep.is_symmetry:
-            problems.append(f"expected non-symmetry verified: {source}")
-        else:
-            lines.append(f"non-symmetry confirmed: {source}")
+    for i, source in enumerate(entry.non_symmetries):
+        with _value_at(entry, "not_symmetry", i):
+            G = parse(source, entry.constants)
+            rep = is_symmetry(eq, G)
+            if rep.is_symmetry:
+                problems.append(f"expected non-symmetry verified: {source}")
+            else:
+                lines.append(f"non-symmetry confirmed: {source}")
 
     if entry.predict is not None:
         basis_src = entry.basis or tuple(s for s, _ in entry.symmetries)
-        basis = [parse(s, entry.constants) for s in basis_src]
-        pred = predict_time_dependence(eq, basis, corollary_mode=eq.kdv_like)
+        with _value_at(entry, "basis"):
+            basis = [parse(s, entry.constants) for s in basis_src]
+        with _value_at(entry, "predict"):
+            pred = predict_time_dependence(eq, basis,
+                                           corollary_mode=eq.kdv_like)
         got = pred.prediction
         lines.append(f"prediction: {got} (basis of {len(basis)}, "
                      f"orders <= {pred.basis_order_cap})")
@@ -395,17 +412,19 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
             problems.append(f"prediction mismatch: got {got}, "
                             f"want {entry.predict}")
 
-    for spec in entry.finds:
-        cfg = AnsatzConfig(order=spec["order"], weight_max=spec["weight"],
-                           t_degree_max=spec.get("t_degree", 0),
-                           x_degree_max=spec.get("x_degree", 0))
-        res = find_symmetries(eq, cfg)
-        lines.append(f"find order={spec['order']}: basis of {len(res.basis)}")
-        if "contains" in spec:
-            target = parse(spec["contains"], entry.constants)
-            if not expr_in_span(target, list(res.basis)):
-                problems.append(
-                    f"find result does not span {spec['contains']}")
+    for i, spec in enumerate(entry.finds):
+        with _value_at(entry, "find", i):
+            cfg = AnsatzConfig(order=spec["order"], weight_max=spec["weight"],
+                               t_degree_max=spec.get("t_degree", 0),
+                               x_degree_max=spec.get("x_degree", 0))
+            res = find_symmetries(eq, cfg)
+            lines.append(f"find order={spec['order']}: "
+                         f"basis of {len(res.basis)}")
+            if "contains" in spec:
+                target = parse(spec["contains"], entry.constants)
+                if not expr_in_span(target, list(res.basis)):
+                    problems.append(
+                        f"find result does not span {spec['contains']}")
     return lines, problems
 
 
@@ -433,13 +452,25 @@ def _const_list(value: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in value.split(",") if c.strip())
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse reads a value that starts with ``-`` (``--candidate -u1``)
+    as an option and reports the value missing; the error names the
+    ``--option=VALUE`` spelling, which reads it.  Subparsers inherit it."""
+
+    def error(self, message):
+        if message.endswith(": expected one argument"):
+            message += (f" (write {message.split()[1][:-1]}=VALUE for a "
+                        "value that starts with '-')")
+        super().error(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on the first call and shared after
     it: building costs far more than a request's parse (each argument makes
     a help formatter, which reads the terminal size), and ``parse_args``
     does not mutate the parser."""
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="evosym",
         description="Symmetry calculus for scalar evolution equations "
                     "u_t = F(t, u, u_1, ..., u_n).")
@@ -517,8 +548,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (ParseError, ex.ExpressionError, CorpusFormatError,
-            PoolLimitError, ValueError, OSError) as err:
+    except (ValueError, PoolLimitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable, Mapping, Union
@@ -205,8 +206,7 @@ class DiffExpr:
             return NotImplemented
         if not other._t:
             raise ZeroDivisionError("division by zero scalar")
-        if len(other._t) != 1 or any(slot[0] != 1
-                                     for slot, _ in next(iter(other._t))):
+        if as_scalar(other) is None:
             raise ExpressionError("division is only defined by scalars")
         return self * _invert_term(other)
 
@@ -513,34 +513,21 @@ def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
 
 
 def u_indices(e: DiffExpr) -> set[int]:
-    out: set[int] = set()
-    for key in e._t:
-        for slot, _ in key:
-            if slot[0] == 0 and slot[1] >= 0:
-                out.add(slot[1])
-            elif slot[0] == 2 and slot[1] == 0:
-                out.add(0)
-    return out
+    """The i of each u_i the expression depends on (0 for exp in u)."""
+    return {slot[1] for key in e._t for slot, _ in key
+            if slot[0] != 1 and slot[1] >= 0}
 
 
 def u_order(e: DiffExpr) -> int | None:
     """Largest ``k`` with a ``u_k`` dependence; 0 for expressions in x, t
     only; ``None`` for the zero expression."""
-    if e.is_zero:
-        return None
-    idx = u_indices(e)
-    return max(idx) if idx else 0
+    return None if e.is_zero else max(u_indices(e), default=0)
 
 
 def occurs(e: DiffExpr, v) -> bool:
     gen = _gencode(v)
-    for key in e._t:
-        for slot, _ in key:
-            if slot[0] == 0 and slot[1] == gen:
-                return True
-            if slot[0] == 2 and slot[1] == gen:
-                return True
-    return False
+    return any(slot[0] != 1 and slot[1] == gen
+               for key in e._t for slot, _ in key)
 
 
 def has_exp_in(e: DiffExpr, v) -> bool:
@@ -554,76 +541,122 @@ def is_constant(e: DiffExpr) -> bool:
     return all(slot[0] == 1 for key in e._t for slot, _ in key)
 
 
-def split_t_only(e: DiffExpr) -> dict[tuple, DiffExpr]:
-    """The t-only coefficient (named constants included) of each factor in
-    x and u, keyed by that factor's term key."""
-    out: dict[tuple, dict] = {}
-    for key, c in e._t.items():
-        rest = tuple(sv for sv in key if sv[0][0] != 1 and sv[0][1] != GEN_T)
-        t_only = tuple(sv for sv in key if sv[0][0] == 1 or sv[0][1] == GEN_T)
-        out.setdefault(rest, {})[t_only] = c
-    return {r: _reduced(d, e._den) for r, d in out.items()}
-
-
 def is_t_only(e: DiffExpr) -> bool:
     """True when the expression is free of x and every u_i."""
-    return set(split_t_only(e)) <= {()}
-
-
-def term_u_order(key) -> int | None:
-    order = None
-    for slot, _ in key:
-        if slot[0] == 0 and slot[1] >= 0:
-            order = slot[1] if order is None else max(order, slot[1])
-        elif slot[0] == 2 and slot[1] == 0:
-            order = 0 if order is None else order
-    return order
-
-
-def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
-    """Split into (terms of u-order >= cut, the rest)."""
-    hi: dict = {}
-    lo: dict = {}
-    for key, c in e._t.items():
-        o = term_u_order(key)
-        (hi if o is not None and o >= cut else lo)[key] = c
-    return _reduced(hi, e._den), _reduced(lo, e._den)
+    return all(slot[0] == 1 or slot[1] == GEN_T
+               for key in e._t for slot, _ in key)
 
 
 def power_outside_exp(e: DiffExpr, v) -> bool:
     """True when some term with no exponential in a generator has a power
     of it."""
     gen = _gencode(v)
-    for key in e._t:
-        slots = [slot for slot, _ in key]
-        if (0, gen) in slots and not any(
-                slot[0] == 2 and slot[1] == gen for slot in slots):
-            return True
-    return False
+    return any(_cut(key, (0, gen), (0, gen + 1))[1]
+               and not _cut(key, (2, gen), (2, gen + 1))[1] for key in e._t)
+
+
+def constant_rows(rows: Iterable[Iterable]
+                  ) -> tuple[list[dict], int, dict] | None:
+    """Each row of constant expressions as a dict from position to nonzero
+    entry, with the lcm of the entries' denominators and the largest
+    absolute power of each named constant in them; None when an entry is
+    not a ``DiffExpr`` or has a generator or an exponential."""
+    out, den, top = [], 1, {}
+    for r in rows:
+        row = {}
+        for c, e in enumerate(r):
+            try:
+                terms = e._t
+            except AttributeError:
+                return None
+            if terms:
+                den = lcm(den, e._den)
+                for key in terms:
+                    for slot, v in key:
+                        if slot[0] != 1:
+                            return None
+                        top[slot[1]] = max(top.get(slot[1], 0), abs(v))
+                row[c] = e
+        out.append(row)
+    return out, den, top
+
+
+# -- grouping terms --------------------------------------------------------
+
+def _group(e: DiffExpr, by) -> dict:
+    """The one grouping of terms: ``by(key)`` gives a term's ``(group,
+    rest)``, for ``rest`` what its key keeps in the group (one key per
+    term of a group).  Each group's remainder, its terms with their keys
+    cut to ``rest``, is one expression; the groups come in the order the
+    canonical terms first name them."""
+    groups: dict = {}
+    for key, c in e._num_items():
+        g, rest = by(key)
+        d = groups.get(g)
+        if d is None:
+            groups[g] = {rest: c}
+        else:
+            d[rest] = c
+    return {g: _reduced(d, e._den) for g, d in groups.items()}
+
+
+def _cut(key, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+    """A term key as (its slots outside ``[lo, hi)``, those inside).  Keys
+    are sorted by slot, so the slots of one kind (0 generator powers, 1
+    constants, 2 exponential rates), and of one generator within a kind,
+    are adjacent, and two bisections find them."""
+    i = bisect_left(key, (lo,))
+    j = bisect_left(key, (hi,), i)
+    return (key, ()) if i == j else (key[:i] + key[j:], key[i:j])
+
+
+def split_t_only(e: DiffExpr) -> dict[tuple, DiffExpr]:
+    """The t-only coefficient (named constants included) of each factor in
+    x and u, keyed by that factor's term key."""
+    def by(key):
+        rest, t_power = _cut(key, (0, GEN_T), (0, GEN_X))
+        rest, consts = _cut(rest, (1,), (2,))
+        rest, t_rate = _cut(rest, (2, GEN_T), (2, GEN_X))
+        return rest, t_power + consts + t_rate
+    return _group(e, by)
+
+
+def constant_coefficients(e: DiffExpr) -> dict[tuple, DiffExpr]:
+    """The constant coefficient (a rational times named constants) of each
+    monomial free of constants, keyed by that monomial's term key."""
+    return _group(e, lambda key: _cut(key, (1,), (2,)))
+
+
+def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
+    """Split into (terms of u-order >= cut, the rest)."""
+    parts = _group(e, lambda key: (max(
+        (slot[1] for slot, _ in key if slot[0] != 1 and slot[1] >= 0),
+        default=-1) >= cut, key))
+    return parts.get(True, ZERO), parts.get(False, ZERO)
 
 
 def split_by_power(e: DiffExpr, v) -> dict[int, DiffExpr]:
     """Coefficients of the powers of a generator (that generator removed)."""
     gen = _gencode(v)
-    out: dict[int, dict] = {}
-    for key, c in e._t.items():
-        p = 0
-        rest = []
-        for slot, val in key:
-            if slot[0] == 0 and slot[1] == gen:
-                p = val
-            else:
-                rest.append((slot, val))
-        out.setdefault(p, {})[tuple(rest)] = c
-    return {p: _reduced(d, e._den) for p, d in out.items()}
+    parts = _group(e, lambda key: _cut(key, (0, gen), (0, gen + 1))[::-1])
+    return {p[0][1] if p else 0: part for p, part in parts.items()}
+
+
+def exp_spectrum(e: DiffExpr, v) -> tuple[tuple[DiffExpr, int], ...]:
+    """The rate lambda of each ``exp(lambda*v)`` factor of the terms, a
+    constant expression (0 for terms without one), with the top power of
+    the generator v over its terms beside it."""
+    gen = _gencode(v)
+    parts = _group(e, lambda key: _cut(key, (2, gen), (2, gen + 1))[::-1])
+    return tuple((DiffExpr({slot[2]: q for slot, q in rate}),
+                  max(dict(key).get((0, gen), 0) for key in part._t))
+                 for rate, part in parts.items())
 
 
 def as_scalar(e: DiffExpr) -> DiffExpr | None:
     """``e`` itself when it is zero or one term of a rational times named
     constants (a constant is a ``DiffExpr``), else None."""
-    if len(e._t) > 1 or any(slot[0] != 1 for key in e._t for slot, _ in key):
-        return None
-    return e
+    return e if len(e._t) <= 1 and is_constant(e) else None
 
 
 def primitive_part(e: DiffExpr) -> DiffExpr:

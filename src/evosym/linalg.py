@@ -123,7 +123,6 @@ therefore takes the digit half-width ``L = 2RE``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import expr as ex
 from .expr import DiffExpr
@@ -172,34 +171,14 @@ def _sparse(rows: list[list[DiffExpr]], ncols: int):
     rows)``: the input rows as dicts of their nonzero entries, and the same
     rows times ``den``, the lcm of the entries' denominators, packed with
     digit half-width ``2RE`` (see the module docstring)."""
-    original = []
-    names: set[str] = set()
-    top = 0
-    den = 1
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        row = {}
-        for c, e in enumerate(r):
-            try:
-                t = e._t
-            except AttributeError:
-                raise ValueError("matrix entries must be constant "
-                                 "expressions") from None
-            if not t:
-                continue
-            den = lcm(den, e._den)
-            for key in t:
-                for slot, v in key:
-                    if slot[0] != 1:
-                        raise ValueError(
-                            "matrix entries must be constant expressions")
-                    names.add(slot[1])
-                    top = max(top, abs(v))
-            row[c] = e
-        original.append(row)
-    pk = ex._Packing([(1, nm) for nm in sorted(names)],
-                     2 * min(len(rows), ncols) * top)
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    got = ex.constant_rows(rows)
+    if got is None:
+        raise ValueError("matrix entries must be constant expressions")
+    original, den, top = got
+    pk = ex._Packing([(1, nm) for nm in sorted(top)],
+                     2 * min(len(rows), ncols) * max(top.values(), default=0))
     m = [{c: pk.pack(e, den) for c, e in row.items()} for row in original]
     return m, pk, den, original
 

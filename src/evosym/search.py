@@ -5,12 +5,13 @@ monomial pool (times optional t-powers and an optional fixed ``exp(lambda*t)``
 factor).  The compatibility residual is linear in the candidate, so the
 coefficient of every normalized term yields one exact linear condition; the
 nullspace of that system is the space of symmetries inside the ansatz.
-Each cell of the system is built once from the integer numerators of its
-image's terms.  ``linalg`` computes the nullspace by sparse exact
-elimination in one domain for every matrix, rational or not: fraction-free
-(Bareiss) on the cleared entries as integer polynomials in the named
-constants.  Every returned expression is re-verified through the full
-residual check; a linear-t pair through ``timedep.mastersymmetry_test``.
+The system's rows are the constant coefficients that
+``expr.constant_coefficients`` reads off each image.  ``linalg`` computes
+the nullspace by sparse exact elimination in one domain for every matrix,
+rational or not: fraction-free (Bareiss) on the cleared entries as integer
+polynomials in the named constants.  Every returned expression is
+re-verified through the full residual check; a linear-t pair through
+``timedep.mastersymmetry_test``.
 
 The linear-t search eliminates ``{F, {F, G0}} = 0`` on the pool once and
 takes the quotient by the plain symmetries on the images ``G1 = {F, G0}``
@@ -126,38 +127,20 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
     return out
 
 
-def _split_const_slots(key) -> tuple[tuple, tuple]:
-    """A term key as (its non-constant slots, its constant slots)."""
-    row_key = []
-    cell_key = []
-    for sv in key:
-        (cell_key if sv[0][0] == 1 else row_key).append(sv)
-    return tuple(row_key), tuple(cell_key)
-
-
 def _linear_system(images: list[DiffExpr]) -> tuple[list[list[DiffExpr]], int]:
     """One row per normalized term shape, one column per pool entry; entries
-    are the constant coefficients.  Rows come in the order the images'
-    canonical terms first name them; each cell is built once from its
-    numerators over its image's denominator."""
+    are the constant coefficients (``expr.constant_coefficients``).  Rows
+    come in the order the images' canonical terms first name them."""
     row_index: dict[tuple, int] = {}
     rows: list[list[DiffExpr]] = []
     ncols = len(images)
     for col, img in enumerate(images):
-        cells: dict[int, dict] = {}
-        for key, c in img._num_items():
-            row_key, cell_key = _split_const_slots(key)
-            i = row_index.get(row_key)
+        for shape, cell in ex.constant_coefficients(img).items():
+            i = row_index.get(shape)
             if i is None:
-                i = row_index[row_key] = len(rows)
+                i = row_index[shape] = len(rows)
                 rows.append([ex.ZERO] * ncols)
-            cell = cells.get(i)
-            if cell is None:
-                cells[i] = {cell_key: c}
-            else:
-                cell[cell_key] = c
-        for i, terms in cells.items():
-            rows[i][col] = ex._reduced(terms, img._den)
+            rows[i][col] = cell
     return rows, ncols
 
 

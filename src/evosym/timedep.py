@@ -62,30 +62,11 @@ class TimeDependenceClass:
         return f"quasipolynomial in t: {inner}"
 
 
-def _term_rate(key) -> tuple:
-    """The exp(lambda*t) content of a term key, as a sorted tuple of
-    (constant-monomial key, rational) components."""
-    return tuple(sorted((slot[2], v) for slot, v in key
-                        if slot[0] == 2 and slot[1] == GEN_T))
-
-
-def _t_degree(key) -> int:
-    for slot, v in key:
-        if slot[0] == 0 and slot[1] == GEN_T:
-            return v
-    return 0
-
-
 def classify_time(G: DiffExpr) -> TimeDependenceClass:
-    """Group the normal form by exp(lambda*t) factors, keeping the top
-    t-degree of each rate."""
-    spectrum: dict[tuple, int] = {}
-    for key, _ in G.term_items():
-        rate = _term_rate(key)
-        spectrum[rate] = max(spectrum.get(rate, 0), _t_degree(key))
+    """The exp(lambda*t) rates of the normal form, each with its top
+    t-degree (``expr.exp_spectrum``), in the order of the rates' terms."""
     return TimeDependenceClass(tuple(sorted(
-        ((DiffExpr(dict(r)), m) for r, m in spectrum.items()),
-        key=lambda it: it[0].term_items())))
+        ex.exp_spectrum(G, GEN_T), key=lambda it: it[0].term_items())))
 
 
 @dataclass(frozen=True)

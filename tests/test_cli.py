@@ -366,6 +366,60 @@ class TestCorpus:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: unexpected token")
 
+    @pytest.mark.parametrize("line", [
+        "equation = u3 +", "symmetry = u1 +", "not_symmetry = u2 -",
+        "basis = u1, u1 +", "find = order=3 weight=5 contains= u2 *",
+    ], ids=["equation", "symmetry", "not-symmetry", "basis", "find-contains"])
+    def test_a_bad_value_names_its_line_and_entry(self, tmp_path, capsys,
+                                                  line):
+        key = line.split(" =")[0]
+        # good symmetry and not_symmetry values on both sides of the bad
+        # line: a bad value's line is that of its own index
+        text = (f"{self.KDV}symmetry = u1\n# a comment\n\n"
+                f"not_symmetry = u2\n{line}\nsymmetry = u1\n"
+                "not_symmetry = u2\npredict = polynomial\n")
+        if key == "equation":
+            text = text.replace("equation = u3 + 6*u*u1\n", "")
+        path = tmp_path / "one.corpus"
+        path.write_text(text)
+        code, out = run_cli("corpus", "run", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: unexpected token")
+        lineno = text.splitlines().index(line) + 1
+        assert err.endswith(f"(corpus line {lineno}, entry 'kdv')\n"), err
+
+    @pytest.mark.parametrize("lines, message", [
+        # predict_time_dependence refuses a basis element above the cap
+        ("basis = u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1\npredict = polynomial",
+         "basis element has order 5 > cap 1"),
+        ("not_symmetry = u2\nfind = order=9 weight=40",
+         "ansatz pool exceeds the cap of 4000 entries"),
+    ], ids=["predict", "pool-limit"])
+    def test_a_check_that_refuses_a_value_names_its_line(self, tmp_path,
+                                                         capsys, lines,
+                                                         message):
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}{lines}\n")
+        code, out = run_cli("corpus", "run", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.endswith("(corpus line 5, entry 'kdv')\n")
+
+    def test_a_failed_self_check_is_not_given_a_line(self, monkeypatch,
+                                                     capsys, tmp_path):
+        def fail(eq, rep):
+            raise SelfCheckError("x-descent: planted")
+        monkeypatch.setattr("evosym.cli.check_structure", fail)
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}symmetry = u1\n")
+        code, _ = run_cli("corpus", "run", str(path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "SelfCheckError: x-descent: planted\n" in err
+        assert "corpus line" not in err
+
     def test_format_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.corpus"
         bad.write_text("name = orphan\n")
@@ -404,6 +458,19 @@ class TestUsage:
     def test_missing_required_exit_2(self):
         code, _ = run_cli("check", "--equation", "u2")
         assert code == 2
+
+    def test_a_value_starting_with_a_minus_needs_the_equals_form(self,
+                                                                 capsys):
+        # argparse reads "-u1" as an option; its error names the form
+        # that reads it as a value
+        code, out = run_cli("check", "--equation", "u2", "--candidate", "-u1")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "evosym check: error: argument --candidate: expected one "
+            "argument (write --candidate=VALUE for a value that starts "
+            "with '-')")
+        code, out = run_cli("check", "--equation", "u2", "--candidate=-u1")
+        assert code == 0 and out.splitlines()[0] == "verdict: SYMMETRY"
 
 
 class TestParserReuse:

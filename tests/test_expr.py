@@ -167,6 +167,89 @@ class TestSplitTOnly:
                    ZERO) == e
 
 
+def key_of(e: DiffExpr) -> tuple:
+    """The term key of a one-term expression."""
+    (key, _), = e.term_items()
+    return key
+
+
+class TestSplitUOrder:
+    E = parse("u^2 + x*exp(u) + x*t + 3 + u2*u - u1^2 + exp(x)")
+
+    def test_cut_0_takes_every_term_with_u(self):
+        # u^2 and x*exp(u) have u-order 0, which is >= 0
+        hi, lo = ex.split_u_order(self.E, 0)
+        assert hi == parse("u^2 + x*exp(u) + u2*u - u1^2")
+        assert lo == parse("x*t + 3 + exp(x)")
+
+    def test_cut_2_takes_the_terms_of_order_2_and_more(self):
+        hi, lo = ex.split_u_order(self.E, 2)
+        assert hi == u2 * u0
+        assert lo == parse("u^2 + x*exp(u) + x*t + 3 - u1^2 + exp(x)")
+
+    def test_zero_splits_into_zeros(self):
+        assert ex.split_u_order(ZERO, 0) == (ZERO, ZERO)
+
+
+class TestSplitByPower:
+    def test_coefficients_of_the_powers_of_x(self):
+        e = parse("x^2*u1 + 3*x^2 + x*exp(x)*u - 5 + 1/2*exp(2*x)")
+        assert ex.split_by_power(e, "x") == {
+            2: u1 + 3, 1: exp_of(x) * u0,
+            0: rational(-5) + rational(1, 2) * exp_of(2 * x)}
+
+    def test_a_generator_not_present_is_power_0(self):
+        e = parse("t*u1 + u")
+        assert ex.split_by_power(e, "x") == {0: e}
+        assert ex.split_by_power(e, "t") == {1: u1, 0: u0}
+
+
+class TestConstantCoefficients:
+    def test_groups_in_canonical_first_appearance_order(self):
+        a, b = const("a"), const("b")
+        e = parse("a*u1 + 2*u1 + b*u*u1 + 3 + a*b + x", ["a", "b"])
+        got = ex.constant_coefficients(e)
+        # canonical order: 3, a*b, x, 2*u1, a*u1, b*u1*u
+        assert list(got) == [(), key_of(x), key_of(u1), key_of(u1 * u0)]
+        assert list(got.values()) == [a * b + 3, ONE, a + 2, b]
+
+    def test_the_coefficients_rebuild_the_expression(self):
+        e = parse("1/3*a^-2*exp(a*x)*u2 - a*exp(a*x)*u2 + 5/6*b", ["a", "b"])
+        got = ex.constant_coefficients(e)
+        assert list(got) == [(), key_of(exp_of(const("a") * x) * u2)]
+        assert sum((c * DiffExpr({k: 1}) for k, c in got.items()), ZERO) == e
+
+
+class TestExpSpectrum:
+    def test_rates_and_top_powers_in_canonical_order(self):
+        a = const("a")
+        e = parse("t^2*exp(2*t)*u1 + exp(2*t)*x + t*exp(a*t)*u + t^3 + u1"
+                  " + exp(t/2)*u", ["a"])
+        assert ex.exp_spectrum(e, "t") == (
+            (rational(2), 2), (rational(1, 2), 0), (ZERO, 3), (a, 1))
+
+    def test_a_rate_over_x_ignores_the_t_part(self):
+        e = parse("t*exp(x + 2*t) + x^2 - 3*x^2*exp(-x/2)")
+        assert ex.exp_spectrum(e, "x") == (
+            (ONE, 0), (ZERO, 2), (rational(-1, 2), 2))
+
+    def test_zero_has_no_rates(self):
+        assert ex.exp_spectrum(ZERO, "t") == ()
+
+
+class TestConstantRows:
+    def test_nonzero_entries_denominator_and_powers(self):
+        a, b = const("a"), const("b")
+        rows, den, top = ex.constant_rows(
+            [[ZERO, rational(1, 6), a ** -3], [b / 4 + a, ZERO, ZERO]])
+        assert rows == [{1: rational(1, 6), 2: a ** -3}, {0: b / 4 + a}]
+        assert den == 12 and top == {"a": 3, "b": 1}
+
+    @pytest.mark.parametrize("entry", [u0, exp_of(x), 0, 1.5, None])
+    def test_anything_but_a_constant_expression_is_none(self, entry):
+        assert ex.constant_rows([[ONE], [ZERO, entry]]) is None
+
+
 class TestScalar:
     """A one-term constant is a ``DiffExpr``: a rational times named
     constants, in the one normal form."""

@@ -1,7 +1,7 @@
 """Every module-level import in the package (``__init__.py``, which imports
 to re-export, excepted) and in the tests is used, neither the term kernels
-nor the parser touch ``fractions.Fraction``, and no module keeps results in
-module state."""
+nor the parser touch ``fractions.Fraction``, no module keeps results in
+module state, and only ``expr`` reads the term-key layout."""
 
 import ast
 from pathlib import Path
@@ -194,3 +194,77 @@ def test_no_module_level_memo(path):
     # CLI's argument parser, built once, is the one exception
     allowed = ["build_parser: functools.cache"] if path == "cli.py" else []
     assert module_memos((PACKAGE / path).read_text()) == allowed
+
+
+# -- one module owns the term-key layout ---------------------------------------
+
+# the DiffExpr fields, the canonical-order view and the raw constructor
+_TERM_FIELDS = {"_t", "_den", "_d", "_parts", "_items", "_num_items",
+                "_reduced"}
+# where the layout is read: expr and the kernel it imports, and the two
+# functions that fill and read the D memo (``DiffExpr``'s docstring)
+_LAYOUT_OWNERS = {"expr.py", "_kernel_py.py"}
+_MEMO_FUNCTIONS = {"calculus.py": {"total_d", "total_d_power"}}
+
+
+def term_field_uses(source: str, allowed_functions=()) -> list[str]:
+    """Where ``source``, outside the top-level functions named in
+    ``allowed_functions``, reads a ``DiffExpr`` field (an attribute named
+    ``_t``, ``_den``, ``_d``, ``_parts``, ``_items`` or ``_num_items``) or
+    uses ``_reduced`` (as an attribute, a name or an import), as
+    ``"<line>: <name>"``."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef)
+                and node.name in allowed_functions):
+            skip |= {id(n) for n in ast.walk(node)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            continue
+        if name in _TERM_FIELDS and (name == "_reduced"
+                                     or isinstance(node, ast.Attribute)):
+            out.append(f"{getattr(node, 'lineno', '?')}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    "def f(e):\n    return e._t\n",
+    "def f(e):\n    return e._den\n",
+    "def f(e):\n    return e._d\n",
+    "def f(e):\n    return e._parts\n",
+    "def f(e):\n    return e._items\n",
+    "def f(e):\n    return e._num_items()\n",
+    "from . import expr as ex\ndef f(t):\n    return ex._reduced(t, 1)\n",
+    "from .expr import _reduced\n",
+])
+def test_the_term_field_check_sees_every_form(source):
+    assert term_field_uses(source)
+
+
+def test_the_term_field_check_passes_the_allowed_functions_and_packing():
+    source = ("from . import expr as ex\n"
+              "def total_d(e):\n    return e._d\n"
+              "def f(e, pk):\n    return ex._divide(pk.pack(e, 1), None, pk)\n"
+              "def g(_t):\n    return _t\n")
+    assert term_field_uses(source, {"total_d"}) == []
+    assert term_field_uses(source) == ["3: _d"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in PACKAGE.glob("*.py")
+                   if p.name not in _LAYOUT_OWNERS))
+def test_only_expr_reads_term_keys(path):
+    # term keys and DiffExpr fields are read in expr (and its kernel) only,
+    # so changing the key encoding touches no other module
+    source = (PACKAGE / path).read_text()
+    assert term_field_uses(source, _MEMO_FUNCTIONS.get(path, ())) == []

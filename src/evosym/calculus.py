@@ -8,9 +8,16 @@ and finite-order operators in D with expression coefficients.
 
 ``D`` and the partials are memoized on the expression (``DiffExpr._d``,
 ``DiffExpr._parts``), so every operator here asks for ``D^j(e)`` or
-``de/du_i`` when it needs one and keeps no table of its own.  Each sum of
-products (``op_apply``, ``ev_apply``, one degree of ``op_compose``) is
-accumulated in one term dict by ``expr.sum_of_products``.
+``de/du_i`` when it needs one and keeps no table of its own.
+
+Every sum of products goes through one ``expr.sum_of_products``, which
+accumulates it in one term dict.  Each operator piece gives its signed
+``(f, a, b)`` triples (``apply_triples``, ``ev_triples``, and per degree
+``compose_triples``, ``nabla_triples``, ``coeff_triples``), so a caller
+that adds or subtracts pieces (a bracket, a commutator, the linearized
+residual operator of ``symmetry``) lists their triples and forms one sum,
+or one sum per degree by ``fused_operator``, with no intermediate
+expression or operator.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from math import comb
 from typing import Mapping
 
 from . import expr as ex
-from .expr import DiffExpr, partial, u_indices, u_order
+from .expr import DiffExpr, partial, u_indices
 
 
 def total_d(e: DiffExpr) -> DiffExpr:
@@ -106,33 +113,72 @@ ZERO_OP = DOperator({})
 
 def frechet(h: DiffExpr) -> DOperator:
     """Fréchet derivative of an expression; empty for u-independent input."""
-    top = u_order(h)
-    if top is None:
-        return ZERO_OP
-    return DOperator({i: partial(h, i) for i in range(top + 1)})
+    return DOperator({i: partial(h, i) for i in u_indices(h)})
 
 
-def op_apply(op: DOperator, e: DiffExpr) -> DiffExpr:
-    return ex.sum_of_products((1, c, total_d_power(e, d))
-                              for d, c in op.coeffs.items())
+# -- signed triples: the pieces of a fused sum ------------------------------
+
+def apply_triples(op: DOperator, e: DiffExpr, sign: int = 1) -> list:
+    """``sign * op(e)`` as ``(f, a, b)`` triples: ``c_d * D^d(e)``."""
+    return [(sign, c, total_d_power(e, d)) for d, c in op.coeffs.items()]
 
 
-def op_compose(a: DOperator, b: DOperator) -> DOperator:
-    """Operator product a∘b via the iterated Leibniz rule
-    ``D^i ∘ (c D^j) = sum_p C(i,p) D^p(c) D^{i+j-p}``, one fused sum per
-    output degree."""
+def ev_triples(h: DiffExpr, r: DiffExpr, sign: int = 1) -> list:
+    """``sign * nabla_h(r)`` as triples: ``D^j(h) * dr/du_j``."""
+    return [(sign, total_d_power(h, j), partial(r, j)) for j in u_indices(r)]
+
+
+def compose_triples(a: DOperator, b: DOperator,
+                    sign: int = 1) -> dict[int, list]:
+    """``sign * a∘b`` as triples per degree, by the iterated Leibniz rule
+    ``D^i ∘ (c D^j) = sum_p C(i,p) D^p(c) D^{i+j-p}``."""
     products: dict[int, list] = {}
     for i, ai in a.coeffs.items():
         for j, bj in b.coeffs.items():
             for p in range(i + 1):
                 products.setdefault(i + j - p, []).append(
-                    (comb(i, p), ai, total_d_power(bj, p)))
+                    (sign * comb(i, p), ai, total_d_power(bj, p)))
+    return products
+
+
+def nabla_triples(h: DiffExpr, op: DOperator,
+                  sign: int = 1) -> dict[int, list]:
+    """``sign * nabla_h`` applied to each coefficient, as triples per
+    degree."""
+    return {d: ev_triples(h, c, sign) for d, c in op.coeffs.items()}
+
+
+def coeff_triples(op: DOperator, sign: int = 1) -> dict[int, list]:
+    """``sign * op`` itself as triples per degree: ``c_d * 1``."""
+    return {d: [(sign, c, ex.ONE)] for d, c in op.coeffs.items()}
+
+
+def fused_operator(*parts: dict[int, list]) -> DOperator:
+    """The operator summing the per-degree triples of all ``parts``: one
+    ``sum_of_products`` per degree that has any."""
+    products: dict[int, list] = {}
+    for part in parts:
+        for d, triples in part.items():
+            if triples:
+                products.setdefault(d, []).extend(triples)
     return DOperator({d: ex.sum_of_products(triples)
                       for d, triples in products.items()})
 
 
+# -- operators and actions --------------------------------------------------
+
+def op_apply(op: DOperator, e: DiffExpr) -> DiffExpr:
+    return ex.sum_of_products(apply_triples(op, e))
+
+
+def op_compose(a: DOperator, b: DOperator) -> DOperator:
+    """Operator product a∘b, one fused sum per output degree."""
+    return fused_operator(compose_triples(a, b))
+
+
 def op_commutator(a: DOperator, b: DOperator) -> DOperator:
-    return op_compose(a, b) - op_compose(b, a)
+    """``a∘b - b∘a``, one fused sum per degree."""
+    return fused_operator(compose_triples(a, b), compose_triples(b, a, -1))
 
 
 def ev_apply(h: DiffExpr, r: DiffExpr) -> DiffExpr:
@@ -141,10 +187,9 @@ def ev_apply(h: DiffExpr, r: DiffExpr) -> DiffExpr:
     Finite because r depends on finitely many u_j; coincides with
     ``op_apply(frechet(r), h)``.
     """
-    return ex.sum_of_products((1, total_d_power(h, j), partial(r, j))
-                              for j in u_indices(r))
+    return ex.sum_of_products(ev_triples(h, r))
 
 
 def nabla_on_op(h: DiffExpr, op: DOperator) -> DOperator:
     """Apply the evolutionary field of h to each coefficient of an operator."""
-    return DOperator({d: ev_apply(h, c) for d, c in op.coeffs.items()})
+    return fused_operator(nabla_triples(h, op))

@@ -23,7 +23,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .parser import parse
+from .parser import constant_names, parse
 from .search import AnsatzConfig, PoolLimitError, expr_in_span, find_symmetries
 from .symmetry import (EvolutionEquation, check_structure, classify,
                        determining_system, is_symmetry)
@@ -355,6 +355,8 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
     """Evaluate one entry; returns (log lines, mismatch descriptions)."""
     lines: list[str] = []
     problems: list[str] = []
+    with _value_at(entry, "constants"):
+        constant_names(entry.constants)
     with _value_at(entry, "equation"):
         eq = classify(parse(entry.equation, entry.constants))
     if entry.expect_constant_separant is not None and \

@@ -38,8 +38,8 @@ _DIV_STEP_CAP = 10_000
 # Most term pairs (len(a) * len(b)) one product may form, and one fused sum
 # (``sum_of_products``) over all its products, checked before any work.  One
 # product of the benchmark, corpus and tests forms at most 1,738; one fused
-# sum of the benchmark's requests (seeds 7 and 99) at most 299, and of
-# ``corpus run`` 22.
+# sum of the benchmark's requests (seeds 7 and 99) at most 476, and of
+# ``corpus run`` 41.
 MAX_PRODUCT_PAIRS = 100_000
 
 
@@ -583,21 +583,24 @@ def constant_rows(rows: Iterable[Iterable]
 
 # -- grouping terms --------------------------------------------------------
 
-def _group(e: DiffExpr, by) -> dict:
+def _group(items, den: int, by) -> dict:
     """The one grouping of terms: ``by(key)`` gives a term's ``(group,
     rest)``, for ``rest`` what its key keeps in the group (one key per
-    term of a group).  Each group's remainder, its terms with their keys
+    term of a group).  ``items`` are an expression's ``(key, numerator)``
+    pairs over ``den``.  Each group's remainder, its terms with their keys
     cut to ``rest``, is one expression; the groups come in the order the
-    canonical terms first name them."""
+    items first name them, so a reader whose result is ordered passes the
+    canonical ``e._num_items()`` and any other the unsorted ``e._t.items()``
+    (sorting is a cost per expression)."""
     groups: dict = {}
-    for key, c in e._num_items():
+    for key, c in items:
         g, rest = by(key)
         d = groups.get(g)
         if d is None:
             groups[g] = {rest: c}
         else:
             d[rest] = c
-    return {g: _reduced(d, e._den) for g, d in groups.items()}
+    return {g: _reduced(d, den) for g, d in groups.items()}
 
 
 def _cut(key, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
@@ -618,18 +621,18 @@ def split_t_only(e: DiffExpr) -> dict[tuple, DiffExpr]:
         rest, consts = _cut(rest, (1,), (2,))
         rest, t_rate = _cut(rest, (2, GEN_T), (2, GEN_X))
         return rest, t_power + consts + t_rate
-    return _group(e, by)
+    return _group(e._t.items(), e._den, by)
 
 
 def constant_coefficients(e: DiffExpr) -> dict[tuple, DiffExpr]:
     """The constant coefficient (a rational times named constants) of each
     monomial free of constants, keyed by that monomial's term key."""
-    return _group(e, lambda key: _cut(key, (1,), (2,)))
+    return _group(e._num_items(), e._den, lambda key: _cut(key, (1,), (2,)))
 
 
 def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
     """Split into (terms of u-order >= cut, the rest)."""
-    parts = _group(e, lambda key: (max(
+    parts = _group(e._t.items(), e._den, lambda key: (max(
         (slot[1] for slot, _ in key if slot[0] != 1 and slot[1] >= 0),
         default=-1) >= cut, key))
     return parts.get(True, ZERO), parts.get(False, ZERO)
@@ -638,7 +641,8 @@ def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
 def split_by_power(e: DiffExpr, v) -> dict[int, DiffExpr]:
     """Coefficients of the powers of a generator (that generator removed)."""
     gen = _gencode(v)
-    parts = _group(e, lambda key: _cut(key, (0, gen), (0, gen + 1))[::-1])
+    parts = _group(e._t.items(), e._den,
+                   lambda key: _cut(key, (0, gen), (0, gen + 1))[::-1])
     return {p[0][1] if p else 0: part for p, part in parts.items()}
 
 
@@ -647,7 +651,8 @@ def exp_spectrum(e: DiffExpr, v) -> tuple[tuple[DiffExpr, int], ...]:
     constant expression (0 for terms without one), with the top power of
     the generator v over its terms beside it."""
     gen = _gencode(v)
-    parts = _group(e, lambda key: _cut(key, (2, gen), (2, gen + 1))[::-1])
+    parts = _group(e._num_items(), e._den,
+                   lambda key: _cut(key, (2, gen), (2, gen + 1))[::-1])
     return tuple((DiffExpr({slot[2]: q for slot, q in rate}),
                   max(dict(key).get((0, gen), 0) for key in part._t))
                  for rate, part in parts.items())

@@ -215,8 +215,9 @@ class _Parser:
                          tok)
 
 
-def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
-    """Parse a source string to its normal form."""
+def constant_names(constants: Iterable[str]) -> frozenset[str]:
+    """The declared constant names, each checked to be an identifier that
+    is not reserved; raises ``ValueError`` naming a bad one."""
     names = frozenset(constants)
     for name in names:
         if not _IDENT_RE.fullmatch(name):
@@ -224,7 +225,12 @@ def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
         if name in _RESERVED or U_NAME.fullmatch(name):
             raise ValueError(f"constant name {name!r} collides with a "
                              "reserved identifier")
-    p = _Parser(source, names)
+    return names
+
+
+def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
+    """Parse a source string to its normal form."""
+    p = _Parser(source, constant_names(constants))
     try:
         value = p.parse_expr()
     except (ExpressionError, ZeroDivisionError) as err:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import expr as ex
-from .calculus import (DOperator, ev_apply, frechet, nabla_on_op, op_apply,
-                       op_commutator)
+from .calculus import (DOperator, apply_triples, coeff_triples,
+                       compose_triples, ev_triples, frechet, fused_operator,
+                       nabla_triples)
 from .expr import (GEN_T, GEN_X, DiffExpr, is_constant, is_t_only, occurs,
                    partial, to_source, try_divide, u_order)
 from .expr import x as x_expr
@@ -43,11 +44,13 @@ def bracket(h: DiffExpr, r: DiffExpr) -> DiffExpr:
     """Lie bracket ``{h, r} = h_*(r) - r_*(h)``.
 
     Evaluated both through Fréchet operators and through the evolutionary
-    action; the two must agree identically (they are the same sum assembled
-    by different code paths), and the common value is returned.
+    action, each as one signed fused sum; the two must agree identically
+    (they are the same sum assembled by different code paths), and the
+    common value is returned.
     """
-    via_frechet = op_apply(frechet(h), r) - op_apply(frechet(r), h)
-    via_nabla = ev_apply(r, h) - ev_apply(h, r)
+    via_frechet = ex.sum_of_products(apply_triples(frechet(h), r)
+                                     + apply_triples(frechet(r), h, -1))
+    via_nabla = ex.sum_of_products(ev_triples(r, h) + ev_triples(h, r, -1))
     if via_frechet != via_nabla:
         raise SelfCheckError("bracket: Fréchet and evolutionary forms disagree")
     return via_frechet
@@ -129,13 +132,16 @@ def is_symmetry(eq: EvolutionEquation, G: DiffExpr) -> SymmetryReport:
 
 def linearized_residual_operator(eq: EvolutionEquation, G: DiffExpr) -> DOperator:
     """Residual of the linearized compatibility condition as an operator:
-    ``nabla_G(F_*) - nabla_F(G_*) + [F_*, G_*] - (dG/dt)_*``.  The zero
-    operator exactly when the linearized condition holds."""
+    ``nabla_G(F_*) - nabla_F(G_*) + [F_*, G_*] - (dG/dt)_*``, one fused
+    sum per degree.  The zero operator exactly when the linearized
+    condition holds."""
     F_star = frechet(eq.F)
     G_star = frechet(G)
-    out = nabla_on_op(G, F_star) - nabla_on_op(eq.F, G_star)
-    out = out + op_commutator(F_star, G_star)
-    return out - frechet(partial(G, GEN_T))
+    return fused_operator(nabla_triples(G, F_star),
+                          nabla_triples(eq.F, G_star, -1),
+                          compose_triples(F_star, G_star),
+                          compose_triples(G_star, F_star, -1),
+                          coeff_triples(frechet(partial(G, GEN_T)), -1))
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,43 @@ def test_operator_composition_associative(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(seeds)
+def test_fused_operators_match_operator_arithmetic(seed):
+    # each degree is one signed fused sum; against DOperator subtraction and
+    # one ev_apply per coefficient
+    rng = random.Random(seed)
+    A, B = _random_operator(rng, 3), _random_operator(rng, 3)
+    h = random_expr(rng, max_terms=2)
+    assert op_commutator(A, B) == op_compose(A, B) - op_compose(B, A)
+    assert nabla_on_op(h, A) == DOperator(
+        {d: ev_apply(h, c) for d, c in A.coeffs.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_frechet_matches_all_orders_up_to_the_top(seed):
+    rng = random.Random(seed)
+    h = random_expr(rng, max_terms=3, max_u=7, consts=("a",))
+    top = u_order(h)
+    want = DOperator({i: partial(h, i) for i in range(top + 1)}) \
+        if top is not None else DOperator({})
+    assert frechet(h) == want
+
+
+def test_frechet_asks_only_for_the_partials_that_occur(monkeypatch):
+    from evosym import calculus
+    asked = []
+
+    def spy(e, v):
+        asked.append(v)
+        return partial(e, v)
+
+    monkeypatch.setattr(calculus, "partial", spy)
+    assert frechet(u(7) * x) == DOperator({7: x})
+    assert asked == [7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
 def test_compose_against_apply(seed):
     rng = random.Random(seed)
     A, B = _random_operator(rng), _random_operator(rng)

@@ -407,6 +407,21 @@ class TestCorpus:
         assert err.startswith(f"error: {message}")
         assert err.endswith("(corpus line 5, entry 'kdv')\n")
 
+    @pytest.mark.parametrize("value, message", [
+        ("1a", "constant name '1a' is not an identifier"),
+        ("a, u2", "constant name 'u2' collides with a reserved identifier"),
+    ], ids=["not-identifier", "reserved"])
+    def test_a_bad_constant_name_names_its_own_line(self, tmp_path, capsys,
+                                                    value, message):
+        # the constants come before the equation that would use them
+        path = tmp_path / "one.corpus"
+        path.write_text(f"[entry]\nname = k\nconstants = {value}\n"
+                        "equation = u3 + a*u*u1\n")
+        code, out = run_cli("corpus", "run", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == f"error: {message} (corpus line 3, entry 'k')\n"
+
     def test_a_failed_self_check_is_not_given_a_line(self, monkeypatch,
                                                      capsys, tmp_path):
         def fail(eq, rep):

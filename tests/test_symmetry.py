@@ -12,7 +12,7 @@ from evosym import (DOperator, SelfCheckError, bracket,
                     mastersymmetry_test, parse, partial,
                     representation_decompose, total_d_power, u, x, t,
                     x_descent)
-from evosym import symmetry
+from evosym import expr as ex, symmetry
 from evosym.expr import GEN_T, ONE, ZERO, ExpressionError, rational, u_order
 
 from conftest import bracket_oracle, random_expr, random_rhs
@@ -180,19 +180,41 @@ class TestDoubleConstructions:
     F_SRC = "u3 + 6*u*u1"
     G_SRC = "u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1"
 
-    def test_a_wrong_evolutionary_action_is_caught(self, monkeypatch):
-        from evosym import symmetry
-        real = symmetry.ev_apply
+    @staticmethod
+    def _plant(monkeypatch, name, wrong):
+        """Replace ``symmetry.<name>`` (a triple builder as symmetry
+        imports it) by one whose first call returns ``wrong(triples)``."""
+        real = getattr(symmetry, name)
         calls = []
 
-        def perturbed(h, r):
+        def perturbed(*args):
             calls.append(1)
-            out = real(h, r)
-            return out + u(9) if len(calls) == 1 else out
+            out = real(*args)
+            return wrong(out) if len(calls) == 1 else out
 
-        monkeypatch.setattr(symmetry, "ev_apply", perturbed)
+        monkeypatch.setattr(symmetry, name, perturbed)
+
+    def _wrong_bracket_triple(self, monkeypatch, name):
+        self._plant(monkeypatch, name, lambda out: out + [(1, u(9), ONE)])
         with pytest.raises(SelfCheckError, match="disagree"):
             bracket(parse(self.F_SRC), parse(self.G_SRC))
+
+    def test_a_wrong_evolutionary_action_is_caught(self, monkeypatch):
+        self._wrong_bracket_triple(monkeypatch, "ev_triples")
+
+    def test_a_wrong_frechet_application_is_caught(self, monkeypatch):
+        self._wrong_bracket_triple(monkeypatch, "apply_triples")
+
+    def test_a_wrong_commutator_triple_is_caught(self, monkeypatch):
+        def wrong(out):
+            out.setdefault(1, []).append((1, u0, ONE))
+            return out
+
+        self._plant(monkeypatch, "compose_triples", wrong)
+        eq = classify(parse(self.F_SRC))
+        with pytest.raises(SelfCheckError,
+                           match="constructions disagree at D\\^1"):
+            determining_system(eq, parse(self.G_SRC))
 
     def test_a_wrong_operator_coefficient_is_caught(self, monkeypatch):
         from evosym import symmetry
@@ -243,6 +265,39 @@ class TestDoubleConstructions:
         assert once["total_d_terms"] > 0 and once["diff_terms"] > 0
         assert "total_d_terms" not in counts and "diff_terms" not in counts
         assert counts["addmul_into"] == once["addmul_into"] > 0
+
+    @staticmethod
+    def _count_sums(monkeypatch):
+        """Counts of fused sums and of expression additions/subtractions
+        (``expr._combine``, which operator arithmetic goes through)."""
+        calls = {"fused": 0, "combine": 0}
+        for name, label in (("sum_of_products", "fused"),
+                            ("_combine", "combine")):
+            def spy(*args, _real=getattr(ex, name), _label=label):
+                calls[_label] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(ex, name, spy)
+        return calls
+
+    def test_each_bracket_form_is_one_fused_sum(self, monkeypatch):
+        F, G = parse(self.F_SRC), parse(self.G_SRC)
+        want = bracket(F, u2 * G)
+        calls = self._count_sums(monkeypatch)
+        assert bracket(F, u2 * G) == want
+        assert calls == {"fused": 2, "combine": 0}
+
+    def test_each_operator_degree_is_one_fused_sum(self, monkeypatch):
+        eq = classify(parse(self.F_SRC))
+        G = parse(self.G_SRC) + t * u2 * u0
+        want = linearized_residual_operator(eq, G)
+        calls = self._count_sums(monkeypatch)
+        op = linearized_residual_operator(eq, G)
+        assert op == want
+        # F_*∘G_* and G_*∘F_* carry triples at D^0..D^(n+k): one sum per
+        # degree, not one per piece, and no operator sum or difference
+        assert calls == {"fused": eq.n + u_order(G) + 1, "combine": 0}
+        assert op.degree < eq.n + u_order(G)
 
 
 class TestLeadingCoefficient:

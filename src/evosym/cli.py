@@ -368,16 +368,23 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
     lines.append(f"equation order {eq.n}; constant separant: "
                  f"{eq.constant_separant}; KdV-like: {eq.kdv_like}")
 
+    reports: dict = {}  # one per candidate, so a basis value reuses its line's
+
+    def verify(source: str):
+        G = parse(source, entry.constants)
+        if G not in reports:
+            reports[G] = is_symmetry(eq, G)
+        return reports[G]
+
     verified: list = []
     for i, (source, expect_time) in enumerate(entry.symmetries):
         with _value_at(entry, "symmetry", i):
-            G = parse(source, entry.constants)
-            rep = is_symmetry(eq, G)
+            rep = verify(source)
             if not rep.is_symmetry:
                 problems.append(f"expected symmetry failed: {source}")
                 continue
-            verified.append(G)
-            cls = classify_time(G)
+            verified.append(rep)
+            cls = classify_time(rep.candidate)
             lines.append(f"symmetry ok: {source} (order {rep.order}, {cls})")
             if (expect_time is not None
                     and not _time_matches(cls, expect_time)):
@@ -388,22 +395,21 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
             lines.append("  structure ok"
                          + ("" if dec is None else f" (s = {dec.s})"))
     if verified:
-        lines.append(f"time-shape probe: {probe_time_shapes(eq, verified)} "
+        lines.append(f"time-shape probe: {probe_time_shapes(verified)} "
                      f"({len(verified)} verified symmetries)")
 
     for i, source in enumerate(entry.non_symmetries):
         with _value_at(entry, "not_symmetry", i):
-            G = parse(source, entry.constants)
-            rep = is_symmetry(eq, G)
-            if rep.is_symmetry:
+            if verify(source).is_symmetry:
                 problems.append(f"expected non-symmetry verified: {source}")
             else:
                 lines.append(f"non-symmetry confirmed: {source}")
 
     if entry.predict is not None:
-        basis_src = entry.basis or tuple(s for s, _ in entry.symmetries)
-        with _value_at(entry, "basis"):
-            basis = [parse(s, entry.constants) for s in basis_src]
+        basis = verified  # a failed symmetry line is already a mismatch
+        if entry.basis:
+            with _value_at(entry, "basis"):
+                basis = [verify(source) for source in entry.basis]
         with _value_at(entry, "predict"):
             pred = predict_time_dependence(eq, basis,
                                            corollary_mode=eq.kdv_like)
@@ -417,8 +423,8 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
     for i, spec in enumerate(entry.finds):
         with _value_at(entry, "find", i):
             cfg = AnsatzConfig(order=spec["order"], weight_max=spec["weight"],
-                               t_degree_max=spec.get("t_degree", 0),
-                               x_degree_max=spec.get("x_degree", 0))
+                               **{f"{k}_max": v for k, v in spec.items()
+                                  if k in ("t_degree", "x_degree")})
             res = find_symmetries(eq, cfg)
             lines.append(f"find order={spec['order']}: "
                          f"basis of {len(res.basis)}")
@@ -522,12 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equation", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--t-degree", type=int, default=0)
-    p.add_argument("--x-degree", type=int, default=0)
-    p.add_argument("--base-weight", type=int, default=2)
+    p.add_argument("--t-degree", type=int, default=AnsatzConfig.t_degree_max)
+    p.add_argument("--x-degree", type=int, default=AnsatzConfig.x_degree_max)
+    p.add_argument("--base-weight", type=int, default=AnsatzConfig.base_weight)
     p.add_argument("--exp-rate", default=None,
                    help="fixed exponential rate (expression in constants)")
-    p.add_argument("--max-pool", type=int, default=4000)
+    p.add_argument("--max-pool", type=int, default=AnsatzConfig.max_pool)
     common(p)
     p.set_defaults(func=_cmd_find)
 

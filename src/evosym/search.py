@@ -59,7 +59,9 @@ class AnsatzConfig:
     max_pool: int = 4000
 
     def __post_init__(self) -> None:
-        for name, low in (("order", 0), ("base_weight", 1), ("max_pool", 1)):
+        for name, low in (("order", 0), ("t_degree_max", 0),
+                          ("x_degree_max", 0), ("base_weight", 1),
+                          ("max_pool", 1)):
             value = getattr(self, name)
             if value < low:
                 raise ValueError(

@@ -436,6 +436,8 @@ def check_structure(eq: EvolutionEquation, report: SymmetryReport
     and, where it applies, the descended-leading-coefficient bound.  A
     failed check is a bug: it raises ``SelfCheckError`` naming the
     candidate in source form."""
+    if not report.is_symmetry:
+        raise ValueError("structure check needs a verified symmetry")
     k = report.order
     try:
         lead = dec = None

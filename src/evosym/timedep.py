@@ -7,6 +7,7 @@ pair; a time-dependent equation is refused with ``ValueError``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import expr as ex
 from .expr import GEN_T, DiffExpr, is_t_only, occurs, partial, u_order
@@ -47,10 +48,6 @@ class TimeDependenceClass:
         if any(lam for lam, _ in self.spectrum):
             return QUASIPOLYNOMIAL
         return POLYNOMIAL if self.degree else TIME_INDEPENDENT
-
-    @property
-    def is_polynomial_shape(self) -> bool:
-        return self.kind != QUASIPOLYNOMIAL
 
     def __str__(self) -> str:
         if self.kind == TIME_INDEPENDENT:
@@ -145,17 +142,17 @@ class DtClosureVerdict:
     detail: str
 
 
-def dt_closure_check(eq: EvolutionEquation, G: DiffExpr) -> DtClosureVerdict:
-    """For a time-independent equation and a verified symmetry G: dG/dt must
-    again be a symmetry of order <= ord G, and applying the annihilator of
-    the leading coefficient c_k must produce a symmetry of order <= k-1.
+def dt_closure_check(eq: EvolutionEquation,
+                     report: SymmetryReport) -> DtClosureVerdict:
+    """For a time-independent equation and the report of a verified symmetry
+    G: dG/dt must again be a symmetry of order <= ord G, and the annihilator
+    of the leading coefficient c_k must map G to a symmetry of order <= k-1.
     A violation is a bug and raises ``SelfCheckError``."""
     if not eq.time_independent:
         raise ValueError("closure check requires a time-independent equation")
-    rep = is_symmetry(eq, G)
-    if not rep.is_symmetry:
+    if not report.is_symmetry:
         raise ValueError("closure check needs a verified symmetry")
-    k = rep.order
+    G, k = report.candidate, report.order
     Gt = partial(G, GEN_T)
     if not is_symmetry(eq, Gt).is_symmetry:
         raise SelfCheckError("dG/dt is not a symmetry")
@@ -255,40 +252,41 @@ def mastersymmetry_test(eq: EvolutionEquation, G0: DiffExpr) -> MasterResult:
 @dataclass(frozen=True)
 class TimePrediction:
     prediction: str  # "polynomial" | "quasipolynomial"
-    classes: tuple[TimeDependenceClass, ...]
     basis_order_cap: int
-    corollary_mode: bool
-    note: str = ("prediction is conditional on the supplied basis spanning "
-                 "all symmetries up to the order cap (caller assertion)")
+    note: ClassVar[str] = ("prediction is conditional on the supplied basis "
+                           "spanning all symmetries up to the order cap "
+                           "(caller assertion)")
 
 
-def probe_time_shapes(eq: EvolutionEquation,
-                      symmetries: list[DiffExpr]) -> str:
+def _all_polynomial(reports: list[SymmetryReport]) -> bool:
+    return all(classify_time(rep.candidate).kind != QUASIPOLYNOMIAL
+               for rep in reports)
+
+
+def probe_time_shapes(reports: list[SymmetryReport]) -> str:
     """Aggregate the time-dependence shapes of verified symmetries.
 
     Purely observational: it reports what the supplied symmetries look like
     ("all polynomial in t" or "all quasipolynomial in t") and claims nothing
     beyond them.
     """
-    shapes = []
-    for g in symmetries:
-        if not is_symmetry(eq, g).is_symmetry:
-            raise ValueError(f"not a symmetry: {g}")
-        shapes.append(classify_time(g))
-    if not shapes:
+    for rep in reports:
+        if not rep.is_symmetry:
+            raise ValueError(f"not a symmetry: {rep.candidate}")
+    if not reports:
         return "no symmetries supplied"
-    if all(s.is_polynomial_shape for s in shapes):
+    if _all_polynomial(reports):
         return "all polynomial in t"
     return "all quasipolynomial in t"
 
 
 def predict_time_dependence(eq: EvolutionEquation,
-                            basis: list[DiffExpr],
+                            reports: list[SymmetryReport],
                             corollary_mode: bool = False) -> TimePrediction:
     """If every symmetry up to order n-1 (n-2 for KdV-like equations in
     corollary mode) is polynomial in t, every symmetry is; likewise for
-    quasipolynomial shapes.  The caller asserts completeness of the basis;
-    this verifies each element and classifies its t-dependence."""
+    quasipolynomial shapes.  The caller asserts completeness of the basis
+    of verified symmetries; this classifies each one's t-dependence."""
     if not eq.constant_separant:
         raise ValueError("prediction requires a constant-separant equation")
     if not eq.time_independent:
@@ -296,16 +294,11 @@ def predict_time_dependence(eq: EvolutionEquation,
     if corollary_mode and not eq.kdv_like:
         raise ValueError("corollary mode requires a KdV-like equation")
     cap = eq.n - 2 if corollary_mode else eq.n - 1
-    classes = []
-    for g in basis:
-        rep = is_symmetry(eq, g)
+    for rep in reports:
+        g, k = rep.candidate, rep.order
         if not rep.is_symmetry:
             raise ValueError(f"basis element is not a symmetry: {g}")
-        if rep.order is not None and rep.order > cap:
-            raise ValueError(
-                f"basis element has order {rep.order} > cap {cap}: {g}")
-        classes.append(classify_time(g))
-    prediction = (POLYNOMIAL if all(c.is_polynomial_shape for c in classes)
-                  else QUASIPOLYNOMIAL)
-    return TimePrediction(prediction=prediction, classes=tuple(classes),
-                          basis_order_cap=cap, corollary_mode=corollary_mode)
+        if k is not None and k > cap:
+            raise ValueError(f"basis element has order {k} > cap {cap}: {g}")
+    prediction = POLYNOMIAL if _all_polynomial(reports) else QUASIPOLYNOMIAL
+    return TimePrediction(prediction=prediction, basis_order_cap=cap)

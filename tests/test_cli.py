@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 
 import evosym
-from evosym import parse, symmetry
+from evosym import cli, parse, symmetry, timedep
+from evosym.search import AnsatzConfig
 from evosym.cli import REPORT_SCHEMA, build_parser, main, parse_corpus
 from evosym.symmetry import SelfCheckError
 
@@ -273,6 +274,8 @@ class TestFind:
         ("--base-weight", "-2", "ansatz base_weight must be >= 1, got -2"),
         ("--max-pool", "0", "ansatz max_pool must be >= 1, got 0"),
         ("--max-pool", "-1", "ansatz max_pool must be >= 1, got -1"),
+        ("--t-degree", "-1", "ansatz t_degree_max must be >= 0, got -1"),
+        ("--x-degree", "-1", "ansatz x_degree_max must be >= 0, got -1"),
     ])
     def test_invalid_configuration_exit_2_promptly(self, capsys, flag, value,
                                                    message):
@@ -282,6 +285,15 @@ class TestFind:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
         assert time.perf_counter() - start < 2
+
+    def test_parser_defaults_are_the_ansatz_defaults(self):
+        args = build_parser().parse_args(
+            ["find", "--equation", "u3", "--order", "1", "--weight", "3"])
+        cfg = AnsatzConfig(order=1, weight_max=3)
+        assert (args.t_degree, args.x_degree, args.base_weight,
+                args.exp_rate, args.max_pool) == (
+            cfg.t_degree_max, cfg.x_degree_max, cfg.base_weight,
+            cfg.exp_rate, cfg.max_pool)
 
 
 class TestCorpus:
@@ -341,6 +353,63 @@ class TestCorpus:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: line 4: {message}\n"
 
+    def test_a_failed_symmetry_leaves_the_default_basis(self, tmp_path,
+                                                        capsys):
+        # without a basis line the prediction reads the listed symmetries
+        # that verified: a failed one is a mismatch, not a rejected value
+        path = tmp_path / "one.corpus"
+        path.write_text("[entry]\nname = kdv-bad\nequation = u3 + 6*u*u1\n"
+                        "symmetry = u1\nsymmetry = u2\n"
+                        "predict = polynomial\n")
+        code, out = run_cli("corpus", "run", str(path))
+        assert code == 1 and capsys.readouterr().err == ""
+        assert out.splitlines() == [
+            "[kdv-bad] mismatch",
+            "  equation order 3; constant separant: True; KdV-like: True",
+            "  symmetry ok: u1 (order 1, time-independent)",
+            "    structure ok (s = 0)",
+            "  time-shape probe: all polynomial in t (1 verified symmetries)",
+            "  prediction: polynomial (basis of 1, orders <= 1)",
+            "  MISMATCH: expected symmetry failed: u2"]
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """The ``(equation, candidate)`` pairs that the runner and
+        ``timedep`` send through ``is_symmetry``, in call order."""
+        seen = []
+
+        def spy(eq, G):
+            seen.append((eq.F, G))
+            return symmetry.is_symmetry(eq, G)
+
+        monkeypatch.setattr(cli, "is_symmetry", spy)
+        monkeypatch.setattr(timedep, "is_symmetry", spy)
+        return seen
+
+    def test_each_candidate_is_verified_once(self, tmp_path, verified):
+        # a basis value equal to a listed symmetry reuses its report, and
+        # one listed nowhere else is verified once however often it appears
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}symmetry = u1\nsymmetry = 1 + 6*t*u1\n"
+                        "symmetry = u1\nnot_symmetry = u2\n"
+                        "basis = u1, 6*t*u1 + 1, 2*u1, u1*2\n"
+                        "predict = polynomial\n")
+        code, out = run_cli("corpus", "run", str(path))
+        assert code == 0, out
+        assert [G for _, G in verified] == [
+            parse(s) for s in ("u1", "1 + 6*t*u1", "u2", "2*u1")]
+        # the probe still counts every listed value that verified
+        assert "(3 verified symmetries)" in out
+        assert "prediction: polynomial (basis of 4, orders <= 1)" in out
+
+    def test_the_shipped_corpus_verifies_each_line_once(self, corpus_path,
+                                                        verified):
+        entries = parse_corpus(corpus_path.read_text())
+        code, _ = run_cli("corpus", "run", str(corpus_path))
+        assert code == 0
+        assert len(set(verified)) == len(verified) == sum(
+            len(e.symmetries) + len(e.non_symmetries) for e in entries)
+
     def test_readme_example_runs_verbatim(self, tmp_path):
         # "#" starts a comment anywhere on a line, as the README example has
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -395,7 +464,10 @@ class TestCorpus:
          "basis element has order 5 > cap 1"),
         ("not_symmetry = u2\nfind = order=9 weight=40",
          "ansatz pool exceeds the cap of 4000 entries"),
-    ], ids=["predict", "pool-limit"])
+        # an explicit basis value is verified, and a non-symmetry refused
+        ("basis = u1, u2\npredict = polynomial",
+         "basis element is not a symmetry: u2"),
+    ], ids=["predict", "pool-limit", "basis-non-symmetry"])
     def test_a_check_that_refuses_a_value_names_its_line(self, tmp_path,
                                                          capsys, lines,
                                                          message):
@@ -449,6 +521,16 @@ class TestCorpus:
         assert code == 2
         assert out == ""
         assert "line 4: find order must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["t_degree", "x_degree"])
+    def test_negative_find_degree_exit_2(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.corpus"
+        bad.write_text(f"{self.KDV}find = order=1 weight=3 {key}=-1\n")
+        code, out = run_cli("corpus", "run", str(bad))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: ansatz {key}_max must be >= 0, got -1 "
+            "(corpus line 4, entry 'kdv')\n")
 
     def test_corpus_verdicts_match_library(self, corpus_path):
         from evosym import classify, classify_time, is_symmetry, parse

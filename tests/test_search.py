@@ -42,6 +42,12 @@ class TestPool:
         with pytest.raises(ValueError, match="order must be >= 0"):
             AnsatzConfig(order=-1, weight_max=3)
 
+    @pytest.mark.parametrize("name", ["t_degree_max", "x_degree_max"])
+    def test_negative_degree_rejected(self, name):
+        with pytest.raises(ValueError,
+                           match=f"ansatz {name} must be >= 0, got -1"):
+            AnsatzConfig(order=1, weight_max=3, **{name: -1})
+
     def test_order_beyond_the_weight_budget_adds_nothing(self, kdv):
         # u_i weighs i + 2, so with weight 7 no u_i above u_5 fits
         cfg = AnsatzConfig(order=5, weight_max=7)

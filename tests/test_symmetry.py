@@ -12,7 +12,7 @@ from evosym import (DOperator, SelfCheckError, bracket,
                     mastersymmetry_test, parse, partial,
                     representation_decompose, total_d_power, u, x, t,
                     x_descent)
-from evosym import expr as ex, symmetry
+from evosym import _kernel_py as kernel, expr as ex, symmetry, timedep
 from evosym.expr import GEN_T, ONE, ZERO, ExpressionError, rational, u_order
 
 from conftest import bracket_oracle, random_expr, random_rhs
@@ -527,6 +527,65 @@ class TestViolationsRaise:
         assert str(err.value) == (
             "structure check failed for 3*u3*t + 18*u1*u*t + u1*x + 2*u: "
             "leading coefficient mismatch")
+
+
+class TestReportReaders:
+    """Every check built on the paper's theorems reads the report of a
+    symmetry its caller verified, and refuses a non-symmetry report with
+    ``ValueError`` before any work: no derivative, product, sum,
+    classification or verification."""
+
+    # each reader with a verified control candidate it does work on
+    READERS = {
+        "leading_coefficient_check": (leading_coefficient_check, F_KDV),
+        "representation_decompose": (representation_decompose, u1),
+        "x_descent": (x_descent, u1),
+        "descent_leading_coeff_check": (descent_leading_coeff_check, F_KDV),
+        "check_structure": (check_structure, u1),
+        "dt_closure_check": (timedep.dt_closure_check, u1),
+        "probe_time_shapes":
+            (lambda eq, rep: timedep.probe_time_shapes([rep]), u1),
+        "predict_time_dependence":
+            (lambda eq, rep: timedep.predict_time_dependence(eq, [rep]), u1),
+    }
+    WORK = ("partial", "u_order", "occurs", "is_t_only", "has_exp_in",
+            "power_outside_exp", "split_t_only", "split_u_order",
+            "split_by_power", "exp_spectrum", "try_divide", "frechet",
+            "bracket", "is_symmetry", "classify_time", "annihilator")
+
+    @classmethod
+    def forbid_work(cls, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("a report reader did work")
+
+        for name, obj in vars(kernel).items():
+            if getattr(obj, "__module__", None) == kernel.__name__:
+                monkeypatch.setattr(kernel, name, work)
+        for module in (ex, symmetry, timedep):
+            for name in cls.WORK:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, work)
+
+    @pytest.mark.parametrize("candidate", ["u", "u5 + u*u3"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_non_symmetry_is_refused_before_any_work(
+            self, kdv, monkeypatch, reader, candidate):
+        rep = is_symmetry(kdv, parse(candidate))
+        assert not rep.is_symmetry
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ValueError,
+                           match="needs a verified symmetry|not a symmetry"):
+            self.READERS[reader][0](kdv, rep)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_verified_report_reaches_the_forbidden_work(
+            self, kdv, monkeypatch, reader):
+        # the control: the patch catches the work each reader does
+        read, control = self.READERS[reader]
+        rep = is_symmetry(kdv, control)
+        self.forbid_work(monkeypatch)
+        with pytest.raises(AssertionError, match="a report reader did work"):
+            read(kdv, rep)
 
 
 class TestSecondOrderEquation:

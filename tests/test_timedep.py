@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (annihilator, classify, classify_time, const,
-                    dt_closure_check, exp_of, mastersymmetry_test, parse,
-                    partial, predict_time_dependence, probe_time_shapes,
-                    scaling_test, u, x, t)
+                    dt_closure_check, exp_of, is_symmetry,
+                    mastersymmetry_test, parse, partial,
+                    predict_time_dependence, probe_time_shapes, scaling_test,
+                    u, x, t)
 from evosym.expr import ONE, ZERO, ExpressionError, rational
 from evosym import timedep
 from evosym.symmetry import SelfCheckError
@@ -18,6 +19,10 @@ from conftest import random_expr
 u0, u1, u2, u3 = u(0), u(1), u(2), u(3)
 F_KDV = u3 + 6 * u0 * u1
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def reports(eq, *candidates):
+    return [is_symmetry(eq, G) for G in candidates]
 
 
 class TestClassifyTime:
@@ -152,38 +157,38 @@ class TestAnnihilator:
 
 class TestDtClosure:
     def test_galilean(self, kdv):
-        v = dt_closure_check(kdv, 1 + 6 * t * u1)
+        v = dt_closure_check(kdv, is_symmetry(kdv, 1 + 6 * t * u1))
         assert v.dt_order == 1
 
     def test_time_independent_symmetry(self, kdv):
-        assert dt_closure_check(kdv, u1).reduced.is_zero
+        assert dt_closure_check(kdv, is_symmetry(kdv, u1)).reduced.is_zero
 
     def test_scaling_symmetry(self, kdv):
         G = x * u1 + 2 * u0 + 3 * t * F_KDV
-        v = dt_closure_check(kdv, G)
+        v = dt_closure_check(kdv, is_symmetry(kdv, G))
         assert v.dt_order == 3
 
     def test_requires_time_independent_equation(self):
         eq = classify(u2 + t * u1)
         with pytest.raises(ValueError):
-            dt_closure_check(eq, u1)
+            dt_closure_check(eq, is_symmetry(eq, u1))
 
     def test_requires_symmetry(self, kdv):
         with pytest.raises(ValueError):
-            dt_closure_check(kdv, u2)
+            dt_closure_check(kdv, is_symmetry(kdv, u2))
 
     # no symmetry violates the closure statements: each violation below
     # corrupts the helper that the check reads, and must raise
     def test_dt_order_too_high_raises(self, kdv, monkeypatch):
         monkeypatch.setattr(timedep, "u_order", lambda e: 99)
         with pytest.raises(SelfCheckError, match="exceeds ord G"):
-            dt_closure_check(kdv, 1 + 6 * t * u1)
+            dt_closure_check(kdv, is_symmetry(kdv, 1 + 6 * t * u1))
 
     def test_reduced_order_too_high_raises(self, kdv, monkeypatch):
         monkeypatch.setattr(timedep, "annihilator",
                             lambda e: AnnihilatorOp((ONE,)))
         with pytest.raises(SelfCheckError, match="order too high"):
-            dt_closure_check(kdv, u1)
+            dt_closure_check(kdv, is_symmetry(kdv, u1))
 
 
 class TestScaling:
@@ -247,49 +252,83 @@ class TestMastersymmetry:
 class TestPrediction:
     def test_corpus_polynomial(self):
         eq = classify(u3 + u0 * u1)
-        pred = predict_time_dependence(eq, [u1, 1 + t * u1],
+        pred = predict_time_dependence(eq, reports(eq, u1, 1 + t * u1),
                                        corollary_mode=True)
         assert pred.prediction == POLYNOMIAL
         assert pred.basis_order_cap == 1
 
     def test_quasipolynomial_basis(self, heat):
-        pred = predict_time_dependence(heat, [u1, exp_of(t) * exp_of(x)])
+        pred = predict_time_dependence(
+            heat, reports(heat, u1, exp_of(t) * exp_of(x)))
         assert pred.prediction == QUASIPOLYNOMIAL
 
     def test_rejects_non_symmetry(self, kdv):
         with pytest.raises(ValueError):
-            predict_time_dependence(kdv, [u2])
+            predict_time_dependence(kdv, reports(kdv, u2))
 
     def test_rejects_high_order_basis(self, kdv):
         with pytest.raises(ValueError):
-            predict_time_dependence(kdv, [F_KDV], corollary_mode=True)
+            predict_time_dependence(kdv, reports(kdv, F_KDV),
+                                    corollary_mode=True)
 
     def test_corollary_needs_kdv_like(self):
         eq = classify(u2 + u1 ** 2 + const("c"))
         with pytest.raises(ValueError):
-            predict_time_dependence(eq, [u1], corollary_mode=True)
+            predict_time_dependence(eq, reports(eq, u1), corollary_mode=True)
 
     def test_needs_time_independent_equation(self):
         eq = classify(u3 + t * u1)
         assert eq.constant_separant
         with pytest.raises(ValueError):
-            predict_time_dependence(eq, [u1])
+            predict_time_dependence(eq, reports(eq, u1))
 
 
 class TestShapeProbe:
     def test_polynomial_corpus(self, kdv):
         G = x * u1 + 2 * u0 + 3 * t * F_KDV
-        out = probe_time_shapes(kdv, [u1, F_KDV, 1 + 6 * t * u1, G])
+        out = probe_time_shapes(
+            reports(kdv, u1, F_KDV, 1 + 6 * t * u1, G))
         assert out == "all polynomial in t"
 
     def test_quasipolynomial(self, heat):
-        out = probe_time_shapes(heat, [u1, exp_of(t) * exp_of(x)])
+        out = probe_time_shapes(
+            reports(heat, u1, exp_of(t) * exp_of(x)))
         assert out == "all quasipolynomial in t"
 
     def test_observational_only(self, kdv):
-        assert probe_time_shapes(kdv, []) == "no symmetries supplied"
+        assert probe_time_shapes([]) == "no symmetries supplied"
         with pytest.raises(ValueError):
-            probe_time_shapes(kdv, [u2])
+            probe_time_shapes(reports(kdv, u2))
+
+
+class TestReportsAreNotReverified:
+    """The readers of verified symmetries take their reports: only the new
+    candidates that the closure check forms go through ``is_symmetry``."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        seen = []
+        real = timedep.is_symmetry
+
+        def spy(eq, G):
+            seen.append(G)
+            return real(eq, G)
+
+        monkeypatch.setattr(timedep, "is_symmetry", spy)
+        return seen
+
+    def test_probe_and_prediction_verify_nothing(self, kdv, verified):
+        reps = reports(kdv, u1, 1 + 6 * t * u1)
+        assert probe_time_shapes(reps) == "all polynomial in t"
+        pred = predict_time_dependence(kdv, reps, corollary_mode=True)
+        assert pred.prediction == POLYNOMIAL
+        assert verified == []
+
+    def test_closure_verifies_only_dG_dt_and_omega(self, kdv, verified):
+        G = x * u1 + 2 * u0 + 3 * t * F_KDV
+        v = dt_closure_check(kdv, is_symmetry(kdv, G))
+        assert verified == [3 * F_KDV, v.reduced]
+        assert v.reduced.is_zero  # (d/dt)^2 annihilates c_3 = 3*t
 
 
 # -- the reduction-operator property ------------------------------------------

@@ -19,9 +19,10 @@ describing one normalized term:
 Multiplying two terms adds the values of matching slots, which makes every
 kernel below a merge or a merge-of-products.  Zero values are never stored.
 A derivative multiplies a coefficient by a slot value, which for a rational
-exponential rate brings in its denominator: ``diff_terms`` and
-``total_d_terms`` scale their output by the lcm of the rate denominators
-they meet and return that scale beside it, so their products stay integer.
+exponential rate brings in its denominator: ``derive_terms``, the one
+derivation kernel (every partial derivative and ``D``), scales its output by
+the lcm of the rate denominators it meets and returns that scale beside it,
+so its products stay integer.
 """
 
 from math import gcd
@@ -123,67 +124,20 @@ def mul_terms(a, b):
     return out
 
 
-def diff_terms(a, gen):
-    """Formal partial derivative of a term map with respect to generator ``gen``.
+def derive_terms(a, gen=None):
+    """A derivation of a term map: ``d/dgen`` for a generator code ``gen``,
+    the total x-derivative ``D = d/dx + sum u_{i+1} d/du_i`` for ``None``.
 
-    Handles both the power rule on monomial slots and the chain rule on the
-    exponential-argument slots (the exponent is linear, so each component
-    contributes its coefficient times its constant monomial).  Returns
-    ``(terms, m)``: the derivative is ``terms / m``, with ``m`` the lcm of
-    the denominators of the rates met.
+    Every derivation here is one rule applied per slot, and differs only
+    in the image of each generator: ``d/dgen`` sends ``gen`` to 1 and the
+    others to 0; ``D`` sends ``x`` to 1, ``u_i`` to ``u_{i+1}`` and ``t``
+    to 0.  The power rule replaces one factor of a generator power by its
+    image, and the chain rule turns each exponential component
+    ``coeff * cmono * gen`` (the exponent is linear) into ``coeff * cmono``
+    times the image of ``gen``.  Returns ``(terms, m)``: the derivative is
+    ``terms / m``, with ``m`` the lcm of the denominators of the rates met.
     """
-    out = {}
-    get = out.get
-    m = 1
-    for key, c0 in a.items():
-        c = c0 * m
-        for idx, (slot, val) in enumerate(key):
-            kind = slot[0]
-            if kind == 0:
-                if slot[1] != gen:
-                    continue
-                if val == 1:
-                    nk = key[:idx] + key[idx + 1:]
-                else:
-                    nk = key[:idx] + ((slot, val - 1),) + key[idx + 1:]
-                nc = c * val
-            elif kind == 2:
-                if slot[1] != gen:
-                    continue
-                nk = mul_key(key, slot[2])
-                if type(val) is int:
-                    nc = c * val
-                else:
-                    q = val.denominator
-                    if m % q:
-                        r = rescale(out, m, q)
-                        c *= r
-                        m *= r
-                    nc = c // q * val.numerator
-            else:
-                continue
-            v = get(nk)
-            if v is None:
-                out[nk] = nc
-            else:
-                v = v + nc
-                if v:
-                    out[nk] = v
-                else:
-                    del out[nk]
-            get = out.get
-    return out, m
-
-
-def total_d_terms(a):
-    """Total x-derivative ``D = d/dx + sum u_{i+1} d/du_i`` of a term map.
-
-    One pass over each key: the power rule on ``x``; the power rule on
-    ``u_i`` with the removed factor replaced by ``u_{i+1}``; the chain rule
-    on each exponential component ``coeff * cmono * gen``, which contributes
-    ``coeff * cmono * D(gen)`` (``D(x) = 1``, ``D(u_i) = u_{i+1}``,
-    ``D(t) = 0``).  Returns ``(terms, m)`` as ``diff_terms`` does.
-    """
+    total = gen is None
     out = {}
     get = out.get
     m = 1
@@ -191,17 +145,20 @@ def total_d_terms(a):
         c = c0 * m
         n = len(key)
         for idx, (slot, val) in enumerate(key):
-            kind, gen = slot[0], slot[1]
-            if kind == 1 or gen == -2:  # constants and t: D is 0
+            kind, g = slot[0], slot[1]
+            if total:
+                if kind == 1 or g == -2:  # constants and t: D is 0
+                    continue
+            elif g != gen:  # a constant's name is no generator code
                 continue
             if kind == 0:
                 head = key[:idx] if val == 1 else key[:idx] + ((slot, val - 1),)
-                if gen == -1:
+                if not total or g == -1:
                     nk = head + key[idx + 1:]
                 else:
-                    # (0, gen + 1) sorts directly after (0, gen)
+                    # (0, g + 1) sorts directly after (0, g)
                     nxt = idx + 1
-                    up = (0, gen + 1)
+                    up = (0, g + 1)
                     if nxt < n and key[nxt][0] == up:
                         nk = head + ((up, key[nxt][1] + 1),) + key[nxt + 1:]
                     else:
@@ -209,8 +166,8 @@ def total_d_terms(a):
                 nc = c * val
             else:
                 factor = slot[2]
-                if gen >= 0:
-                    factor = (((0, gen + 1), 1),) + factor
+                if total and g >= 0:
+                    factor = (((0, g + 1), 1),) + factor
                 nk = mul_key(key, factor)
                 if type(val) is int:
                     nc = c * val

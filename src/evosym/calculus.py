@@ -6,9 +6,9 @@ derivative ``h_* = sum (dh/du_i) D^i``, the evolutionary action
 object; only the finitely many terms ``r`` actually needs are expanded),
 and finite-order operators in D with expression coefficients.
 
-``D`` and the partials are memoized on the expression (``DiffExpr._d``,
-``DiffExpr._parts``), so every operator here asks for ``D^j(e)`` or
-``de/du_i`` when it needs one and keeps no table of its own.
+``D`` and the partials are derivations made by one kernel and kept in one
+memo on the expression (``expr._derive``), so every operator here asks for
+``D^j(e)`` or ``de/du_i`` when it needs one and keeps no table of its own.
 
 Every sum of products goes through one ``expr.sum_of_products``, which
 accumulates it in one term dict.  Each operator piece gives its signed
@@ -31,17 +31,15 @@ from .expr import DiffExpr, partial, u_indices
 
 def total_d(e: DiffExpr) -> DiffExpr:
     """Total derivative with respect to x; raises the top u-index by one."""
-    if e._d is None:
-        terms, m = ex.kernel.total_d_terms(e._t)
-        ex._set_d(e, ex._reduced(terms, e._den * m))
-    return e._d
+    return ex._derive(e, None)
 
 
 def total_d_power(e: DiffExpr, j: int) -> DiffExpr:
     if j < 0:
         raise ex.ExpressionError("D power must be >= 0")
     for _ in range(j):
-        d = e._d  # read a memo hit without a call
+        parts = e._parts  # read a memo hit without a call
+        d = parts.get(None) if parts else None
         e = total_d(e) if d is None else d
     return e
 
@@ -84,12 +82,6 @@ class DOperator:
 
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other: "DOperator") -> "DOperator":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, ex.ZERO) + c
-        return DOperator(out)
 
     def __sub__(self, other: "DOperator") -> "DOperator":
         out = dict(self.coeffs)

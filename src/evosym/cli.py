@@ -142,8 +142,8 @@ def _cmd_determine(args, out) -> int:
     G = parse(args.candidate, args.constants)
     system = determining_system(eq, G)
     verdict = "ALL ZERO" if system.all_zero else "NONZERO"
-    lines = [f"verdict: {verdict}",
-             f"levels: {len(system.equations)} (l = 0..{eq.n + system.k - 1})"]
+    levels = len(system.equations)
+    lines = [f"verdict: {verdict}", f"levels: {levels} (l = 0..{levels - 1})"]
     for l, e in enumerate(system.equations):
         lines.append(f"E_{l} = {e}")
     lines.append(f"closure = {system.closure}")

@@ -69,14 +69,15 @@ class DiffExpr:
     ``DiffExpr(mapping)`` takes exact rational coefficients (ints or
     Fractions); ``term_items`` gives them back.
 
-    Filled lazily and then fixed: ``_items`` (canonical order), ``_hash``,
-    ``_d`` (``D(self)``, by ``calculus.total_d``) and ``_parts`` (generator
-    code -> ``∂self/∂gen``, by ``partial``).  A memo lives exactly as long
-    as its expression.  Fills are idempotent, so threads that race store
-    equal values and need no lock; shared results are never mutated.
+    Filled lazily and then fixed: ``_items`` (canonical order), ``_hash``
+    and ``_parts``, the derivative memo (generator code -> ``∂self/∂gen``,
+    and ``None`` -> ``D(self)``), which ``_derive`` alone fills.  A memo
+    lives exactly as long as its expression.  Fills are idempotent, so
+    threads that race store equal values and need no lock; shared results
+    are never mutated.
     """
 
-    __slots__ = ("_t", "_den", "_items", "_hash", "_d", "_parts")
+    __slots__ = ("_t", "_den", "_items", "_hash", "_parts")
 
     def __init__(self, terms: Mapping) -> None:
         den = 1
@@ -89,7 +90,6 @@ class DiffExpr:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_d", None)
         object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, *a):
@@ -244,7 +244,6 @@ _set_terms = DiffExpr._t.__set__
 _set_den = DiffExpr._den.__set__
 _set_items = DiffExpr._items.__set__
 _set_hash = DiffExpr._hash.__set__
-_set_d = DiffExpr._d.__set__
 _set_parts = DiffExpr._parts.__set__
 
 
@@ -267,7 +266,6 @@ def _reduced(terms: dict, den: int) -> DiffExpr:
     _set_den(e, den)
     _set_items(e, None)
     _set_hash(e, None)
-    _set_d(e, None)
     _set_parts(e, None)
     return e
 
@@ -469,18 +467,23 @@ def _gencode(v) -> int:
     raise ExpressionError(f"not a generator: {v!r}")
 
 
-def partial(e: DiffExpr, v) -> DiffExpr:
-    """Formal partial derivative; all generators are independent."""
-    gen = _gencode(v)
+def _derive(e: DiffExpr, gen) -> DiffExpr:
+    """``∂e/∂gen`` for a generator code, ``D(e)`` for ``None``: read from
+    ``e``'s memo, or made by the one derivation kernel and stored there."""
     parts = e._parts
     if parts is None:
         parts = {}
         _set_parts(e, parts)
     got = parts.get(gen)
     if got is None:
-        terms, m = kernel.diff_terms(e._t, gen)
+        terms, m = kernel.derive_terms(e._t, gen)
         got = parts[gen] = _reduced(terms, e._den * m)
     return got
+
+
+def partial(e: DiffExpr, v) -> DiffExpr:
+    """Formal partial derivative; all generators are independent."""
+    return _derive(e, _gencode(v))
 
 
 def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:

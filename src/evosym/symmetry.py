@@ -148,7 +148,8 @@ def linearized_residual_operator(eq: EvolutionEquation, G: DiffExpr) -> DOperato
 class DeterminingSystem:
     """Coefficient-wise determining equations for a candidate symmetry.
 
-    ``equations[l]`` is the condition read off at ``D^l``, l = 0..n+k-1;
+    ``equations[l]`` is the condition read off at ``D^l``,
+    l = 0..n+max(k, 1)-1 (an order-0 candidate still has a level at D^n);
     ``closure`` is the compatibility residual itself, which pins down the
     part the D-level equations cannot see (the linearized condition only
     determines the residual up to a function of x and t).

@@ -258,9 +258,10 @@ def _memo_expr(rng):
     return e
 
 
-def _fresh(e, kernel_fn, *args):
-    """A derivative built from the kernel alone, bypassing every memo."""
-    terms, m = kernel_fn(e._t, *args)
+def _fresh(e, gen=None):
+    """``D(e)``, or ``de/dgen`` for a generator code, built from the kernel
+    alone, bypassing every memo."""
+    terms, m = kernel.derive_terms(e._t, gen)
     return ex._reduced(terms, e._den * m)
 
 
@@ -280,19 +281,160 @@ def test_memoized_derivatives_equal_fresh_kernel_results(seed):
     for j in range(4):
         fresh = ref
         for _ in range(j):
-            fresh = _fresh(_copy(fresh), kernel.total_d_terms)
+            fresh = _fresh(_copy(fresh))
         got = total_d_power(e, j)
         assert (got._den, got._t) == (fresh._den, fresh._t)
         assert total_d_power(e, j) is got
     assert total_d(e) is total_d(e) is total_d_power(e, 1)
     for g in _GENS:
         got = partial(e, g)
-        fresh = _fresh(_copy(e), kernel.diff_terms, g)
+        fresh = _fresh(_copy(e), g)
         assert (got._den, got._t) == (fresh._den, fresh._t)
         assert partial(e, g) is got
     # a generator given by name or as an expression shares the memo
     assert partial(e, "x") is partial(e, GEN_X)
     assert partial(e, u1) is partial(e, 1)
+
+
+# -- derive_terms against the two kernels it replaced --------------------------
+
+def _reference_diff_terms(a, gen):
+    """The former partial-derivative kernel, ``(terms, m)`` with the
+    derivative ``terms / m``."""
+    out = {}
+    get = out.get
+    m = 1
+    for key, c0 in a.items():
+        c = c0 * m
+        for idx, (slot, val) in enumerate(key):
+            kind = slot[0]
+            if kind == 0:
+                if slot[1] != gen:
+                    continue
+                if val == 1:
+                    nk = key[:idx] + key[idx + 1:]
+                else:
+                    nk = key[:idx] + ((slot, val - 1),) + key[idx + 1:]
+                nc = c * val
+            elif kind == 2:
+                if slot[1] != gen:
+                    continue
+                nk = kernel.mul_key(key, slot[2])
+                if type(val) is int:
+                    nc = c * val
+                else:
+                    q = val.denominator
+                    if m % q:
+                        r = kernel.rescale(out, m, q)
+                        c *= r
+                        m *= r
+                    nc = c // q * val.numerator
+            else:
+                continue
+            v = get(nk)
+            if v is None:
+                out[nk] = nc
+            else:
+                v = v + nc
+                if v:
+                    out[nk] = v
+                else:
+                    del out[nk]
+            get = out.get
+    return out, m
+
+
+def _reference_total_d_terms(a):
+    """The former one-pass ``D`` kernel, ``(terms, m)`` as above."""
+    out = {}
+    get = out.get
+    m = 1
+    for key, c0 in a.items():
+        c = c0 * m
+        n = len(key)
+        for idx, (slot, val) in enumerate(key):
+            kind, gen = slot[0], slot[1]
+            if kind == 1 or gen == -2:
+                continue
+            if kind == 0:
+                head = key[:idx] if val == 1 else key[:idx] + ((slot, val - 1),)
+                if gen == -1:
+                    nk = head + key[idx + 1:]
+                else:
+                    nxt = idx + 1
+                    up = (0, gen + 1)
+                    if nxt < n and key[nxt][0] == up:
+                        nk = head + ((up, key[nxt][1] + 1),) + key[nxt + 1:]
+                    else:
+                        nk = head + ((up, 1),) + key[nxt:]
+                nc = c * val
+            else:
+                factor = slot[2]
+                if gen >= 0:
+                    factor = (((0, gen + 1), 1),) + factor
+                nk = kernel.mul_key(key, factor)
+                if type(val) is int:
+                    nc = c * val
+                else:
+                    q = val.denominator
+                    if m % q:
+                        r = kernel.rescale(out, m, q)
+                        c *= r
+                        m *= r
+                    nc = c // q * val.numerator
+            v = get(nk)
+            if v is None:
+                out[nk] = nc
+            else:
+                v = v + nc
+                if v:
+                    out[nk] = v
+                else:
+                    del out[nk]
+    return out, m
+
+
+_CODES = tuple(range(-2, 5))  # t, x, u_0 .. u_4
+_RATES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def derivation_inputs(draw):
+    """A sum of terms in the generators ``t, x, u_0 .. u_4`` and the named
+    constants ``a, b``, each term often times ``exp`` of a combination of
+    x, t and u whose rates are fractional and may carry named constants."""
+    out = ex.ZERO
+    for _ in range(draw(st.integers(1, 4))):
+        term = rational(draw(_RATES))
+        for code, power in draw(st.lists(st.tuples(st.sampled_from(_CODES),
+                                                   st.integers(1, 3)),
+                                         max_size=3)):
+            term = term * ex.gen_expr(code) ** power
+        for name in draw(st.lists(st.sampled_from("ab"), max_size=2)):
+            term = term * const(name) ** draw(st.sampled_from((-2, -1, 1, 2)))
+        arg = ex.ZERO
+        for v in draw(st.lists(st.sampled_from((x, t, u0)), max_size=3)):
+            rate = rational(draw(_RATES))
+            if draw(st.booleans()):
+                rate = rate * const(draw(st.sampled_from("ab"))) \
+                    ** draw(st.sampled_from((-1, 1, 2)))
+            arg = arg + rate * v
+        out = out + term * exp_of(arg)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(derivation_inputs())
+def test_derive_terms_matches_the_kernels_it_replaced(e):
+    # the same terms, in the same order, on the same scale
+    def same(got, want):
+        return (list(got[0].items()), got[1]) == (list(want[0].items()),
+                                                  want[1])
+
+    assert same(kernel.derive_terms(e._t), _reference_total_d_terms(e._t))
+    for gen in _CODES:
+        assert same(kernel.derive_terms(e._t, gen),
+                    _reference_diff_terms(e._t, gen))
 
 
 def _snapshot(e):

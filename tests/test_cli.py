@@ -100,6 +100,19 @@ class TestCheck:
         assert time.perf_counter() - start < 2
 
 
+    def test_an_exponential_in_x_skips_the_x_power_decomposition(self):
+        code, out = run_cli("check", "--equation", "u2",
+                            "--candidate", "exp(x+t)")
+        assert code == 0
+        assert out == (
+            "verdict: SYMMETRY\n"
+            "order: 0\n"
+            "time dependence: quasipolynomial in t: (lambda = 1, degree 0)\n"
+            "x-power decomposition: skipped (x inside an exponential)\n"
+            "x-descent: 0 step(s) (x-dependence carried by an exponential "
+            "factor; descent is stationary)\n")
+
+
 class TestBounds:
     """Exponent towers, annihilator orders and fused sums over their bounds
     are refused before the work; without the bounds each of these runs for
@@ -160,6 +173,18 @@ class TestDetermine:
         assert code == 1
         assert "E_1 = -12*u2" in out
 
+    @pytest.mark.parametrize("candidate, code, verdict, closure", [
+        ("1", 0, "ALL ZERO", "0"), ("exp(x)", 1, "NONZERO", "-exp(x)")])
+    def test_an_order_0_candidate_lists_the_levels_it_has(
+            self, candidate, code, verdict, closure):
+        # an order-0 candidate still has a level at D^n: n + 1 levels
+        got, out = run_cli("determine", "--equation", "u2",
+                           "--candidate", candidate)
+        assert got == code
+        assert out == (f"verdict: {verdict}\nlevels: 3 (l = 0..2)\n"
+                       "E_0 = 0\nE_1 = 0\nE_2 = 0\n"
+                       f"closure = {closure}\n")
+
 
 class TestTimedep:
     def test_polynomial(self):
@@ -188,6 +213,13 @@ class TestScalingMaster:
                             "--q0", "exp(x) + 2")
         assert code == 1
         assert "no scaling relation" in out
+
+    def test_master_without_a_pair(self):
+        code, out = run_cli("master", "--equation", "u3+6*u*u1",
+                            "--g0", "x*u1")
+        assert code == 1
+        assert out == ("verdict: no pair: {F, G1} != 0\n"
+                       "G1 = 3*u3 + 6*u1*u\n")
 
     def test_master_kdv(self):
         code, out = run_cli("master", "--equation", "u3 + 6*u*u1",

@@ -199,18 +199,17 @@ def test_no_module_level_memo(path):
 # -- one module owns the term-key layout ---------------------------------------
 
 # the DiffExpr fields, the canonical-order view and the raw constructor
-_TERM_FIELDS = {"_t", "_den", "_d", "_parts", "_items", "_num_items",
-                "_reduced"}
-# where the layout is read: expr and the kernel it imports, and the two
-# functions that fill and read the D memo (``DiffExpr``'s docstring)
+_TERM_FIELDS = {"_t", "_den", "_parts", "_items", "_num_items", "_reduced"}
+# where the layout is read: expr and the kernel it imports, and the one
+# function that reads the D memo without a call (``total_d_power``)
 _LAYOUT_OWNERS = {"expr.py", "_kernel_py.py"}
-_MEMO_FUNCTIONS = {"calculus.py": {"total_d", "total_d_power"}}
+_MEMO_FUNCTIONS = {"calculus.py": {"total_d_power"}}
 
 
 def term_field_uses(source: str, allowed_functions=()) -> list[str]:
     """Where ``source``, outside the top-level functions named in
     ``allowed_functions``, reads a ``DiffExpr`` field (an attribute named
-    ``_t``, ``_den``, ``_d``, ``_parts``, ``_items`` or ``_num_items``) or
+    ``_t``, ``_den``, ``_parts``, ``_items`` or ``_num_items``) or
     uses ``_reduced`` (as an attribute, a name or an import), as
     ``"<line>: <name>"``."""
     tree = ast.parse(source)
@@ -240,7 +239,6 @@ def term_field_uses(source: str, allowed_functions=()) -> list[str]:
 @pytest.mark.parametrize("source", [
     "def f(e):\n    return e._t\n",
     "def f(e):\n    return e._den\n",
-    "def f(e):\n    return e._d\n",
     "def f(e):\n    return e._parts\n",
     "def f(e):\n    return e._items\n",
     "def f(e):\n    return e._num_items()\n",
@@ -253,11 +251,11 @@ def test_the_term_field_check_sees_every_form(source):
 
 def test_the_term_field_check_passes_the_allowed_functions_and_packing():
     source = ("from . import expr as ex\n"
-              "def total_d(e):\n    return e._d\n"
+              "def total_d_power(e):\n    return e._parts\n"
               "def f(e, pk):\n    return ex._divide(pk.pack(e, 1), None, pk)\n"
               "def g(_t):\n    return _t\n")
-    assert term_field_uses(source, {"total_d"}) == []
-    assert term_field_uses(source) == ["3: _d"]
+    assert term_field_uses(source, {"total_d_power"}) == []
+    assert term_field_uses(source) == ["3: _parts"]
 
 
 @pytest.mark.parametrize(

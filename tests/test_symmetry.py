@@ -246,24 +246,28 @@ class TestDoubleConstructions:
     def test_a_repeated_bracket_recomputes_products_only(self, monkeypatch):
         # every product of two term maps is formed by addmul_into: a fused
         # sum adds each product into its accumulator, and mul_terms adds
-        # its one product into an empty dict
-        from evosym import _kernel_py
+        # its one product into an empty dict; derive_terms makes D (for
+        # gen None) and every partial derivative (for a generator code)
         F, G = parse(self.F_SRC), parse(self.G_SRC)
         counts = {}
-        for name in ("total_d_terms", "diff_terms", "addmul_into"):
-            real = getattr(_kernel_py, name)
 
-            def spy(*args, _real=real, _name=name):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _real(*args)
+        def spy_derive(a, gen=None, _real=kernel.derive_terms):
+            name = "D" if gen is None else "partial"
+            counts[name] = counts.get(name, 0) + 1
+            return _real(a, gen)
 
-            monkeypatch.setattr(_kernel_py, name, spy)
+        def spy_addmul(*args, _real=kernel.addmul_into):
+            counts["addmul_into"] = counts.get("addmul_into", 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernel, "derive_terms", spy_derive)
+        monkeypatch.setattr(kernel, "addmul_into", spy_addmul)
         first = bracket(F, G)
         once = dict(counts)
         counts.clear()
         assert bracket(F, G) == first
-        assert once["total_d_terms"] > 0 and once["diff_terms"] > 0
-        assert "total_d_terms" not in counts and "diff_terms" not in counts
+        assert once["D"] > 0 and once["partial"] > 0
+        assert "D" not in counts and "partial" not in counts
         assert counts["addmul_into"] == once["addmul_into"] > 0
 
     @staticmethod

@@ -12,7 +12,7 @@ from evosym.expr import ONE, ZERO, ExpressionError, rational
 from evosym import timedep
 from evosym.symmetry import SelfCheckError
 from evosym.timedep import (POLYNOMIAL, QUASIPOLYNOMIAL, TIME_INDEPENDENT,
-                            AnnihilatorOp)
+                            AnnihilatorOp, DtClosureVerdict)
 
 from conftest import random_expr
 
@@ -176,6 +176,14 @@ class TestDtClosure:
     def test_requires_symmetry(self, kdv):
         with pytest.raises(ValueError):
             dt_closure_check(kdv, is_symmetry(kdv, u2))
+
+    @pytest.mark.parametrize("equation, candidate, detail", [
+        ("u3 + u1^3", "1", "order < 1: leading-coefficient step skipped"),
+        ("u^3*u3", "u^3*u3", "c_k not t-only: reduction step skipped")])
+    def test_a_skipped_step_is_named(self, equation, candidate, detail):
+        eq = classify(parse(equation))
+        v = dt_closure_check(eq, is_symmetry(eq, parse(candidate)))
+        assert v == DtClosureVerdict(None, None, None, detail)
 
     # no symmetry violates the closure statements: each violation below
     # corrupts the helper that the check reads, and must raise

@@ -1,9 +1,11 @@
 """Command-line frontend.
 
 Subcommands: ``check``, ``classify``, ``determine``, ``timedep``,
-``scaling``, ``master``, ``find`` and ``corpus run``.  Every command emits
-either human-readable text or a JSON report with the fields
-``{entry, command, verdict, order, flags, time_class, residual}``.
+``scaling``, ``master``, ``find`` and ``corpus run``.  Each handler returns
+its answer as ``(exit code, report, text lines)``, and ``main`` prints one
+of the two forms: the text lines, or the JSON report with the fields
+``{entry, command, verdict, order, flags, time_class, residual}`` (a list
+of them from ``corpus run``).
 
 Exit codes: 0 all expectations met, 1 a verdict mismatch, 2 usage, parse
 or input errors (including input nested too deeply to evaluate), 3 an
@@ -70,6 +72,10 @@ def _flags(eq: EvolutionEquation) -> dict:
             "deriv_depth": eq.deriv_depth}
 
 
+# what a handler returns: (exit code, report, text lines)
+Answer = tuple[int, dict | list, list[str]]
+
+
 def _emit(report: dict | list, lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
@@ -91,8 +97,12 @@ def _ratio_src(num, den) -> str:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_check(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants))
+def _equation(args) -> EvolutionEquation:
+    return classify(parse(args.equation, args.constants))
+
+
+def _cmd_check(args) -> Answer:
+    eq = _equation(args)
     G = parse(args.candidate, args.constants)
     rep = is_symmetry(eq, G)
     cls = classify_time(G)
@@ -119,12 +129,11 @@ def _cmd_check(args, out) -> int:
                      residual=None if rep.is_symmetry else str(rep.residual))
     if not rep.is_symmetry:
         lines.append(f"residual: {rep.residual}")
-    _emit(report, lines, args.format, out)
-    return 0 if rep.is_symmetry else 1
+    return (0 if rep.is_symmetry else 1), report, lines
 
 
-def _cmd_classify(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants))
+def _cmd_classify(args) -> Answer:
+    eq = _equation(args)
     verdict = (f"constant separant: {'yes' if eq.constant_separant else 'no'}; "
                f"KdV-like: {'yes' if eq.kdv_like else 'no'}")
     lines = [verdict,
@@ -133,12 +142,11 @@ def _cmd_classify(args, out) -> int:
              f"time independent: {'yes' if eq.time_independent else 'no'}",
              f"t-only derivative depth: {eq.deriv_depth}"]
     report = _report("classify", verdict, order=eq.n, flags=_flags(eq))
-    _emit(report, lines, args.format, out)
-    return 0
+    return 0, report, lines
 
 
-def _cmd_determine(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants))
+def _cmd_determine(args) -> Answer:
+    eq = _equation(args)
     G = parse(args.candidate, args.constants)
     system = determining_system(eq, G)
     verdict = "ALL ZERO" if system.all_zero else "NONZERO"
@@ -150,23 +158,18 @@ def _cmd_determine(args, out) -> int:
     residual = None if system.all_zero else str(system.closure)
     report = _report("determine", verdict, order=system.k, flags=_flags(eq),
                      residual=residual)
-    _emit(report, lines, args.format, out)
-    return 0 if system.all_zero else 1
+    return (0 if system.all_zero else 1), report, lines
 
 
-def _cmd_timedep(args, out) -> int:
+def _cmd_timedep(args) -> Answer:
     G = parse(args.expression, args.constants)
-    cls = classify_time(G)
-    om = annihilator(G)
-    verdict = str(cls)
-    lines = [f"time dependence: {cls}", f"annihilator: {om}"]
-    report = _report("timedep", verdict, time_class=str(cls))
-    _emit(report, lines, args.format, out)
-    return 0
+    cls = str(classify_time(G))
+    lines = [f"time dependence: {cls}", f"annihilator: {annihilator(G)}"]
+    return 0, _report("timedep", cls, time_class=cls), lines
 
 
-def _cmd_scaling(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants))
+def _cmd_scaling(args) -> Answer:
+    eq = _equation(args)
     Q0 = parse(args.q0, args.constants)
     res = scaling_test(eq, Q0)
     if res.found:
@@ -180,12 +183,11 @@ def _cmd_scaling(args, out) -> int:
         lines = [f"verdict: {verdict}",
                  "no scaling relation: {F, Q0} is not proportional to Q0"]
     report = _report("scaling", verdict, flags=_flags(eq))
-    _emit(report, lines, args.format, out)
-    return 0 if res.found else 1
+    return (0 if res.found else 1), report, lines
 
 
-def _cmd_master(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants))
+def _cmd_master(args) -> Answer:
+    eq = _equation(args)
     G0 = parse(args.g0, args.constants)
     res = mastersymmetry_test(eq, G0)
     if res.generates:
@@ -200,12 +202,11 @@ def _cmd_master(args, out) -> int:
     if res.certified is not None:
         lines.append("certified: G0 + t*G1 has zero residual")
     report = _report("master", verdict)
-    _emit(report, lines, args.format, out)
-    return 0 if res.generates else 1
+    return (0 if res.generates else 1), report, lines
 
 
-def _cmd_find(args, out) -> int:
-    eq = classify(parse(args.equation, args.constants))
+def _cmd_find(args) -> Answer:
+    eq = _equation(args)
     rate = parse(args.exp_rate, args.constants) if args.exp_rate else None
     cfg = AnsatzConfig(order=args.order, weight_max=args.weight,
                        t_degree_max=args.t_degree,
@@ -220,8 +221,7 @@ def _cmd_find(args, out) -> int:
         lines.append("generic-parameter assumptions: "
                      + ", ".join(f"{p} != 0" for p in res.pivot_assumptions))
     report = _report("find", verdict, order=args.order, flags=_flags(eq))
-    _emit(report, lines, args.format, out)
-    return 0 if res.basis else 1
+    return (0 if res.basis else 1), report, lines
 
 
 # -- corpus ------------------------------------------------------------------
@@ -237,7 +237,8 @@ class CorpusEntry:
     non_symmetries: tuple[str, ...] = ()
     basis: tuple[str, ...] = ()
     predict: str | None = None
-    finds: tuple[dict, ...] = ()
+    # each find line's configuration and its "contains=" source, if any
+    finds: tuple[tuple[AnsatzConfig, str | None], ...] = ()
     # each key's line numbers, one per value in file order
     lines: dict[str, list[int]] = field(default_factory=dict)
 
@@ -253,6 +254,32 @@ def _parse_bool(value: str, where: str) -> bool:
     if v in ("no", "false", "0"):
         return False
     raise CorpusFormatError(f"{where}: expected yes/no, got {value!r}")
+
+
+# a find line's parameters and the AnsatzConfig fields they set
+_FIND_FIELDS = {"order": "order", "weight": "weight_max",
+                "t_degree": "t_degree_max", "x_degree": "x_degree_max"}
+
+
+def _parse_find(value: str, where: str) -> tuple[AnsatzConfig, str | None]:
+    """A find line's configuration, range-checked by ``AnsatzConfig``."""
+    fields = {}
+    head, _, contains = value.partition("contains=")
+    for part in head.split():
+        k, _, v = part.partition("=")
+        if k not in _FIND_FIELDS:
+            raise CorpusFormatError(f"{where}: unknown find parameter {k!r}")
+        if not re.fullmatch(r"-?[0-9]+", v):
+            raise CorpusFormatError(
+                f"{where}: find {k} must be an integer, got {v!r}")
+        fields[_FIND_FIELDS[k]] = int(v)
+    if "order" not in fields or "weight_max" not in fields:
+        raise CorpusFormatError(f"{where}: find needs order= and weight=")
+    try:
+        cfg = AnsatzConfig(**fields)
+    except ValueError as err:
+        raise CorpusFormatError(f"{where}: {err}") from None
+    return cfg, contains.strip() or None
 
 
 def parse_corpus(text: str) -> list[CorpusEntry]:
@@ -294,27 +321,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         elif key == "not_symmetry":
             cur["non_symmetries"].append(value)
         elif key == "find":
-            spec: dict = {}
-            head, _, contains = value.partition("contains=")
-            for part in head.split():
-                k, _, v = part.partition("=")
-                if k not in ("order", "weight", "t_degree", "x_degree"):
-                    raise CorpusFormatError(
-                        f"line {lineno}: unknown find parameter {k!r}")
-                if not re.fullmatch(r"-?[0-9]+", v):
-                    raise CorpusFormatError(
-                        f"line {lineno}: find {k} must be an integer, "
-                        f"got {v!r}")
-                spec[k] = int(v)
-            if "order" not in spec or "weight" not in spec:
-                raise CorpusFormatError(
-                    f"line {lineno}: find needs order= and weight=")
-            if spec["order"] < 0:
-                raise CorpusFormatError(
-                    f"line {lineno}: find order must be >= 0")
-            if contains.strip():
-                spec["contains"] = contains.strip()
-            cur["finds"].append(spec)
+            cur["finds"].append(_parse_find(value, f"line {lineno}"))
         else:
             raise CorpusFormatError(f"line {lineno}: unknown key {key!r}")
         cur["lines"].setdefault(key, []).append(lineno)
@@ -420,23 +427,18 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
             problems.append(f"prediction mismatch: got {got}, "
                             f"want {entry.predict}")
 
-    for i, spec in enumerate(entry.finds):
+    for i, (cfg, contains) in enumerate(entry.finds):
         with _value_at(entry, "find", i):
-            cfg = AnsatzConfig(order=spec["order"], weight_max=spec["weight"],
-                               **{f"{k}_max": v for k, v in spec.items()
-                                  if k in ("t_degree", "x_degree")})
             res = find_symmetries(eq, cfg)
-            lines.append(f"find order={spec['order']}: "
-                         f"basis of {len(res.basis)}")
-            if "contains" in spec:
-                target = parse(spec["contains"], entry.constants)
+            lines.append(f"find order={cfg.order}: basis of {len(res.basis)}")
+            if contains is not None:
+                target = parse(contains, entry.constants)
                 if not expr_in_span(target, list(res.basis)):
-                    problems.append(
-                        f"find result does not span {spec['contains']}")
+                    problems.append(f"find result does not span {contains}")
     return lines, problems
 
 
-def _cmd_corpus(args, out) -> int:
+def _cmd_corpus(args) -> Answer:
     with open(args.path, encoding="utf-8") as fh:
         entries = parse_corpus(fh.read())
     entries.sort(key=lambda e: e.name)
@@ -450,11 +452,25 @@ def _cmd_corpus(args, out) -> int:
         text += [f"[{entry.name}] {verdict}",
                  *(f"  {line}" for line in lines),
                  *(f"  MISMATCH: {p}" for p in problems)]
-    _emit(reports, text, args.format, out)
-    return 1 if any(r["verdict"] != "ok" for r in reports) else 0
+    code = 1 if any(r["verdict"] != "ok" for r in reports) else 0
+    return code, reports, text
 
 
 # -- argument plumbing ---------------------------------------------------------
+
+# the plain subcommands: name, help, required expression options, handler
+COMMANDS = (
+    ("check", "verify a candidate symmetry", ("--equation", "--candidate"),
+     _cmd_check),
+    ("classify", "classify an equation", ("--equation",), _cmd_classify),
+    ("determine", "print the determining system",
+     ("--equation", "--candidate"), _cmd_determine),
+    ("timedep", "classify time dependence", ("--expression",), _cmd_timedep),
+    ("scaling", "test {F, Q0} = lambda * Q0", ("--equation", "--q0"),
+     _cmd_scaling),
+    ("master", "test {F, G0} = G1, {F, G1} = 0", ("--equation", "--g0"),
+     _cmd_master),
+)
 
 def _const_list(value: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in value.split(",") if c.strip())
@@ -490,39 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="declare named constants")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("check", help="verify a candidate symmetry")
-    p.add_argument("--equation", required=True)
-    p.add_argument("--candidate", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("classify", help="classify an equation")
-    p.add_argument("--equation", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("determine", help="print the determining system")
-    p.add_argument("--equation", required=True)
-    p.add_argument("--candidate", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_determine)
-
-    p = sub.add_parser("timedep", help="classify time dependence")
-    p.add_argument("--expression", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_timedep)
-
-    p = sub.add_parser("scaling", help="test {F, Q0} = lambda * Q0")
-    p.add_argument("--equation", required=True)
-    p.add_argument("--q0", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_scaling)
-
-    p = sub.add_parser("master", help="test {F, G0} = G1, {F, G1} = 0")
-    p.add_argument("--equation", required=True)
-    p.add_argument("--g0", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_master)
+    for name, help_text, options, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, required=True)
+        common(p)
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("find", help="finite-ansatz symmetry search")
     p.add_argument("--equation", required=True)
@@ -555,7 +544,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        code, report, lines = args.func(args)
+        _emit(report, lines, args.format, out)
+        return code
     except (ValueError, PoolLimitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -286,7 +286,9 @@ def predict_time_dependence(eq: EvolutionEquation,
     """If every symmetry up to order n-1 (n-2 for KdV-like equations in
     corollary mode) is polynomial in t, every symmetry is; likewise for
     quasipolynomial shapes.  The caller asserts completeness of the basis
-    of verified symmetries; this classifies each one's t-dependence."""
+    of verified symmetries; this classifies each one's t-dependence.  An
+    empty basis is refused when the cap is at least 1, since it cannot be
+    complete there."""
     if not eq.constant_separant:
         raise ValueError("prediction requires a constant-separant equation")
     if not eq.time_independent:
@@ -294,6 +296,10 @@ def predict_time_dependence(eq: EvolutionEquation,
     if corollary_mode and not eq.kdv_like:
         raise ValueError("corollary mode requires a KdV-like equation")
     cap = eq.n - 2 if corollary_mode else eq.n - 1
+    if not reports and cap >= 1:
+        # F has no x, so {F, u1} = -dF/dx = 0: u1 is a symmetry of order 1
+        raise ValueError(f"empty basis: u1 is a symmetry of order 1 <= cap "
+                         f"{cap}, so a complete basis is never empty")
     for rep in reports:
         g, k = rep.candidate, rep.order
         if not rep.is_symmetry:

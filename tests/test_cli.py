@@ -186,6 +186,13 @@ class TestDetermine:
                        f"closure = {closure}\n")
 
 
+    def test_a_zero_candidate_exit_2(self, capsys):
+        code, out = run_cli("determine", "--equation", "u2",
+                            "--candidate", "0")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: candidate must be nonzero\n"
+
+
 class TestTimedep:
     def test_polynomial(self):
         code, out = run_cli("timedep", "--expression", "1 + 6*t*u1")
@@ -220,6 +227,20 @@ class TestScalingMaster:
         assert code == 1
         assert out == ("verdict: no pair: {F, G1} != 0\n"
                        "G1 = 3*u3 + 6*u1*u\n")
+
+    def test_scaling_degenerate(self, capsys):
+        code, out = run_cli("scaling", "--equation", "u2", "--q0", "u1")
+        assert (code, out) == (0, "verdict: lambda = 0\n"
+                               "degenerate: lambda = 0, Q0 itself is a "
+                               "symmetry\n")
+        assert capsys.readouterr().err == ""
+
+    def test_master_drops_a_mu_that_is_not_constant(self, capsys):
+        # G1 = 2*u1 * F: a multiple of F, but not by a constant
+        code, out = run_cli("master", "--equation", "u2", "--g0", "u*u1")
+        assert (code, out) == (1, "verdict: no pair: {F, G1} != 0\n"
+                               "G1 = 2*u2*u1\n")
+        assert capsys.readouterr().err == ""
 
     def test_master_kdv(self):
         code, out = run_cli("master", "--equation", "u3 + 6*u*u1",
@@ -308,6 +329,8 @@ class TestFind:
         ("--max-pool", "-1", "ansatz max_pool must be >= 1, got -1"),
         ("--t-degree", "-1", "ansatz t_degree_max must be >= 0, got -1"),
         ("--x-degree", "-1", "ansatz x_degree_max must be >= 0, got -1"),
+        # a valid configuration whose pool is empty: no search runs
+        ("--weight", "-1", "empty ansatz pool"),
     ])
     def test_invalid_configuration_exit_2_promptly(self, capsys, flag, value,
                                                    message):
@@ -354,7 +377,7 @@ class TestCorpus:
         ("symmetry = u1; time = polynomial 1",
          "time class mismatch for u1: got independent, want polynomial 1"),
         ("not_symmetry = u1", "expected non-symmetry verified: u1"),
-        ("predict = quasipolynomial",
+        ("symmetry = u1\npredict = quasipolynomial",
          "prediction mismatch: got polynomial, want quasipolynomial"),
         ("find = order=3 weight=5 contains= u2",
          "find result does not span u2"),
@@ -552,7 +575,8 @@ class TestCorpus:
         code, out = run_cli("corpus", "run", str(bad))
         assert code == 2
         assert out == ""
-        assert "line 4: find order must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: line 4: ansatz order must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("key", ["t_degree", "x_degree"])
     def test_negative_find_degree_exit_2(self, tmp_path, capsys, key):
@@ -561,8 +585,18 @@ class TestCorpus:
         code, out = run_cli("corpus", "run", str(bad))
         assert code == 2 and out == ""
         assert capsys.readouterr().err == (
-            f"error: ansatz {key}_max must be >= 0, got -1 "
-            "(corpus line 4, entry 'kdv')\n")
+            f"error: line 4: ansatz {key}_max must be >= 0, got -1\n")
+
+    def test_a_prediction_from_an_empty_basis_names_its_line(self, tmp_path,
+                                                             capsys):
+        # u1 is a symmetry of order 1 <= cap 1, so no basis is complete
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}predict = quasipolynomial\n")
+        code, out = run_cli("corpus", "run", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: empty basis: u1 is a symmetry of order 1 <= cap 1, so a "
+            "complete basis is never empty (corpus line 4, entry 'kdv')\n")
 
     def test_corpus_verdicts_match_library(self, corpus_path):
         from evosym import classify, classify_time, is_symmetry, parse
@@ -678,6 +712,19 @@ class TestErrorExitCodes:
         assert code == 2
         assert out == ""
         assert "nested too deeply" in capsys.readouterr().err
+
+    def test_recursion_inside_a_command_exit_2(self, monkeypatch, capsys):
+        # raised from a function the handler calls: the cached parser holds
+        # the handler objects themselves
+        def deep(_):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "classify", deep)
+        code, out = run_cli("classify", "--equation", "u2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: input nested too deeply to evaluate (recursion limit "
+            "reached)\n")
 
     @pytest.mark.parametrize("candidate, message", [
         ("2^20000*u1", "error: an integer of 6021 digits exceeds the limit "
@@ -812,3 +859,24 @@ class TestGoldenOutputs:
         assert code == 0
         assert capsys.readouterr().err == ""
         assert out == (DATA / golden).read_text(encoding="utf-8")
+
+    # every page of --help, the top level first; a page's lines break at
+    # the terminal width, which the parser reads when it is built
+    HELP_PAGES = [(), ("check",), ("classify",), ("determine",),
+                  ("timedep",), ("scaling",), ("master",), ("find",),
+                  ("corpus",), ("corpus", "run")]
+
+    def test_help_matches_the_golden_file(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        try:
+            pages = []
+            for argv in self.HELP_PAGES:
+                assert run_cli(*argv, "--help") == (0, "")
+                out, err = capsys.readouterr()
+                assert err == ""
+                pages.append(f"$ evosym {' '.join(argv + ('--help',))}\n{out}")
+        finally:
+            build_parser.cache_clear()
+        assert "\n".join(pages) == (DATA / "cli_help.txt").read_text(
+            encoding="utf-8")

@@ -208,6 +208,12 @@ class TestLinearT:
         for p in res.pairs:
             assert is_symmetry(eq, p.G0 + t * p.G1).is_symmetry
 
+    def test_time_dependent_equation_rejected(self):
+        eq = classify(parse("t*u2"))
+        with pytest.raises(ValueError, match="^linear-t search requires a "
+                           "time-independent equation$"):
+            find_linear_t_symmetries(eq, AnsatzConfig(order=1, weight_max=3))
+
     def test_time_dependent_pool_rejected(self, kdv):
         with pytest.raises(ValueError):
             find_linear_t_symmetries(

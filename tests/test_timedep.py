@@ -256,6 +256,10 @@ class TestMastersymmetry:
         with pytest.raises(ValueError, match="time-independent equation"):
             mastersymmetry_test(classify(parse(F)), parse(G0))
 
+    def test_requires_a_time_independent_g0(self, heat):
+        with pytest.raises(ValueError, match="^G0 must be time-independent$"):
+            mastersymmetry_test(heat, t * u1)
+
 
 class TestPrediction:
     def test_corpus_polynomial(self):
@@ -283,6 +287,23 @@ class TestPrediction:
         eq = classify(u2 + u1 ** 2 + const("c"))
         with pytest.raises(ValueError):
             predict_time_dependence(eq, reports(eq, u1), corollary_mode=True)
+
+    @pytest.mark.parametrize("corollary_mode", [False, True])
+    def test_refuses_an_empty_basis(self, kdv, corollary_mode):
+        # F has no x, so u1 is a symmetry of order 1 <= cap
+        with pytest.raises(ValueError, match="empty basis"):
+            predict_time_dependence(kdv, [], corollary_mode=corollary_mode)
+
+    def test_an_empty_basis_below_order_1_is_accepted(self, heat):
+        # corollary mode at n = 2 caps the orders at 0
+        pred = predict_time_dependence(heat, [], corollary_mode=True)
+        assert (pred.prediction, pred.basis_order_cap) == (POLYNOMIAL, 0)
+
+    def test_needs_a_constant_separant(self):
+        eq = classify(parse("u1^2*u3"))
+        with pytest.raises(ValueError, match="^prediction requires a "
+                           "constant-separant equation$"):
+            predict_time_dependence(eq, reports(eq, u1))
 
     def test_needs_time_independent_equation(self):
         eq = classify(u3 + t * u1)

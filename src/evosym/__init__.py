@@ -8,13 +8,12 @@ time-dependence structure theory, and a finite-ansatz symmetry search.
 from .expr import (DiffExpr, ExpressionError, ZERO, ONE, const, exp_of,
                    partial, rational, substitute, to_source, u, u_order, x,
                    t)
-from .calculus import (DOperator, D_OP, ZERO_OP, ev_apply, frechet,
-                       nabla_on_op, op_apply, op_commutator, op_compose,
-                       total_d, total_d_power)
+from .calculus import (DOperator, ev_apply, frechet, nabla_on_op, op_apply,
+                       op_commutator, op_compose, total_d, total_d_power)
 from .symmetry import (DeterminingSystem, EvolutionEquation, SelfCheckError,
                        SymmetryReport, bracket, check_structure, classify,
                        descent_bound, descent_leading_coeff_check,
-                       determining_system, dimension_bound, is_symmetry,
+                       determining_system, is_symmetry,
                        leading_coefficient_check,
                        linearized_residual_operator,
                        representation_decompose, x_descent)
@@ -34,12 +33,12 @@ __all__ = [
     "BACKEND", "DiffExpr", "ExpressionError", "ZERO", "ONE",
     "const", "exp_of", "partial", "rational", "substitute",
     "to_source", "u", "u_order", "x", "t",
-    "DOperator", "D_OP", "ZERO_OP", "ev_apply", "frechet", "nabla_on_op",
-    "op_apply", "op_commutator", "op_compose", "total_d", "total_d_power",
+    "DOperator", "ev_apply", "frechet", "nabla_on_op", "op_apply",
+    "op_commutator", "op_compose", "total_d", "total_d_power",
     "DeterminingSystem", "EvolutionEquation", "SelfCheckError",
     "SymmetryReport", "bracket", "check_structure", "classify",
     "descent_bound", "descent_leading_coeff_check",
-    "determining_system", "dimension_bound", "is_symmetry",
+    "determining_system", "is_symmetry",
     "leading_coefficient_check", "linearized_residual_operator",
     "representation_decompose", "x_descent",
     "AnnihilatorOp", "TimeDependenceClass", "annihilator", "classify_time",

@@ -80,15 +80,6 @@ class DOperator:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __sub__(self, other: "DOperator") -> "DOperator":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, ex.ZERO) - c
-        return DOperator(out)
-
     def __neg__(self) -> "DOperator":
         return DOperator({d: -c for d, c in self.coeffs.items()})
 
@@ -97,10 +88,6 @@ class DOperator:
             return "DOperator(0)"
         parts = [f"({c})*D^{d}" for d, c in sorted(self.coeffs.items(), reverse=True)]
         return "DOperator(" + " + ".join(parts) + ")"
-
-
-D_OP = DOperator({1: ex.ONE})
-ZERO_OP = DOperator({})
 
 
 def frechet(h: DiffExpr) -> DOperator:

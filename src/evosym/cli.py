@@ -412,14 +412,16 @@ def run_corpus_entry(entry: CorpusEntry) -> tuple[list[str], list[str]]:
             else:
                 lines.append(f"non-symmetry confirmed: {source}")
 
-    if entry.predict is not None:
-        basis = verified  # a failed symmetry line is already a mismatch
+    # a failed symmetry line is already a mismatch; when none verified and
+    # no basis line is given, there is no default basis to predict from
+    if entry.predict is not None and (entry.basis or verified
+                                      or not entry.symmetries):
+        basis = verified
         if entry.basis:
             with _value_at(entry, "basis"):
                 basis = [verify(source) for source in entry.basis]
         with _value_at(entry, "predict"):
-            pred = predict_time_dependence(eq, basis,
-                                           corollary_mode=eq.kdv_like)
+            pred = predict_time_dependence(eq, basis)
         got = pred.prediction
         lines.append(f"prediction: {got} (basis of {len(basis)}, "
                      f"orders <= {pred.basis_order_cap})")

@@ -12,10 +12,7 @@ residual operator ``L``, and as ``-dR/du_l`` for the residual
 ``L = -R_*``.  It also extracts and tests the structure of leading
 coefficients, bounds and decomposes the x-dependence of verified symmetries
 (``check_structure`` runs every such check that applies; a violated
-statement raises ``SelfCheckError`` where it is checked), and computes the
-dimension bound for symmetry spaces of non-linearizable equations
-(non-linearizability itself is always a caller assertion, never decided
-here).
+statement raises ``SelfCheckError`` where it is checked).
 """
 
 from __future__ import annotations
@@ -455,36 +452,3 @@ def check_structure(eq: EvolutionEquation, report: SymmetryReport
         raise SelfCheckError(f"structure check failed for "
                              f"{to_source(report.candidate)}: {err}") from err
     return lead, dec, trace
-
-
-# -- dimension bound --------------------------------------------------------------
-
-def dimension_bound(k: int, n: int, dim_phi: int) -> int:
-    """Upper bound for dim of the order-<=k symmetry space of a
-    non-linearizable equation with ``dim_phi = dim {phi(x,t)} <= n``
-    (non-linearizability and dim_phi are caller-supplied assertions).
-
-    For ``k <= n-2`` this is ``dim_phi + k + 2``; above, the quotient
-    dimensions are bounded level by level and summed.
-    """
-    if not 0 <= dim_phi <= n:
-        raise ValueError("dim_phi must satisfy 0 <= dim_phi <= n")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-
-    def n_low(j: int) -> int:
-        return dim_phi + j + 2
-
-    if k <= n - 2:
-        return n_low(k)
-    k0 = k - (k // (n - 1)) * (n - 1)
-    total = n_low(k0)
-    for j in range(k0 + 1, k + 1):
-        if j <= n - 2:
-            total += n_low(j)
-        else:
-            j0 = j - (j // (n - 1)) * (n - 1)
-            total += n_low(j0) + j // (n - 1)
-    return total

@@ -7,7 +7,6 @@ pair; a time-dependent equation is refused with ``ValueError``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 from . import expr as ex
 from .expr import GEN_T, DiffExpr, is_t_only, occurs, partial, u_order
@@ -253,9 +252,6 @@ def mastersymmetry_test(eq: EvolutionEquation, G0: DiffExpr) -> MasterResult:
 class TimePrediction:
     prediction: str  # "polynomial" | "quasipolynomial"
     basis_order_cap: int
-    note: ClassVar[str] = ("prediction is conditional on the supplied basis "
-                           "spanning all symmetries up to the order cap "
-                           "(caller assertion)")
 
 
 def _all_polynomial(reports: list[SymmetryReport]) -> bool:
@@ -281,21 +277,17 @@ def probe_time_shapes(reports: list[SymmetryReport]) -> str:
 
 
 def predict_time_dependence(eq: EvolutionEquation,
-                            reports: list[SymmetryReport],
-                            corollary_mode: bool = False) -> TimePrediction:
-    """If every symmetry up to order n-1 (n-2 for KdV-like equations in
-    corollary mode) is polynomial in t, every symmetry is; likewise for
-    quasipolynomial shapes.  The caller asserts completeness of the basis
-    of verified symmetries; this classifies each one's t-dependence.  An
-    empty basis is refused when the cap is at least 1, since it cannot be
-    complete there."""
+                            reports: list[SymmetryReport]) -> TimePrediction:
+    """If every symmetry up to order n-1 (n-2 for a KdV-like equation) is
+    polynomial in t, every symmetry is; likewise for quasipolynomial
+    shapes.  The caller asserts completeness of the basis of verified
+    symmetries; this classifies each one's t-dependence.  An empty basis is
+    refused when the cap is at least 1, since it cannot be complete there."""
     if not eq.constant_separant:
         raise ValueError("prediction requires a constant-separant equation")
     if not eq.time_independent:
         raise ValueError("prediction requires a time-independent equation")
-    if corollary_mode and not eq.kdv_like:
-        raise ValueError("corollary mode requires a KdV-like equation")
-    cap = eq.n - 2 if corollary_mode else eq.n - 1
+    cap = eq.n - 2 if eq.kdv_like else eq.n - 1
     if not reports and cap >= 1:
         # F has no x, so {F, u1} = -dF/dx = 0: u1 is a symmetry of order 1
         raise ValueError(f"empty basis: u1 is a symmetry of order 1 <= cap "

@@ -75,7 +75,7 @@ def test_criterion_2_third_order_corpus_predicts_polynomial():
         assert eq.constant_separant, source
         assert eq.kdv_like, source
         basis = [is_symmetry(eq, parse(b, consts)) for b in basis_src]
-        pred = predict_time_dependence(eq, basis, corollary_mode=True)
+        pred = predict_time_dependence(eq, basis)
         assert pred.prediction == POLYNOMIAL, source
     report(2, "all five third-order equations are constant-separant and "
               "KdV-like; order-0/1 bases predict polynomial time dependence")

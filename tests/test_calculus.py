@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (DOperator, D_OP, const, ev_apply, exp_of,
-                    frechet, linalg, nabla_on_op, op_apply, op_commutator,
-                    op_compose, parse, partial, to_source, total_d,
-                    total_d_power, u, u_order, x, t)
+from evosym import (DOperator, const, ev_apply, exp_of, frechet, linalg,
+                    nabla_on_op, op_apply, op_commutator, op_compose, parse,
+                    partial, to_source, total_d, total_d_power, u, u_order,
+                    x, t)
 from evosym import expr as ex
 from evosym.expr import (GEN_T, GEN_X, ONE, ExpressionError, kernel,
                          rational)
@@ -85,7 +85,8 @@ class TestOperators:
             6 * t * u4 + 36 * t * u0 * u2 + 36 * t * u1 ** 2 + 6 * u1
 
     def test_commutator_leibniz(self):
-        assert op_commutator(D_OP, DOperator({1: u0})) == DOperator({1: u1})
+        D = DOperator({1: ONE})
+        assert op_commutator(D, DOperator({1: u0})) == DOperator({1: u1})
 
     def test_commutator_self_is_zero(self):
         A = DOperator({2: u1, 0: x * t})
@@ -202,12 +203,14 @@ def test_operator_composition_associative(seed):
 @settings(max_examples=100, deadline=None)
 @given(seeds)
 def test_fused_operators_match_operator_arithmetic(seed):
-    # each degree is one signed fused sum; against DOperator subtraction and
-    # one ev_apply per coefficient
+    # each degree is one signed fused sum; against the two compositions
+    # subtracted degree by degree and one ev_apply per coefficient
     rng = random.Random(seed)
     A, B = _random_operator(rng, 3), _random_operator(rng, 3)
     h = random_expr(rng, max_terms=2)
-    assert op_commutator(A, B) == op_compose(A, B) - op_compose(B, A)
+    AB, BA = op_compose(A, B), op_compose(B, A)
+    assert op_commutator(A, B) == DOperator(
+        {d: AB.coeff(d) - BA.coeff(d) for d in {*AB.coeffs, *BA.coeffs}})
     assert nabla_on_op(h, A) == DOperator(
         {d: ev_apply(h, c) for d, c in A.coeffs.items()})
 

@@ -427,6 +427,27 @@ class TestCorpus:
             "  prediction: polynomial (basis of 1, orders <= 1)",
             "  MISMATCH: expected symmetry failed: u2"]
 
+    def test_no_verified_symmetry_and_no_basis_skips_the_prediction(
+            self, tmp_path, capsys):
+        # the failed line is the mismatch: no default basis is left to
+        # refuse, so the run exits 1, not 2
+        code, out = run_cli("corpus", "run",
+                            str(DATA / "corpus_mismatch.corpus"))
+        assert (code, capsys.readouterr().err) == (1, "")
+        assert out == (DATA / "corpus_mismatch.txt").read_text(
+            encoding="utf-8")
+        assert out.splitlines() == [
+            "[kdv] mismatch",
+            "  equation order 3; constant separant: True; KdV-like: True",
+            "  MISMATCH: expected symmetry failed: u2"]
+        # with no symmetry line either, the empty basis is refused
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}predict = polynomial\n")
+        assert run_cli("corpus", "run", str(path)) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: empty basis: u1 is a symmetry of order 1 <= cap 1, so a "
+            "complete basis is never empty (corpus line 4, entry 'kdv')\n")
+
     @pytest.fixture
     def verified(self, monkeypatch):
         """The ``(equation, candidate)`` pairs that the runner and

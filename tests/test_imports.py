@@ -1,7 +1,8 @@
 """Every module-level import in the package (``__init__.py``, which imports
 to re-export, excepted) and in the tests is used, neither the term kernels
 nor the parser touch ``fractions.Fraction``, no module keeps results in
-module state, and only ``expr`` reads the term-key layout."""
+module state, only ``expr`` reads the term-key layout, and ``evosym.__all__``
+lists every public import of the package and only names that resolve."""
 
 import ast
 from pathlib import Path
@@ -266,3 +267,17 @@ def test_only_expr_reads_term_keys(path):
     # so changing the key encoding touches no other module
     source = (PACKAGE / path).read_text()
     assert term_field_uses(source, _MEMO_FUNCTIONS.get(path, ())) == []
+
+
+# -- the package's exports -----------------------------------------------------
+
+def test_all_lists_every_public_import_and_each_name_resolves():
+    # a deleted name cannot leave a stale export that breaks
+    # ``from evosym import *``, nor a public import go unlisted
+    import evosym
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert public <= set(evosym.__all__)
+    assert [n for n in evosym.__all__ if not hasattr(evosym, n)] == []

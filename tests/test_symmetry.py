@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from evosym import (DOperator, SelfCheckError, bracket,
                     check_structure, classify, const, descent_bound,
                     descent_leading_coeff_check, determining_system,
-                    dimension_bound, exp_of, is_symmetry,
-                    leading_coefficient_check, linearized_residual_operator,
+                    exp_of, is_symmetry, leading_coefficient_check,
+                    linearized_residual_operator,
                     mastersymmetry_test, parse, partial,
                     representation_decompose, total_d_power, u, x, t,
                     x_descent)
@@ -627,29 +627,6 @@ class TestSecondOrderEquation:
         assert res.certified is not None
         res2 = mastersymmetry_test(burgers, ONE)
         assert res2.G1 == 2 * u1 and res2.generates
-
-
-class TestDimensionBound:
-    def test_low_order_formula(self):
-        assert dimension_bound(1, 3, 3) == 6
-        assert dimension_bound(0, 3, 0) == 2
-
-    def test_dim_phi_validated(self):
-        with pytest.raises(ValueError):
-            dimension_bound(1, 3, 4)
-
-    def test_n2_low_range(self):
-        # for n = 2 the direct formula covers only k = 0
-        assert dimension_bound(0, 2, 1) == 3
-        assert dimension_bound(1, 2, 1) > 3
-
-    def test_monotone_in_k(self):
-        for n in (2, 3, 4):
-            prev = 0
-            for k in range(8):
-                cur = dimension_bound(k, n, n)
-                assert cur >= prev
-                prev = cur
 
 
 # -- randomized structure properties ------------------------------------------

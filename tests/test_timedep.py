@@ -264,14 +264,14 @@ class TestMastersymmetry:
 class TestPrediction:
     def test_corpus_polynomial(self):
         eq = classify(u3 + u0 * u1)
-        pred = predict_time_dependence(eq, reports(eq, u1, 1 + t * u1),
-                                       corollary_mode=True)
+        pred = predict_time_dependence(eq, reports(eq, u1, 1 + t * u1))
         assert pred.prediction == POLYNOMIAL
         assert pred.basis_order_cap == 1
 
     def test_quasipolynomial_basis(self, heat):
+        # heat's cap is 0, so the basis holds order-0 and u-free symmetries
         pred = predict_time_dependence(
-            heat, reports(heat, u1, exp_of(t) * exp_of(x)))
+            heat, reports(heat, u0, exp_of(t) * exp_of(x)))
         assert pred.prediction == QUASIPOLYNOMIAL
 
     def test_rejects_non_symmetry(self, kdv):
@@ -280,23 +280,34 @@ class TestPrediction:
 
     def test_rejects_high_order_basis(self, kdv):
         with pytest.raises(ValueError):
-            predict_time_dependence(kdv, reports(kdv, F_KDV),
-                                    corollary_mode=True)
+            predict_time_dependence(kdv, reports(kdv, F_KDV))
 
-    def test_corollary_needs_kdv_like(self):
-        eq = classify(u2 + u1 ** 2 + const("c"))
-        with pytest.raises(ValueError):
-            predict_time_dependence(eq, reports(eq, u1), corollary_mode=True)
+    @pytest.mark.parametrize("source, kdv_like, cap, above", [
+        ("u3 + 6*u*u1", True, 1, "u3 + 6*u*u1"),  # KdV: n - 2
+        ("u2 + u1^2", False, 1, "u2 + u1^2"),  # constant separant: n - 1
+        ("u2", True, 0, "u1"),  # heat: n - 2
+    ])
+    def test_the_equation_decides_the_order_cap(self, source, kdv_like, cap,
+                                                above):
+        eq = classify(parse(source))
+        assert (eq.constant_separant, eq.kdv_like) == (True, kdv_like)
+        pred = predict_time_dependence(eq, reports(eq, u1) if cap else [])
+        assert (pred.prediction, pred.basis_order_cap) == (POLYNOMIAL, cap)
+        with pytest.raises(ValueError, match=f" > cap {cap}: "):
+            predict_time_dependence(eq, reports(eq, parse(above)))
 
-    @pytest.mark.parametrize("corollary_mode", [False, True])
-    def test_refuses_an_empty_basis(self, kdv, corollary_mode):
-        # F has no x, so u1 is a symmetry of order 1 <= cap
+    @pytest.mark.parametrize("kdv_like", [False, True])
+    def test_refuses_an_empty_basis(self, kdv, kdv_like):
+        # F has no x, so u1 is a symmetry of order 1 <= cap (n - 1 = 2 for
+        # u3 + u2^2, n - 2 = 1 for KdV)
+        eq = kdv if kdv_like else classify(u3 + u2 ** 2)
+        assert eq.kdv_like == kdv_like
         with pytest.raises(ValueError, match="empty basis"):
-            predict_time_dependence(kdv, [], corollary_mode=corollary_mode)
+            predict_time_dependence(eq, [])
 
     def test_an_empty_basis_below_order_1_is_accepted(self, heat):
-        # corollary mode at n = 2 caps the orders at 0
-        pred = predict_time_dependence(heat, [], corollary_mode=True)
+        # heat is KdV-like at n = 2, so its orders are capped at 0
+        pred = predict_time_dependence(heat, [])
         assert (pred.prediction, pred.basis_order_cap) == (POLYNOMIAL, 0)
 
     def test_needs_a_constant_separant(self):
@@ -349,7 +360,7 @@ class TestReportsAreNotReverified:
     def test_probe_and_prediction_verify_nothing(self, kdv, verified):
         reps = reports(kdv, u1, 1 + 6 * t * u1)
         assert probe_time_shapes(reps) == "all polynomial in t"
-        pred = predict_time_dependence(kdv, reps, corollary_mode=True)
+        pred = predict_time_dependence(kdv, reps)
         assert pred.prediction == POLYNOMIAL
         assert verified == []
 

@@ -299,16 +299,34 @@ def sum_of_products(triples: Iterable[tuple[int, DiffExpr, DiffExpr]]
     return _reduced(acc, den)
 
 
-def _sum(exprs: Iterable[DiffExpr]) -> DiffExpr:
-    """The sum of expressions, added in one term dict over the lcm of the
-    denominators met so far."""
+def term_sum(parts: Iterable[tuple[int, tuple | DiffExpr]]) -> DiffExpr:
+    """``sum sign * part`` over ``(sign, part)`` pairs, each part a term
+    (see one-term arithmetic below) or a ``DiffExpr``, added in one term
+    dict over the lcm of the denominators met so far."""
     acc: dict = {}
     den = 1
-    for e in exprs:
-        d = e._den
-        if den % d:
-            den *= kernel.rescale(acc, den, d)
-        kernel.add_into(acc, e._t, den // d)
+    for sign, p in parts:
+        if type(p) is tuple:
+            key, c, d = p
+            if not c:
+                continue
+            if d < 0:
+                c, d = -c, -d
+            if den % d:
+                den *= kernel.rescale(acc, den, d)
+            c *= sign * (den // d)
+            v = acc.get(key)
+            if v is None:
+                acc[key] = c
+            elif v + c:
+                acc[key] = v + c
+            else:
+                del acc[key]
+        else:
+            d = p._den
+            if den % d:
+                den *= kernel.rescale(acc, den, d)
+            kernel.add_into(acc, p._t, sign * (den // d))
     return _reduced(acc, den)
 
 
@@ -366,6 +384,58 @@ def _grade(key) -> int:
     return sum(v for s, v in key if s[0] == 0)
 
 
+# -- one-term arithmetic ---------------------------------------------------
+#
+# A term is ``(key, num, den)``: the coefficient ``num / den`` (ints, ``den``
+# nonzero, neither reduced nor sign-normalised) times the monomial ``key``.
+# The parser builds a product chain of plain atoms as one term and holds it
+# opaquely; ``term_expr`` and ``term_sum`` put terms in canonical form once.
+
+def gen_term(gen: int) -> tuple:
+    return ((((0, gen), 1),), 1, 1)
+
+
+def const_term(name: str) -> tuple:
+    return ((((1, name), 1),), 1, 1)
+
+
+def int_term(n: int) -> tuple:
+    return ((), n, 1)
+
+
+def term_mul(a: tuple, b: tuple) -> tuple:
+    return (kernel.mul_key(a[0], b[0]), a[1] * b[1], a[2] * b[2])
+
+
+def term_neg(a: tuple) -> tuple:
+    return (a[0], -a[1], a[2])
+
+
+def term_pow(a: tuple, n: int) -> tuple:
+    """``a ** n`` for ``n >= 0``."""
+    if not n:
+        return ((), 1, 1)
+    return (tuple((s, v * n) for s, v in a[0]), a[1] ** n, a[2] ** n)
+
+
+def term_inverse(a: tuple) -> tuple | None:
+    """``1 / a``, or None when ``a`` is zero or has a generator or
+    exponential factor (dividing by its ``term_expr`` then raises)."""
+    key, num, den = a
+    if not num or any(slot[0] != 1 for slot, _ in key):
+        return None
+    return (tuple((s, -v) for s, v in key), den, num)
+
+
+def term_expr(a: tuple) -> DiffExpr:
+    key, num, den = a
+    if not num:
+        return ZERO
+    if den < 0:
+        num, den = -num, -den
+    return _reduced({key: num}, den)
+
+
 # -- constructors ----------------------------------------------------------
 
 ZERO = DiffExpr({})
@@ -373,7 +443,7 @@ ONE = DiffExpr({(): 1})
 
 
 def gen_expr(gen: int) -> DiffExpr:
-    return DiffExpr({(((0, gen), 1),): 1})
+    return term_expr(gen_term(gen))
 
 
 x = gen_expr(GEN_X)
@@ -388,7 +458,7 @@ def u(i: int = 0) -> DiffExpr:
 
 def const(name: str) -> DiffExpr:
     """A named symbolic constant (opaque, invertible, never a number)."""
-    return DiffExpr({(((1, name), 1),): 1})
+    return term_expr(const_term(name))
 
 
 def rational(p: Union[int, Fraction], q: int = 1) -> DiffExpr:
@@ -398,7 +468,12 @@ def rational(p: Union[int, Fraction], q: int = 1) -> DiffExpr:
 
 
 def exp_of(arg) -> DiffExpr:
-    """``exp(arg)`` for ``arg`` a scalar-linear combination of x, t, u.
+    """``exp(arg)`` for ``arg`` a scalar-linear combination of x, t, u."""
+    return term_expr(exp_term(arg))
+
+
+def exp_term(arg) -> tuple:
+    """``exp(arg)`` as a term.
 
     ``exp(0)`` is 1; products of exponentials merge by adding arguments
     (that falls out of the slot encoding).  Each term ``c * cmono * gen`` of
@@ -423,7 +498,7 @@ def exp_of(arg) -> DiffExpr:
                 "with no constant term")
         cmono = tuple(sv for sv in key if sv[0][0] == 1)
         slots.append(((2, gen, cmono), c))
-    return DiffExpr({tuple(sorted(slots)): 1})
+    return (tuple(sorted(slots)), 1, 1)
 
 
 # -- calculus-free structural operations -----------------------------------
@@ -512,7 +587,7 @@ def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
             factor = factor * exp_of(arg)
         return factor
 
-    return _sum(term_image(key, c) for key, c in e._t.items())
+    return term_sum((1, term_image(key, c)) for key, c in e._t.items())
 
 
 def u_indices(e: DiffExpr) -> set[int]:

@@ -9,15 +9,23 @@ with integer exponents of at most ``_MAX_EXPONENT`` in absolute value,
 multiplication is a syntax error.  Printing a normal form and re-parsing
 it is the identity.
 
-The recursive descent parses straight to the normal form: each rule returns
-the ``DiffExpr`` of what it read (syntax-directed evaluation), so no syntax
-tree is built.  Numbers stay ``int`` from literal to coefficient and the
-division ``a / b`` is exact in ``DiffExpr``.  An error of the arithmetic
-itself (division by a non-scalar or by zero, a nonlinear exponential
-argument, a negative power of a generator, a product over its budget) is
-reported at the end of input, even when a grammar error follows it.  A
-token is a ``(kind, text, offset)`` tuple; the line and column of a
-``ParseError`` are computed from the offset when it is raised.
+The recursive descent parses straight to the normal form (syntax-directed
+evaluation), so no syntax tree is built.  A rule returns one of two kinds
+of value.  A product chain of plain atoms is one term, an opaque ``expr``
+one-term value whose key is merged as the chain is read.  Plain atoms are
+integer literals, ``x``, ``t``, ``u_i``, declared constants, ``exp(...)``
+and parenthesised chains that are one term, each to a non-negative
+integer power; a divisor joins the term when it is invertible.  A
+``+``/``-`` chain adds its terms and sub-expressions into one term dict
+(``expr.term_sum``).  Everything else (a product or quotient with a sum, a
+negative power) is ``DiffExpr`` arithmetic, so every operation that can
+fail runs where the source reads it.  Numbers stay ``int`` from literal
+to coefficient.  An error of the arithmetic itself (division by a
+non-scalar or by zero, a nonlinear exponential argument, a negative power
+of a generator, a product over its budget) is reported at the end of
+input, even when a grammar error follows it.  A token is a ``(kind, text,
+offset)`` tuple; the line and column of a ``ParseError`` are computed from
+the offset when it is raised.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ import re
 import sys
 from typing import Iterable
 
-from .expr import (GEN_T, GEN_X, U_NAME, DiffExpr, ExpressionError, _sum,
-                   const, exp_of, gen_expr, rational, u_name_index)
+from .expr import (GEN_T, GEN_X, U_NAME, DiffExpr, ExpressionError,
+                   const_term, exp_term, gen_term, int_term, term_expr,
+                   term_inverse, term_mul, term_neg, term_pow, term_sum,
+                   u_name_index)
 
 
 class ParseError(ValueError):
@@ -44,12 +54,19 @@ def _error(source: str, message: str, offset: int) -> ParseError:
     return ParseError(message, line, column)
 
 
-# whitespace, then a number, an identifier, an operator or parenthesis, or
-# (the last group) any other character, which is an error
+# a number, an identifier, an operator or parenthesis, or (the last
+# alternative) any other character; whitespace matches none, so it is
+# skipped
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(
-    rf"\s*(?:([0-9]+)|({_IDENT_RE.pattern})|([-+*/^()])|(\S))")
-_KINDS = {1: "num", 2: "ident"}  # group 3's kind is its text
+_TOKEN_RE = re.compile(rf"[0-9]+|{_IDENT_RE.pattern}|[-+*/^()]|\S")
+# a token's kind by its first character: "num", "ident", or the operator or
+# parenthesis itself; a token that starts with any other character is an
+# unexpected character, and the source holds one when this matches
+_KINDS = {**dict.fromkeys("0123456789", "num"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                          "abcdefghijklmnopqrstuvwxyz_", "ident"),
+          **{c: c for c in "-+*/^()"}}
+_UNEXPECTED_RE = re.compile(rf"[^\s{re.escape(''.join(_KINDS))}]")
 _RESERVED = frozenset({"x", "t", "exp"})  # and what U_NAME matches
 
 
@@ -57,20 +74,22 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """Tokens ``(kind, text, offset)``: kind is ``"num"``, ``"ident"``, the
     operator or parenthesis itself, or ``"end"`` (text ``""``, offset the
     length of the source) for the last one."""
-    tokens = []
-    # a literal of more digits than int() converts (0: no limit) is an error
+    kind = _KINDS.get
+    tokens = [(kind(m[0][0]), m[0], m.start())
+              for m in _TOKEN_RE.finditer(source)]
+    # an unexpected character and a literal of more digits than int()
+    # converts (0: no limit) are errors, and the first in the source is
+    # reported; a literal over the limit needs a source longer than it
     limit = sys.get_int_max_str_digits()
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastindex
-        text = m.group(group)
-        if group == 4:
-            raise _error(source, f"unexpected character {text!r}",
-                         m.start(group))
-        if group == 1 and 0 < limit < len(text):
-            raise _error(source, f"integer literal of {len(text)} digits "
-                         f"exceeds the limit of {limit} digits",
-                         m.start(group))
-        tokens.append((_KINDS.get(group, text), text, m.start(group)))
+    if _UNEXPECTED_RE.search(source) or 0 < limit < len(source):
+        for k, text, offset in tokens:
+            if k is None:
+                raise _error(source, f"unexpected character {text!r}",
+                             offset)
+            if k == "num" and 0 < limit < len(text):
+                raise _error(source, f"integer literal of {len(text)} "
+                             f"digits exceeds the limit of {limit} digits",
+                             offset)
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -82,6 +101,11 @@ parentheses or towers that the recursive descent accepts."""
 _MAX_EXPONENT = 100_000
 """Largest absolute value of an exponent, a literal or the value of a tower;
 checked before a tower is computed, so ``u^9^9^9`` is refused at once."""
+
+
+def _value(v: tuple | DiffExpr) -> DiffExpr:
+    """A rule's result as an expression: a term is put in normal form."""
+    return term_expr(v) if type(v) is tuple else v
 
 
 class _Parser:
@@ -116,30 +140,41 @@ class _Parser:
                              f"{_MAX_DEPTH} levels)", tok)
         return depth + 1
 
-    def parse_expr(self, depth: int = 0) -> DiffExpr:
-        """A chain of ``+``/``-`` summed in one term dict (``a - b`` is
-        ``a + (-b)``), so long sums cost no recursion."""
-        parts = [self.parse_product(depth)]
+    def parse_expr(self, depth: int = 0) -> tuple | DiffExpr:
+        """A chain of ``+``/``-`` (``a - b`` is ``a + (-1) * b``): its one
+        part as it is, or the sum of its parts in one term dict, so long
+        sums cost no recursion."""
+        parts = [(1, self.parse_product(depth))]
         while self.peek() in ("+", "-"):
-            minus = self.advance()[0] == "-"
-            rhs = self.parse_product(depth)
-            parts.append(-rhs if minus else rhs)
-        return parts[0] if len(parts) == 1 else _sum(parts)
+            sign = -1 if self.advance()[0] == "-" else 1
+            parts.append((sign, self.parse_product(depth)))
+        return parts[0][1] if len(parts) == 1 else term_sum(parts)
 
-    def parse_product(self, depth: int) -> DiffExpr:
-        """A chain of ``*``/``/``, evaluated left to right."""
+    def parse_product(self, depth: int) -> tuple | DiffExpr:
+        """A chain of ``*``/``/``, evaluated left to right: one term while
+        every factor is a term and every divisor an invertible term, else
+        ``DiffExpr`` products and quotients."""
         out = self.parse_power(depth)
         while self.peek() in ("*", "/"):
             divide = self.advance()[0] == "/"
             rhs = self.parse_power(depth)
-            out = out / rhs if divide else out * rhs
+            if type(out) is tuple and type(rhs) is tuple:
+                factor = term_inverse(rhs) if divide else rhs
+                if factor is not None:
+                    out = term_mul(out, factor)
+                    continue
+            out = (_value(out) / _value(rhs) if divide
+                   else _value(out) * _value(rhs))
         return out
 
-    def parse_power(self, depth: int) -> DiffExpr:
+    def parse_power(self, depth: int) -> tuple | DiffExpr:
         base = self.parse_atom(depth)
         if self.peek() == "^":
             self.advance()
-            base = base ** self.parse_exponent(depth)
+            n = self.parse_exponent(depth)
+            if type(base) is tuple and n >= 0:
+                return term_pow(base, n)
+            return _value(base) ** n
         return base
 
     def parse_exponent(self, depth: int) -> int:
@@ -178,14 +213,15 @@ class _Parser:
         return self.error(f"exponent out of range (max {_MAX_EXPONENT})",
                           tok)
 
-    def parse_atom(self, depth: int) -> DiffExpr:
+    def parse_atom(self, depth: int) -> tuple | DiffExpr:
         tok = self.advance()
         kind = tok[0]
         if kind == "num":
-            return rational(int(tok[1]))
+            return int_term(int(tok[1]))
         if kind == "-":
             # unary minus binds tighter than * and looser than ^
-            return -self.parse_power(self.descend(tok, depth))
+            inner = self.parse_power(self.descend(tok, depth))
+            return term_neg(inner) if type(inner) is tuple else -inner
         if kind == "(":
             inner = self.parse_expr(self.descend(tok, depth))
             self.expect(")")
@@ -196,19 +232,19 @@ class _Parser:
                 self.expect("(")
                 inner = self.parse_expr(self.descend(tok, depth))
                 self.expect(")")
-                return exp_of(inner)
+                return exp_term(_value(inner))
             if name == "x":
-                return gen_expr(GEN_X)
+                return gen_term(GEN_X)
             if name == "t":
-                return gen_expr(GEN_T)
+                return gen_term(GEN_T)
             try:
                 idx = u_name_index(name)
             except ExpressionError as err:
                 raise self.error(str(err), tok) from err
             if idx is not None:
-                return gen_expr(idx)
+                return gen_term(idx)
             if name in self.constants:
-                return const(name)
+                return const_term(name)
             raise self.error(f"unknown identifier {name!r} "
                              "(constants must be declared)", tok)
         raise self.error(f"unexpected token {tok[1] or 'end of input'!r}",
@@ -232,7 +268,7 @@ def parse(source: str, constants: Iterable[str] = ()) -> DiffExpr:
     """Parse a source string to its normal form."""
     p = _Parser(source, constant_names(constants))
     try:
-        value = p.parse_expr()
+        value = _value(p.parse_expr())
     except (ExpressionError, ZeroDivisionError) as err:
         raise p.error(str(err), p.tokens[-1]) from err
     end = p.tokens[p.pos]

@@ -66,6 +66,9 @@ class AnsatzConfig:
             if value < low:
                 raise ValueError(
                     f"ansatz {name} must be >= {low}, got {value}")
+        if self.exp_rate is not None and not ex.is_constant(self.exp_rate):
+            raise ValueError("ansatz exp_rate must be a constant expression, "
+                             f"got {self.exp_rate}")
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,18 @@ class TestFind:
         assert code == 0
         assert out == "basis of dimension 1\npool size: 2\nG = exp(t)\n"
 
+    @pytest.mark.parametrize("rate", ["u", "x", "t*a", "exp(t)"])
+    def test_non_constant_exp_rate_exit_2(self, capsys, rate):
+        # u is linear in the exponent, but a rate must be a constant: the
+        # refusal names the rate, not the exponential it would build
+        code, out = run_cli("find", "--equation", "u2", "--order", "1",
+                            "--weight", "3", "--const", "a",
+                            f"--exp-rate={rate}")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: ansatz exp_rate must be a constant expression, got "
+            f"{parse(rate, ('a',))}\n")
+
     def test_deep_pool_reaches_the_cap(self):
         # u_0..u_998 all fit the weight budget; the pool generator must not
         # recurse once per index

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from evosym import (ExpressionError, ParseError, const, exp_of, parse,
                     to_source, u, x, t)
-from evosym.expr import ZERO, rational
+from evosym import _kernel_py as kernel
+from evosym.expr import ZERO, rational, u_name_index
+from evosym.parser import _MAX_DEPTH, _MAX_EXPONENT, constant_names
 
 from conftest import random_expr
 
@@ -309,3 +312,256 @@ class TestAgainstPython:
             assert str(got.value).startswith(str(err)), (src, py)
         else:
             assert parse(src, ("a",)) == want, (src, py)
+
+
+# -- the parser against the one-DiffExpr-per-rule descent it replaced ----------
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
+
+
+def _reference_error(source, message, offset):
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
+def _reference_tokenize(source):
+    tokens = []
+    limit = sys.get_int_max_str_digits()
+    for m in _REF_TOKEN_RE.finditer(source):
+        group = m.lastindex
+        text = m.group(group)
+        if group == 4:
+            raise _reference_error(source, f"unexpected character {text!r}",
+                                   m.start(group))
+        if group == 1 and 0 < limit < len(text):
+            raise _reference_error(
+                source, f"integer literal of {len(text)} digits exceeds "
+                f"the limit of {limit} digits", m.start(group))
+        kind = {1: "num", 2: "ident"}.get(group, text)
+        tokens.append((kind, text, m.start(group)))
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+class _ReferenceParser:
+    """The former parser: every rule returns the ``DiffExpr`` of what it
+    read, through ``DiffExpr`` arithmetic only."""
+
+    def __init__(self, source, constants):
+        self.source = source
+        self.tokens = _reference_tokenize(source)
+        self.pos = 0
+        self.constants = constants
+
+    def error(self, message, tok):
+        return _reference_error(self.source, message, tok[2])
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found "
+                             f"{tok[1] or 'end of input'!r}", tok)
+        return tok
+
+    def descend(self, tok, depth):
+        if depth >= _MAX_DEPTH:
+            raise self.error(f"expression nested too deeply (more than "
+                             f"{_MAX_DEPTH} levels)", tok)
+        return depth + 1
+
+    def parse_expr(self, depth=0):
+        parts = [self.parse_product(depth)]
+        while self.peek() in ("+", "-"):
+            minus = self.advance()[0] == "-"
+            rhs = self.parse_product(depth)
+            parts.append(-rhs if minus else rhs)
+        return sum(parts[1:], parts[0])
+
+    def parse_product(self, depth):
+        out = self.parse_power(depth)
+        while self.peek() in ("*", "/"):
+            divide = self.advance()[0] == "/"
+            rhs = self.parse_power(depth)
+            out = out / rhs if divide else out * rhs
+        return out
+
+    def parse_power(self, depth):
+        base = self.parse_atom(depth)
+        if self.peek() == "^":
+            self.advance()
+            base = base ** self.parse_exponent(depth)
+        return base
+
+    def parse_exponent(self, depth):
+        neg = False
+        tok = self.tokens[self.pos]
+        if tok[0] == "-":
+            self.advance()
+            neg = True
+            tok = self.tokens[self.pos]
+        if tok[0] == "num":
+            self.advance()
+            base = int(tok[1])
+            if base > _MAX_EXPONENT:
+                raise self.exponent_error(tok)
+        elif tok[0] == "(":
+            self.advance()
+            base = self.parse_exponent(self.descend(tok, depth))
+            self.expect(")")
+        else:
+            raise self.error("non-integer exponent", tok)
+        if self.peek() == "^":
+            caret = self.advance()
+            rest = self.parse_exponent(self.descend(caret, depth))
+            if rest < 0:
+                raise self.error("non-integer exponent", caret)
+            if abs(base) > 1 and (rest >= _MAX_EXPONENT.bit_length()
+                                  or abs(base) ** rest > _MAX_EXPONENT):
+                raise self.exponent_error(caret)
+            base = base ** rest
+        return -base if neg else base
+
+    def exponent_error(self, tok):
+        return self.error(f"exponent out of range (max {_MAX_EXPONENT})",
+                          tok)
+
+    def parse_atom(self, depth):
+        tok = self.advance()
+        kind = tok[0]
+        if kind == "num":
+            return rational(int(tok[1]))
+        if kind == "-":
+            return -self.parse_power(self.descend(tok, depth))
+        if kind == "(":
+            inner = self.parse_expr(self.descend(tok, depth))
+            self.expect(")")
+            return inner
+        if kind == "ident":
+            name = tok[1]
+            if name == "exp":
+                self.expect("(")
+                inner = self.parse_expr(self.descend(tok, depth))
+                self.expect(")")
+                return exp_of(inner)
+            if name == "x":
+                return x
+            if name == "t":
+                return t
+            try:
+                idx = u_name_index(name)
+            except ExpressionError as err:
+                raise self.error(str(err), tok) from err
+            if idx is not None:
+                return u(idx)
+            if name in self.constants:
+                return const(name)
+            raise self.error(f"unknown identifier {name!r} "
+                             "(constants must be declared)", tok)
+        raise self.error(f"unexpected token {tok[1] or 'end of input'!r}",
+                         tok)
+
+
+def _reference_parse(source, constants=()):
+    p = _ReferenceParser(source, constant_names(constants))
+    try:
+        value = p.parse_expr()
+    except (ExpressionError, ZeroDivisionError) as err:
+        raise p.error(str(err), p.tokens[-1]) from err
+    end = p.tokens[p.pos]
+    if end[0] != "end":
+        raise p.error(f"unexpected token {end[1]!r}", end)
+    return value
+
+
+def _outcome(parser, source):
+    """``("value", normal form)`` or ``("error", message, line, column)``."""
+    try:
+        e = parser(source, ("a",))
+    except ParseError as err:
+        return ("error", str(err), err.line, err.column)
+    return ("value", e._den, list(e._t.items()))
+
+
+# factors that make a source fail in arithmetic: a zero divisor, a negative
+# power of a generator, division by a non-scalar
+_BAD_FACTORS = ("/0", "/(0)", "*u^-1", "*(u+1)/u", "/(u - u)", "/u1")
+
+
+class TestAgainstReference:
+    """On random sources of the grammar and on malformed variants of them,
+    the parser gives the reference descent's normal form (and the same term
+    order), or the identical ParseError text, line and column."""
+
+    def variant(self, rng, src):
+        spans = [m.span() for m in re.finditer(r"[0-9]+|\w+|\S", src)]
+        start, end = rng.choice(spans)
+        edit = rng.choice(("drop", "double", "factor"))
+        if edit == "drop":
+            return src[:start] + src[end:]
+        if edit == "double":
+            return src[:end] + src[start:end] + src[end:]
+        return src[:end] + rng.choice(_BAD_FACTORS) + src[end:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeds)
+    def test_agrees_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        src, _ = TestAgainstPython().expr(rng, 2)
+        for source in [src] + [self.variant(rng, src) for _ in range(4)]:
+            assert _outcome(parse, source) == \
+                _outcome(_reference_parse, source), source
+
+    @pytest.mark.parametrize("source", [
+        "(-4/13)*u^2 + 7/13*t^1*u*u2 + (-5/7)*t^2*u*u1",
+        "9/7*(u5 + 10*u*u3) + 5/7*(u5 + 10*u*u3)",
+        "2*u/4/a*3 - 3/2*u/a", "u/0", "u/(2-2)", "0/0*(u+1)",
+        "u^-1", "a^-2*u/a^-1", "0^-1", "(u+1)/u", "u*(u1+1)/u", "u1/u",
+        "a/(2*a)", "2/a/x",
+        "(-u)^3 - -u^3", "0^0 + u^0 + (2*u)^2", "exp(u1)*u/0",
+        "u/0 + exp(u1)", "2*u/-3", "(1/2)/(-1/3)*x", "u + 1 - 1 - u",
+    ])
+    def test_agrees_on_edge_cases(self, source):
+        assert _outcome(parse, source) == _outcome(_reference_parse, source)
+
+
+class TestOneTermChains:
+    """A product chain of plain atoms is one term: parsing a sum of monomial
+    products forms no term-map product."""
+
+    @pytest.fixture
+    def mul_terms_calls(self, monkeypatch):
+        calls = []
+        real = kernel.mul_terms
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(kernel, "mul_terms", counted)
+        return calls
+
+    @pytest.mark.parametrize("source,consts", [
+        ("(-4/13)*u^2 + 7/13*t^1*u*u2 + (-5/7)*t^2*u*u1 + (-3/7)*x*u1",
+         ("c",)),
+        ("u5 + 5*u*u3 + 5*u1*u2 + 5*u^2*u1", ("a", "b")),
+        ("u5 + a*u*u3 + b*u1*u2 + c/2*u^2*u1 - a^2*b/3*x^2*t*u", "abc"),
+        ("u3 - u1^3/2 + 6/-4*u*u1*(2*u)^2", ()),
+    ])
+    def test_monomial_sums_form_no_product(self, mul_terms_calls, source,
+                                           consts):
+        parse(source, consts)
+        assert mul_terms_calls == []
+
+    def test_the_count_sees_a_product_of_sums(self, mul_terms_calls):
+        e = parse("(u + 1)*(u1 + 1)")
+        assert len(mul_terms_calls) == 1
+        assert e == u0 * u1 + u0 + u1 + 1

@@ -42,6 +42,16 @@ class TestPool:
         with pytest.raises(ValueError, match="order must be >= 0"):
             AnsatzConfig(order=-1, weight_max=3)
 
+    @pytest.mark.parametrize("rate", ["u", "x", "2*t + 1", "exp(t)"])
+    def test_non_constant_exp_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="ansatz exp_rate must be a "
+                           "constant expression, got "):
+            AnsatzConfig(order=1, weight_max=3, exp_rate=parse(rate))
+
+    def test_constant_exp_rates_accepted(self):
+        for rate in ("-2", "3/2*a", "a*b^-1"):
+            AnsatzConfig(order=1, weight_max=3, exp_rate=parse(rate, "ab"))
+
     @pytest.mark.parametrize("name", ["t_degree_max", "x_degree_max"])
     def test_negative_degree_rejected(self, name):
         with pytest.raises(ValueError,

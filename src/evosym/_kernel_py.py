@@ -102,19 +102,12 @@ def addmul_into(acc, a, b, factor):
 
 
 def mul_single(terms, key, coeff):
-    """Product of a term map with one term ``coeff * key``.
-
-    Unused by evosym itself: the benchmark's tracer (perfbench/tracer.py)
-    patches this name, so it stays until the tracer reads statistics the
-    library collects."""
-    if not coeff:
-        return {}
+    """Product of a term map with one term ``coeff * key``: each term
+    gives one, since a product with one monomial is one-to-one on keys;
+    ``coeff`` is nonzero."""
     if not key:
         return {k: c * coeff for k, c in terms.items()}
-    out = {}
-    for k, c in terms.items():
-        out[mul_key(k, key)] = c * coeff
-    return out
+    return {mul_key(k, key): c * coeff for k, c in terms.items()}
 
 
 def mul_terms(a, b):

@@ -159,7 +159,7 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, 1)
+        return term_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -167,7 +167,7 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, -1)
+        return term_sum(((1, self), (-1, other)))
 
     def __rsub__(self, other) -> "DiffExpr":
         other = _coerce(other)
@@ -185,12 +185,12 @@ class DiffExpr:
         a, b = self._t, other._t
         if not a or not b:
             return ZERO
-        # a one-term rational factor scales the numerators: no key merges
-        if len(b) == 1 and () in b:
-            return _reduced({k: c * b[()] for k, c in a.items()},
-                            self._den * other._den)
-        if len(a) == 1 and () in a:
-            return _reduced({k: c * a[()] for k, c in b.items()},
+        # b is the one-term factor, the rational one when both are one term
+        if len(b) != 1 or len(a) == 1 and () in a:
+            a, b = b, a
+        if len(b) == 1:
+            (key, c), = b.items()
+            return _reduced(kernel.mul_single(a, key, c),
                             self._den * other._den)
         if len(a) * len(b) > MAX_PRODUCT_PAIRS:
             raise ExpressionError(
@@ -204,23 +204,28 @@ class DiffExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other._t:
-            raise ZeroDivisionError("division by zero scalar")
-        if as_scalar(other) is None:
+        inv = _inverse(other)
+        if inv is None:
+            if not other._t:
+                raise ZeroDivisionError("division by zero scalar")
             raise ExpressionError("division is only defined by scalars")
-        return self * _invert_term(other)
+        return self * term_expr(inv)
 
     def __pow__(self, n: int) -> "DiffExpr":
         if not isinstance(n, int):
             raise ExpressionError("non-integer exponent")
         if n == 0:
             return ONE
+        if n == 1:
+            return self
         if n < 0:
-            inv = _invert_term(self)
+            inv = _inverse(self)
             if inv is None:
                 raise ExpressionError(
                     "negative power of a non-invertible expression")
-            return inv ** (-n)
+            return term_expr(term_pow(inv, -n))
+        if len(self._t) == 1:
+            return term_expr(term_pow(_term(self), n))
         base = self
         out = None
         while n:
@@ -326,21 +331,12 @@ def term_sum(parts: Iterable[tuple[int, tuple | DiffExpr]]) -> DiffExpr:
             d = p._den
             if den % d:
                 den *= kernel.rescale(acc, den, d)
-            kernel.add_into(acc, p._t, sign * (den // d))
-    return _reduced(acc, den)
-
-
-def _combine(a: DiffExpr, b: DiffExpr, sign: int) -> DiffExpr:
-    """``a + sign * b`` over the lcm of the denominators."""
-    da, db = a._den, b._den
-    if da == db:
-        acc = dict(a._t)
-        kernel.add_into(acc, b._t, sign)
-        return _reduced(acc, da)
-    den = lcm(da, db)
-    sa = den // da
-    acc = {k: c * sa for k, c in a._t.items()} if sa != 1 else dict(a._t)
-    kernel.add_into(acc, b._t, sign * (den // db))
+            f = sign * (den // d)
+            if acc:
+                kernel.add_into(acc, p._t, f)
+            else:  # the first part, or all before it cancelled: a copy
+                acc = dict(p._t) if f == 1 else {
+                    k: c * f for k, c in p._t.items()}
     return _reduced(acc, den)
 
 
@@ -368,18 +364,6 @@ def _expression(v) -> DiffExpr:
     return e
 
 
-def _invert_term(e: DiffExpr) -> DiffExpr | None:
-    # invertible <=> a single term free of generator powers
-    if len(e._t) != 1:
-        return None
-    (key, c), = e._t.items()
-    if any(slot[0] == 0 for slot, _ in key):
-        return None
-    # (c / den)^-1 = den / c
-    den = e._den if c > 0 else -e._den
-    return _reduced({tuple((s, -v) for s, v in key): den}, abs(c))
-
-
 def _grade(key) -> int:
     return sum(v for s, v in key if s[0] == 0)
 
@@ -390,6 +374,8 @@ def _grade(key) -> int:
 # nonzero, neither reduced nor sign-normalised) times the monomial ``key``.
 # The parser builds a product chain of plain atoms as one term and holds it
 # opaquely; ``term_expr`` and ``term_sum`` put terms in canonical form once.
+# ``DiffExpr``'s operators use the same helpers whenever an operand has one
+# term, so a product, power, inverse or sum of terms has one rule.
 
 def gen_term(gen: int) -> tuple:
     return ((((0, gen), 1),), 1, 1)
@@ -419,10 +405,11 @@ def term_pow(a: tuple, n: int) -> tuple:
 
 
 def term_inverse(a: tuple) -> tuple | None:
-    """``1 / a``, or None when ``a`` is zero or has a generator or
-    exponential factor (dividing by its ``term_expr`` then raises)."""
+    """``1 / a``, or None when ``a`` is not a unit: a unit is a nonzero
+    rational times named constants and an exponential, with no power of x,
+    t or u (dividing by a non-unit's ``term_expr`` raises)."""
     key, num, den = a
-    if not num or any(slot[0] != 1 for slot, _ in key):
+    if not num or any(slot[0] == 0 for slot, _ in key):
         return None
     return (tuple((s, -v) for s, v in key), den, num)
 
@@ -434,6 +421,17 @@ def term_expr(a: tuple) -> DiffExpr:
     if den < 0:
         num, den = -num, -den
     return _reduced({key: num}, den)
+
+
+def _term(e: DiffExpr) -> tuple:
+    """The one term of a one-term expression."""
+    (key, c), = e._t.items()
+    return key, c, e._den
+
+
+def _inverse(e: DiffExpr) -> tuple | None:
+    """``1 / e`` as a term, or None when ``e`` is not a unit."""
+    return term_inverse(_term(e)) if len(e._t) == 1 else None
 
 
 # -- constructors ----------------------------------------------------------
@@ -511,15 +509,18 @@ MAX_U_INDEX = 99
 
 def u_name_index(name: str) -> int | None:
     """The index ``i`` of a name spelled by ``U_NAME``, None for any other
-    name; an index over ``MAX_U_INDEX`` raises."""
+    name; an index over ``MAX_U_INDEX`` raises.  Leading zeros are
+    dropped, and an index of more digits than ``MAX_U_INDEX`` is refused
+    without being converted, so no name meets ``int()``'s digit limit."""
     m = U_NAME.fullmatch(name)
     if m is None:
         return None
-    idx = int(m.group(1) or 0)
-    if idx > MAX_U_INDEX:
-        raise ExpressionError(
-            f"u-index {idx} out of range (max {MAX_U_INDEX})")
-    return idx
+    digits = (m.group(1) or "").lstrip("0") or "0"
+    if len(digits) <= len(str(MAX_U_INDEX)) and int(digits) <= MAX_U_INDEX:
+        return int(digits)
+    # the refusal names a short index, and counts the digits of a long one
+    shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+    raise ExpressionError(f"u-index {shown} out of range (max {MAX_U_INDEX})")
 
 
 def _gencode(v) -> int:
@@ -738,7 +739,11 @@ def exp_spectrum(e: DiffExpr, v) -> tuple[tuple[DiffExpr, int], ...]:
 
 def as_scalar(e: DiffExpr) -> DiffExpr | None:
     """``e`` itself when it is zero or one term of a rational times named
-    constants (a constant is a ``DiffExpr``), else None."""
+    constants (a constant is a ``DiffExpr``), else None.
+
+    Unused by evosym itself: the benchmark's tracer (perfbench/tracer.py)
+    calls it, so it stays until the tracer reads statistics the library
+    collects."""
     return e if len(e._t) <= 1 and is_constant(e) else None
 
 

@@ -15,17 +15,19 @@ of value.  A product chain of plain atoms is one term, an opaque ``expr``
 one-term value whose key is merged as the chain is read.  Plain atoms are
 integer literals, ``x``, ``t``, ``u_i``, declared constants, ``exp(...)``
 and parenthesised chains that are one term, each to a non-negative
-integer power; a divisor joins the term when it is invertible.  A
-``+``/``-`` chain adds its terms and sub-expressions into one term dict
-(``expr.term_sum``).  Everything else (a product or quotient with a sum, a
-negative power) is ``DiffExpr`` arithmetic, so every operation that can
-fail runs where the source reads it.  Numbers stay ``int`` from literal
-to coefficient.  An error of the arithmetic itself (division by a
-non-scalar or by zero, a nonlinear exponential argument, a negative power
-of a generator, a product over its budget) is reported at the end of
-input, even when a grammar error follows it.  A token is a ``(kind, text,
-offset)`` tuple; the line and column of a ``ParseError`` are computed from
-the offset when it is raised.
+integer power, or to a negative one when it is a unit; a divisor joins the
+term when it is a unit (``expr.term_inverse``: a rational times named
+constants and an exponential).  A ``+``/``-`` chain adds its terms and sub-expressions
+into one term dict (``expr.term_sum``).  Everything else (a product or
+quotient with a sum, a divisor or a negative power that is no unit) is
+``DiffExpr`` arithmetic, which uses the same one-term helpers, so every
+operation that can fail runs where the source reads it.  Numbers stay
+``int`` from literal to coefficient.  An error of the arithmetic itself
+(division by a non-unit or by zero, a nonlinear exponential argument, a
+negative power of a generator, a product over its budget) is reported at
+the end of input, even when a grammar error follows it.  A token is a
+``(kind, text, offset)`` tuple; the line and column of a ``ParseError``
+are computed from the offset when it is raised.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ class _Parser:
 
     def parse_product(self, depth: int) -> tuple | DiffExpr:
         """A chain of ``*``/``/``, evaluated left to right: one term while
-        every factor is a term and every divisor an invertible term, else
+        every factor is a term and every divisor a unit term, else
         ``DiffExpr`` products and quotients."""
         out = self.parse_power(depth)
         while self.peek() in ("*", "/"):
@@ -172,8 +174,10 @@ class _Parser:
         if self.peek() == "^":
             self.advance()
             n = self.parse_exponent(depth)
-            if type(base) is tuple and n >= 0:
-                return term_pow(base, n)
+            if type(base) is tuple:
+                term = base if n >= 0 else term_inverse(base)
+                if term is not None:
+                    return term_pow(term, abs(n))
             return _value(base) ** n
         return base
 

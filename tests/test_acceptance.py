@@ -8,6 +8,7 @@ never trusted from the implementation under test.
 
 import random
 import time
+from pathlib import Path
 
 from evosym import (AnsatzConfig, annihilator, bracket, classify,
                     classify_time, descent_bound, descent_leading_coeff_check,
@@ -262,3 +263,15 @@ def test_criterion_8_time_classifier_and_reduction_operators():
     report(8, f"classifier matches expectations on {matched} corpus "
               f"symmetries; reduction operators leave linear or exponential "
               f"time dependence")
+
+
+def test_readme_library_example_prints_its_basis(capsys):
+    """The README's "Library example" block runs as written, and prints the
+    basis its comment line shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line for line in block.splitlines() if line.startswith("# [")]
+    assert len(shown) == 1
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == shown[0][2:] + "\n"

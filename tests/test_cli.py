@@ -773,6 +773,14 @@ class TestErrorExitCodes:
         assert code == 2 and out == ""
         assert message in capsys.readouterr().err
 
+    def test_long_u_index_exit_2(self, capsys):
+        code, out = run_cli("check", "--equation", "u2",
+                            "--candidate", "u" + "1" * 5000)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: u-index of 5000 digits out of range (max 99) (line 1, "
+            "column 1)\n")
+
     def test_non_ascii_digit_exit_2(self, capsys):
         code, out = run_cli("check", "--equation", "u3 + 6*u*u1",
                             "--candidate", "\u0663*u1")

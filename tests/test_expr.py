@@ -275,10 +275,11 @@ class TestScalar:
         assert u1 / (-2 * const("a")) == -u1 * const("a") ** -1 / 2
         assert u1 / (Fraction(1, 5) * const("b") ** 2) == \
             5 * u1 * const("b") ** -2
+        assert u1 / exp_of(u0) == u1 * exp_of(-u0)
         for zero in (0, Fraction(0), ZERO):
             with pytest.raises(ZeroDivisionError, match="zero scalar"):
                 u1 / zero
-        for divisor in (u0, exp_of(u0), const("a") + 1, x):
+        for divisor in (u0, const("a") + 1, x):
             with pytest.raises(ExpressionError, match="only defined by scalars"):
                 u1 / divisor
         for other in (1.5, "a"):
@@ -797,3 +798,79 @@ def test_printing_refuses_integers_over_the_conversion_limit():
             to_source(e)
     e = rational(Fraction(big // 10 - 1, 7)) * u0
     assert parse(to_source(e)) == e
+
+
+# -- the single-term algebra -------------------------------------------------
+
+def _one_term(rng: random.Random, unit: bool) -> DiffExpr:
+    """One term built from its key, not by arithmetic: a nonzero rational
+    times named-constant powers and an exponential factor, and (unless
+    ``unit``) at least one generator power."""
+    slots = {}
+    for name in ("a", "b"):
+        p = rng.randint(-2, 2)
+        if p:
+            slots[(1, name)] = p
+    for gen in rng.sample((0, 1, 2, ex.GEN_X, ex.GEN_T), rng.randint(0, 2)):
+        cmono = rng.choice(((), (((1, "a"), 1),)))
+        slots[(2, gen, cmono)] = Fraction(rng.choice((-2, -1, 1, 3)),
+                                          rng.choice((1, 2)))
+    if not unit:
+        for gen in rng.sample((0, 1, ex.GEN_X, ex.GEN_T), rng.randint(1, 2)):
+            slots[(0, gen)] = rng.randint(1, 3)
+    coeff = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    return DiffExpr({tuple(sorted(slots.items())): coeff})
+
+
+def _fold_product(a: DiffExpr, n: int) -> DiffExpr:
+    out = ONE
+    for _ in range(n):
+        out = ex.sum_of_products([(1, out, a)])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_one_term_products_powers_and_inverses(seed):
+    """A one-term factor's products, powers and inverses agree with the
+    fused sum and with exact division, and form no term-map product."""
+    rng = random.Random(seed)
+    unit = rng.random() < 0.6
+    a = _one_term(rng, unit)
+    b = random_expr(rng, max_terms=4, consts=("a", "b"))
+    if len(b) < 2:
+        b = b + u3 * x
+    n = rng.randint(0, 4)
+    real = ex.kernel.mul_terms
+
+    def multi_term_only(p, q):
+        assert len(p) >= 2 and len(q) >= 2, "one-term factor in mul_terms"
+        return real(p, q)
+
+    with mock.patch.object(ex.kernel, "mul_terms", multi_term_only):
+        assert a * b == b * a == ex.sum_of_products([(1, a, b)])
+        assert a ** n == _fold_product(a, n)
+        if unit:
+            assert b / a == try_divide(b, a)
+            assert (b / a) * a == b
+            assert a ** -n * a ** n == ONE
+        else:
+            with pytest.raises(ExpressionError,
+                               match="^division is only defined by scalars$"):
+                b / a
+            with pytest.raises(ExpressionError, match=(
+                    "^negative power of a non-invertible expression$")):
+                a ** -1
+        assert b * b == ex.sum_of_products([(1, b, b)])
+
+
+def test_long_u_index_is_refused_before_conversion():
+    name = "u" + "1" * 5000
+    with pytest.raises(ExpressionError, match=(
+            r"^u-index of 5000 digits out of range \(max 99\)$")):
+        partial(u1, name)
+    with pytest.raises(ExpressionError, match=r"^u-index 100 out of range"):
+        ex.u_name_index("u100")
+    # leading zeros are dropped before the digits are counted
+    assert ex.u_name_index("u_" + "0" * 5000 + "7") == 7
+    assert ex.u_name_index("u000") == 0

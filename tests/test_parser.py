@@ -146,6 +146,15 @@ class TestErrors:
         assert str(err.value).startswith(message)
         assert str(err.value).endswith(f" (line {line}, column {column})")
 
+    def test_long_u_index_reported_at_the_identifier(self):
+        # refused by its digit count: int() would raise past its limit
+        with pytest.raises(ParseError) as err:
+            parse("u1 +\n 2*u" + "1" * 5000)
+        assert (err.value.line, err.value.column) == (2, 4)
+        assert str(err.value) == ("u-index of 5000 digits out of range "
+                                  "(max 99) (line 2, column 4)")
+        assert parse("u_" + "0" * 5000 + "3") == parse("u3")
+
     def test_constant_name_collision_rejected(self):
         with pytest.raises(ValueError):
             parse("u1", ("exp",))

@@ -273,10 +273,10 @@ class TestDoubleConstructions:
     @staticmethod
     def _count_sums(monkeypatch):
         """Counts of fused sums and of expression additions/subtractions
-        (``expr._combine``, which operator arithmetic goes through)."""
+        (``expr.term_sum``, which operator arithmetic goes through)."""
         calls = {"fused": 0, "combine": 0}
         for name, label in (("sum_of_products", "fused"),
-                            ("_combine", "combine")):
+                            ("term_sum", "combine")):
             def spy(*args, _real=getattr(ex, name), _label=label):
                 calls[_label] += 1
                 return _real(*args)

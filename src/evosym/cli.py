@@ -282,6 +282,11 @@ def _parse_find(value: str, where: str) -> tuple[AnsatzConfig, str | None]:
     return cfg, contains.strip() or None
 
 
+# the keys an entry may give once: a second value would replace the first
+_SINGLE_KEYS = ("name", "equation", "constants", "constant_separant",
+                "kdv_like", "basis", "predict")
+
+
 def parse_corpus(text: str) -> list[CorpusEntry]:
     entries: list[dict] = []
     cur: dict | None = None
@@ -302,6 +307,8 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in _SINGLE_KEYS and key in cur["lines"]:
+            raise CorpusFormatError(f"line {lineno}: repeated key {key!r}")
         if key in ("name", "equation", "predict"):
             cur[key] = value
         elif key in ("constants", "basis"):

@@ -67,30 +67,25 @@ class DiffExpr:
     on ``int`` only: a product multiplies the denominators, a sum scales by
     their lcm, and each runs the gcd normalisation once.
     ``DiffExpr(mapping)`` takes exact rational coefficients (ints or
-    Fractions); ``term_items`` gives them back.
+    Fractions) and clears their denominators; ``_reduced`` is the one
+    constructor, and ``term_items`` gives the coefficients back.
 
-    Filled lazily and then fixed: ``_items`` (canonical order), ``_hash``
-    and ``_parts``, the derivative memo (generator code -> ``∂self/∂gen``,
-    and ``None`` -> ``D(self)``), which ``_derive`` alone fills.  A memo
-    lives exactly as long as its expression.  Fills are idempotent, so
-    threads that race store equal values and need no lock; shared results
-    are never mutated.
+    The canonical order and the hash are computed on each read.  The one
+    field filled later is ``_parts``, the derivative memo (generator code
+    -> ``∂self/∂gen``, and ``None`` -> ``D(self)``), by ``_derive`` alone;
+    it lives exactly as long as its expression, and its fills are
+    idempotent, so threads that race store equal values and need no lock.
+    Shared results are never mutated.
     """
 
-    __slots__ = ("_t", "_den", "_items", "_hash", "_parts")
+    __slots__ = ("_t", "_den", "_parts")
 
-    def __init__(self, terms: Mapping) -> None:
+    def __new__(cls, terms: Mapping) -> "DiffExpr":
         den = 1
         for c in terms.values():
             den = lcm(den, c.denominator)
-        # with every coefficient in lowest terms, gcd(den, numerators) == 1
-        object.__setattr__(self, "_t", {
-            k: c.numerator * (den // c.denominator)
-            for k, c in terms.items() if c})
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_items", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_parts", None)
+        return _reduced({k: c.numerator * (den // c.denominator)
+                         for k, c in terms.items() if c}, den)
 
     def __setattr__(self, *a):
         raise AttributeError("DiffExpr is immutable")
@@ -100,12 +95,8 @@ class DiffExpr:
     def _num_items(self) -> tuple:
         """Terms as a tuple of ``(key, numerator)`` in the canonical order;
         each coefficient is the numerator over ``_den``."""
-        items = self._items
-        if items is None:
-            items = tuple(sorted(self._t.items(),
-                                 key=lambda kv: (_grade(kv[0]), kv[0])))
-            _set_items(self, items)
-        return items
+        return tuple(sorted(self._t.items(),
+                            key=lambda kv: (_grade(kv[0]), kv[0])))
 
     def term_items(self) -> tuple:
         """Terms as a tuple of ``(key, coefficient)`` in the canonical order;
@@ -139,19 +130,14 @@ class DiffExpr:
         return self._den == other._den and self._t == other._t
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            t = self._t
-            if not t:
-                h = hash(0)
-            elif len(t) == 1 and () in t:
-                # rational constants hash like numbers
-                c, den = t[()], self._den
-                h = hash(c if den == 1 else Fraction(c, den))
-            else:
-                h = hash((self._den, self._num_items()))
-            _set_hash(self, h)
-        return h
+        t = self._t
+        if not t:
+            return hash(0)
+        if len(t) == 1 and () in t:
+            # a rational constant hashes like the number: ONE == 1
+            c, den = t[()], self._den
+            return hash(c if den == 1 else Fraction(c, den))
+        return hash((self._den, self._num_items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -243,20 +229,19 @@ class DiffExpr:
         return f"DiffExpr({to_source(self)})"
 
 
-# slot setters for _reduced: cheaper than object.__setattr__
+# slot setters for _reduced, which DiffExpr.__setattr__ refuses
 _new = object.__new__
 _set_terms = DiffExpr._t.__set__
 _set_den = DiffExpr._den.__set__
-_set_items = DiffExpr._items.__set__
-_set_hash = DiffExpr._hash.__set__
 _set_parts = DiffExpr._parts.__set__
 
 
 def _reduced(terms: dict, den: int) -> DiffExpr:
-    """The expression with integer numerators ``terms`` over ``den > 0``,
-    in canonical form: both are divided by their gcd, which is skipped for
-    ``den == 1`` and stops at the first partial gcd of 1.  ``terms`` is a
-    freshly built dict, not copied; the caller keeps no reference to it."""
+    """The one constructor of ``DiffExpr``: the expression with integer
+    numerators ``terms`` over ``den > 0``, in canonical form.  Both are
+    divided by their gcd, which is skipped for ``den == 1`` and stops at
+    the first partial gcd of 1.  ``terms`` is a freshly built dict, not
+    copied; the caller keeps no reference to it."""
     if den != 1:
         g = den
         for c in terms.values():
@@ -269,8 +254,6 @@ def _reduced(terms: dict, den: int) -> DiffExpr:
     e = _new(DiffExpr)
     _set_terms(e, terms)
     _set_den(e, den)
-    _set_items(e, None)
-    _set_hash(e, None)
     _set_parts(e, None)
     return e
 
@@ -670,7 +653,7 @@ def _group(items, den: int, by) -> dict:
     cut to ``rest``, is one expression; the groups come in the order the
     items first name them, so a reader whose result is ordered passes the
     canonical ``e._num_items()`` and any other the unsorted ``e._t.items()``
-    (sorting is a cost per expression)."""
+    (sorting is a cost per read)."""
     groups: dict = {}
     for key, c in items:
         g, rest = by(key)
@@ -1023,7 +1006,10 @@ def to_source(e: DiffExpr) -> str:
     if e.is_zero:
         return "0"
     chunks = []
-    for key, c in sorted(e.term_items(), key=_print_sort_key, reverse=True):
+    den = e._den
+    for key, c in sorted(e._t.items(), key=_print_sort_key, reverse=True):
+        if den != 1:
+            c = _num(Fraction(c, den))
         consts = [(s[1], v) for s, v in key if s[0] == 1]
         gens = [(s[1], v) for s, v in key if s[0] == 0]
         atoms = [(s, v) for s, v in key if s[0] == 2]

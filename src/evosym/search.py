@@ -104,13 +104,19 @@ def _u_monomials(order: int, weight_max: int, w0: int):
 
 
 def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
-    """The concrete pool: t^j * x^p * (u-monomial) [* exp(rate*t)]."""
+    """The concrete pool: t^j * x^p * (u-monomial) [* exp(rate*t)].  A pool
+    that reaches a ``u_i`` past ``expr.MAX_U_INDEX`` is refused once built
+    (so the cap on its size is met first): its answers would print
+    ``u_i``, which the grammar does not read back."""
     factor = ex.ONE
     if cfg.exp_rate is not None:
         factor = ex.exp_of(cfg.exp_rate * ex.t)
     out = []
-    for combo in _u_monomials(cfg.order, cfg.weight_max + cfg.x_degree_max
-                              + eq.n * cfg.t_degree_max, cfg.base_weight):
+    # u_j weighs j + base_weight, and the pool holds u_top alone with the
+    # top powers of x and t
+    weight = cfg.weight_max + cfg.x_degree_max + eq.n * cfg.t_degree_max
+    top = min(cfg.order, weight - cfg.base_weight)
+    for combo in _u_monomials(cfg.order, weight, cfg.base_weight):
         w_mono = sum(e * (i + cfg.base_weight) for i, e in combo)
         mono = ex.ONE
         for i, e in combo:
@@ -129,6 +135,9 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
                     raise PoolLimitError(
                         f"ansatz pool exceeds the cap of {cfg.max_pool} "
                         "entries; tighten the configuration")
+    if top > ex.MAX_U_INDEX:
+        raise ValueError(f"ansatz pool reaches u-index {top}, past the "
+                         f"grammar's bound (max {ex.MAX_U_INDEX})")
     return out
 
 

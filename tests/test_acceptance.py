@@ -6,9 +6,13 @@ in the comments as oracle-derived are computed here by independent means
 never trusted from the implementation under test.
 """
 
+import io
 import random
+import shlex
 import time
 from pathlib import Path
+
+import pytest
 
 from evosym import (AnsatzConfig, annihilator, bracket, classify,
                     classify_time, descent_bound, descent_leading_coeff_check,
@@ -19,12 +23,13 @@ from evosym import (AnsatzConfig, annihilator, bracket, classify,
                     representation_decompose, scaling_test, total_d, u,
                     u_order, x, t, x_descent)
 from evosym import ExpressionError
-from evosym.cli import parse_corpus
+from evosym.cli import main, parse_corpus
 from evosym.expr import ONE, ZERO, rational
 from evosym.timedep import POLYNOMIAL, QUASIPOLYNOMIAL, TIME_INDEPENDENT
 
 from conftest import (CORPUS_PATH, bracket_oracle, random_expr, random_rhs)
 
+REPO = Path(__file__).resolve().parents[1]
 u0, u1, u2, u3 = u(0), u(1), u(2), u(3)
 F_KDV = parse("u3 + 6*u*u1")
 G_GAL = parse("1 + 6*t*u1")
@@ -275,3 +280,27 @@ def test_readme_library_example_prints_its_basis(capsys):
     assert len(shown) == 1
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == shown[0][2:] + "\n"
+
+
+def _readme_command_lines() -> list[str]:
+    """The ``evosym ...`` lines of the README's "Command line" block."""
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("evosym ")]
+
+
+# the one README command whose verdict is "no": u2 is not a KdV symmetry
+_README_EXIT_1 = {'evosym determine --equation "u3 + 6*u*u1" --candidate "u2"'}
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line_runs_as_written(monkeypatch, capsys, line):
+    """Each command of the README's "Command line" block runs from the
+    repository root and gives a verdict: exit 0, or 1 for the one
+    non-symmetry it shows, never a rejection (2) or an internal error
+    (3)."""
+    monkeypatch.chdir(REPO)
+    code = main(shlex.split(line)[1:], out=io.StringIO())
+    assert code == (1 if line in _README_EXIT_1 else 0), \
+        capsys.readouterr().err

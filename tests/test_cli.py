@@ -326,6 +326,22 @@ class TestFind:
         assert proc.stderr == ("error: ansatz pool exceeds the cap of 4000 "
                                "entries; tighten the configuration\n")
 
+    def test_pool_past_the_grammar_u_index_exit_2(self, capsys):
+        # u101 is in the pool, and a printed "G = u101" would not parse
+        code, out = run_cli("find", "--equation", "u2", "--order", "101",
+                            "--weight", "202", "--base-weight", "100")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: ansatz pool reaches u-index 101, past the grammar's "
+            "bound (max 99)\n")
+        # the top index the grammar reads is searched, and reads back
+        code, out = run_cli("find", "--equation", "u2", "--order", "101",
+                            "--weight", "199", "--base-weight", "100")
+        assert code == 0 and "G = u99" in out.splitlines()
+        for line in out.splitlines():
+            if line.startswith("G = "):
+                parse(line[4:])
+
     def test_negative_order_exit_2(self, capsys):
         code, out = run_cli("find", "--equation", "u3+u*u1",
                             "--order", "-1", "--weight", "3")
@@ -419,6 +435,38 @@ class TestCorpus:
         code, out = run_cli("corpus", "run", str(path))
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: line 4: {message}\n"
+
+    @pytest.mark.parametrize("key, lines, lineno", [
+        ("name", "name = kdv2", 4),
+        ("equation", "equation = u2", 4),
+        ("constants", "constants = a\nconstants = b", 5),
+        ("constant_separant", "constant_separant = yes\n"
+                              "constant_separant = no", 5),
+        ("kdv_like", "kdv_like = yes\nkdv_like = yes", 5),
+        ("basis", "basis = u1\nbasis = u1", 5),
+        ("predict", "predict = polynomial\npredict = polynomial", 5),
+    ])
+    def test_a_repeated_single_key_exit_2(self, tmp_path, capsys, key,
+                                          lines, lineno):
+        # a second value must not silently replace the first, even an
+        # equal one
+        path = tmp_path / "one.corpus"
+        path.write_text(f"{self.KDV}{lines}\n")
+        assert run_cli("corpus", "run", str(path)) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: repeated key {key!r}\n")
+
+    def test_find_line_past_the_grammar_u_index_names_its_line(self):
+        # a corpus find line has no base weight, so its pools hit the size
+        # cap long before u100; the entry is built with one that reaches it
+        cfg = AnsatzConfig(order=101, weight_max=202, base_weight=100)
+        entry = cli.CorpusEntry(name="heat", equation="u2",
+                                finds=((cfg, None),), lines={"find": [4]})
+        with pytest.raises(ValueError) as err:
+            cli.run_corpus_entry(entry)
+        assert str(err.value) == (
+            "ansatz pool reaches u-index 101, past the grammar's bound "
+            "(max 99) (corpus line 4, entry 'heat')")
 
     def test_a_failed_symmetry_leaves_the_default_basis(self, tmp_path,
                                                         capsys):

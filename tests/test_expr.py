@@ -679,6 +679,41 @@ def test_rational_constants_hash_like_their_numbers():
         assert ex.rational(q) == q
 
 
+def _four_ways(e: DiffExpr, consts: tuple[str, ...]) -> list[DiffExpr]:
+    """``e`` rebuilt by ``parse``, by ``DiffExpr(mapping)`` with Fraction
+    coefficients in reversed term order, by arithmetic and by
+    ``substitute``."""
+    s = Fraction(5, 3)
+    return [parse(to_source(e), consts),
+            DiffExpr({k: Fraction(c) for k, c in reversed(e.term_items())}),
+            (e * s + u2) / s - u2 / s,
+            substitute(substitute(e, {"x": 2 * x}), {"x": x / 2})]
+
+
+def _views(e: DiffExpr) -> tuple:
+    return hash(e), e.term_items(), to_source(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_equal_values_read_the_same_however_built(seed):
+    """Hash, canonical terms and printed form are computed on each read:
+    equal values built four ways read the same, and each reads the same
+    twice; rational constants hash like the equal int or Fraction."""
+    rng = random.Random(seed)
+    e = random_expr(rng, max_terms=4, consts=("a", "b"))
+    if rng.random() < 0.5:
+        gen = ex.gen_expr(rng.choice((ex.GEN_X, ex.GEN_T, 0)))
+        e = e * exp_of(Fraction(rng.choice((-3, 1, 5)), 6) * gen)
+    q = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 4, 7)))
+    for value, consts in ((e, ("a", "b")), (rational(q), ())):
+        for built in _four_ways(value, consts):
+            assert built == value
+            assert _views(built) == _views(value) == _views(built)
+    # a Fraction of denominator 1 hashes like its int
+    assert hash(rational(q)) == hash(q)
+
+
 # -- try_divide against the pairwise comparator it replaced -----------------
 
 def _reference_dense_le(k1, k2) -> bool:

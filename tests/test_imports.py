@@ -200,7 +200,7 @@ def test_no_module_level_memo(path):
 # -- one module owns the term-key layout ---------------------------------------
 
 # the DiffExpr fields, the canonical-order view and the raw constructor
-_TERM_FIELDS = {"_t", "_den", "_parts", "_items", "_num_items", "_reduced"}
+_TERM_FIELDS = {"_t", "_den", "_parts", "_num_items", "_reduced"}
 # where the layout is read: expr and the kernel it imports, and the one
 # function that reads the D memo without a call (``total_d_power``)
 _LAYOUT_OWNERS = {"expr.py", "_kernel_py.py"}
@@ -210,7 +210,7 @@ _MEMO_FUNCTIONS = {"calculus.py": {"total_d_power"}}
 def term_field_uses(source: str, allowed_functions=()) -> list[str]:
     """Where ``source``, outside the top-level functions named in
     ``allowed_functions``, reads a ``DiffExpr`` field (an attribute named
-    ``_t``, ``_den``, ``_parts``, ``_items`` or ``_num_items``) or
+    ``_t``, ``_den``, ``_parts`` or ``_num_items``) or
     uses ``_reduced`` (as an attribute, a name or an import), as
     ``"<line>: <name>"``."""
     tree = ast.parse(source)
@@ -241,7 +241,6 @@ def term_field_uses(source: str, allowed_functions=()) -> list[str]:
     "def f(e):\n    return e._t\n",
     "def f(e):\n    return e._den\n",
     "def f(e):\n    return e._parts\n",
-    "def f(e):\n    return e._items\n",
     "def f(e):\n    return e._num_items()\n",
     "from . import expr as ex\ndef f(t):\n    return ex._reduced(t, 1)\n",
     "from .expr import _reduced\n",

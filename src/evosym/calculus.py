@@ -61,6 +61,9 @@ class DOperator:
     def __setattr__(self, *a):
         raise AttributeError("DOperator is immutable")
 
+    def __reduce__(self):
+        return DOperator, (self.coeffs,)
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .parser import constant_names, parse
-from .search import AnsatzConfig, PoolLimitError, expr_in_span, find_symmetries
+from .search import AnsatzConfig, expr_in_span, find_symmetries
 from .symmetry import (EvolutionEquation, check_structure, classify,
                        determining_system, is_symmetry)
 from .timedep import (POLYNOMIAL, annihilator, classify_time,
@@ -212,7 +212,7 @@ def _cmd_find(args) -> Answer:
                        t_degree_max=args.t_degree,
                        x_degree_max=args.x_degree,
                        base_weight=args.base_weight,
-                       exp_rate=rate, max_pool=args.max_pool)
+                       exp_rate=rate)
     res = find_symmetries(eq, cfg)
     verdict = f"basis of dimension {len(res.basis)}"
     lines = [verdict, f"pool size: {res.pool_size}"]
@@ -354,11 +354,11 @@ def _time_matches(cls, expected: str) -> bool:
 @contextlib.contextmanager
 def _value_at(entry: CorpusEntry, key: str, i: int = -1):
     """Appends the corpus line and the entry of the i-th value of ``key``
-    to a ``ValueError`` (a parse or expression error among them) or a
-    ``PoolLimitError`` raised while that value is read or checked."""
+    to a ``ValueError`` (every refusal of the package is one) raised while
+    that value is read or checked."""
     try:
         yield
-    except (ValueError, PoolLimitError) as err:
+    except ValueError as err:
         if key in entry.lines:
             err.args = (f"{err} (corpus line {entry.lines[key][i]}, "
                         f"entry {entry.name!r})",)
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-weight", type=int, default=AnsatzConfig.base_weight)
     p.add_argument("--exp-rate", default=None,
                    help="fixed exponential rate (expression in constants)")
-    p.add_argument("--max-pool", type=int, default=AnsatzConfig.max_pool)
     common(p)
     p.set_defaults(func=_cmd_find)
 
@@ -556,7 +555,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         code, report, lines = args.func(args)
         _emit(report, lines, args.format, out)
         return code
-    except (ValueError, PoolLimitError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -90,6 +90,11 @@ class DiffExpr:
     def __setattr__(self, *a):
         raise AttributeError("DiffExpr is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the one constructor; the memo
+        # is not carried
+        return _reduced, (dict(self._t), self._den)
+
     # -- canonical views ---------------------------------------------------
 
     def _num_items(self) -> tuple:

@@ -11,20 +11,20 @@ with ``int`` coefficients, in dict rows from column to nonzero value.  A
 rational entry packs to the one monomial ``0``, so every matrix takes the
 same path.
 
-One elimination (``_reduce``) serves ``nullspace`` and ``rank``, and
-``in_span`` compares two ranks.  ``nullspace`` also returns the pivot
-columns, ascending; its ``rank`` is their number.  A column is a pivot
-exactly when it lies outside the span of the columns before it (over the
-field of fractions of the constants; see "The verdicts" below), so a
-caller reads whether an expression depends on earlier ones off the pivots
-of one sweep, with no second elimination.  ``_reduce`` splits the matrix
-into its connected components (below) and runs one fraction-free
-Gauss-Jordan (Bareiss) pivot loop, ``_sweep``, on each.  Within a
-component, columns are swept left to right.  Sweep k takes a pivot ``p``
-in column c and turns every other row of the component into ``(p * row -
-row[c] * pivot_row) / prev``, with ``prev`` the previous pivot of the
-component (1 before its first); a row without column c is only scaled by
-``p / prev``.
+Every elimination is ``nullspace``'s, so every one is checked by
+``A v = 0`` (below): ``rank`` reads its rank, and ``in_span`` compares two
+such ranks.  ``nullspace`` also returns the pivot columns, ascending; its
+``rank`` is their number.  A column is a pivot exactly when it lies
+outside the span of the columns before it (over the field of fractions of
+the constants; see "The verdicts" below), so a caller reads whether an
+expression depends on earlier ones off the pivots of one sweep, with no
+second elimination.  ``nullspace`` splits the matrix into its connected
+components (below) and runs one fraction-free Gauss-Jordan (Bareiss)
+pivot loop, ``_sweep``, on each.  Within a component, columns are swept
+left to right.  Sweep k takes a pivot ``p`` in column c and turns every
+other row of the component into ``(p * row - row[c] * pivot_row) /
+prev``, with ``prev`` the previous pivot of the component (1 before its
+first); a row without column c is only scaled by ``p / prev``.
 
 The pending scale.  ``_sweep`` leaves a row without the pivot column
 alone.  Each stored row X keeps ``base``, the pivot at its last real update
@@ -295,20 +295,6 @@ def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
     return pivots, d
 
 
-def _reduce(m: list[dict], ncols: int, pk: ex._Packing):
-    """Fraction-free Gauss-Jordan on the packed rows ``m``, one connected
-    component at a time.  Returns the blocks ``(rows, columns, pivot
-    columns, final pivot)``, whose rows start with the pivot rows in pivot
-    order, and the symbolic pivots in block order."""
-    blocks = []
-    assumptions: list[dict] = []
-    for rows, cols in _components(m, ncols):
-        rows = [m[i] for i in rows]
-        pivots, d = _sweep(rows, cols, pk, assumptions)
-        blocks.append((rows, cols, pivots, d))
-    return blocks, assumptions
-
-
 def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
     """Nonvanishing assumptions in short form: the primitive part of each
     (``expr.primitive_part``), without the 1s left by monomials, which are
@@ -320,7 +306,14 @@ def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
     m, pk, den, original = _sparse(rows, ncols)
-    blocks, assumptions = _reduce(m, ncols, pk)
+    # fraction-free Gauss-Jordan, one connected component at a time; each
+    # block's rows start with its pivot rows in pivot order
+    blocks = []
+    assumptions: list[dict] = []
+    for members, cols in _components(m, ncols):
+        block = [m[i] for i in members]
+        pivots, d = _sweep(block, cols, pk, assumptions)
+        blocks.append((block, cols, pivots, d))
 
     vecs = {}
     for block, cols, pivots, d in blocks:
@@ -366,8 +359,7 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
 
 
 def rank(rows: list[list[DiffExpr]], ncols: int) -> int:
-    m, pk, _, _ = _sparse(rows, ncols)
-    return sum(len(pivots) for _, _, pivots, _ in _reduce(m, ncols, pk)[0])
+    return nullspace(rows, ncols).rank
 
 
 def in_span(target: list[DiffExpr], vectors: list[list[DiffExpr]],

@@ -11,7 +11,7 @@ the nullspace by sparse exact elimination in one domain for every matrix,
 rational or not: fraction-free (Bareiss) on the cleared entries as integer
 polynomials in the named constants.  Every returned expression is
 re-verified through the full residual check; a linear-t pair through
-``timedep.mastersymmetry_test``.
+``timedep.mastersymmetry_test``, whose ``MasterResult`` is the pair.
 
 The linear-t search eliminates ``{F, {F, G0}} = 0`` on the pool once and
 takes the quotient by the plain symmetries on the images ``G1 = {F, G0}``
@@ -32,11 +32,15 @@ from . import expr as ex
 from . import linalg
 from .expr import GEN_T, DiffExpr, partial
 from .symmetry import EvolutionEquation, SelfCheckError, bracket, is_symmetry
-from .timedep import mastersymmetry_test
+from .timedep import MasterResult, mastersymmetry_test
+
+# Largest ansatz pool that ``ansatz_terms`` builds: each entry costs a
+# bracket and a column of the elimination.
+MAX_POOL = 4000
 
 
-class PoolLimitError(RuntimeError):
-    """The ansatz pool exceeded the configured hard cap."""
+class PoolLimitError(ValueError):
+    """The ansatz pool exceeded ``MAX_POOL``."""
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,10 @@ class AnsatzConfig:
     x_degree_max: int = 0
     base_weight: int = 2
     exp_rate: DiffExpr | None = None
-    max_pool: int = 4000
 
     def __post_init__(self) -> None:
         for name, low in (("order", 0), ("t_degree_max", 0),
-                          ("x_degree_max", 0), ("base_weight", 1),
-                          ("max_pool", 1)):
+                          ("x_degree_max", 0), ("base_weight", 1)):
             value = getattr(self, name)
             if value < low:
                 raise ValueError(
@@ -131,9 +133,9 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
                 if j:
                     term = term * ex.t ** j
                 out.append(term * factor)
-                if len(out) > cfg.max_pool:
+                if len(out) > MAX_POOL:
                     raise PoolLimitError(
-                        f"ansatz pool exceeds the cap of {cfg.max_pool} "
+                        f"ansatz pool exceeds the cap of {MAX_POOL} "
                         "entries; tighten the configuration")
     if top > ex.MAX_U_INDEX:
         raise ValueError(f"ansatz pool reaches u-index {top}, past the "
@@ -189,15 +191,8 @@ def find_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
 
 
 @dataclass(frozen=True)
-class MasterPair:
-    G0: DiffExpr
-    G1: DiffExpr
-    mu: DiffExpr | None  # set when G1 is proportional to F
-
-
-@dataclass(frozen=True)
 class LinearTimeSearchResult:
-    pairs: tuple[MasterPair, ...]
+    pairs: tuple[MasterResult, ...]
     pool_size: int
     pivot_assumptions: tuple[DiffExpr, ...]
 
@@ -206,9 +201,10 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
                              pool: list[DiffExpr] | None = None,
                              ) -> LinearTimeSearchResult:
     """Search the time-independent pool for G0 with ``{F, {F, G0}} = 0`` and
-    ``{F, G0} != 0``; each pair generates the certified symmetry
-    ``G0 + t {F, G0}``.  The pairs span the quotient modulo plain symmetries:
-    the kernel vectors whose ``G1`` is outside the span of earlier ``G1``s."""
+    ``{F, G0} != 0``; each pair is the ``timedep.MasterResult`` of its
+    re-verification, whose certified symmetry is ``G0 + t {F, G0}``.  The
+    pairs span the quotient modulo plain symmetries: the kernel vectors
+    whose ``G1`` is outside the span of earlier ``G1``s."""
     if not eq.time_independent:
         raise ValueError("linear-t search requires a time-independent equation")
     if cfg.t_degree_max or cfg.exp_rate is not None:
@@ -234,7 +230,7 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
             raise SelfCheckError("quotient representative has {F, G0} = 0")
         if not res.closes:
             raise SelfCheckError("kernel vector fails {F, {F, G0}} = 0")
-        pairs.append(MasterPair(G0=G0, G1=res.G1, mu=res.mu))
+        pairs.append(res)
     return LinearTimeSearchResult(
         pairs=tuple(pairs), pool_size=len(pool),
         pivot_assumptions=linalg.normalize_assumptions(

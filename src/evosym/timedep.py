@@ -212,6 +212,7 @@ def scaling_test(eq: EvolutionEquation, Q0: DiffExpr) -> ScalingResult:
 
 @dataclass(frozen=True)
 class MasterResult:
+    G0: DiffExpr
     G1: DiffExpr
     closes: bool            # {F, G1} = 0
     mu: DiffExpr | None     # G1 = mu * F when proportional
@@ -233,7 +234,7 @@ def mastersymmetry_test(eq: EvolutionEquation, G0: DiffExpr) -> MasterResult:
         raise ValueError("G0 must be time-independent")
     G1 = bracket(eq.F, G0)
     if G1.is_zero:
-        return MasterResult(G1, True, None, None)
+        return MasterResult(G0, G1, True, None, None)
     closes = bracket(eq.F, G1).is_zero
     mu = ex.try_divide(G1, eq.F)
     if mu is not None and not ex.is_constant(mu):
@@ -245,7 +246,7 @@ def mastersymmetry_test(eq: EvolutionEquation, G0: DiffExpr) -> MasterResult:
             raise SelfCheckError("mastersymmetry pair found but G0 + t*G1 "
                                  "failed the residual check")
         certified = rep
-    return MasterResult(G1, closes, mu, certified)
+    return MasterResult(G0, G1, closes, mu, certified)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +34,12 @@ def burgers():
 @pytest.fixture(scope="session")
 def corpus_path():
     return CORPUS_PATH
+
+
+# the three ways a value is copied: a copy and a pickle round trip must each
+# rebuild an equal value
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda v: pickle.loads(pickle.dumps(v))}
 
 
 # -- random expression generation (seeded, used by the big property loops) --

@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -342,6 +344,14 @@ class TestFind:
             if line.startswith("G = "):
                 parse(line[4:])
 
+    def test_max_pool_is_an_unrecognized_argument(self, capsys):
+        code, out = run_cli("find", "--equation", "u3", "--order", "1",
+                            "--weight", "3", "--max-pool", "50")
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage: evosym")
+        assert err.endswith("error: unrecognized arguments: --max-pool 50\n")
+
     def test_negative_order_exit_2(self, capsys):
         code, out = run_cli("find", "--equation", "u3+u*u1",
                             "--order", "-1", "--weight", "3")
@@ -353,8 +363,6 @@ class TestFind:
     @pytest.mark.parametrize("flag, value, message", [
         ("--base-weight", "0", "ansatz base_weight must be >= 1, got 0"),
         ("--base-weight", "-2", "ansatz base_weight must be >= 1, got -2"),
-        ("--max-pool", "0", "ansatz max_pool must be >= 1, got 0"),
-        ("--max-pool", "-1", "ansatz max_pool must be >= 1, got -1"),
         ("--t-degree", "-1", "ansatz t_degree_max must be >= 0, got -1"),
         ("--x-degree", "-1", "ansatz x_degree_max must be >= 0, got -1"),
         # a valid configuration whose pool is empty: no search runs
@@ -374,9 +382,9 @@ class TestFind:
             ["find", "--equation", "u3", "--order", "1", "--weight", "3"])
         cfg = AnsatzConfig(order=1, weight_max=3)
         assert (args.t_degree, args.x_degree, args.base_weight,
-                args.exp_rate, args.max_pool) == (
+                args.exp_rate) == (
             cfg.t_degree_max, cfg.x_degree_max, cfg.base_weight,
-            cfg.exp_rate, cfg.max_pool)
+            cfg.exp_rate)
 
 
 class TestCorpus:
@@ -785,6 +793,40 @@ class TestErrorExitCodes:
                           "--order", "3", "--weight", "5")
         assert code == 3
         assert "internal error: SelfCheckError" in capsys.readouterr().err
+
+    def test_the_exit_code_follows_the_exception_class(self, monkeypatch,
+                                                       capsys):
+        # every class the package defines for a refused request is a
+        # ValueError, which main alone catches for exit 2; a failed
+        # self-check is not, and exits 3
+        classes = {}
+        for info in pkgutil.iter_modules(evosym.__path__):
+            module = importlib.import_module(f"evosym.{info.name}")
+            for obj in vars(module).values():
+                if (isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__):
+                    classes[obj.__name__] = obj
+        assert sorted(classes) == ["CorpusFormatError", "ExpressionError",
+                                   "ParseError", "PoolLimitError",
+                                   "SelfCheckError"]
+        for name, cls in classes.items():
+            refusal = name != "SelfCheckError"
+            assert issubclass(cls, ValueError) == refusal, name
+            err = cls("planted", 1, 1) if name == "ParseError" \
+                else cls("planted")
+
+            def fail(eq, cfg, err=err):
+                raise err
+
+            monkeypatch.setattr(cli, "find_symmetries", fail)
+            code, out = run_cli("find", "--equation", "u3", "--order", "1",
+                                "--weight", "3")
+            assert (code, out) == ((2 if refusal else 3), ""), name
+            err_text = capsys.readouterr().err
+            if refusal:
+                assert err_text == f"error: {err}\n", name
+            else:
+                assert "internal error: SelfCheckError: planted" in err_text
 
     def test_deep_nesting_exit_2(self, capsys):
         deep = "(" * 3000 + "u1" + ")" * 3000

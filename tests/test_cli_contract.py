@@ -81,9 +81,6 @@ def argvs(draw):
             if draw(st.booleans()):
                 argv.append(f"{flag}={draw(small(low, 2))}")
         if draw(st.booleans()):
-            argv.append("--max-pool=" + draw(st.sampled_from(["-1", "0", "1",
-                                                              "50"])))
-        if draw(st.booleans()):
             argv.append("--exp-rate=" + draw(st.sampled_from(["1", "-2", "a",
                                                               "u", "x"])))
         return argv + const

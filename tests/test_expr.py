@@ -13,7 +13,7 @@ from evosym import (ExpressionError, ParseError, const, exp_of, parse,
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, DiffExpr, as_scalar, try_divide
 
-from conftest import random_expr
+from conftest import COPIERS, random_expr
 
 u0, u1, u2, u3 = u(0), u(1), u(2), u(3)
 
@@ -909,3 +909,17 @@ def test_long_u_index_is_refused_before_conversion():
     # leading zeros are dropped before the digits are counted
     assert ex.u_name_index("u_" + "0" * 5000 + "7") == 7
     assert ex.u_name_index("u000") == 0
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+@pytest.mark.parametrize("src", ["-3/7", "2/5*a^2*b", "exp(3/4*t)*u1^2 - x/2"],
+                         ids=["rational", "constant monomial", "exp"])
+def test_a_copy_is_the_same_value_with_an_empty_memo(copier, src):
+    e = parse(src, "ab")
+    total_d(e)
+    partial(e, "u1")
+    assert e._parts  # the memo is filled
+    c = copier(e)
+    assert c is not e
+    assert (c, hash(c), to_source(c)) == (e, hash(e), to_source(e))
+    assert c._parts is None

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evosym import (AnsatzConfig, bracket, classify, find_symmetries,
-                    frechet, is_symmetry, op_apply, parse)
+from evosym import (AnsatzConfig, bracket, check_structure, classify,
+                    find_symmetries, frechet, is_symmetry, op_apply, parse,
+                    partial, total_d)
+from evosym import _kernel_py
+from evosym.symmetry import SelfCheckError
 
 pytest.importorskip("sympy")
 
@@ -86,3 +89,101 @@ def test_bracket_frechet_and_verdict_against_the_oracle(seed):
     assert verdict == oracle.is_symmetry(F_sp, G_sp)
     if known:
         assert verdict
+
+
+# -- planted kernel faults ---------------------------------------------------
+#
+# Each fault wraps the real kernel function, so the test copies no kernel
+# source.  Tier-1 must notice each one on both requests below: either a
+# SelfCheckError is raised, or a verdict or a dimension differs from the
+# oracle's.
+
+_derive_terms, _mul_key = _kernel_py.derive_terms, _kernel_py.mul_key
+
+
+def _shift(out: dict, key: tuple, delta: int) -> None:
+    v = out.get(key, 0) + delta
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def _squares_lose_their_factor(total: bool):
+    """``derive_terms`` whose power rule drops the exponent factor of a
+    squared generator: ``c * g^2 * rest`` gives ``c * g * g'`` where it
+    should give ``2*c * g * g'``.  The fault hits ``D`` (``gen=None``) when
+    ``total`` is set and a partial derivative (``gen`` a generator code)
+    otherwise."""
+    def derive_terms(a, gen=None):
+        out, m = _derive_terms(a, gen)
+        if (gen is None) != total:
+            return out, m
+        for key, c in a.items():
+            for slot, power in key:
+                if slot[0] != 0 or power != 2:
+                    continue
+                g = slot[1]
+                if total and g >= 0:  # D sends u_g to u_(g+1)
+                    image = (((0, g + 1), 1),)
+                elif not total and g == gen:
+                    image = ()
+                else:
+                    continue
+                _shift(out, _mul_key(_mul_key(key, ((slot, -1),)), image),
+                       -c * m)
+        return out, m
+    return derive_terms
+
+
+def _shared_u_slot_off_by_one(k1, k2):
+    """``mul_key`` that merges the power of a ``u_i`` (i >= 1) held by
+    both keys one too high: ``u1 * u1`` gives ``u1^3``."""
+    out = _mul_key(k1, k2)
+    shared = {s for s, _ in k1 if s[0] == 0 and s[1] >= 1}
+    shared &= {s for s, _ in k2}
+    return tuple((s, v + 1 if s in shared else v) for s, v in out)
+
+
+_KDV = "u3 + 6*u*u1"
+_FLOW5 = "u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1"
+
+
+@pytest.mark.parametrize("name, fault, probe", [
+    ("derive_terms", _squares_lose_their_factor(True),
+     lambda: total_d(parse("u1^2"))),
+    ("derive_terms", _squares_lose_their_factor(False),
+     lambda: partial(parse("u^2*u2"), "u")),
+    ("mul_key", _shared_u_slot_off_by_one,
+     lambda: parse("u1") * parse("u1*u2")),
+], ids=["D", "partial", "mul_key"])
+def test_tier1_notices_a_planted_kernel_fault(monkeypatch, name, fault,
+                                              probe):
+    F_sp = oracle.to_sympy(_KDV)
+    want = (oracle.is_symmetry(F_sp, oracle.to_sympy(_FLOW5)),
+            oracle.solution_dim(F_sp, oracle.pool(3, 5, 7)))
+    assert want == (True, 3)
+    right = probe()
+    monkeypatch.setattr(_kernel_py, name, fault)
+    # inputs are parsed inside the patch: each expression memoizes its
+    # derivatives
+    assert probe() != right  # the fault is live
+
+    def check():  # what `evosym check` computes
+        eq = classify(parse(_KDV))
+        rep = is_symmetry(eq, parse(_FLOW5))
+        if rep.is_symmetry:
+            check_structure(eq, rep)
+        return rep.is_symmetry
+
+    def find():  # what `evosym find --order 5 --weight 7` computes
+        eq = classify(parse(_KDV))
+        return len(find_symmetries(
+            eq, AnsatzConfig(order=5, weight_max=7)).basis)
+
+    for request, expected in zip((check, find), want):
+        try:
+            got = request()
+        except SelfCheckError:
+            continue
+        assert got != expected, request.__name__

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from evosym import (AnsatzConfig, PoolLimitError, check_structure, classify,
                     const, expr_in_span, exp_of, find_linear_t_symmetries,
-                    find_symmetries, is_symmetry, parse, u, u_order, x, t)
+                    find_symmetries, frechet, is_symmetry, parse, u, u_order,
+                    x, t)
 from evosym import linalg, search
 from evosym.expr import ONE, ZERO, DiffExpr, rational
 from evosym.search import _linear_system, ansatz_terms
 from evosym.symmetry import SelfCheckError, bracket
 from evosym.timedep import MasterResult, mastersymmetry_test
+from conftest import COPIERS
 from test_linalg import _reference_nullspace
 
 u0, u1 = u(0), u(1)
@@ -35,8 +38,17 @@ class TestPool:
 
     def test_cap(self, kdv):
         with pytest.raises(PoolLimitError):
-            ansatz_terms(kdv, AnsatzConfig(order=9, weight_max=40,
-                                           max_pool=50))
+            ansatz_terms(kdv, AnsatzConfig(order=9, weight_max=40))
+
+    def test_the_cap_is_a_module_constant(self, kdv, monkeypatch):
+        assert search.MAX_POOL == 4000
+        assert "max_pool" not in {f.name for f in fields(AnsatzConfig)}
+        cfg = AnsatzConfig(order=9, weight_max=40)
+        monkeypatch.setattr(search, "MAX_POOL", 50)
+        with pytest.raises(PoolLimitError, match=(
+                "^ansatz pool exceeds the cap of 50 entries; tighten the "
+                "configuration$")):
+            ansatz_terms(kdv, cfg)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
@@ -374,6 +386,28 @@ def test_linear_system_matches_the_term_by_term_build(seed):
     assert rows == ref_rows  # the same rows in the same order, cell by cell
 
 
+@pytest.mark.parametrize("src, names", [("u3 + 6*u*u1", ""),
+                                         ("u3 + a*u*u1", "a"),
+                                         ("u2 + 2*u*u1", "")])
+def test_every_linear_t_pair_is_its_certified_master_result(src, names):
+    eq = classify(parse(src, list(names)))
+    res = find_linear_t_symmetries(eq, O3W5X1)
+    assert res.pairs
+    for pair in res.pairs:
+        assert type(pair) is MasterResult and pair.generates
+        assert pair.certified.is_symmetry
+        assert pair.certified.candidate == pair.G0 + t * pair.G1
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+def test_results_copy_and_pickle(kdv, copier):
+    values = [kdv, frechet(kdv.F), is_symmetry(kdv, G5),
+              find_symmetries(kdv, AnsatzConfig(order=3, weight_max=5)),
+              find_linear_t_symmetries(kdv, O3W5X1)]
+    for value in values:
+        assert copier(value) == value, type(value).__name__
+
+
 def test_linear_t_pairs_are_rechecked_by_the_mastersymmetry_test(
         kdv, monkeypatch):
     cfg = AnsatzConfig(order=3, weight_max=5, x_degree_max=1)
@@ -390,14 +424,15 @@ def test_linear_t_pairs_are_rechecked_by_the_mastersymmetry_test(
 
     def open_pair(eq, G0):
         got = real(eq, G0)
-        return MasterResult(got.G1, False, got.mu, None)
+        return MasterResult(G0, got.G1, False, got.mu, None)
 
     monkeypatch.setattr(search, "mastersymmetry_test", open_pair)
     with pytest.raises(SelfCheckError, match="fails {F, {F, G0}} = 0"):
         find_linear_t_symmetries(kdv, cfg)
 
     monkeypatch.setattr(search, "mastersymmetry_test",
-                        lambda eq, G0: MasterResult(ZERO, True, None, None))
+                        lambda eq, G0: MasterResult(G0, ZERO, True, None,
+                                                    None))
     with pytest.raises(SelfCheckError, match="has {F, G0} = 0"):
         find_linear_t_symmetries(kdv, cfg)
 

@@ -6,8 +6,7 @@ time-dependence structure theory, and a finite-ansatz symmetry search.
 """
 
 from .expr import (DiffExpr, ExpressionError, ZERO, ONE, const, exp_of,
-                   partial, rational, substitute, to_source, u, u_order, x,
-                   t)
+                   partial, rational, to_source, u, u_order, x, t)
 from .calculus import (DOperator, ev_apply, frechet, nabla_on_op, op_apply,
                        op_commutator, op_compose, total_d, total_d_power)
 from .symmetry import (DeterminingSystem, EvolutionEquation, SelfCheckError,
@@ -31,7 +30,7 @@ BACKEND = "python"  # the term kernels (``_kernel_py``) are pure Python
 
 __all__ = [
     "BACKEND", "DiffExpr", "ExpressionError", "ZERO", "ONE",
-    "const", "exp_of", "partial", "rational", "substitute",
+    "const", "exp_of", "partial", "rational",
     "to_source", "u", "u_order", "x", "t",
     "DOperator", "ev_apply", "frechet", "nabla_on_op", "op_apply",
     "op_commutator", "op_compose", "total_d", "total_d_power",

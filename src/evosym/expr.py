@@ -550,35 +550,6 @@ def partial(e: DiffExpr, v) -> DiffExpr:
     return _derive(e, _gencode(v))
 
 
-def substitute(e: DiffExpr, bindings: Mapping) -> DiffExpr:
-    """Simultaneous substitution ``generator -> expression``, in normal form.
-
-    Substitutions must keep every exponential argument linear in x, t, u;
-    otherwise the result leaves the expression class and this raises.
-    """
-    binds = {_gencode(g): _expression(v) for g, v in bindings.items()}
-
-    def image(gen: int) -> DiffExpr:
-        got = binds.get(gen)
-        return gen_expr(gen) if got is None else got
-
-    def term_image(key, c: int) -> DiffExpr:
-        factor = rational(c, e._den)
-        arg = ZERO
-        for slot, v in key:
-            if slot[0] == 0:
-                factor = factor * image(slot[1]) ** v
-            elif slot[0] == 1:
-                factor = factor * DiffExpr({((slot, v),): 1})
-            else:
-                arg = arg + DiffExpr({slot[2]: v}) * image(slot[1])
-        if arg:
-            factor = factor * exp_of(arg)
-        return factor
-
-    return term_sum((1, term_image(key, c)) for key, c in e._t.items())
-
-
 def u_indices(e: DiffExpr) -> set[int]:
     """The i of each u_i the expression depends on (0 for exp in u)."""
     return {slot[1] for key in e._t for slot, _ in key
@@ -622,13 +593,16 @@ def power_outside_exp(e: DiffExpr, v) -> bool:
                and not _cut(key, (2, gen), (2, gen + 1))[1] for key in e._t)
 
 
-def constant_rows(rows: Iterable[Iterable]
-                  ) -> tuple[list[dict], int, dict] | None:
-    """Each row of constant expressions as a dict from position to nonzero
-    entry, with the lcm of the entries' denominators and the largest
-    absolute power of each named constant in them; None when an entry is
-    not a ``DiffExpr`` or has a generator or an exponential."""
-    out, den, top = [], 1, {}
+def constant_rows(rows: Iterable[Iterable], reach: int
+                  ) -> tuple[list[dict], list[dict], _Packing, int] | None:
+    """A matrix of constant expressions read, checked and packed: each row
+    as a dict from position to nonzero entry; the same rows times ``den``,
+    the lcm of the entries' denominators, packed; the ``_Packing`` over the
+    named constants' slots met, with digit half-width ``reach`` times the
+    largest absolute power of a constant in the entries; and ``den``.  None
+    when an entry is not a ``DiffExpr`` or has a generator or an
+    exponential."""
+    out, den, slots, top = [], 1, set(), 0
     for r in rows:
         row = {}
         for c, e in enumerate(r):
@@ -642,10 +616,13 @@ def constant_rows(rows: Iterable[Iterable]
                     for slot, v in key:
                         if slot[0] != 1:
                             return None
-                        top[slot[1]] = max(top.get(slot[1], 0), abs(v))
+                        slots.add(slot)
+                        top = max(top, abs(v))
                 row[c] = e
         out.append(row)
-    return out, den, top
+    pk = _Packing(sorted(slots), reach * top)
+    packed = [{c: pk.pack(e, den) for c, e in row.items()} for row in out]
+    return out, packed, pk, den
 
 
 # -- grouping terms --------------------------------------------------------
@@ -768,7 +745,9 @@ class _Packing:
     its ``int`` coefficient.  When every digit lies in ``[-L, L]`` and ``B =
     2L + 1`` the packing is one-to-one, a product of terms is one integer
     addition, and integer order is the lexicographic order of the digit
-    vectors, a group order: the lead of a product is the sum of the leads."""
+    vectors, a group order: the lead of a product is the sum of the leads.
+    The empty monomial packs to the key 0, so a rational polynomial is the
+    one key 0 and 1 is ``{0: 1}``, whatever the slots."""
 
     __slots__ = ("slots", "half", "base", "offset", "weights", "rate_scale")
 

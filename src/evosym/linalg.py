@@ -4,10 +4,10 @@ Matrix entries are constant expressions (elements of the ring of Laurent
 polynomials in the named constants over Q); any other entry (a ``DiffExpr``
 with a variable, or not a ``DiffExpr`` at all, ``int`` 0 included), and a
 ragged matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads
-the matrix once and stores each entry times ``den``, the lcm of the
-entries' denominators (each ``DiffExpr`` keeps one), as a packed
-polynomial (``expr._Packing``, one slot ``(1, name)`` per named constant)
-with ``int`` coefficients, in dict rows from column to nonzero value.  A
+the matrix once, through ``expr.constant_rows``, which checks each entry
+and stores it times ``den``, the lcm of the entries' denominators (each
+``DiffExpr`` keeps one), as a packed polynomial (``expr._Packing``) with
+``int`` coefficients, in dict rows from column to nonzero value.  A
 rational entry packs to the one monomial ``0``, so every matrix takes the
 same path.
 
@@ -167,20 +167,15 @@ def _fms(p: dict, a: dict | None, f: dict | None, b: dict | None) -> dict:
 
 
 def _sparse(rows: list[list[DiffExpr]], ncols: int):
-    """One scan of the matrix.  Returns ``(packed rows, packing, den, input
-    rows)``: the input rows as dicts of their nonzero entries, and the same
-    rows times ``den``, the lcm of the entries' denominators, packed with
-    digit half-width ``2RE`` (see the module docstring)."""
+    """One scan of the matrix: ``expr.constant_rows``'s ``(input rows,
+    packed rows, packing, den)``, packed with digit half-width ``2RE`` (see
+    the module docstring)."""
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    got = ex.constant_rows(rows)
+    got = ex.constant_rows(rows, 2 * min(len(rows), ncols))
     if got is None:
         raise ValueError("matrix entries must be constant expressions")
-    original, den, top = got
-    pk = ex._Packing([(1, nm) for nm in sorted(top)],
-                     2 * min(len(rows), ncols) * max(top.values(), default=0))
-    m = [{c: pk.pack(e, den) for c, e in row.items()} for row in original]
-    return m, pk, den, original
+    return got
 
 
 def _exact(num: dict, div, pk: ex._Packing) -> dict:
@@ -305,7 +300,7 @@ def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
 
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
-    m, pk, den, original = _sparse(rows, ncols)
+    original, m, pk, den = _sparse(rows, ncols)
     # fraction-free Gauss-Jordan, one connected component at a time; each
     # block's rows start with its pivot rows in pivot order
     blocks = []

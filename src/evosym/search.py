@@ -160,6 +160,29 @@ def _linear_system(images: list[DiffExpr]) -> tuple[list[list[DiffExpr]], int]:
     return rows, ncols
 
 
+def _pool(eq: EvolutionEquation, cfg: AnsatzConfig,
+          pool: list[DiffExpr] | None) -> list[DiffExpr]:
+    """The generated pool, distinct monomials, or ``pool`` checked: each
+    entry an expression outside the span of those before it (the pivots of
+    one elimination), so the nullspace's vectors combine to a basis.  An
+    empty pool or the first bad entry raises ``ValueError``."""
+    if pool is None:
+        pool = ansatz_terms(eq, cfg)
+    else:
+        for i, m in enumerate(pool):
+            if not isinstance(m, DiffExpr):
+                raise ValueError(f"ansatz pool entry {i} is not an "
+                                 f"expression: {m!r}")
+        pivots = linalg.nullspace(*_linear_system(pool)).pivots
+        if len(pivots) < len(pool):
+            i = min(set(range(len(pool))).difference(pivots))
+            raise ValueError(f"ansatz pool entry {i} lies in the span of the "
+                             f"entries before it: {pool[i]}")
+    if not pool:
+        raise ValueError("empty ansatz pool")
+    return pool
+
+
 def _combine(vec, pool: list[DiffExpr]) -> DiffExpr:
     return ex.primitive_part(
         ex.sum_of_products((1, c, term) for c, term in zip(vec, pool)))
@@ -170,11 +193,9 @@ def find_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
     """Solve the compatibility condition on the ansatz; the returned basis
     spans every symmetry expressible in the pool.  Each element is
     re-verified by the full residual check (hard assertion).  An explicit
-    ``pool`` overrides the generated one."""
-    if pool is None:
-        pool = ansatz_terms(eq, cfg)
-    if not pool:
-        raise ValueError("empty ansatz pool")
+    ``pool`` overrides the generated one; its entries must be linearly
+    independent (``_pool``)."""
+    pool = _pool(eq, cfg, pool)
     images = [partial(m, GEN_T) - bracket(eq.F, m) for m in pool]
     rows, ncols = _linear_system(images)
     ns = linalg.nullspace(rows, ncols)
@@ -209,10 +230,7 @@ def find_linear_t_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
         raise ValueError("linear-t search requires a time-independent equation")
     if cfg.t_degree_max or cfg.exp_rate is not None:
         raise ValueError("the linear-t pool must be time-independent")
-    if pool is None:
-        pool = ansatz_terms(eq, cfg)
-    if not pool:
-        raise ValueError("empty ansatz pool")
+    pool = _pool(eq, cfg, pool)
     if any(ex.occurs(m, GEN_T) for m in pool):
         raise ValueError("the linear-t pool must be time-independent")
     first = [bracket(eq.F, m) for m in pool]

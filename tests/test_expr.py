@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import (ExpressionError, ParseError, const, exp_of, parse,
-                    partial, rational, substitute, to_source, total_d, u, u_order, x,
-                    t)
+                    partial, rational, to_source, total_d, u, u_order, x, t)
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, DiffExpr, as_scalar, try_divide
 
@@ -57,13 +56,10 @@ class TestNormalize:
 
     @pytest.mark.parametrize("bad", ["u", ("gen", 0), None, 1.5],
                              ids=["text", "tuple", "none", "float"])
-    def test_exp_and_substitute_take_expressions_and_numbers(self, bad):
+    def test_exp_takes_expressions_and_numbers(self, bad):
         assert exp_of(0) == ONE
-        assert substitute(u0 * u1, {u0: Fraction(1, 2), u1: 4}) == 2
         with pytest.raises(ExpressionError, match="not an expression"):
             exp_of(bad)
-        with pytest.raises(ExpressionError, match="not an expression"):
-            substitute(u0, {u0: bad})
 
 
 class TestPartial:
@@ -97,45 +93,6 @@ class TestPartial:
 
     def test_integer_codes_are_unbounded(self):
         assert partial(u(1000) ** 2, 1000) == 2 * u(1000)
-
-
-class TestSubstitute:
-    def test_kill_t(self):
-        assert substitute(u1 + t, {t: ZERO}) == u1
-
-    def test_shift(self):
-        assert substitute(u0 ** 2, {u0: u0 + 1}) == u0 ** 2 + 2 * u0 + 1
-
-    def test_into_exponential(self):
-        assert substitute(exp_of(2 * u0), {u0: x}) == exp_of(2 * x)
-
-    def test_nonlinear_atom_argument_rejected(self):
-        with pytest.raises(ExpressionError):
-            substitute(exp_of(2 * u0), {u0: u0 ** 2})
-
-    @pytest.mark.parametrize("src, bindings, expected, den", [
-        # results of the term-by-term summation this accumulation replaced
-        ("a*exp(2*u)*u1 + 3/7*exp(-x)*u + b^-1*t",
-         {"u": "x + 2/13*t", "t": "a*u1"},
-         "a*u1*exp(4/13*t + 2*x) + a*b^-1*u1 + 3/7*x*exp(-x)"
-         " + 6/91*t*exp(-x)", 91),
-        ("exp(a*u + 1/3*x)*u2 - 2*a*b*u*u1 + exp(t)",
-         {"u": "b*x - t", "u2": "exp(x)*u1"},
-         "-2*a*b^2*u1*x + 2*a*b*u1*t + u1*exp(-a*t + 4/3*x + a*b*x)"
-         " + exp(t)", 1),
-        ("u^2*exp(b*t) + 5/13*a^2*u1 - 1/7*exp(2*u)",
-         {"u": "u + a*x", "u1": "u + 1"},
-         "u^2*exp(b*t) + 2*a*u*x*exp(b*t) + 5/13*a^2*u"
-         " + a^2*x^2*exp(b*t) - 1/7*exp(2*a*x + 2*u) + 5/13*a^2", 91),
-        ("u*exp(x) - x*exp(x) + 2/7*a*u1", {"u": "x", "u1": "7/2*a^-1"},
-         "1", 1),
-    ])
-    def test_exponentials_and_constants(self, src, bindings, expected, den):
-        names = ["a", "b"]
-        out = substitute(parse(src, names),
-                         {g: parse(v, names) for g, v in bindings.items()})
-        assert ex.to_source(out) == expected
-        assert out == parse(expected, names) and out._den == den
 
 
 class TestUOrder:
@@ -240,14 +197,26 @@ class TestExpSpectrum:
 class TestConstantRows:
     def test_nonzero_entries_denominator_and_powers(self):
         a, b = const("a"), const("b")
-        rows, den, top = ex.constant_rows(
-            [[ZERO, rational(1, 6), a ** -3], [b / 4 + a, ZERO, ZERO]])
+        rows, packed, pk, den = ex.constant_rows(
+            [[ZERO, rational(1, 6), a ** -3], [b / 4 + a, ZERO, ZERO]], 2)
         assert rows == [{1: rational(1, 6), 2: a ** -3}, {0: b / 4 + a}]
-        assert den == 12 and top == {"a": 3, "b": 1}
+        assert den == 12
+        # the constants' slots, and the reach times the largest power, 3
+        assert pk.slots == [(1, "a"), (1, "b")] and pk.half == 6
+        assert [row.keys() for row in packed] == [row.keys() for row in rows]
+        for row, packed_row in zip(rows, packed):
+            for c, entry in row.items():
+                assert pk.unpack(packed_row[c], den) == entry
+
+    def test_a_rational_matrix_packs_to_the_key_zero(self):
+        rows, packed, pk, den = ex.constant_rows(
+            [[rational(3, 4), ZERO], [ZERO, ONE]], 4)
+        assert (pk.slots, pk.half, den) == ([], 0, 4)
+        assert packed == [{0: {0: 3}}, {1: {0: 4}}]
 
     @pytest.mark.parametrize("entry", [u0, exp_of(x), 0, 1.5, None])
     def test_anything_but_a_constant_expression_is_none(self, entry):
-        assert ex.constant_rows([[ONE], [ZERO, entry]]) is None
+        assert ex.constant_rows([[ONE], [ZERO, entry]], 1) is None
 
 
 class TestScalar:
@@ -681,13 +650,13 @@ def test_rational_constants_hash_like_their_numbers():
 
 def _four_ways(e: DiffExpr, consts: tuple[str, ...]) -> list[DiffExpr]:
     """``e`` rebuilt by ``parse``, by ``DiffExpr(mapping)`` with Fraction
-    coefficients in reversed term order, by arithmetic and by
-    ``substitute``."""
+    coefficients in reversed term order, by arithmetic and as a sum of
+    one-term expressions."""
     s = Fraction(5, 3)
     return [parse(to_source(e), consts),
             DiffExpr({k: Fraction(c) for k, c in reversed(e.term_items())}),
             (e * s + u2) / s - u2 / s,
-            substitute(substitute(e, {"x": 2 * x}), {"x": x / 2})]
+            sum((DiffExpr({k: c}) for k, c in e.term_items()), ZERO)]
 
 
 def _views(e: DiffExpr) -> tuple:

@@ -1,8 +1,9 @@
 """Every module-level import in the package (``__init__.py``, which imports
 to re-export, excepted) and in the tests is used, neither the term kernels
 nor the parser touch ``fractions.Fraction``, no module keeps results in
-module state, only ``expr`` reads the term-key layout, and ``evosym.__all__``
-lists every public import of the package and only names that resolve."""
+module state, only ``expr`` reads the term-key layout or builds a packing of
+it, and ``evosym.__all__`` lists every public import of the package and only
+names that resolve."""
 
 import ast
 from pathlib import Path
@@ -266,6 +267,44 @@ def test_only_expr_reads_term_keys(path):
     # so changing the key encoding touches no other module
     source = (PACKAGE / path).read_text()
     assert term_field_uses(source, _MEMO_FUNCTIONS.get(path, ())) == []
+
+
+def packing_calls(source: str) -> list[int]:
+    """The lines where ``source`` calls ``_Packing``, by name or as an
+    attribute; naming the type (an annotation, a base class) is no call."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr",
+                                                                None)
+            if name == "_Packing":
+                out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    "from . import expr as ex\ndef f():\n    return ex._Packing([], 0)\n",
+    "from .expr import _Packing\ndef f(top):\n"
+    "    return _Packing([(1, 'a')], 2 * top)\n",
+])
+def test_the_packing_check_sees_every_call(source):
+    assert packing_calls(source)
+
+
+def test_the_packing_check_passes_annotations():
+    source = ("from . import expr as ex\n"
+              "def f(pk: ex._Packing) -> ex._Packing:\n    return pk\n")
+    assert packing_calls(source) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in PACKAGE.glob("*.py")
+                   if p.name != "expr.py"))
+def test_only_expr_builds_a_packing(path):
+    # ``expr.constant_rows`` packs a constant matrix over the slots it
+    # meets, so no other module spells a key slot to build a packing
+    assert packing_calls((PACKAGE / path).read_text()) == []
 
 
 # -- the package's exports -----------------------------------------------------

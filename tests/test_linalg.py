@@ -792,7 +792,7 @@ def _products_reach(monkeypatch):
 
     def spy_sparse(rows, ncols):
         out = sparse(rows, ncols)
-        pk = out[1]
+        pk = out[2]
         seen["pk"], seen["L"] = pk, pk.half
         return out
 

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -82,6 +83,53 @@ class TestPool:
             for weight in range(-1, 10):
                 assert list(search._u_monomials(order, weight, w0)) \
                     == list(_reference_u_monomials(order, weight, w0))
+
+
+_SEARCHES = [find_symmetries, find_linear_t_symmetries]
+_O3W5 = AnsatzConfig(order=3, weight_max=5)
+
+
+class TestExplicitPool:
+    """A given pool is checked before any bracket: a dependent entry would
+    make the nullspace's basis a dependent list, or a zero combination."""
+
+    @pytest.mark.parametrize("pool, bad, text", [
+        ([u1, u1], 1, "u1"),
+        ([u(3), u1, u(3) + u1], 2, "u3 + u1"),
+        ([u(2), 2 * u(2)], 1, "2*u2"),
+        ([ZERO, u1], 0, "0"),
+        ([const("a") * u1, u1], 1, "u1"),
+    ], ids=["repeat", "sum", "multiple", "zero", "constant-multiple"])
+    @pytest.mark.parametrize("search_fn", _SEARCHES,
+                             ids=lambda f: f.__name__)
+    def test_dependent_entry_refused(self, kdv, search_fn, pool, bad, text):
+        with pytest.raises(ValueError, match=(
+                f"^ansatz pool entry {bad} lies in the span of the entries "
+                f"before it: {re.escape(text)}$")):
+            search_fn(kdv, _O3W5, pool=pool)
+
+    @pytest.mark.parametrize("entry", [1, "u1", None])
+    @pytest.mark.parametrize("search_fn", _SEARCHES,
+                             ids=lambda f: f.__name__)
+    def test_non_expression_refused(self, kdv, search_fn, entry):
+        with pytest.raises(ValueError, match=(
+                "^ansatz pool entry 1 is not an expression: ")):
+            search_fn(kdv, _O3W5, pool=[u1, entry])
+
+    def test_empty_pool_refused(self, kdv):
+        # the linear-t search's case is TestLinearT's
+        with pytest.raises(ValueError, match="^empty ansatz pool$"):
+            find_symmetries(kdv, _O3W5, pool=[])
+
+    def test_a_generated_pool_runs_no_check(self, kdv, monkeypatch):
+        calls = []
+
+        def spy(*args, real=linalg.nullspace):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(linalg, "nullspace", spy)
+        find_symmetries(kdv, _O3W5)
+        assert len(calls) == 1
 
 
 def _reference_u_monomials(order, weight_max, w0):

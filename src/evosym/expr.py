@@ -10,7 +10,18 @@ over one common denominator (``DiffExpr``), so the term loops run on ints.
 
 Generators are encoded as ints: ``u_i -> i``, ``x -> -1``, ``t -> -2``.  The
 term-map layout and the loops over it (products, sums, partial and total
-derivatives) live in ``_kernel_py``, imported here as ``kernel``.
+derivatives) live in ``_kernel_py``, imported here as ``kernel``.  A term
+key there is ``(gens, rest)``: the generator powers packed in one int, one
+fixed-width field per generator, and a sorted tuple of the named-constant
+and exponential slots.  This module alone reads keys.  At its boundary
+(``DiffExpr(mapping)``, ``term_items``, and the keys that
+``split_t_only`` and ``constant_coefficients`` return) a key is the sorted
+slot tuple ``((0, gen), power), ..., ((1, name), power), ...,
+((2, gen, cmono), rate), ...``, and the canonical order is that of these
+tuples; no other module learns the packing.  A generator power above
+``MAX_GEN_POWER``, or a u-index above ``kernel.MAX_U``, leaves the class:
+the product, power or derivative that would make one raises
+``ExpressionError``.
 """
 
 from __future__ import annotations
@@ -43,8 +54,9 @@ _DIV_STEP_CAP = 10_000
 MAX_PRODUCT_PAIRS = 100_000
 
 
-class ExpressionError(ValueError):
-    """Raised for operations that leave the expression class."""
+# raised for operations that leave the expression class; defined in the
+# kernel, which raises it for a key that would leave its fields
+ExpressionError = kernel.ExpressionError
 
 
 def _gen_name(gen: int) -> str:
@@ -65,10 +77,13 @@ class DiffExpr:
     ``gcd(_den, every numerator) == 1``; zero is ``({}, 1)``.  Equality and
     hashing are therefore structural on ``(_den, _t)``, and arithmetic runs
     on ``int`` only: a product multiplies the denominators, a sum scales by
-    their lcm, and each runs the gcd normalisation once.
-    ``DiffExpr(mapping)`` takes exact rational coefficients (ints or
-    Fractions) and clears their denominators; ``_reduced`` is the one
-    constructor, and ``term_items`` gives the coefficients back.
+    their lcm, and each runs the gcd normalisation once.  A key of ``_t``
+    is the kernel's ``(gens, rest)``: generator powers packed in one int
+    (a product adds them), constant and exponential slots in a tuple.
+    ``DiffExpr(mapping)`` takes slot-tuple keys with exact rational
+    coefficients (ints or Fractions), packs the keys and clears the
+    denominators; ``_reduced`` is the one constructor, and ``term_items``
+    gives the slot-tuple keys and coefficients back.
 
     The canonical order and the hash are computed on each read.  The one
     field filled later is ``_parts``, the derivative memo (generator code
@@ -84,8 +99,8 @@ class DiffExpr:
         den = 1
         for c in terms.values():
             den = lcm(den, c.denominator)
-        return _reduced({k: c.numerator * (den // c.denominator)
-                         for k, c in terms.items() if c}, den)
+        return _reduced({_encode_key(k): c.numerator * (
+            den // c.denominator) for k, c in terms.items() if c}, den)
 
     def __setattr__(self, *a):
         raise AttributeError("DiffExpr is immutable")
@@ -97,20 +112,20 @@ class DiffExpr:
 
     # -- canonical views ---------------------------------------------------
 
-    def _num_items(self) -> tuple:
-        """Terms as a tuple of ``(key, numerator)`` in the canonical order;
-        each coefficient is the numerator over ``_den``."""
-        return tuple(sorted(self._t.items(),
-                            key=lambda kv: (_grade(kv[0]), kv[0])))
+    def _num_items(self) -> list:
+        """Terms as ``(slots, key, numerator)`` in the canonical order: a
+        key as a slot tuple, the key itself, and the numerator of its
+        coefficient over ``_den``."""
+        items = sorted((_order(key), key, c) for key, c in self._t.items())
+        return [(order[1], key, c) for order, key, c in items]
 
     def term_items(self) -> tuple:
-        """Terms as a tuple of ``(key, coefficient)`` in the canonical order;
-        coefficients are exact rationals, ints when integral."""
-        items = self._num_items()
+        """Terms as a tuple of ``(key, coefficient)`` in the canonical order,
+        keys as slot tuples; coefficients are exact rationals, ints when
+        integral."""
         den = self._den
-        if den == 1:
-            return items
-        return tuple((k, _num(Fraction(c, den))) for k, c in items)
+        return tuple((slots, c if den == 1 else _num(Fraction(c, den)))
+                     for slots, _, c in self._num_items())
 
     @property
     def is_zero(self) -> bool:
@@ -120,7 +135,7 @@ class DiffExpr:
     def is_rational(self) -> bool:
         """True for a rational number, zero included: no term has a
         constant, generator or exponential factor."""
-        return all(not key for key in self._t)
+        return all(key == ONE_KEY for key in self._t)
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -138,11 +153,11 @@ class DiffExpr:
         t = self._t
         if not t:
             return hash(0)
-        if len(t) == 1 and () in t:
+        if len(t) == 1 and ONE_KEY in t:
             # a rational constant hashes like the number: ONE == 1
-            c, den = t[()], self._den
+            c, den = t[ONE_KEY], self._den
             return hash(c if den == 1 else Fraction(c, den))
-        return hash((self._den, self._num_items()))
+        return hash((self._den, frozenset(t.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -177,7 +192,7 @@ class DiffExpr:
         if not a or not b:
             return ZERO
         # b is the one-term factor, the rational one when both are one term
-        if len(b) != 1 or len(a) == 1 and () in a:
+        if len(b) != 1 or len(a) == 1 and ONE_KEY in a:
             a, b = b, a
         if len(b) == 1:
             (key, c), = b.items()
@@ -340,7 +355,7 @@ def _coerce(v) -> DiffExpr | None:
     if isinstance(v, DiffExpr):
         return v
     if isinstance(v, (int, Fraction)):
-        return _reduced({(): v.numerator}, v.denominator) if v else ZERO
+        return _reduced({ONE_KEY: v.numerator}, v.denominator) if v else ZERO
     return None
 
 
@@ -352,8 +367,78 @@ def _expression(v) -> DiffExpr:
     return e
 
 
-def _grade(key) -> int:
-    return sum(v for s, v in key if s[0] == 0)
+# -- term keys ----------------------------------------------------------------
+#
+# A key is the kernel's ``(gens, rest)``: generator powers packed one field
+# per generator (the field of code ``gen`` is number ``gen + 2``), and the
+# sorted tuple of constant and exponential slots.  The helpers below read
+# and write the fields; ``_decode_key`` and ``_encode_key`` convert to and
+# from the slot tuples of the public boundary.
+
+ONE_KEY = (0, ())
+
+
+def _gen_unit(gen: int) -> int:
+    """The packed first power of the generator of code ``gen``; a u-index
+    above ``kernel.MAX_U`` raises."""
+    if not GEN_T <= gen <= kernel.MAX_U:
+        raise kernel.index_error(gen)
+    return 1 << (kernel.FIELD_BITS * (gen + 2))
+
+
+def _gen_part(gens: int) -> tuple[int, tuple]:
+    """A packed generator part as its total degree and its slots
+    ``((0, gen), power)`` by ascending code."""
+    out = []
+    degree = 0
+    gen = GEN_T
+    while gens:
+        v = gens & kernel.FIELD_MASK
+        if v:
+            degree += v
+            out.append(((0, gen), v))
+        gens >>= kernel.FIELD_BITS
+        gen += 1
+    return degree, tuple(out)
+
+
+def _gen_power(gens: int, gen: int) -> int:
+    """The power of the generator of code ``gen`` in a packed part."""
+    if gen < GEN_T:
+        return 0
+    return (gens >> (kernel.FIELD_BITS * (gen + 2))) & kernel.FIELD_MASK
+
+
+def _decode_key(key) -> tuple:
+    """A key as a slot tuple: ``((0, gen), power)`` slots by ascending
+    code, then ``rest``."""
+    gens, rest = key
+    return _gen_part(gens)[1] + rest if gens else rest
+
+
+def _encode_key(slots) -> tuple:
+    """The key of a sorted slot tuple (``_decode_key``'s inverse); a
+    generator power or index out of its field raises."""
+    gens = 0
+    rest = []
+    for slot, v in slots:
+        if slot[0] == 0:
+            if not 0 < v <= MAX_GEN_POWER:
+                raise kernel.power_error()
+            gens += v * _gen_unit(slot[1])
+        else:
+            rest.append((slot, v))
+    return gens, tuple(rest)
+
+
+def _order(key) -> tuple:
+    """A key's place in the canonical order: its total degree in the
+    generators, then its slot tuple."""
+    gens, rest = key
+    if not gens:
+        return 0, rest
+    degree, slots = _gen_part(gens)
+    return degree, slots + rest
 
 
 # -- one-term arithmetic ---------------------------------------------------
@@ -366,15 +451,15 @@ def _grade(key) -> int:
 # term, so a product, power, inverse or sum of terms has one rule.
 
 def gen_term(gen: int) -> tuple:
-    return ((((0, gen), 1),), 1, 1)
+    return ((_gen_unit(gen), ()), 1, 1)
 
 
 def const_term(name: str) -> tuple:
-    return ((((1, name), 1),), 1, 1)
+    return ((0, (((1, name), 1),)), 1, 1)
 
 
 def int_term(n: int) -> tuple:
-    return ((), n, 1)
+    return (ONE_KEY, n, 1)
 
 
 def term_mul(a: tuple, b: tuple) -> tuple:
@@ -386,20 +471,24 @@ def term_neg(a: tuple) -> tuple:
 
 
 def term_pow(a: tuple, n: int) -> tuple:
-    """``a ** n`` for ``n >= 0``."""
+    """``a ** n`` for ``n >= 0``; a generator power above
+    ``MAX_GEN_POWER`` raises."""
     if not n:
-        return ((), 1, 1)
-    return (tuple((s, v * n) for s, v in a[0]), a[1] ** n, a[2] ** n)
+        return (ONE_KEY, 1, 1)
+    (gens, rest), num, den = a
+    if gens and max(v for _, v in _gen_part(gens)[1]) * n > MAX_GEN_POWER:
+        raise kernel.power_error()
+    return ((gens * n, tuple((s, v * n) for s, v in rest)), num ** n, den ** n)
 
 
 def term_inverse(a: tuple) -> tuple | None:
     """``1 / a``, or None when ``a`` is not a unit: a unit is a nonzero
     rational times named constants and an exponential, with no power of x,
     t or u (dividing by a non-unit's ``term_expr`` raises)."""
-    key, num, den = a
-    if not num or any(slot[0] == 0 for slot, _ in key):
+    (gens, rest), num, den = a
+    if not num or gens:
         return None
-    return (tuple((s, -v) for s, v in key), den, num)
+    return ((0, tuple((s, -v) for s, v in rest)), den, num)
 
 
 def term_expr(a: tuple) -> DiffExpr:
@@ -437,6 +526,8 @@ t = gen_expr(GEN_T)
 
 
 def u(i: int = 0) -> DiffExpr:
+    """``u_i``; an index over ``kernel.MAX_U``, the last u with a field in
+    a term key, raises."""
     if i < 0:
         raise ExpressionError("u index must be >= 0")
     return gen_expr(i)
@@ -484,7 +575,7 @@ def exp_term(arg) -> tuple:
                 "with no constant term")
         cmono = tuple(sv for sv in key if sv[0][0] == 1)
         slots.append(((2, gen, cmono), c))
-    return (tuple(sorted(slots)), 1, 1)
+    return ((0, tuple(sorted(slots))), 1, 1)
 
 
 # -- calculus-free structural operations -----------------------------------
@@ -493,6 +584,8 @@ def exp_term(arg) -> tuple:
 # (i = 0), or ``u``, one optional ``_`` and ASCII digits
 U_NAME = re.compile(r"u(?:_?([0-9]+))?")
 MAX_U_INDEX = 99
+# the largest power of a generator in a term: the kernel's field holds it
+MAX_GEN_POWER = kernel.MAX_POWER
 
 
 def u_name_index(name: str) -> int | None:
@@ -524,10 +617,11 @@ def _gencode(v) -> int:
             return idx
         raise ExpressionError(f"unknown generator {v!r}")
     if isinstance(v, DiffExpr) and len(v._t) == 1:
-        (key, c), = v._t.items()
-        if (c == 1 and v._den == 1 and len(key) == 1 and key[0][0][0] == 0
-                and key[0][1] == 1):
-            return key[0][0][1]
+        ((gens, rest), c), = v._t.items()
+        _, slots = _gen_part(gens)
+        if c == 1 and v._den == 1 and not rest and len(slots) == 1 \
+                and slots[0][1] == 1:
+            return slots[0][0][1]
     raise ExpressionError(f"not a generator: {v!r}")
 
 
@@ -550,47 +644,75 @@ def partial(e: DiffExpr, v) -> DiffExpr:
     return _derive(e, _gencode(v))
 
 
+def _u_order_of(key) -> int:
+    """The largest ``i`` of a ``u_i`` a key depends on, through a power or
+    through its exponential, or a negative number for none."""
+    gens, rest = key
+    top = (gens.bit_length() - 1) // kernel.FIELD_BITS - 2
+    if top < 0 and any(slot[0] == 2 and slot[1] == 0 for slot, _ in rest):
+        return 0
+    return top
+
+
 def u_indices(e: DiffExpr) -> set[int]:
     """The i of each u_i the expression depends on (0 for exp in u)."""
-    return {slot[1] for key in e._t for slot, _ in key
-            if slot[0] != 1 and slot[1] >= 0}
+    present = 0  # a field of the union is nonzero where one of a key is
+    out = set()
+    for gens, rest in e._t:
+        present |= gens
+        if rest and rest[-1][0][0] == 2:  # exponential slots sort last
+            out.update(slot[1] for slot, _ in rest
+                       if slot[0] == 2 and slot[1] >= 0)
+    present >>= 2 * kernel.FIELD_BITS  # from u_0 up
+    i = 0
+    while present:
+        if present & kernel.FIELD_MASK:
+            out.add(i)
+        present >>= kernel.FIELD_BITS
+        i += 1
+    return out
 
 
 def u_order(e: DiffExpr) -> int | None:
     """Largest ``k`` with a ``u_k`` dependence; 0 for expressions in x, t
     only; ``None`` for the zero expression."""
-    return None if e.is_zero else max(u_indices(e), default=0)
+    return None if e.is_zero else max(0, max(map(_u_order_of, e._t)))
 
 
 def occurs(e: DiffExpr, v) -> bool:
     gen = _gencode(v)
-    return any(slot[0] != 1 and slot[1] == gen
-               for key in e._t for slot, _ in key)
+    return any(_gen_power(gens, gen) or any(
+        slot[0] == 2 and slot[1] == gen for slot, _ in rest)
+        for gens, rest in e._t)
 
 
 def has_exp_in(e: DiffExpr, v) -> bool:
     gen = _gencode(v)
     return any(slot[0] == 2 and slot[1] == gen
-               for key in e._t for slot, _ in key)
+               for _, rest in e._t for slot, _ in rest)
 
 
 def is_constant(e: DiffExpr) -> bool:
     """True when no generator occurs at all (rationals and named constants)."""
-    return all(slot[0] == 1 for key in e._t for slot, _ in key)
+    return all(not gens and all(slot[0] == 1 for slot, _ in rest)
+               for gens, rest in e._t)
 
 
 def is_t_only(e: DiffExpr) -> bool:
     """True when the expression is free of x and every u_i."""
-    return all(slot[0] == 1 or slot[1] == GEN_T
-               for key in e._t for slot, _ in key)
+    # a generator part below x's first power holds t alone
+    return all(gens < kernel.X_UNIT and all(
+        slot[0] == 1 or slot[1] == GEN_T for slot, _ in rest)
+        for gens, rest in e._t)
 
 
 def power_outside_exp(e: DiffExpr, v) -> bool:
     """True when some term with no exponential in a generator has a power
     of it."""
     gen = _gencode(v)
-    return any(_cut(key, (0, gen), (0, gen + 1))[1]
-               and not _cut(key, (2, gen), (2, gen + 1))[1] for key in e._t)
+    return any(_gen_power(gens, gen)
+               and not _cut(rest, (2, gen), (2, gen + 1))[1]
+               for gens, rest in e._t)
 
 
 def constant_rows(rows: Iterable[Iterable], reach: int
@@ -612,8 +734,10 @@ def constant_rows(rows: Iterable[Iterable], reach: int
                 return None
             if terms:
                 den = lcm(den, e._den)
-                for key in terms:
-                    for slot, v in key:
+                for gens, rest in terms:
+                    if gens:
+                        return None
+                    for slot, v in rest:
                         if slot[0] != 1:
                             return None
                         slots.add(slot)
@@ -629,13 +753,15 @@ def constant_rows(rows: Iterable[Iterable], reach: int
 
 def _group(items, den: int, by) -> dict:
     """The one grouping of terms: ``by(key)`` gives a term's ``(group,
-    rest)``, for ``rest`` what its key keeps in the group (one key per
+    rest)``, for ``rest`` the key it keeps in the group (one key per
     term of a group).  ``items`` are an expression's ``(key, numerator)``
     pairs over ``den``.  Each group's remainder, its terms with their keys
     cut to ``rest``, is one expression; the groups come in the order the
-    items first name them, so a reader whose result is ordered passes the
-    canonical ``e._num_items()`` and any other the unsorted ``e._t.items()``
-    (sorting is a cost per read)."""
+    items first name them, so a reader whose result is ordered passes its
+    items in the canonical order of ``e._num_items()`` and any other the
+    unsorted ``e._t.items()`` (sorting is a cost per read).  ``by`` reads a
+    key as the kernel's pair, or as a slot tuple where the reader passes
+    those."""
     groups: dict = {}
     for key, c in items:
         g, rest = by(key)
@@ -647,47 +773,55 @@ def _group(items, den: int, by) -> dict:
     return {g: _reduced(d, den) for g, d in groups.items()}
 
 
-def _cut(key, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
-    """A term key as (its slots outside ``[lo, hi)``, those inside).  Keys
-    are sorted by slot, so the slots of one kind (0 generator powers, 1
-    constants, 2 exponential rates), and of one generator within a kind,
-    are adjacent, and two bisections find them."""
-    i = bisect_left(key, (lo,))
-    j = bisect_left(key, (hi,), i)
-    return (key, ()) if i == j else (key[:i] + key[j:], key[i:j])
+def _cut(rest: tuple, lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+    """A sorted slot tuple (a key's ``rest``, or a whole key as a slot
+    tuple) as (its slots outside ``[lo, hi)``, those inside).  The slots of
+    one kind (0 generator powers, 1 constants, 2 exponential rates), and of
+    one generator within a kind, are adjacent, and two bisections find
+    them."""
+    i = bisect_left(rest, (lo,))
+    j = bisect_left(rest, (hi,), i)
+    return (rest, ()) if i == j else (rest[:i] + rest[j:], rest[i:j])
 
 
 def split_t_only(e: DiffExpr) -> dict[tuple, DiffExpr]:
     """The t-only coefficient (named constants included) of each factor in
-    x and u, keyed by that factor's term key."""
+    x and u, keyed by that factor's slot-tuple key."""
     def by(key):
-        rest, t_power = _cut(key, (0, GEN_T), (0, GEN_X))
+        gens, rest = key
+        t_power = gens & kernel.FIELD_MASK
         rest, consts = _cut(rest, (1,), (2,))
         rest, t_rate = _cut(rest, (2, GEN_T), (2, GEN_X))
-        return rest, t_power + consts + t_rate
+        return (_decode_key((gens - t_power, rest)),
+                (t_power, consts + t_rate))
     return _group(e._t.items(), e._den, by)
 
 
 def constant_coefficients(e: DiffExpr) -> dict[tuple, DiffExpr]:
     """The constant coefficient (a rational times named constants) of each
-    monomial free of constants, keyed by that monomial's term key."""
-    return _group(e._num_items(), e._den, lambda key: _cut(key, (1,), (2,)))
+    monomial free of constants, keyed by that monomial's slot-tuple key."""
+    def by(slots):
+        shape, consts = _cut(slots, (1,), (2,))
+        return shape, (0, consts)
+    return _group(((slots, c) for slots, _, c in e._num_items()), e._den, by)
 
 
 def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:
     """Split into (terms of u-order >= cut, the rest)."""
-    parts = _group(e._t.items(), e._den, lambda key: (max(
-        (slot[1] for slot, _ in key if slot[0] != 1 and slot[1] >= 0),
-        default=-1) >= cut, key))
+    parts = _group(e._t.items(), e._den,
+                   lambda key: (_u_order_of(key) >= cut, key))
     return parts.get(True, ZERO), parts.get(False, ZERO)
 
 
 def split_by_power(e: DiffExpr, v) -> dict[int, DiffExpr]:
     """Coefficients of the powers of a generator (that generator removed)."""
     gen = _gencode(v)
-    parts = _group(e._t.items(), e._den,
-                   lambda key: _cut(key, (0, gen), (0, gen + 1))[::-1])
-    return {p[0][1] if p else 0: part for p, part in parts.items()}
+
+    def by(key):
+        gens, rest = key
+        p = _gen_power(gens, gen)
+        return p, (gens - p * _gen_unit(gen) if p else gens, rest)
+    return _group(e._t.items(), e._den, by)
 
 
 def exp_spectrum(e: DiffExpr, v) -> tuple[tuple[DiffExpr, int], ...]:
@@ -695,10 +829,14 @@ def exp_spectrum(e: DiffExpr, v) -> tuple[tuple[DiffExpr, int], ...]:
     constant expression (0 for terms without one), with the top power of
     the generator v over its terms beside it."""
     gen = _gencode(v)
-    parts = _group(e._num_items(), e._den,
-                   lambda key: _cut(key, (2, gen), (2, gen + 1))[::-1])
+
+    def by(key):
+        gens, rest = key
+        rest, rate = _cut(rest, (2, gen), (2, gen + 1))
+        return rate, (gens, rest)
+    parts = _group(((key, c) for _, key, c in e._num_items()), e._den, by)
     return tuple((DiffExpr({slot[2]: q for slot, q in rate}),
-                  max(dict(key).get((0, gen), 0) for key in part._t))
+                  max(_gen_power(gens, gen) for gens, _ in part._t))
                  for rate, part in parts.items())
 
 
@@ -722,12 +860,12 @@ def primitive_part(e: DiffExpr) -> DiffExpr:
         return e
     g = 0
     powers = []
-    for key, c in e._t.items():
+    for (_, rest), c in e._t.items():
         g = gcd(g, c)
-        powers.append({slot[1]: v for slot, v in key if slot[0] == 1})
+        powers.append({slot[1]: v for slot, v in rest if slot[0] == 1})
     low = {nm: min(p.get(nm, 0) for p in powers)
            for nm in set().union(*powers)}
-    unit = tuple(((1, nm), -v) for nm, v in sorted(low.items()) if v)
+    unit = (0, tuple(((1, nm), -v) for nm, v in sorted(low.items()) if v))
     out = _reduced({kernel.mul_key(key, unit): c // g
                   for key, c in e._t.items()}, 1)
     return -out if out.term_items()[-1][1] < 0 else out
@@ -766,8 +904,8 @@ class _Packing:
         denominator, so the coefficients are ints."""
         w = self.weights
         s = den // e._den
-        return {int(sum(v * w[slot] for slot, v in key)): c * s
-                for key, c in e._t.items()}
+        return {int(sum(v * w[slot] for slot, v in _decode_key(key))):
+                c * s for key, c in e._t.items()}
 
     def digits(self, key: int) -> list[int]:
         """The digits of ``key`` plus L, least significant slot first."""
@@ -779,7 +917,8 @@ class _Packing:
         return out
 
     def unpack(self, poly: dict, den: int = 1) -> DiffExpr:
-        """``poly / den`` as an expression."""
+        """``poly / den`` as an expression; every generator digit is
+        nonnegative."""
         half, scale = self.half, self.rate_scale
         rev = self.slots[::-1]
         sign = 1 if den > 0 else -1
@@ -788,7 +927,7 @@ class _Packing:
             slots = [(s, d - half if s[0] != 2
                       else _num(Fraction(d - half, scale)))
                      for s, d in zip(rev, self.digits(key)) if d != half]
-            terms[tuple(reversed(slots))] = sign * c
+            terms[_encode_key(reversed(slots))] = sign * c
         return _reduced(terms, sign * den)
 
     def extent(self, poly: dict) -> tuple[list[int], list[int]]:
@@ -892,7 +1031,7 @@ def _slot_ranges(terms: dict) -> tuple[dict, int]:
     ranges: dict = {}
     m = 1
     for key in terms:
-        for s, v in key:
+        for s, v in _decode_key(key):
             r = ranges.get(s)
             ranges[s] = (v, v, 1) if r is None else (
                 min(r[0], v), max(r[1], v), r[2] + 1)
@@ -934,18 +1073,21 @@ def try_divide(a: DiffExpr, b: DiffExpr) -> DiffExpr | None:
         return None
     # a / b = (quo / s) * (b._den / a._den)
     quo, s = got
-    q = pk.unpack({k: c * b._den for k, c in quo.items()}, s * a._den)
-    if any(slot[0] == 0 and v < 0 for key in q._t for slot, v in key):
-        return None
-    return q
+    lowest, _ = pk.extent(quo)
+    if any(d < pk.half for slot, d in zip(slots[::-1], lowest)
+           if slot[0] == 0):
+        return None  # a negative generator power
+    return pk.unpack({k: c * b._den for k, c in quo.items()}, s * a._den)
 
 
 # -- printing ---------------------------------------------------------------
 
-def _print_sort_key(item):
-    key, _ = item
-    top = max((s[1] for s, _ in key if s[0] == 0), default=-3)
-    return (top, _grade(key), key)
+def _print_order(key) -> tuple:
+    """A key's place in the printed order, read backwards: its top
+    generator, its total degree, then its slot tuple."""
+    gens, rest = key
+    degree, slots = _gen_part(gens)
+    return slots[-1][0][1] if slots else -3, degree, slots + rest
 
 
 def _num_src(q) -> str:
@@ -991,7 +1133,9 @@ def to_source(e: DiffExpr) -> str:
         return "0"
     chunks = []
     den = e._den
-    for key, c in sorted(e._t.items(), key=_print_sort_key, reverse=True):
+    # the orders are distinct, so no coefficient is compared
+    for (_, _, key), c in sorted(((_print_order(k), c)
+                                  for k, c in e._t.items()), reverse=True):
         if den != 1:
             c = _num(Fraction(c, den))
         consts = [(s[1], v) for s, v in key if s[0] == 1]

@@ -42,6 +42,40 @@ COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
            "pickle": lambda v: pickle.loads(pickle.dumps(v))}
 
 
+# -- the slot-tuple key layout of expr's public boundary ---------------------
+
+def reference_mul_key(k1: tuple, k2: tuple) -> tuple:
+    """The product of two slot-tuple keys (``DiffExpr.term_items``), by
+    the merge the kernel ran on them before generator powers were packed:
+    the values of matching slots added, zeros dropped."""
+    if not k1:
+        return k2
+    if not k2:
+        return k1
+    out = []
+    i = j = 0
+    while i < len(k1) and j < len(k2):
+        s1, v1 = k1[i]
+        s2, v2 = k2[j]
+        if s1 == s2:
+            if v1 + v2:
+                out.append((s1, v1 + v2))
+            i += 1
+            j += 1
+        elif s1 < s2:
+            out.append(k1[i])
+            i += 1
+        else:
+            out.append(k2[j])
+            j += 1
+    return tuple(out) + k1[i:] + k2[j:]
+
+
+def decoded(terms: dict) -> dict:
+    """A kernel term map with its keys as slot tuples, in the same order."""
+    return {ex._decode_key(k): c for k, c in terms.items()}
+
+
 # -- random expression generation (seeded, used by the big property loops) --
 
 GENS = (GEN_X, GEN_T, 0, 1, 2, 3)

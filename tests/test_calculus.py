@@ -14,7 +14,7 @@ from evosym import expr as ex
 from evosym.expr import (GEN_T, GEN_X, ONE, ExpressionError, kernel,
                          rational)
 
-from conftest import random_expr
+from conftest import decoded, random_expr, reference_mul_key
 
 u0, u1, u2, u3, u4 = u(0), u(1), u(2), u(3), u(4)
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -300,6 +300,9 @@ def test_memoized_derivatives_equal_fresh_kernel_results(seed):
 
 
 # -- derive_terms against the two kernels it replaced --------------------------
+#
+# The references run on slot-tuple keys (``DiffExpr.term_items``); the
+# kernel's input and output are compared through the decoded view.
 
 def _reference_diff_terms(a, gen):
     """The former partial-derivative kernel, ``(terms, m)`` with the
@@ -322,7 +325,7 @@ def _reference_diff_terms(a, gen):
             elif kind == 2:
                 if slot[1] != gen:
                     continue
-                nk = kernel.mul_key(key, slot[2])
+                nk = reference_mul_key(key, slot[2])
                 if type(val) is int:
                     nc = c * val
                 else:
@@ -375,7 +378,7 @@ def _reference_total_d_terms(a):
                 factor = slot[2]
                 if gen >= 0:
                     factor = (((0, gen + 1), 1),) + factor
-                nk = kernel.mul_key(key, factor)
+                nk = reference_mul_key(key, factor)
                 if type(val) is int:
                     nc = c * val
                 else:
@@ -431,13 +434,14 @@ def derivation_inputs(draw):
 def test_derive_terms_matches_the_kernels_it_replaced(e):
     # the same terms, in the same order, on the same scale
     def same(got, want):
-        return (list(got[0].items()), got[1]) == (list(want[0].items()),
-                                                  want[1])
+        return (list(decoded(got[0]).items()), got[1]) == (
+            list(want[0].items()), want[1])
 
-    assert same(kernel.derive_terms(e._t), _reference_total_d_terms(e._t))
+    slots = decoded(e._t)
+    assert same(kernel.derive_terms(e._t), _reference_total_d_terms(slots))
     for gen in _CODES:
         assert same(kernel.derive_terms(e._t, gen),
-                    _reference_diff_terms(e._t, gen))
+                    _reference_diff_terms(slots, gen))
 
 
 def _snapshot(e):

@@ -145,6 +145,18 @@ class TestBounds:
         assert bound in capsys.readouterr().err
         assert time.perf_counter() - start < 2
 
+    @pytest.mark.parametrize("candidate", [
+        "(u1^65536)^32768",              # 2^31: a power one past the bound
+        "u*(u1^65536)^32767*u1^65535",   # 2^31 - 1, which D raises by one
+    ], ids=["power", "D"])
+    def test_a_generator_power_past_its_field_exits_2(self, candidate,
+                                                      capsys):
+        code, out = run_cli("check", "--equation", "u2",
+                            f"--candidate={candidate}")
+        assert code == 2 and out == ""
+        assert "generator power out of range (max 2147483647)" in \
+            capsys.readouterr().err
+
 
 class TestClassify:
     def test_fourth_corpus_equation(self):

@@ -12,7 +12,7 @@ from evosym import (ExpressionError, ParseError, const, exp_of, parse,
 from evosym import expr as ex
 from evosym.expr import ZERO, ONE, DiffExpr, as_scalar, try_divide
 
-from conftest import COPIERS, random_expr
+from conftest import COPIERS, random_expr, reference_mul_key
 
 u0, u1, u2, u3 = u(0), u(1), u(2), u(3)
 
@@ -687,7 +687,7 @@ def test_equal_values_read_the_same_however_built(seed):
 
 def _reference_dense_le(k1, k2) -> bool:
     """k1 <= k2 in graded order with dense lexicographic tie-break."""
-    g1, g2 = ex._grade(k1), ex._grade(k2)
+    g1, g2 = (sum(v for s, v in k if s[0] == 0) for k in (k1, k2))
     if g1 != g2:
         return g1 < g2
     i = j = 0
@@ -733,13 +733,13 @@ def _reference_try_divide(a, b, cap):
         if not rem:
             return ex.DiffExpr(quo)
         lead_r, cr = _reference_lead(rem)
-        qk = ex.kernel.mul_key(lead_r, neg_lead_b)
+        qk = reference_mul_key(lead_r, neg_lead_b)
         if any(slot[0] == 0 and v < 0 for slot, v in qk):
             return None
         qc = ex._num(Fraction(cr) / cb)
         quo[qk] = qc
         for k, c in b_terms.items():
-            k = ex.kernel.mul_key(k, qk)
+            k = reference_mul_key(k, qk)
             rem[k] = rem.get(k, 0) - qc * c
             if not rem[k]:
                 del rem[k]

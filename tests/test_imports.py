@@ -202,6 +202,11 @@ def test_no_module_level_memo(path):
 
 # the DiffExpr fields, the canonical-order view and the raw constructor
 _TERM_FIELDS = {"_t", "_den", "_parts", "_num_items", "_reduced"}
+# the packed key layout: the kernel's field constants and expr's helpers
+# that read, pack and decode the fields
+_LAYOUT_NAMES = {"FIELD_BITS", "FIELD_MASK", "MAX_POWER", "MAX_U", "GUARD",
+                 "X_UNIT", "ONE_KEY", "_gen_unit", "_gen_part",
+                 "_gen_power", "_decode_key", "_encode_key"}
 # where the layout is read: expr and the kernel it imports, and the one
 # function that reads the D memo without a call (``total_d_power``)
 _LAYOUT_OWNERS = {"expr.py", "_kernel_py.py"}
@@ -211,9 +216,9 @@ _MEMO_FUNCTIONS = {"calculus.py": {"total_d_power"}}
 def term_field_uses(source: str, allowed_functions=()) -> list[str]:
     """Where ``source``, outside the top-level functions named in
     ``allowed_functions``, reads a ``DiffExpr`` field (an attribute named
-    ``_t``, ``_den``, ``_parts`` or ``_num_items``) or
-    uses ``_reduced`` (as an attribute, a name or an import), as
-    ``"<line>: <name>"``."""
+    ``_t``, ``_den``, ``_parts`` or ``_num_items``), or uses ``_reduced``
+    or a name of the packed key layout (``_LAYOUT_NAMES``) as an attribute,
+    a name or an import, as ``"<line>: <name>"``."""
     tree = ast.parse(source)
     skip = set()
     for node in tree.body:
@@ -229,11 +234,11 @@ def term_field_uses(source: str, allowed_functions=()) -> list[str]:
         elif isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.alias):
-            name = node.asname or node.name
+            name = node.name  # what is imported, under any alias
         else:
             continue
-        if name in _TERM_FIELDS and (name == "_reduced"
-                                     or isinstance(node, ast.Attribute)):
+        if name in _LAYOUT_NAMES or name in _TERM_FIELDS and (
+                name == "_reduced" or isinstance(node, ast.Attribute)):
             out.append(f"{getattr(node, 'lineno', '?')}: {name}")
     return out
 
@@ -245,6 +250,11 @@ def term_field_uses(source: str, allowed_functions=()) -> list[str]:
     "def f(e):\n    return e._num_items()\n",
     "from . import expr as ex\ndef f(t):\n    return ex._reduced(t, 1)\n",
     "from .expr import _reduced\n",
+    "from . import _kernel_py as k\ndef f(g):\n    return g >> k.FIELD_BITS\n",
+    "from ._kernel_py import GUARD\n",
+    "from . import expr as ex\ndef f(key):\n    return ex._decode_key(key)\n",
+    "from .expr import _encode_key as pack\n",
+    "def f(e):\n    return e._t.get(ONE_KEY)\n",
 ])
 def test_the_term_field_check_sees_every_form(source):
     assert term_field_uses(source)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from evosym import (AnsatzConfig, bracket, check_structure, classify,
                     find_symmetries, frechet, is_symmetry, op_apply, parse,
                     partial, total_d)
-from evosym import _kernel_py
+from evosym import _kernel_py, expr as ex
 from evosym.symmetry import SelfCheckError
 
 pytest.importorskip("sympy")
@@ -93,10 +93,10 @@ def test_bracket_frechet_and_verdict_against_the_oracle(seed):
 
 # -- planted kernel faults ---------------------------------------------------
 #
-# Each fault wraps the real kernel function, so the test copies no kernel
-# source.  Tier-1 must notice each one on both requests below: either a
-# SelfCheckError is raised, or a verdict or a dimension differs from the
-# oracle's.
+# Each fault wraps the real kernel functions, so the test copies no kernel
+# loop; keys are read through ``expr``'s field helpers.  Tier-1 must notice
+# each one on both requests below: either a SelfCheckError is raised, or a
+# verdict or a dimension differs from the oracle's.
 
 _derive_terms, _mul_key = _kernel_py.derive_terms, _kernel_py.mul_key
 
@@ -119,52 +119,64 @@ def _squares_lose_their_factor(total: bool):
         out, m = _derive_terms(a, gen)
         if (gen is None) != total:
             return out, m
-        for key, c in a.items():
-            for slot, power in key:
-                if slot[0] != 0 or power != 2:
+        for (gens, rest), c in a.items():
+            for (_, g), power in ex._gen_part(gens)[1]:
+                if power != 2:
                     continue
-                g = slot[1]
                 if total and g >= 0:  # D sends u_g to u_(g+1)
-                    image = (((0, g + 1), 1),)
+                    image = ex._gen_unit(g + 1)
                 elif not total and g == gen:
-                    image = ()
+                    image = 0
                 else:
                     continue
-                _shift(out, _mul_key(_mul_key(key, ((slot, -1),)), image),
-                       -c * m)
+                _shift(out, (gens - ex._gen_unit(g) + image, rest), -c * m)
         return out, m
-    return derive_terms
+    return {"derive_terms": derive_terms}
 
 
-def _shared_u_slot_off_by_one(k1, k2):
-    """``mul_key`` that merges the power of a ``u_i`` (i >= 1) held by
-    both keys one too high: ``u1 * u1`` gives ``u1^3``."""
-    out = _mul_key(k1, k2)
-    shared = {s for s, _ in k1 if s[0] == 0 and s[1] >= 1}
-    shared &= {s for s, _ in k2}
-    return tuple((s, v + 1 if s in shared else v) for s, v in out)
+def _off_by_one(k1, k2):
+    """The product of two keys with the power of each ``u_i`` (i >= 1) that
+    both hold one too high: ``u1 * u1`` gives ``u1^3``."""
+    gens, rest = _mul_key(k1, k2)
+    shared = {s[1] for s, _ in ex._gen_part(k1[0])[1] if s[1] >= 1}
+    shared &= {s[1] for s, _ in ex._gen_part(k2[0])[1]}
+    return gens + sum(ex._gen_unit(g) for g in shared), rest
+
+
+def _shared_u_power_off_by_one():
+    """Every kernel that forms products (``addmul_into`` and ``mul_single``
+    add the packed powers inline, ``mul_key`` serves the rest) with the
+    keys of ``_off_by_one``."""
+    def addmul_into(acc, a, b, factor):
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                _shift(acc, _off_by_one(ka, kb), factor * ca * cb)
+
+    def mul_single(terms, key, coeff):
+        return {_off_by_one(k, key): c * coeff for k, c in terms.items()}
+
+    return {"mul_key": _off_by_one, "addmul_into": addmul_into,
+            "mul_single": mul_single}
 
 
 _KDV = "u3 + 6*u*u1"
 _FLOW5 = "u5 + 10*u*u3 + 20*u1*u2 + 30*u^2*u1"
 
 
-@pytest.mark.parametrize("name, fault, probe", [
-    ("derive_terms", _squares_lose_their_factor(True),
-     lambda: total_d(parse("u1^2"))),
-    ("derive_terms", _squares_lose_their_factor(False),
+@pytest.mark.parametrize("faults, probe", [
+    (_squares_lose_their_factor(True), lambda: total_d(parse("u1^2"))),
+    (_squares_lose_their_factor(False),
      lambda: partial(parse("u^2*u2"), "u")),
-    ("mul_key", _shared_u_slot_off_by_one,
-     lambda: parse("u1") * parse("u1*u2")),
-], ids=["D", "partial", "mul_key"])
-def test_tier1_notices_a_planted_kernel_fault(monkeypatch, name, fault,
-                                              probe):
+    (_shared_u_power_off_by_one(), lambda: parse("u1") * parse("u1*u2")),
+], ids=["D", "partial", "products"])
+def test_tier1_notices_a_planted_kernel_fault(monkeypatch, faults, probe):
     F_sp = oracle.to_sympy(_KDV)
     want = (oracle.is_symmetry(F_sp, oracle.to_sympy(_FLOW5)),
             oracle.solution_dim(F_sp, oracle.pool(3, 5, 7)))
     assert want == (True, 3)
     right = probe()
-    monkeypatch.setattr(_kernel_py, name, fault)
+    for name, fault in faults.items():
+        monkeypatch.setattr(_kernel_py, name, fault)
     # inputs are parsed inside the patch: each expression memoizes its
     # derivatives
     assert probe() != right  # the fault is live

@@ -605,8 +605,12 @@ def u_name_index(name: str) -> int | None:
 
 
 def _gencode(v) -> int:
+    """The code of a generator given by its code, its name or itself; any
+    other value raises."""
     if isinstance(v, int):
-        return v
+        if GEN_T <= v <= kernel.MAX_U:
+            return v
+        raise ExpressionError(f"no generator has the code {v!r}")
     if isinstance(v, str):
         if v == "x":
             return GEN_X
@@ -868,7 +872,7 @@ def primitive_part(e: DiffExpr) -> DiffExpr:
     unit = (0, tuple(((1, nm), -v) for nm, v in sorted(low.items()) if v))
     out = _reduced({kernel.mul_key(key, unit): c // g
                   for key, c in e._t.items()}, 1)
-    return -out if out.term_items()[-1][1] < 0 else out
+    return -out if out._t[max(out._t, key=_order)] < 0 else out
 
 
 # -- exact division and roots ----------------------------------------------
@@ -902,8 +906,10 @@ class _Packing:
     def pack(self, e: DiffExpr, den: int) -> dict:
         """``den * e`` packed; ``den`` is a multiple of ``e``'s
         denominator, so the coefficients are ints."""
-        w = self.weights
         s = den // e._den
+        if not self.slots:  # a rational: the one key 0
+            return {0: c * s for c in e._t.values()}
+        w = self.weights
         return {int(sum(v * w[slot] for slot, v in _decode_key(key))):
                 c * s for key, c in e._t.items()}
 

@@ -8,8 +8,7 @@ the matrix once, through ``expr.constant_rows``, which checks each entry
 and stores it times ``den``, the lcm of the entries' denominators (each
 ``DiffExpr`` keeps one), as a packed polynomial (``expr._Packing``) with
 ``int`` coefficients, in dict rows from column to nonzero value.  A
-rational entry packs to the one monomial ``0``, so every matrix takes the
-same path.
+rational entry packs to the one monomial ``0``.
 
 Every elimination is ``nullspace``'s, so every one is checked by
 ``A v = 0`` (below): ``rank`` reads its rank, and ``in_span`` compares two
@@ -19,12 +18,88 @@ outside the span of the columns before it (over the field of fractions of
 the constants; see "The verdicts" below), so a caller reads whether an
 expression depends on earlier ones off the pivots of one sweep, with no
 second elimination.  ``nullspace`` splits the matrix into its connected
-components (below) and runs one fraction-free Gauss-Jordan (Bareiss)
-pivot loop, ``_sweep``, on each.  Within a component, columns are swept
-left to right.  Sweep k takes a pivot ``p`` in column c and turns every
-other row of the component into ``(p * row - row[c] * pivot_row) /
-prev``, with ``prev`` the previous pivot of the component (1 before its
-first); a row without column c is only scaled by ``p / prev``.
+components (below) and eliminates each on its own, in one of two domains
+chosen once per matrix: a matrix whose packing has no slots is rational,
+every cell ``{0: c}`` with ``c`` an ``int``, and takes the modular path; a
+matrix with a named constant takes the fraction-free sweep, all its
+components, rational ones included.
+
+Components.  A row and a column are adjacent when their cell is nonzero;
+``_components`` finds the connected components of this graph by
+union-find on the columns.  A column without a nonzero cell is a component
+with no rows, whose nullspace vector is the unit vector; a row without one
+has nothing to sweep.  No pivot row of one component has a cell in another,
+so eliminating the components one by one is the whole-matrix elimination
+with the blocks kept apart.
+
+Verification.  Every vector is checked against the input, ``A v = 0``, in
+expression term arithmetic (each row as one fused sum of products,
+``expr.sum_of_products``), independently of the packing, the clearing and
+the primes.  Only the rows that share a column with v are summed, found
+through one column-to-rows index: every other row's sum has no terms and
+is zero, so the check proves the same.
+
+The modular path (rational matrices).  The cleared rows of a component are
+reduced modulo a prime p and run through Gauss-Jordan modulo p
+(``_sweep_mod``): columns left to right, each pivot normalized to 1 and
+taken from the sparsest remaining row, and eliminated from every other
+row.  A free column f yields the residues of the vector with 1 at f and
+``-M[i][f]`` at the i-th pivot column, and each entry is rebuilt as a
+rational by rational reconstruction (Wang's half-extended Euclid; Monagan,
+ISSAC 2004): the ``n / d`` with ``n = d * r`` modulo the modulus m and
+``|n|, d <= sqrt(m / 2)``, unique when it exists.  The primes are the
+literal ``_PRIMES``, 2^61 - 1 and the next primes below it, then each next
+prime below those, so runs are reproducible.  A prime fails when an entry
+does not reconstruct or a vector fails ``A v = 0``; then the next prime is
+taken.  Primes that find the same pivot columns are combined by the
+Chinese remainder theorem (Garner) before reconstruction; a prime that
+finds more pivots, or as many further left, replaces them, and one that
+finds fewer, or as many further right, is dropped.
+
+Why the result is exact.  Every minor modulo p is the minor modulo p, so
+the rank modulo p is at most the rank over Q and the i-th pivot column
+modulo p is at or right of the i-th over Q: the pivots over Q are the
+most, and the leftmost, that any prime finds.  Every returned vector
+passes ``A v = 0`` exactly, and its support is f and pivot columns left of
+f (a pivot row is zero left of its pivot), so column f is a combination of
+the columns before it over Q and is no pivot over Q.  The pivots over Q
+are therefore among those modulo p, and they are no fewer; so the two
+sets are equal, the rank and ``pivots`` are proven, and the vectors,
+``ncols - rank`` of them and independent (each is 1 at its own free
+column and 0 at the others), are a basis of the kernel.  So the number of
+verified vectors must be the number of free columns; another number is a
+bug and raises, so that a lost vector never passes as a smaller kernel.
+The reduced row echelon form is unique, so the basis is the one any exact
+Gauss-Jordan on the input gives, by construction.
+
+The prime cap.  Let H be the Hadamard bound of the cleared component, the
+product of its r largest row norms for r the smaller of its numbers of
+rows and columns: every minor is at most H in size.  Fix a nonzero r x r
+minor D on the pivot columns over Q, for r the rank.  A prime that does
+not divide D finds the pivots over Q (D stays nonzero modulo it), and its
+reduced row echelon form is the image of the rational one, whose
+denominators divide D.  So the unlucky primes divide D, and as each
+exceeds 2^60 there are at most ``log2(H) / 60`` of them.  The entries of the rational form are quotients
+of minors, each at most H in size, so lucky primes whose product m
+exceeds ``2 H^2`` reconstruct every entry: ``1 + (2 log2(H) + 1) / 60``
+of them.  A component takes at most the sum of the two counts
+(``_prime_cap``, computed only after a first prime fails), and reaching it
+raises ``RuntimeError("nullspace verification failed (bug)")``.
+
+Keep or drop.  The modular path replaced the fraction-free sweep on
+rational matrices because it is measured to pay: on ``search-rational``
+(seed 7, 13 matrices) ``nullspace`` went from about 19 to 10 ms per pass,
+and at scale the Bareiss pivots grow to 1,302 bits where a prime's residues
+stay at 61 (see README, "Performance", *modular elimination*, for the
+pairs and the rungs).  It stays only while those measurements hold.
+
+The fraction-free sweep (matrices with named constants).  ``_sweep`` runs
+one fraction-free Gauss-Jordan (Bareiss) pivot loop on each component.
+Within a component, columns are swept left to right.  Sweep k takes a
+pivot ``p`` in column c and turns every other row of the component into
+``(p * row - row[c] * pivot_row) / prev``, with ``prev`` the previous pivot
+of the component (1 before its first); a row without column c is only
+scaled by ``p / prev``.
 
 The pending scale.  ``_sweep`` leaves a row without the pivot column
 alone.  Each stored row X keeps ``base``, the pivot at its last real update
@@ -56,14 +131,7 @@ Output.  A free column f yields the nullspace vector with d at f and
 ``-M[i][f]`` at the i-th pivot column of its component, vectors in the order
 of their free columns.  Its entries are r x r minors for r pivots in the
 component, so divided by ``den^r`` it is the vector of the same sweep on
-the input.  Without named constants it is divided by d instead, ``den^r``
-times the input's final pivot: the sweep ends at d times the reduced row
-echelon form, so this gives that form's basis, with 1 at f.  Every vector
-is checked against the input, ``A v = 0``, in expression term arithmetic
-(each row as one fused sum of products, ``expr.sum_of_products``),
-independently of the packing and the clearing.  Only the rows that share
-a column with v are summed, found through one column-to-rows index: every
-other row's sum has no terms and is zero, so the check proves the same.
+the input, and it is verified as above.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
@@ -73,23 +141,15 @@ fixed (``expr.primitive_part``); without the 1s this leaves of a monomial,
 which is nonzero with the constants; and without repeats.  A pivot is a
 unit times its short form, so the locus is the same.
 
-Components.  A row and a column are adjacent when their cell is nonzero;
-``_components`` finds the connected components of this graph by
-union-find on the columns.  A column without a nonzero cell is a component
-with no rows, whose nullspace vector is the unit vector; a row without one
-has nothing to sweep.  No pivot row of one component has a cell in another,
-so sweeping the components one by one is the whole-matrix elimination with
-the blocks kept apart, each from its own ``prev = 1``.
-
 The verdicts are those of the whole matrix.  A column depends on the
 earlier ones exactly when it does within its component, whose rows no
 other column touches, so the pivot columns are each component's first
 independent columns, the rank is the sum of the components' ranks and the
 kernel over the field of fractions is the direct sum of theirs.  Without
 constants the reduced row echelon form is unique, so the results are
-those of one sweep over the whole matrix.  With constants, one sweep over
-the whole matrix would chain every pivot through a single ``prev``: its
-k-th pivot is the leading k x k minor of the rows and columns chosen so
+those of one elimination over the whole matrix.  With constants, one sweep
+over the whole matrix would chain every pivot through a single ``prev``:
+its k-th pivot is the leading k x k minor of the rows and columns chosen so
 far, which for disjoint components is the product of each component's
 leading minor of its chosen rows and columns, that is, of one
 per-component pivot each (1 in a component not yet reached).  Where both
@@ -123,6 +183,7 @@ therefore takes the digit half-width ``L = 2RE``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt, prod
 
 from . import expr as ex
 from .expr import DiffExpr
@@ -290,6 +351,179 @@ def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
     return pivots, d
 
 
+# -- the modular path, for matrices without named constants -------------------
+
+# the primes taken in turn, 2^61 - 1 and the next primes below it; all
+# exceed 2^60, which the prime cap counts on
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229, 2**61 - 259,
+           2**61 - 283, 2**61 - 339, 2**61 - 391)
+_PRIME_BITS = 60
+_NOT_VERIFIED = "nullspace verification failed (bug)"
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2 to 23, deterministic for odd ``n >
+    23`` below 3.8 * 10^18 (Jaeschke), which holds every prime taken."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes of the modular path in the order they are taken:
+    ``_PRIMES``, then each next prime below the last of them."""
+    yield from _PRIMES
+    n = _PRIMES[-1]
+    while True:
+        n -= 2
+        if _is_prime(n):
+            yield n
+
+
+def _prime_cap(rows: list[dict], ncols: int) -> int:
+    """How many primes one component may take: those that can be unlucky
+    plus those that reconstruction needs, from the Hadamard bound H of the
+    minors of the cleared rows (``col -> int``; see the module
+    docstring)."""
+    r = min(len(rows), ncols)
+    h2 = prod(sorted(sum(v * v for v in row.values()) for row in rows)[-r:]
+              if r else ())
+    hb = (h2.bit_length() + 1) // 2  # H <= 2^hb
+    return hb // _PRIME_BITS + (2 * hb + 1) // _PRIME_BITS + 1
+
+
+def _sweep_mod(rows: list[dict], cols: list[int], p: int):
+    """Gauss-Jordan modulo ``p`` on the rows (``col -> nonzero residue``)
+    of one component over its columns ``cols``, in place, each pivot
+    normalized to 1 and taken from the sparsest remaining row.  Returns
+    ``(pivots, vectors)``: the pivot columns, ascending, and for each free
+    column f the residues of its reduced row echelon kernel vector, 1 at f
+    and ``-M[i][f]`` at the i-th pivot column."""
+    pivots, done, rest = [], [], rows
+    for c in cols:
+        sel = None
+        for i, row in enumerate(rest):
+            if c in row and (sel is None or len(row) < len(rest[sel])):
+                sel = i
+        if sel is None:
+            continue
+        row_p = rest.pop(sel)
+        inv = pow(row_p[c], -1, p)
+        if inv != 1:
+            row_p = {k: v * inv % p for k, v in row_p.items()}
+        for group in (done, rest):
+            for row in group:
+                f = row.get(c)
+                if f is None:
+                    continue
+                for k, v in row_p.items():
+                    w = (row.get(k, 0) - f * v) % p
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+        done.append(row_p)
+        pivots.append(c)
+    pivot_set = set(pivots)
+    vectors = {f: {f: 1} for f in cols if f not in pivot_set}
+    # a pivot row is zero at the other pivot columns
+    for row, c in zip(done, pivots):
+        for f, v in row.items():
+            if f != c:
+                vectors[f][c] = p - v
+    return pivots, vectors
+
+
+def _crt(m: int, old: dict, p: int, new: dict) -> dict:
+    """The residues modulo ``m * p`` of the vectors whose residues are
+    ``old`` modulo ``m`` and ``new`` modulo ``p`` (Garner); a missing
+    entry is 0."""
+    inv = pow(m, -1, p)
+    out = {}
+    for f, a in old.items():
+        b = new[f]
+        vec = out[f] = {}
+        for c in a.keys() | b.keys():
+            x = a.get(c, 0)
+            vec[c] = x + m * ((b.get(c, 0) - x) * inv % p)
+    return out
+
+
+def _reconstruct(r: int, m: int, bound: int) -> DiffExpr | None:
+    """The rational ``n / d`` with ``n = d * r`` modulo ``m``, ``|n| <=
+    bound`` and ``0 < d <= bound``, or None when there is none (Wang's
+    half-extended Euclid); for ``m > 2 * bound^2`` it is unique."""
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound:
+        return None
+    return ex.rational(r1, s1)
+
+
+def _lift(m: int, residues: dict) -> dict | None:
+    """The vectors whose entries reconstruct from their residues modulo
+    ``m``, or None when one does not."""
+    bound = isqrt(m // 2)
+    out = {}
+    for f, vec in residues.items():
+        lifted = {}
+        for c, r in vec.items():
+            if r:
+                q = _reconstruct(r, m, bound)
+                if q is None:
+                    return None
+                lifted[c] = q
+        out[f] = lifted
+    return out
+
+
+def _modular(rows: list[dict], cols: list[int], annihilates):
+    """The pivot columns and the reduced row echelon kernel vectors (free
+    column -> ``{col: DiffExpr}``) of one component, its cleared rows
+    ``col -> int`` (see the module docstring): each prime's residues are
+    combined with those of the earlier primes that found the same pivots,
+    and the first lift whose every vector ``annihilates`` is returned."""
+    best = cap = None
+    for tried, p in enumerate(_primes(), 1):
+        pivots, residues = _sweep_mod(
+            [{c: r for c, v in row.items() if (r := v % p)} for row in rows],
+            cols, p)
+        # more pivots, or as many further left, are nearer the truth
+        key = (-len(pivots), pivots)
+        if best is None or key < best[0]:
+            best = (key, p, residues)
+        elif key == best[0]:
+            best = (key, best[1] * p, _crt(best[1], best[2], p, residues))
+        if key == best[0]:
+            vecs = _lift(best[1], best[2])
+            if vecs is not None and all(map(annihilates, vecs.values())):
+                if len(vecs) != len(cols) - len(pivots):
+                    raise RuntimeError(
+                        f"modular elimination: {len(vecs)} vectors for "
+                        f"nullity {len(cols) - len(pivots)} (bug)")
+                return pivots, vecs
+        if cap is None:
+            cap = _prime_cap(rows, len(cols))
+        if tried >= cap:
+            raise RuntimeError(_NOT_VERIFIED)
+
+
 def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
     """Nonvanishing assumptions in short form: the primitive part of each
     (``expr.primitive_part``), without the 1s left by monomials, which are
@@ -301,26 +535,42 @@ def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
     original, m, pk, den = _sparse(rows, ncols)
-    # fraction-free Gauss-Jordan, one connected component at a time; each
-    # block's rows start with its pivot rows in pivot order
-    blocks = []
+    # exact verification of A v = 0, on the rows that share a column with
+    # v: every other row's sum has no terms
+    rows_at: dict[int, list[int]] = {}
+    for i, row in enumerate(original):
+        for c in row:
+            rows_at.setdefault(c, []).append(i)
+
+    def annihilates(vec: dict) -> bool:
+        return not any(
+            ex.sum_of_products((1, e, vec[c])
+                               for c, e in original[i].items() if c in vec)
+            for i in {i for c in vec for i in rows_at.get(c, ())})
+
+    vecs: dict[int, dict] = {}
+    pivots: list[int] = []
     assumptions: list[dict] = []
     for members, cols in _components(m, ncols):
+        if not pk.slots:  # rational: the modular path
+            got, found = _modular(
+                [{c: cell[0] for c, cell in m[i].items()} for i in members],
+                cols, annihilates)
+            pivots += got
+            vecs.update(found)
+            continue
+        # fraction-free Gauss-Jordan; the block's rows start with its
+        # pivot rows in pivot order
         block = [m[i] for i in members]
-        pivots, d = _sweep(block, cols, pk, assumptions)
-        blocks.append((block, cols, pivots, d))
-
-    vecs = {}
-    for block, cols, pivots, d in blocks:
-        # the input's vector, or without constants the reduced row
-        # echelon one (see the module docstring)
-        scale = den ** len(pivots) if pk.slots else d[0]
-        pivot_set = set(pivots)
+        got, d = _sweep(block, cols, pk, assumptions)
+        pivots += got
+        scale = den ** len(got)  # the input's vector (module docstring)
+        pivot_set = set(got)
         for f in cols:
             if f in pivot_set:
                 continue
             vec = {f: pk.unpack(d, scale)}
-            for row, c in zip(block, pivots):
+            for row, c in zip(block, got):
                 entry = row.get(f)
                 if entry is None:
                     continue
@@ -329,26 +579,14 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
                                        "entry differs from the final pivot "
                                        "(bug)")
                 vec[c] = pk.unpack({k: -v for k, v in entry.items()}, scale)
+            if not annihilates(vec):
+                raise RuntimeError(_NOT_VERIFIED)
             vecs[f] = vec
-    basis = [vecs[f] for f in sorted(vecs)]
 
-    # exact verification of A v = 0, on the rows that share a column with
-    # v: every other row's sum has no terms
-    rows_at: dict[int, list[int]] = {}
-    for i, row in enumerate(original):
-        for c in row:
-            rows_at.setdefault(c, []).append(i)
-    for vec in basis:
-        for i in {i for c in vec for i in rows_at.get(c, ())}:
-            if ex.sum_of_products((1, e, vec[c])
-                                  for c, e in original[i].items() if c in vec):
-                raise RuntimeError("nullspace verification failed (bug)")
-
-    dense = tuple(tuple(vec.get(c, ex.ZERO) for c in range(ncols))
-                  for vec in basis)
     return NullspaceResult(
-        basis=dense,
-        pivots=tuple(sorted(c for _, _, pivots, _ in blocks for c in pivots)),
+        basis=tuple(tuple(vecs[f].get(c, ex.ZERO) for c in range(ncols))
+                    for f in sorted(vecs)),
+        pivots=tuple(sorted(pivots)),
         pivot_assumptions=normalize_assumptions(
             pk.unpack(p) for p in assumptions))
 

@@ -7,11 +7,13 @@ coefficient of every normalized term yields one exact linear condition; the
 nullspace of that system is the space of symmetries inside the ansatz.
 The system's rows are the constant coefficients that
 ``expr.constant_coefficients`` reads off each image.  ``linalg`` computes
-the nullspace by sparse exact elimination in one domain for every matrix,
-rational or not: fraction-free (Bareiss) on the cleared entries as integer
-polynomials in the named constants.  Every returned expression is
-re-verified through the full residual check; a linear-t pair through
-``timedep.mastersymmetry_test``, whose ``MasterResult`` is the pair.
+the nullspace by sparse exact elimination: a rational matrix modulo
+primes, each entry rebuilt by rational reconstruction and every vector
+checked exactly; a matrix with named constants fraction-free (Bareiss) on
+the cleared entries as integer polynomials in the constants.  Every
+returned expression is re-verified through the full residual check; a
+linear-t pair through ``timedep.mastersymmetry_test``, whose
+``MasterResult`` is the pair.
 
 The linear-t search eliminates ``{F, {F, G0}} = 0`` on the pool once and
 takes the quotient by the plain symmetries on the images ``G1 = {F, G0}``

@@ -91,8 +91,19 @@ class TestPartial:
         else:
             assert partial(e, name) == partial(e, gen)
 
-    def test_integer_codes_are_unbounded(self):
+    def test_integer_codes_reach_the_last_u_field(self):
         assert partial(u(1000) ** 2, 1000) == 2 * u(1000)
+        assert partial(t ** 2 * x, ex.GEN_T) == 2 * t * x
+
+    @pytest.mark.parametrize("code", [-7, -3, 1001, 10 ** 6])
+    def test_an_int_that_is_no_generator_code_is_refused(self, code):
+        # t is -2, x is -1 and u_i is i up to kernel.MAX_U; any other int
+        # is refused, as an unknown name is
+        e = u1 * exp_of(x) + u2 ** 2
+        for read in (partial, ex.occurs, ex.has_exp_in, ex.split_by_power):
+            with pytest.raises(ExpressionError,
+                               match=f"^no generator has the code {code}$"):
+                read(e, code)
 
 
 class TestUOrder:

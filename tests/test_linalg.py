@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evosym import const, exp_of, linalg, parse, u, x
+from evosym import expr as ex
 from evosym.expr import ONE, ZERO, rational
 from evosym.expr import _divide, _Packing
 from evosym.linalg import in_span, nullspace, rank
+
+from conftest import random_expr
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -136,8 +140,6 @@ def _reference_nullspace(rows, ncols):
     replaced, kept as the reference for matrices with constants: every
     sweep updates every cell of every row.  Returns ``(basis, rank,
     pivot_assumptions)``."""
-    from evosym import expr as ex
-
     m = [list(r) for r in rows]
     nrows = len(m)
     prev = ONE
@@ -233,11 +235,22 @@ def _reference_primitive(p):
         num = gcd(num, q.numerator)
         den = q.denominator if not den else lcm(den, q.denominator)
     content = rational(Fraction(num, den))
-    powers = [{s[1]: v for s, v in key} for key, _ in items]
+    powers = [{s[1]: v for s, v in key if s[0] == 1} for key, _ in items]
     for nm in set().union(*powers):
         content = content * const(nm) ** min(pw.get(nm, 0) for pw in powers)
     out = p * content ** -1
     return -out if out.term_items()[-1][1] < 0 else out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_primitive_part_matches_the_reference(seed):
+    # the sign is read off the last term in canonical order, with
+    # generators, constants and exponentials in the terms
+    rng = random.Random(seed)
+    e = random_expr(rng, max_terms=4, consts=("a", "b")) \
+        * const("b") ** rng.randint(-2, 2) * _q(rng.randint(1, 9), 7)
+    assert ex.primitive_part(e) == (_reference_primitive(e) if e else e)
 
 
 def _blockwise_reference(rows, ncols):
@@ -502,17 +515,21 @@ def test_rational_matrices_give_the_reduced_row_echelon_basis(seed):
     assert in_span(target, rows, ncols) == expected
 
 
-@pytest.mark.parametrize("make", [_sevenths_and_thirteenths, _wide_matrix],
-                         ids=["rational", "symbolic"])
-def test_the_sweep_sees_integers_only(monkeypatch, make):
-    # fractional entries are cleared once, by the lcm of all denominators
-    fms, seen = linalg._fms, []
+@pytest.mark.parametrize("make, loop", [
+    (_sevenths_and_thirteenths, "_sweep_mod"), (_wide_matrix, "_fms")],
+    ids=["rational", "symbolic"])
+def test_the_sweep_sees_integers_only(monkeypatch, make, loop):
+    # fractional entries are cleared once, by the lcm of all denominators:
+    # the modular loop of a rational matrix and the fraction-free one of a
+    # symbolic matrix see ints only
+    inner, seen = getattr(linalg, loop), []
 
-    def spy_fms(*polys):
+    def spy(first, *rest):
+        polys = first if loop == "_sweep_mod" else (first, *rest)
         seen.extend(c for poly in polys if poly for c in poly.values())
-        return fms(*polys)
+        return inner(first, *rest)
 
-    monkeypatch.setattr(linalg, "_fms", spy_fms)
+    monkeypatch.setattr(linalg, loop, spy)
     rng = random.Random(5)
     fractional = False
     for _ in range(20):
@@ -529,22 +546,175 @@ def test_the_sweep_sees_integers_only(monkeypatch, make):
 
 def test_the_a_v_check_fires_on_a_corrupted_basis(monkeypatch):
     # the check sums products whose denominators differ (7, 13 and the
-    # corruption's 11); one wrong basis entry must make it raise
-    unpack, calls = _Packing.unpack, []
+    # corruption's 11); one wrong basis entry, planted in the lift of every
+    # prime, must make it raise once the component's primes run out
+    lift, calls = linalg._lift, []
 
-    def corrupt_first(pk, poly, den=1):
-        e = unpack(pk, poly, den)
-        calls.append(e)
-        return e + rational(1, 11) if len(calls) == 1 else e
+    def corrupt_first(m, residues):
+        vecs = lift(m, residues)
+        calls.append(m)
+        vec = next(iter(vecs.values()))
+        c = next(iter(vec))
+        vec[c] = vec[c] + rational(1, 11)
+        return vecs
 
     rows = [[rational(1, 7), rational(2, 13), ZERO],
             [ZERO, rational(3, 13), rational(-5, 7)]]
     assert len(nullspace(rows, 3).basis) == 1
-    monkeypatch.setattr(_Packing, "unpack", corrupt_first)
+    monkeypatch.setattr(linalg, "_lift", corrupt_first)
     with pytest.raises(RuntimeError,
                        match=r"^nullspace verification failed \(bug\)$"):
         nullspace(rows, 3)
     assert calls
+
+
+# -- the modular path ---------------------------------------------------------
+
+P = linalg._PRIMES[0]
+
+
+def _rref_pivots(basis, ncols):
+    """The pivot columns of a reduced row echelon kernel basis: every column
+    but the free ones, each the last nonzero entry of its vector."""
+    free = {max(c for c, e in enumerate(vec) if e) for vec in basis}
+    return tuple(c for c in range(ncols) if c not in free)
+
+
+def _modular_matrix(rng, max_size=6):
+    """A sparse rational matrix mixing small rationals, multiples of the
+    first prime in numerators and denominators (which it reads as zero or
+    cannot invert), and entries of up to 90 bits over up to 40 (which one
+    prime cannot reconstruct), with an empty row or column at times."""
+    nrows = rng.randint(0, max_size)
+    ncols = rng.randint(1, max_size)
+    share = rng.random()
+
+    def entry():
+        kind = rng.random()
+        if kind < share:
+            return ZERO
+        if kind < share + 0.3 * (1 - share):
+            return _q(rng.choice([-1, 1]) * rng.randint(1, 9),
+                      rng.randint(1, 5))
+        if kind < share + 0.7 * (1 - share):
+            return _q(rng.choice([-1, 1]) * rng.randint(1, 3)
+                      * rng.choice([1, P]), rng.choice([1, 2, P]))
+        return _q(rng.randint(-2 ** 90, 2 ** 90), rng.randint(1, 2 ** 40))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [ZERO] * ncols
+    if rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in rows:
+            row[c] = ZERO
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_the_modular_path_gives_the_reduced_row_echelon_basis(seed):
+    rows, ncols = _modular_matrix(random.Random(seed))
+    res = nullspace(rows, ncols)
+    basis, rk = _reference_rref(rows, ncols)
+    assert res.basis == basis
+    assert res.pivots == _rref_pivots(basis, ncols)
+    assert res.rank == rk == rank(rows, ncols)
+    assert res.pivot_assumptions == ()
+
+
+def _primes_taken(monkeypatch) -> list[int]:
+    """The prime of every modular sweep, recorded."""
+    sweep, taken = linalg._sweep_mod, []
+
+    def spy(rows, cols, p):
+        taken.append(p)
+        return sweep(rows, cols, p)
+
+    monkeypatch.setattr(linalg, "_sweep_mod", spy)
+    return taken
+
+
+def test_a_multiple_of_the_first_prime_forces_a_retry(monkeypatch):
+    # modulo P the row vanishes and both unit vectors fail A v = 0; the
+    # next prime finds the pivot, and its vector needs no other prime
+    taken = _primes_taken(monkeypatch)
+    res = nullspace([[_q(P), _q(P)]], 2)
+    assert res.basis == ((_q(-1), ONE),) and res.pivots == (0,)
+    assert taken == list(linalg._PRIMES[:2])
+
+
+def test_entries_beyond_one_prime_are_combined(monkeypatch):
+    # -b/a has 70 bits above and below: three primes reconstruct it
+    a, b = 3 ** 44, 2 ** 69 + 3
+    taken = _primes_taken(monkeypatch)
+    res = nullspace([[_q(a), _q(b)]], 2)
+    assert res.basis == ((_q(-b, a), ONE),) and res.pivots == (0,)
+    assert taken == list(linalg._PRIMES[:3])
+
+
+def test_an_unlucky_prime_and_reconstruction_reach_the_cap(monkeypatch):
+    # modulo P column 0 vanishes, a false pivot in column 1; -1/P then
+    # needs three more primes, all the cap of 1 + 3 allows
+    taken = _primes_taken(monkeypatch)
+    res = nullspace([[_q(P), ONE]], 2)
+    assert res.basis == ((_q(-1, P), ONE),) and res.pivots == (0,)
+    assert len(taken) == linalg._prime_cap([{0: P, 1: 1}], 2) == 4
+
+
+def test_a_dropped_vector_raises(monkeypatch):
+    # every kept vector verifies, but the component's nullity is 2: a lost
+    # vector must not pass as a smaller kernel
+    sweep = linalg._sweep_mod
+
+    def drop_last(rows, cols, p):
+        pivots, vectors = sweep(rows, cols, p)
+        vectors.pop(max(vectors))
+        return pivots, vectors
+
+    monkeypatch.setattr(linalg, "_sweep_mod", drop_last)
+    with pytest.raises(RuntimeError, match="1 vectors for nullity 2"):
+        nullspace([[ONE, _q(2), _q(3)]], 3)
+
+
+def test_a_corrupted_residue_raises_at_the_cap(monkeypatch):
+    # one residue of the sweep's vector is off by one at every prime, so no
+    # lift verifies, and the component stops at its cap
+    sweep, taken = linalg._sweep_mod, []
+
+    def corrupt(rows, cols, p):
+        taken.append(p)
+        pivots, vectors = sweep(rows, cols, p)
+        vectors[1][0] = (vectors[1][0] + 1) % p
+        return pivots, vectors
+
+    monkeypatch.setattr(linalg, "_sweep_mod", corrupt)
+    a, b = 3 ** 44, 2 ** 69 + 3
+    with pytest.raises(RuntimeError,
+                       match=r"^nullspace verification failed \(bug\)$"):
+        nullspace([[_q(a), _q(b)]], 2)
+    assert len(taken) == linalg._prime_cap([{0: a, 1: b}], 2) == 4
+
+
+def test_the_primes_are_the_first_below_2_to_the_61():
+    got = list(itertools.islice(linalg._primes(), 12))
+    assert got[:len(linalg._PRIMES)] == list(linalg._PRIMES)
+    assert got[0] == 2 ** 61 - 1 and got[-1] > 2 ** 60
+    assert [2 ** 61 - p for p in got] == [1, 31, 45, 229, 259, 283, 339,
+                                          391, 403, 465, 531, 579]
+    # none skipped: every odd number between two taken is composite
+    assert all(not linalg._is_prime(n)
+               for hi, lo in zip(got, got[1:]) for n in range(lo + 2, hi, 2))
+
+
+def test_the_prime_test_agrees_with_trial_division():
+    def trial(n):
+        return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+    assert all(linalg._is_prime(n) == trial(n) for n in range(25, 20_000, 2))
+    # strong pseudoprimes to the bases 2, 3, 5 and 7
+    assert not linalg._is_prime(3_215_031_751)
+    assert not linalg._is_prime(2_152_302_898_747)
 
 
 # -- connected components -------------------------------------------------
@@ -674,7 +844,9 @@ def test_only_rows_holding_the_pivot_column_are_combined(monkeypatch,
                                                          symbolic, seed):
     # a row without the pivot column keeps its pending scale and is left
     # alone; in these matrices a sweep rescaling every row of a component
-    # would combine 2 and 4 such rows
+    # would combine 2 and 4 such rows.  A rational matrix takes the modular
+    # path in nullspace, so its sweep is run directly, component by
+    # component, and must find nullspace's pivots
     combine, seen = linalg._combine_rows, []
 
     def spy_combine(row, row_p, c, *rest):
@@ -684,13 +856,19 @@ def test_only_rows_holding_the_pivot_column_are_combined(monkeypatch,
     monkeypatch.setattr(linalg, "_combine_rows", spy_combine)
     rows, ncols = _block_matrix(random.Random(seed), symbolic)
     res = nullspace(rows, ncols)
-    assert seen and all(seen)
     assert res.rank == _reference_nullspace(rows, ncols)[1]
     if symbolic:
         assert (res.basis, res.rank, res.pivot_assumptions) \
             == _blockwise_reference(rows, ncols)
     else:
+        assert not seen
+        _, m, pk, _ = linalg._sparse(rows, ncols)
+        pivots = []
+        for members, cols in linalg._components(m, ncols):
+            pivots += linalg._sweep([m[i] for i in members], cols, pk, [])[0]
+        assert tuple(sorted(pivots)) == res.pivots
         assert res.basis == _reference_rref(rows, ncols)[0]
+    assert seen and all(seen)
 
 
 class TestInputCheck:

@@ -56,10 +56,11 @@ Chinese remainder theorem (Garner) before reconstruction; a prime that
 finds more pivots, or as many further left, replaces them, and one that
 finds fewer, or as many further right, is dropped.
 
-Why the result is exact.  Every minor modulo p is the minor modulo p, so
-the rank modulo p is at most the rank over Q and the i-th pivot column
-modulo p is at or right of the i-th over Q: the pivots over Q are the
-most, and the leftmost, that any prime finds.  Every returned vector
+Why the result is exact.  A minor modulo p is the image of the minor
+over Q, so a minor that is nonzero modulo p is nonzero: the rank modulo p
+is at most the rank over Q, in every prefix of the columns, and the i-th
+pivot column modulo p is at or right of the i-th over Q.  The pivots over
+Q are the most, and the leftmost, that any prime finds.  Every returned vector
 passes ``A v = 0`` exactly, and its support is f and pivot columns left of
 f (a pivot row is zero left of its pivot), so column f is a combination of
 the columns before it over Q and is no pivot over Q.  The pivots over Q
@@ -79,19 +80,24 @@ minor D on the pivot columns over Q, for r the rank.  A prime that does
 not divide D finds the pivots over Q (D stays nonzero modulo it), and its
 reduced row echelon form is the image of the rational one, whose
 denominators divide D.  So the unlucky primes divide D, and as each
-exceeds 2^60 there are at most ``log2(H) / 60`` of them.  The entries of the rational form are quotients
-of minors, each at most H in size, so lucky primes whose product m
-exceeds ``2 H^2`` reconstruct every entry: ``1 + (2 log2(H) + 1) / 60``
-of them.  A component takes at most the sum of the two counts
-(``_prime_cap``, computed only after a first prime fails), and reaching it
-raises ``RuntimeError("nullspace verification failed (bug)")``.
+exceeds 2^60 there are at most ``log2(H) / 60`` of them.  The entries of
+the rational form are quotients of minors, each at most H in size, so
+lucky primes whose product m exceeds ``2 H^2`` reconstruct every entry:
+``1 + (2 log2(H) + 1) / 60`` of them.  A component takes at most the
+sum of the two counts (``_prime_cap``, computed only after a first prime
+fails), and reaching it raises ``RuntimeError("nullspace verification
+failed (bug)")``.
 
 Keep or drop.  The modular path replaced the fraction-free sweep on
-rational matrices because it is measured to pay: on ``search-rational``
-(seed 7, 13 matrices) ``nullspace`` went from about 19 to 10 ms per pass,
-and at scale the Bareiss pivots grow to 1,302 bits where a prime's residues
-stay at 61 (see README, "Performance", *modular elimination*, for the
-pairs and the rungs).  It stays only while those measurements hold.
+rational matrices because it was measured to pay, on 2 vCPUs with Python
+3.11.7: ``search-rational`` rose from 151 to 168 requests/s (seed 7, 30 s
+runs, 10 of 10 alternating pairs won; seed 977, 3 of 3), its 13 seed-7
+matrices take about 10 ms of ``nullspace`` per pass where the sweep took
+18 to 20, and ``find`` on ``u3+u^2*u1`` at order 7, weight 9, x-degree 1
+and base weight 1 fell from 1.0 to 0.35 s at t-degree 1 (pool 837) and
+from 8.7 to 1.75 s at t-degree 2 (pool 2,241): the Bareiss pivots grow to
+1,302 bits where a prime's residues stay at 61.  The path stays only
+while such measurements hold.
 
 The fraction-free sweep (matrices with named constants).  ``_sweep`` runs
 one fraction-free Gauss-Jordan (Bareiss) pivot loop on each component.

@@ -38,9 +38,7 @@ def total_d_power(e: DiffExpr, j: int) -> DiffExpr:
     if j < 0:
         raise ex.ExpressionError("D power must be >= 0")
     for _ in range(j):
-        parts = e._parts  # read a memo hit without a call
-        d = parts.get(None) if parts else None
-        e = total_d(e) if d is None else d
+        e = ex._derive(e, None)
     return e
 
 

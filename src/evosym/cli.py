@@ -105,7 +105,7 @@ def _cmd_check(args) -> Answer:
     eq = _equation(args)
     G = parse(args.candidate, args.constants)
     rep = is_symmetry(eq, G)
-    cls = classify_time(G)
+    cls = str(classify_time(G))
     verdict = "SYMMETRY" if rep.is_symmetry else "NOT A SYMMETRY"
     lines = [f"verdict: {verdict}",
              f"order: {rep.order}",
@@ -124,11 +124,11 @@ def _cmd_check(args) -> Answer:
                          f"psi = {dec.psi}")
         lines.append(f"x-descent: {len(trace.steps) - 1} step(s)"
                      + (f" ({trace.note})" if trace.note else ""))
+    residual = None if rep.is_symmetry else str(rep.residual)
     report = _report("check", verdict, order=rep.order, flags=_flags(eq),
-                     time_class=str(cls),
-                     residual=None if rep.is_symmetry else str(rep.residual))
-    if not rep.is_symmetry:
-        lines.append(f"residual: {rep.residual}")
+                     time_class=cls, residual=residual)
+    if residual is not None:
+        lines.append(f"residual: {residual}")
     return (0 if rep.is_symmetry else 1), report, lines
 
 
@@ -154,8 +154,9 @@ def _cmd_determine(args) -> Answer:
     lines = [f"verdict: {verdict}", f"levels: {levels} (l = 0..{levels - 1})"]
     for l, e in enumerate(system.equations):
         lines.append(f"E_{l} = {e}")
-    lines.append(f"closure = {system.closure}")
-    residual = None if system.all_zero else str(system.closure)
+    closure = str(system.closure)
+    lines.append(f"closure = {closure}")
+    residual = None if system.all_zero else closure
     report = _report("determine", verdict, order=system.k, flags=_flags(eq),
                      residual=residual)
     return (0 if system.all_zero else 1), report, lines
@@ -173,10 +174,11 @@ def _cmd_scaling(args) -> Answer:
     Q0 = parse(args.q0, args.constants)
     res = scaling_test(eq, Q0)
     if res.found:
-        verdict = f"lambda = {res.lam}"
+        lam = str(res.lam)
+        verdict = f"lambda = {lam}"
         lines = [f"verdict: {verdict}",
-                 f"certified: exp(({res.lam})*t) * Q0 has zero residual"
-                 if res.lam and not res.lam.is_zero else
+                 f"certified: exp(({lam})*t) * Q0 has zero residual"
+                 if res.lam else
                  "degenerate: lambda = 0, Q0 itself is a symmetry"]
     else:
         verdict = "none"

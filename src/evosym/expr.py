@@ -720,14 +720,16 @@ def power_outside_exp(e: DiffExpr, v) -> bool:
 
 
 def constant_rows(rows: Iterable[Iterable], reach: int
-                  ) -> tuple[list[dict], list[dict], _Packing, int] | None:
-    """A matrix of constant expressions read, checked and packed: each row
-    as a dict from position to nonzero entry; the same rows times ``den``,
-    the lcm of the entries' denominators, packed; the ``_Packing`` over the
-    named constants' slots met, with digit half-width ``reach`` times the
-    largest absolute power of a constant in the entries; and ``den``.  None
-    when an entry is not a ``DiffExpr`` or has a generator or an
-    exponential."""
+                  ) -> tuple[list[dict], list[dict], _Packing | None,
+                             int] | None:
+    """A matrix of constant expressions read and checked, as ``(rows,
+    cleared, pk, den)``: each row as a dict from position to nonzero entry;
+    ``den``, the lcm of the entries' denominators; and the same rows times
+    ``den``.  Without a named constant a cleared cell is an ``int`` and
+    ``pk`` is None; with one it is packed over ``pk``, the ``_Packing`` of
+    the constants' slots met, with digit half-width ``reach`` times the
+    largest absolute power of a constant.  None when an entry is not a
+    ``DiffExpr`` or has a generator or an exponential."""
     out, den, slots, top = [], 1, set(), 0
     for r in rows:
         row = {}
@@ -748,6 +750,9 @@ def constant_rows(rows: Iterable[Iterable], reach: int
                         top = max(top, abs(v))
                 row[c] = e
         out.append(row)
+    if not slots:  # every entry is rational: one numerator over e._den
+        return out, [{c: den // e._den * v for c, e in row.items()
+                      for v in e._t.values()} for row in out], None, den
     pk = _Packing(sorted(slots), reach * top)
     packed = [{c: pk.pack(e, den) for c, e in row.items()} for row in out]
     return out, packed, pk, den
@@ -907,8 +912,6 @@ class _Packing:
         """``den * e`` packed; ``den`` is a multiple of ``e``'s
         denominator, so the coefficients are ints."""
         s = den // e._den
-        if not self.slots:  # a rational: the one key 0
-            return {0: c * s for c in e._t.values()}
         w = self.weights
         return {int(sum(v * w[slot] for slot, v in _decode_key(key))):
                 c * s for key, c in e._t.items()}
@@ -937,18 +940,10 @@ class _Packing:
         return _reduced(terms, sign * den)
 
     def extent(self, poly: dict) -> tuple[list[int], list[int]]:
-        """Per-slot lowest and highest digit over the terms of ``poly``,
-        least significant slot first."""
-        zs = [k + self.offset for k in poly]
-        base = self.base
-        lo, hi = [], []
-        w = 1
-        for _ in self.slots:
-            ds = [z // w % base for z in zs]
-            lo.append(min(ds))
-            hi.append(max(ds))
-            w *= base
-        return lo, hi
+        """Per-slot lowest and highest digit plus L over the terms of
+        ``poly``, least significant slot first."""
+        ds = [self.digits(k) for k in poly]
+        return [min(d) for d in zip(*ds)], [max(d) for d in zip(*ds)]
 
     def divisor(self, den: dict):
         """What ``_divide`` needs of a divisor: ``None`` when it is 1, else

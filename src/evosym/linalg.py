@@ -3,12 +3,12 @@
 Matrix entries are constant expressions (elements of the ring of Laurent
 polynomials in the named constants over Q); any other entry (a ``DiffExpr``
 with a variable, or not a ``DiffExpr`` at all, ``int`` 0 included), and a
-ragged matrix, is rejected up front with ``ValueError``.  ``_sparse`` reads
-the matrix once, through ``expr.constant_rows``, which checks each entry
-and stores it times ``den``, the lcm of the entries' denominators (each
-``DiffExpr`` keeps one), as a packed polynomial (``expr._Packing``) with
-``int`` coefficients, in dict rows from column to nonzero value.  A
-rational entry packs to the one monomial ``0``.
+ragged matrix, is rejected up front with ``ValueError``.  ``nullspace``
+reads the matrix once, through ``expr.constant_rows``, which checks each
+entry and stores it times ``den``, the lcm of the entries' denominators
+(each ``DiffExpr`` keeps one), in dict rows from column to nonzero value:
+an ``int``, or with a named constant in the matrix a packed polynomial
+(``expr._Packing``) with ``int`` coefficients.
 
 Every elimination is ``nullspace``'s, so every one is checked by
 ``A v = 0`` (below): ``rank`` reads its rank, and ``in_span`` compares two
@@ -18,11 +18,11 @@ outside the span of the columns before it (over the field of fractions of
 the constants; see "The verdicts" below), so a caller reads whether an
 expression depends on earlier ones off the pivots of one sweep, with no
 second elimination.  ``nullspace`` splits the matrix into its connected
-components (below) and eliminates each on its own, in one of two domains
-chosen once per matrix: a matrix whose packing has no slots is rational,
-every cell ``{0: c}`` with ``c`` an ``int``, and takes the modular path; a
-matrix with a named constant takes the fraction-free sweep, all its
-components, rational ones included.
+components (below) and hands each to one of two engines, chosen once per
+matrix: the modular path (``_modular``) for a rational matrix, and the
+fraction-free sweep (``_fraction_free``) for every component of a matrix
+with a named constant.  Each returns the pivot columns and the kernel
+vectors of its component, every vector checked by ``A v = 0``.
 
 Components.  A row and a column are adjacent when their cell is nonzero;
 ``_components`` finds the connected components of this graph by
@@ -134,10 +134,10 @@ is ``den^j`` times the input's, so zero tests, pivot choices and ranks are
 the input's, and each pivot is a rational unit times the input's.
 
 Output.  A free column f yields the nullspace vector with d at f and
-``-M[i][f]`` at the i-th pivot column of its component, vectors in the order
-of their free columns.  Its entries are r x r minors for r pivots in the
-component, so divided by ``den^r`` it is the vector of the same sweep on
-the input, and it is verified as above.
+``-M[i][f]`` at the i-th pivot column of its component (``_fraction_free``,
+which checks first that each such pivot entry is d).  Its entries are r x
+r minors for r pivots in the component, so divided by ``den^r`` it is the
+vector of the same sweep on the input, and it is verified as above.
 
 A pivot that involves named constants is only generically nonzero; those
 pivots are collected so callers can flag the assumed-nonvanishing locus.
@@ -207,6 +207,7 @@ class NullspaceResult:
 
 
 _INEXACT = "fraction-free elimination: inexact division (bug)"
+_NOT_VERIFIED = "nullspace verification failed (bug)"
 
 
 def _fms(p: dict, a: dict | None, f: dict | None, b: dict | None) -> dict:
@@ -231,18 +232,6 @@ def _fms(p: dict, a: dict | None, f: dict | None, b: dict | None) -> dict:
                     else:
                         del out[k]
     return out
-
-
-def _sparse(rows: list[list[DiffExpr]], ncols: int):
-    """One scan of the matrix: ``expr.constant_rows``'s ``(input rows,
-    packed rows, packing, den)``, packed with digit half-width ``2RE`` (see
-    the module docstring)."""
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    got = ex.constant_rows(rows, 2 * min(len(rows), ncols))
-    if got is None:
-        raise ValueError("matrix entries must be constant expressions")
-    return got
 
 
 def _exact(num: dict, div, pk: ex._Packing) -> dict:
@@ -357,6 +346,34 @@ def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
     return pivots, d
 
 
+def _fraction_free(rows: list[dict], cols: list[int], pk: ex._Packing,
+                   den: int, assumptions: list[dict], annihilates):
+    """``_sweep`` on one component's packed rows, cleared by ``den``: its
+    pivot columns and kernel vectors (free column -> ``{col: DiffExpr}``,
+    see "Output" above), each checked by ``annihilates``."""
+    pivots, d = _sweep(rows, cols, pk, assumptions)
+    scale = den ** len(pivots)
+    pivot_set = set(pivots)
+    vecs = {}
+    for f in cols:
+        if f in pivot_set:
+            continue
+        vec = {f: pk.unpack(d, scale)}
+        for row, c in zip(rows, pivots):
+            entry = row.get(f)
+            if entry is None:
+                continue
+            if row[c] != d:
+                raise RuntimeError("fraction-free elimination: pivot "
+                                   "entry differs from the final pivot "
+                                   "(bug)")
+            vec[c] = pk.unpack({k: -v for k, v in entry.items()}, scale)
+        if not annihilates(vec):
+            raise RuntimeError(_NOT_VERIFIED)
+        vecs[f] = vec
+    return pivots, vecs
+
+
 # -- the modular path, for matrices without named constants -------------------
 
 # the primes taken in turn, 2^61 - 1 and the next primes below it; all
@@ -364,7 +381,6 @@ def _sweep(m: list[dict], cols: list[int], pk: ex._Packing,
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229, 2**61 - 259,
            2**61 - 283, 2**61 - 339, 2**61 - 391)
 _PRIME_BITS = 60
-_NOT_VERIFIED = "nullspace verification failed (bug)"
 
 
 def _is_prime(n: int) -> bool:
@@ -540,7 +556,13 @@ def normalize_assumptions(polys) -> tuple[DiffExpr, ...]:
 
 
 def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
-    original, m, pk, den = _sparse(rows, ncols)
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    # digit half-width 2RE (see the module docstring)
+    read = ex.constant_rows(rows, 2 * min(len(rows), ncols))
+    if read is None:
+        raise ValueError("matrix entries must be constant expressions")
+    original, m, pk, den = read
     # exact verification of A v = 0, on the rows that share a column with
     # v: every other row's sum has no terms
     rows_at: dict[int, list[int]] = {}
@@ -556,38 +578,16 @@ def nullspace(rows: list[list[DiffExpr]], ncols: int) -> NullspaceResult:
 
     vecs: dict[int, dict] = {}
     pivots: list[int] = []
-    assumptions: list[dict] = []
+    assumptions: list[dict] = []  # packed; only the sweep appends
     for members, cols in _components(m, ncols):
-        if not pk.slots:  # rational: the modular path
-            got, found = _modular(
-                [{c: cell[0] for c, cell in m[i].items()} for i in members],
-                cols, annihilates)
-            pivots += got
-            vecs.update(found)
-            continue
-        # fraction-free Gauss-Jordan; the block's rows start with its
-        # pivot rows in pivot order
         block = [m[i] for i in members]
-        got, d = _sweep(block, cols, pk, assumptions)
+        if pk is None:  # rational: the modular path
+            got, found = _modular(block, cols, annihilates)
+        else:
+            got, found = _fraction_free(block, cols, pk, den, assumptions,
+                                        annihilates)
         pivots += got
-        scale = den ** len(got)  # the input's vector (module docstring)
-        pivot_set = set(got)
-        for f in cols:
-            if f in pivot_set:
-                continue
-            vec = {f: pk.unpack(d, scale)}
-            for row, c in zip(block, got):
-                entry = row.get(f)
-                if entry is None:
-                    continue
-                if row[c] != d:
-                    raise RuntimeError("fraction-free elimination: pivot "
-                                       "entry differs from the final pivot "
-                                       "(bug)")
-                vec[c] = pk.unpack({k: -v for k, v in entry.items()}, scale)
-            if not annihilates(vec):
-                raise RuntimeError(_NOT_VERIFIED)
-            vecs[f] = vec
+        vecs.update(found)
 
     return NullspaceResult(
         basis=tuple(tuple(vecs[f].get(c, ex.ZERO) for c in range(ncols))

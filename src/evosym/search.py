@@ -82,29 +82,21 @@ class SearchResult:
     pivot_assumptions: tuple[DiffExpr, ...]
 
 
-def _u_monomials(order: int, weight_max: int, w0: int):
-    """All monomials in u_0..u_order with scaling weight <= weight_max, as
-    ``((i, e_i), ...)`` over the nonzero exponents, in lexicographic order
-    of ``(e_0, ..., e_order)``: each step raises the highest exponent that
-    still fits (u_j weighs j + w0) and zeroes those above it."""
+def _u_monomials(order: int, weight_max: int, w0: int, low: int = 0):
+    """All monomials in u_low..u_order with scaling weight <= weight_max
+    (u_j weighs j + w0), as ``((i, e_i), ...)`` over the nonzero exponents,
+    in lexicographic order of ``(e_low, ..., e_order)``: 1, then for each j
+    from the highest that fits down to ``low``, each power of u_j that fits
+    times the monomials in the higher u's that fit beside it.  One level of
+    recursion per factor, not per index, so a deep order stays shallow."""
     if weight_max < 0:
         return
-    combo: list[tuple[int, int]] = []
-    free = weight_max
-    while True:
-        yield tuple(combo)
-        j = min(order, free - w0)
-        while combo and j < combo[-1][0]:
-            i, e = combo.pop()
-            free += e * (i + w0)
-            j = min(i - 1, free - w0)
-        if j < 0:
-            return
-        if combo and combo[-1][0] == j:
-            combo[-1] = (j, combo[-1][1] + 1)
-        else:
-            combo.append((j, 1))
-        free -= j + w0
+    yield ()
+    for j in range(min(order, weight_max - w0), low - 1, -1):
+        w = j + w0
+        for e in range(1, weight_max // w + 1):
+            for rest in _u_monomials(order, weight_max - e * w, w0, j + 1):
+                yield ((j, e),) + rest
 
 
 def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:

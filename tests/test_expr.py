@@ -219,11 +219,20 @@ class TestConstantRows:
             for c, entry in row.items():
                 assert pk.unpack(packed_row[c], den) == entry
 
-    def test_a_rational_matrix_packs_to_the_key_zero(self):
-        rows, packed, pk, den = ex.constant_rows(
-            [[rational(3, 4), ZERO], [ZERO, ONE]], 4)
-        assert (pk.slots, pk.half, den) == ([], 0, 4)
-        assert packed == [{0: {0: 3}}, {1: {0: 4}}]
+    def test_a_rational_matrix_is_cleared_to_ints_without_a_packing(
+            self, monkeypatch):
+        # the modular path reads int rows as they are: no packing is built
+        # and no cell is a one-monomial polynomial
+        def refuse(*args):
+            raise AssertionError("a rational matrix built a packing")
+
+        monkeypatch.setattr(ex, "_Packing", refuse)
+        rows, cleared, pk, den = ex.constant_rows(
+            [[rational(3, 4), ZERO, rational(-5, 6)], [ZERO, ONE, ZERO]], 4)
+        assert rows == [{0: rational(3, 4), 2: rational(-5, 6)}, {1: ONE}]
+        assert (pk, den) == (None, 12)
+        assert cleared == [{0: 9, 2: -10}, {1: 12}]
+        assert all(type(v) is int for row in cleared for v in row.values())
 
     @pytest.mark.parametrize("entry", [u0, exp_of(x), 0, 1.5, None])
     def test_anything_but_a_constant_expression_is_none(self, entry):

@@ -207,28 +207,17 @@ _TERM_FIELDS = {"_t", "_den", "_parts", "_num_items", "_reduced"}
 _LAYOUT_NAMES = {"FIELD_BITS", "FIELD_MASK", "MAX_POWER", "MAX_U", "GUARD",
                  "X_UNIT", "ONE_KEY", "_gen_unit", "_gen_part",
                  "_gen_power", "_decode_key", "_encode_key"}
-# where the layout is read: expr and the kernel it imports, and the one
-# function that reads the D memo without a call (``total_d_power``)
+# where the layout is read: expr and the kernel it imports
 _LAYOUT_OWNERS = {"expr.py", "_kernel_py.py"}
-_MEMO_FUNCTIONS = {"calculus.py": {"total_d_power"}}
 
 
-def term_field_uses(source: str, allowed_functions=()) -> list[str]:
-    """Where ``source``, outside the top-level functions named in
-    ``allowed_functions``, reads a ``DiffExpr`` field (an attribute named
+def term_field_uses(source: str) -> list[str]:
+    """Where ``source`` reads a ``DiffExpr`` field (an attribute named
     ``_t``, ``_den``, ``_parts`` or ``_num_items``), or uses ``_reduced``
     or a name of the packed key layout (``_LAYOUT_NAMES``) as an attribute,
     a name or an import, as ``"<line>: <name>"``."""
-    tree = ast.parse(source)
-    skip = set()
-    for node in tree.body:
-        if (isinstance(node, ast.FunctionDef)
-                and node.name in allowed_functions):
-            skip |= {id(n) for n in ast.walk(node)}
     out = []
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.Name):
@@ -260,13 +249,11 @@ def test_the_term_field_check_sees_every_form(source):
     assert term_field_uses(source)
 
 
-def test_the_term_field_check_passes_the_allowed_functions_and_packing():
+def test_the_term_field_check_passes_packing_and_plain_names():
     source = ("from . import expr as ex\n"
-              "def total_d_power(e):\n    return e._parts\n"
               "def f(e, pk):\n    return ex._divide(pk.pack(e, 1), None, pk)\n"
               "def g(_t):\n    return _t\n")
-    assert term_field_uses(source, {"total_d_power"}) == []
-    assert term_field_uses(source) == ["3: _parts"]
+    assert term_field_uses(source) == []
 
 
 @pytest.mark.parametrize(
@@ -276,7 +263,7 @@ def test_only_expr_reads_term_keys(path):
     # term keys and DiffExpr fields are read in expr (and its kernel) only,
     # so changing the key encoding touches no other module
     source = (PACKAGE / path).read_text()
-    assert term_field_uses(source, _MEMO_FUNCTIONS.get(path, ())) == []
+    assert term_field_uses(source) == []
 
 
 def packing_calls(source: str) -> list[int]:

@@ -862,7 +862,11 @@ def test_only_rows_holding_the_pivot_column_are_combined(monkeypatch,
             == _blockwise_reference(rows, ncols)
     else:
         assert not seen
-        _, m, pk, _ = linalg._sparse(rows, ncols)
+        # nullspace reads a rational matrix as ints; the sweep meets such
+        # components packed, inside matrices with named constants
+        original, _, _, den = ex.constant_rows(rows, 0)
+        pk = _Packing([], 0)
+        m = [{c: pk.pack(e, den) for c, e in row.items()} for row in original]
         pivots = []
         for members, cols in linalg._components(m, ncols):
             pivots += linalg._sweep([m[i] for i in members], cols, pk, [])[0]
@@ -966,10 +970,10 @@ def _products_reach(monkeypatch):
     """Record the largest exponent magnitude of any monomial product that
     ``_fms`` forms, and the digit half-width L of the packing."""
     seen = {"L": None, "top": 0}
-    sparse, fms = linalg._sparse, linalg._fms
+    constant_rows, fms = ex.constant_rows, linalg._fms
 
-    def spy_sparse(rows, ncols):
-        out = sparse(rows, ncols)
+    def spy_constant_rows(rows, reach):
+        out = constant_rows(rows, reach)
         pk = out[2]
         seen["pk"], seen["L"] = pk, pk.half
         return out
@@ -985,7 +989,7 @@ def _products_reach(monkeypatch):
                     seen["top"] = max(seen["top"], top)
         return fms(p, a, f, b)
 
-    monkeypatch.setattr(linalg, "_sparse", spy_sparse)
+    monkeypatch.setattr(ex, "constant_rows", spy_constant_rows)
     monkeypatch.setattr(linalg, "_fms", spy_fms)
     return seen
 

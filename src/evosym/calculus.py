@@ -38,7 +38,8 @@ def total_d_power(e: DiffExpr, j: int) -> DiffExpr:
     if j < 0:
         raise ex.ExpressionError("D power must be >= 0")
     for _ in range(j):
-        e = ex._derive(e, None)
+        d = ex._memo_d(e)  # a memo hit costs no total_d call
+        e = total_d(e) if d is None else d
     return e
 
 

@@ -643,6 +643,12 @@ def _derive(e: DiffExpr, gen) -> DiffExpr:
     return got
 
 
+def _memo_d(e: DiffExpr) -> DiffExpr | None:
+    """``D(e)`` if ``e``'s memo holds it, else ``None``; derives nothing."""
+    parts = e._parts
+    return parts.get(None) if parts else None
+
+
 def partial(e: DiffExpr, v) -> DiffExpr:
     """Formal partial derivative; all generators are independent."""
     return _derive(e, _gencode(v))

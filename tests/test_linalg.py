@@ -863,9 +863,10 @@ def test_only_rows_holding_the_pivot_column_are_combined(monkeypatch,
     else:
         assert not seen
         # nullspace reads a rational matrix as ints; the sweep meets such
-        # components packed, inside matrices with named constants
+        # components packed, inside matrices with named constants, so pack
+        # the block over one constant slot as such a matrix would
         original, _, _, den = ex.constant_rows(rows, 0)
-        pk = _Packing([], 0)
+        pk = _Packing([(1, "a")], 2 * min(len(rows), ncols))
         m = [{c: pk.pack(e, den) for c, e in row.items()} for row in original]
         pivots = []
         for members, cols in linalg._components(m, ncols):

@@ -15,13 +15,12 @@ key there is ``(gens, rest)``: the generator powers packed in one int, one
 fixed-width field per generator, and a sorted tuple of the named-constant
 and exponential slots.  This module alone reads keys.  At its boundary
 (``DiffExpr(mapping)``, ``term_items``, and the keys that
-``split_t_only`` and ``constant_coefficients`` return) a key is the sorted
-slot tuple ``((0, gen), power), ..., ((1, name), power), ...,
-((2, gen, cmono), rate), ...``, and the canonical order is that of these
-tuples; no other module learns the packing.  A generator power above
-``MAX_GEN_POWER``, or a u-index above ``kernel.MAX_U``, leaves the class:
-the product, power or derivative that would make one raises
-``ExpressionError``.
+``split_t_only`` returns) a key is the sorted slot tuple ``((0, gen),
+power), ..., ((1, name), power), ..., ((2, gen, cmono), rate), ...``, and
+the canonical order is that of these tuples; no other module learns the
+packing.  A generator power above ``MAX_GEN_POWER``, or a u-index above
+``kernel.MAX_U``, leaves the class: the product, power or derivative that
+would make one raises ``ExpressionError``.
 """
 
 from __future__ import annotations
@@ -770,13 +769,12 @@ def _group(items, den: int, by) -> dict:
     """The one grouping of terms: ``by(key)`` gives a term's ``(group,
     rest)``, for ``rest`` the key it keeps in the group (one key per
     term of a group).  ``items`` are an expression's ``(key, numerator)``
-    pairs over ``den``.  Each group's remainder, its terms with their keys
-    cut to ``rest``, is one expression; the groups come in the order the
-    items first name them, so a reader whose result is ordered passes its
-    items in the canonical order of ``e._num_items()`` and any other the
-    unsorted ``e._t.items()`` (sorting is a cost per read).  ``by`` reads a
-    key as the kernel's pair, or as a slot tuple where the reader passes
-    those."""
+    pairs over ``den``, keys as the kernel's pairs.  Each group's
+    remainder, its terms with their keys cut to ``rest``, is one
+    expression; the groups come in the order the items first name them, so
+    a reader whose result is in the canonical order passes its items in
+    the order of ``e._num_items()`` and any other the unsorted
+    ``e._t.items()`` (sorting decodes every key of a read)."""
     groups: dict = {}
     for key, c in items:
         g, rest = by(key)
@@ -812,13 +810,40 @@ def split_t_only(e: DiffExpr) -> dict[tuple, DiffExpr]:
     return _group(e._t.items(), e._den, by)
 
 
-def constant_coefficients(e: DiffExpr) -> dict[tuple, DiffExpr]:
-    """The constant coefficient (a rational times named constants) of each
-    monomial free of constants, keyed by that monomial's slot-tuple key."""
-    def by(slots):
-        shape, consts = _cut(slots, (1,), (2,))
-        return shape, (0, consts)
-    return _group(((slots, c) for slots, _, c in e._num_items()), e._den, by)
+def coefficient_rows(images: list[DiffExpr]) -> list[list[DiffExpr]]:
+    """The linear system of ``images``: one dense row per monomial free of
+    named constants (a shape), one column per image, and in each cell the
+    constant coefficient (a rational times named constants) of the row's
+    shape in the column's image.
+
+    Each image's terms are grouped on their packed keys with the constant
+    slots cut, not sorted; only a term whose shape is new to the system is
+    decoded.  Rows come in the order the images' canonical terms first
+    name them: an image's new shapes by the least canonical place
+    (``_order``) of their own terms, which need not be the shape's, as a
+    constant slot sorts before an exponential one (``a*exp(a*t)*u``
+    precedes ``exp(t)*u``)."""
+    def by(key):
+        gens, rest = key
+        rest, consts = _cut(rest, (1,), (2,))
+        return (gens, rest), (0, consts)
+
+    ncols = len(images)
+    index: dict = {}
+    rows: list[list[DiffExpr]] = []
+    for col, e in enumerate(images):
+        cells = _group(e._t.items(), e._den, by)
+        new = [shape for shape in cells if shape not in index]
+        if len(new) > 1:
+            new.sort(key=lambda shape: min(
+                _order((shape[0], consts + shape[1]))
+                for _, consts in cells[shape]._t))
+        for shape in new:
+            index[shape] = len(rows)
+            rows.append([ZERO] * ncols)
+        for shape, cell in cells.items():
+            rows[index[shape]][col] = cell
+    return rows
 
 
 def split_u_order(e: DiffExpr, cut: int) -> tuple[DiffExpr, DiffExpr]:

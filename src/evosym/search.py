@@ -5,13 +5,16 @@ monomial pool (times optional t-powers and an optional fixed ``exp(lambda*t)``
 factor).  The compatibility residual is linear in the candidate, so the
 coefficient of every normalized term yields one exact linear condition; the
 nullspace of that system is the space of symmetries inside the ansatz.
-The system's rows are the constant coefficients that
-``expr.constant_coefficients`` reads off each image.  ``linalg`` computes
-the nullspace by sparse exact elimination: a rational matrix modulo
-primes, each entry rebuilt by rational reconstruction and every vector
-checked exactly; a matrix with named constants fraction-free (Bareiss) on
-the cleared entries as integer polynomials in the constants.  Every
-returned expression is re-verified through the full residual check; a
+Each pool entry ``m`` is built as one term, and its image ``dm/dt - {F,
+m}`` as ``{m, F}``, plus ``dm/dt`` for an entry with t: the bracket is
+antisymmetric, so no image is negated.  ``expr.coefficient_rows`` reads
+the system off the images on their packed keys, decoding only the terms
+whose shape is new to the system.  ``linalg`` computes the nullspace by
+sparse exact elimination: a rational matrix modulo primes, each entry
+rebuilt by rational reconstruction and every vector checked exactly; a
+matrix with named constants fraction-free (Bareiss) on the cleared
+entries as integer polynomials in the constants.  Every returned
+expression is re-verified through the full residual check; a
 linear-t pair through ``timedep.mastersymmetry_test``, whose
 ``MasterResult`` is the pair.
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from . import linalg
-from .expr import GEN_T, DiffExpr, partial
+from .expr import GEN_T, GEN_X, DiffExpr, partial
 from .symmetry import EvolutionEquation, SelfCheckError, bracket, is_symmetry
 from .timedep import MasterResult, mastersymmetry_test
 
@@ -104,9 +107,10 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
     that reaches a ``u_i`` past ``expr.MAX_U_INDEX`` is refused once built
     (so the cap on its size is met first): its answers would print
     ``u_i``, which the grammar does not read back."""
-    factor = ex.ONE
+    factor = ex.int_term(1)
     if cfg.exp_rate is not None:
-        factor = ex.exp_of(cfg.exp_rate * ex.t)
+        factor = ex.exp_term(cfg.exp_rate * ex.t)
+    x1, t1 = ex.gen_term(GEN_X), ex.gen_term(GEN_T)
     out = []
     # u_j weighs j + base_weight, and the pool holds u_top alone with the
     # top powers of x and t
@@ -114,19 +118,16 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
     top = min(cfg.order, weight - cfg.base_weight)
     for combo in _u_monomials(cfg.order, weight, cfg.base_weight):
         w_mono = sum(e * (i + cfg.base_weight) for i, e in combo)
-        mono = ex.ONE
+        mono = factor
         for i, e in combo:
-            mono = mono * ex.u(i) ** e
+            mono = ex.term_mul(mono, ex.term_pow(ex.gen_term(i), e))
         for p in range(cfg.x_degree_max + 1):
+            with_x = ex.term_mul(mono, ex.term_pow(x1, p))
             for j in range(cfg.t_degree_max + 1):
                 if w_mono - p - eq.n * j > cfg.weight_max:
                     continue
-                term = mono
-                if p:
-                    term = term * ex.x ** p
-                if j:
-                    term = term * ex.t ** j
-                out.append(term * factor)
+                out.append(ex.term_expr(ex.term_mul(with_x,
+                                                    ex.term_pow(t1, j))))
                 if len(out) > MAX_POOL:
                     raise PoolLimitError(
                         f"ansatz pool exceeds the cap of {MAX_POOL} "
@@ -138,20 +139,10 @@ def ansatz_terms(eq: EvolutionEquation, cfg: AnsatzConfig) -> list[DiffExpr]:
 
 
 def _linear_system(images: list[DiffExpr]) -> tuple[list[list[DiffExpr]], int]:
-    """One row per normalized term shape, one column per pool entry; entries
-    are the constant coefficients (``expr.constant_coefficients``).  Rows
-    come in the order the images' canonical terms first name them."""
-    row_index: dict[tuple, int] = {}
-    rows: list[list[DiffExpr]] = []
-    ncols = len(images)
-    for col, img in enumerate(images):
-        for shape, cell in ex.constant_coefficients(img).items():
-            i = row_index.get(shape)
-            if i is None:
-                i = row_index[shape] = len(rows)
-                rows.append([ex.ZERO] * ncols)
-            rows[i][col] = cell
-    return rows, ncols
+    """One row per constant-free monomial, one column per pool entry;
+    entries are the constant coefficients (``expr.coefficient_rows``).
+    Rows come in the order the images' canonical terms first name them."""
+    return ex.coefficient_rows(images), len(images)
 
 
 def _pool(eq: EvolutionEquation, cfg: AnsatzConfig,
@@ -190,7 +181,11 @@ def find_symmetries(eq: EvolutionEquation, cfg: AnsatzConfig,
     ``pool`` overrides the generated one; its entries must be linearly
     independent (``_pool``)."""
     pool = _pool(eq, cfg, pool)
-    images = [partial(m, GEN_T) - bracket(eq.F, m) for m in pool]
+    images = []
+    for m in pool:
+        # {m, F} = -{F, m}; an entry free of t has dm/dt = 0
+        dt, image = partial(m, GEN_T), bracket(m, eq.F)
+        images.append(dt + image if dt else image)
     rows, ncols = _linear_system(images)
     ns = linalg.nullspace(rows, ncols)
     basis = []

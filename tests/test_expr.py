@@ -135,12 +135,6 @@ class TestSplitTOnly:
                    ZERO) == e
 
 
-def key_of(e: DiffExpr) -> tuple:
-    """The term key of a one-term expression."""
-    (key, _), = e.term_items()
-    return key
-
-
 class TestSplitUOrder:
     E = parse("u^2 + x*exp(u) + x*t + 3 + u2*u - u1^2 + exp(x)")
 
@@ -172,20 +166,26 @@ class TestSplitByPower:
         assert ex.split_by_power(e, "t") == {1: u1, 0: u0}
 
 
-class TestConstantCoefficients:
+class TestCoefficientRows:
     def test_groups_in_canonical_first_appearance_order(self):
         a, b = const("a"), const("b")
         e = parse("a*u1 + 2*u1 + b*u*u1 + 3 + a*b + x", ["a", "b"])
-        got = ex.constant_coefficients(e)
-        # canonical order: 3, a*b, x, 2*u1, a*u1, b*u1*u
-        assert list(got) == [(), key_of(x), key_of(u1), key_of(u1 * u0)]
-        assert list(got.values()) == [a * b + 3, ONE, a + 2, b]
+        # canonical order: 3, a*b, x, 2*u1, a*u1, b*u1*u; the shapes' own
+        # columns name the rows
+        shapes = [ONE, x, u1, u1 * u0]
+        rows = ex.coefficient_rows([e, *shapes])
+        assert [row[0] for row in rows] == [a * b + 3, ONE, a + 2, b]
+        assert [row[1:] for row in rows] == [
+            [ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+        assert ex.coefficient_rows([e]) == [[row[0]] for row in rows]
 
     def test_the_coefficients_rebuild_the_expression(self):
         e = parse("1/3*a^-2*exp(a*x)*u2 - a*exp(a*x)*u2 + 5/6*b", ["a", "b"])
-        got = ex.constant_coefficients(e)
-        assert list(got) == [(), key_of(exp_of(const("a") * x) * u2)]
-        assert sum((c * DiffExpr({k: 1}) for k, c in got.items()), ZERO) == e
+        shapes = [ONE, exp_of(const("a") * x) * u2]
+        rows = ex.coefficient_rows([e, *shapes])
+        assert [row[1:] for row in rows] == [[ONE, ZERO], [ZERO, ONE]]
+        assert sum((row[0] * shape for row, shape in zip(rows, shapes)),
+                   ZERO) == e
 
 
 class TestExpSpectrum:

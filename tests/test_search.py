@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from evosym import (AnsatzConfig, PoolLimitError, check_structure, classify,
                     const, expr_in_span, exp_of, find_linear_t_symmetries,
-                    find_symmetries, frechet, is_symmetry, parse, u, u_order,
-                    x, t)
+                    find_symmetries, frechet, is_symmetry, parse, partial, u,
+                    u_order, x, t)
 from evosym import linalg, search
 from evosym.expr import ONE, ZERO, DiffExpr, rational
 from evosym.search import _linear_system, ansatz_terms
 from evosym.symmetry import SelfCheckError, bracket
 from evosym.timedep import MasterResult, mastersymmetry_test
-from conftest import COPIERS
+from conftest import COPIERS, random_expr
+from test_cli import run_process
 from test_linalg import _reference_nullspace
 
 u0, u1 = u(0), u(1)
@@ -77,6 +78,24 @@ class TestPool:
         assert ansatz_terms(kdv, AnsatzConfig(order=100_000, weight_max=7)) \
             == ansatz_terms(kdv, cfg)
 
+    @pytest.mark.parametrize("rate", [None, "1", "a"])
+    @pytest.mark.parametrize("w0", [1, 2, 3])
+    def test_pool_matches_the_product_built_loop(self, kdv, w0, rate):
+        exp_rate = None if rate is None else parse(rate, ["a"])
+        for order in range(8):
+            for weight in range(-1, 10):
+                for x_deg in range(3):
+                    for t_deg in range(3):
+                        cfg = AnsatzConfig(
+                            order=order, weight_max=weight, base_weight=w0,
+                            x_degree_max=x_deg, t_degree_max=t_deg,
+                            exp_rate=exp_rate)
+                        got = ansatz_terms(kdv, cfg)
+                        ref = _reference_ansatz_terms(kdv, cfg)
+                        assert got == ref, cfg
+                        # one term each, so no entry hides a sum
+                        assert all(len(m) == 1 for m in got)
+
     @pytest.mark.parametrize("w0", [1, 2, 3])
     def test_monomials_match_the_full_recursion(self, w0):
         for order in range(6):
@@ -130,6 +149,50 @@ class TestExplicitPool:
         monkeypatch.setattr(linalg, "nullspace", spy)
         find_symmetries(kdv, _O3W5)
         assert len(calls) == 1
+
+
+def _reference_ansatz_terms(eq, cfg):
+    """The pool built of expression products: each entry the product of
+    its u powers, x and t powers and the exponential factor, in the order
+    of ``ansatz_terms``."""
+    factor = ONE if cfg.exp_rate is None else exp_of(cfg.exp_rate * t)
+    out = []
+    weight = cfg.weight_max + cfg.x_degree_max + eq.n * cfg.t_degree_max
+    for combo in search._u_monomials(cfg.order, weight, cfg.base_weight):
+        w_mono = sum(e * (i + cfg.base_weight) for i, e in combo)
+        mono = ONE
+        for i, e in combo:
+            mono = mono * u(i) ** e
+        for p in range(cfg.x_degree_max + 1):
+            for j in range(cfg.t_degree_max + 1):
+                if w_mono - p - eq.n * j > cfg.weight_max:
+                    continue
+                term = mono
+                if p:
+                    term = term * x ** p
+                if j:
+                    term = term * t ** j
+                out.append(term * factor)
+    return out
+
+
+@pytest.mark.parametrize("flag", ["--x-degree", "--t-degree"])
+def test_a_huge_degree_meets_the_pool_cap_at_once(flag):
+    # no list sized by the degree is built: the cap stops the loop
+    proc = run_process("find", "--equation", "u3+6*u*u1", "--order", "3",
+                       "--weight", "5", flag, "1000000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: ansatz pool exceeds the cap of 4000 "
+                           "entries; tighten the configuration\n")
+
+
+def test_a_pool_past_the_key_fields_stops_at_its_first_u():
+    # u_2499 is the first u-power the pool builds after 1, and no term key
+    # has a field for it
+    proc = run_process("find", "--equation", "u3+6*u*u1", "--order", "2500",
+                       "--weight", "2500", "--base-weight", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: u-index 2499 out of range")
 
 
 def _reference_u_monomials(order, weight_max, w0):
@@ -210,6 +273,36 @@ class TestFindSymmetries:
             rng.shuffle(shuffled)
             res2 = find_symmetries(kdv, cfg, pool=shuffled)
             assert len(res2.basis) == len(res.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_the_bracket_is_antisymmetric(seed):
+    # find_symmetries takes the image of an entry m free of t as {m, F}
+    rng = random.Random(seed)
+    h, r = (random_expr(rng, consts=("a",)) for _ in range(2))
+    assert bracket(h, r) == -bracket(r, h)
+
+
+@pytest.mark.parametrize("cfg", [
+    AnsatzConfig(order=3, weight_max=5, t_degree_max=1, x_degree_max=1),
+    AnsatzConfig(order=2, weight_max=4, exp_rate=const("a")),
+], ids=["t-and-x", "exp-rate"])
+def test_every_image_is_dm_dt_minus_the_bracket_f_m(kdv, cfg, monkeypatch):
+    systems = []
+    real = search._linear_system
+
+    def spy(images):
+        systems.append(images)
+        return real(images)
+
+    monkeypatch.setattr(search, "_linear_system", spy)
+    res = find_symmetries(kdv, cfg)
+    pool = ansatz_terms(kdv, cfg)
+    (images,) = systems
+    assert len(images) == len(pool) == res.pool_size
+    assert images == [partial(m, "t") - bracket(kdv.F, m) for m in pool]
+    assert any(partial(m, "t") for m in pool)
 
 
 @pytest.mark.parametrize("src, names, cfg, x_dependent", [
@@ -432,6 +525,24 @@ def test_linear_system_matches_the_term_by_term_build(seed):
     ref_rows, ref_ncols = _reference_linear_system(images)
     assert ncols == ref_ncols == len(images)
     assert rows == ref_rows  # the same rows in the same order, cell by cell
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_a_constant_slot_orders_a_row_before_an_exponential_one(flip):
+    # a*exp(a*t)*u sorts before exp(t)*u, as ((1, a), 1) before the rate
+    # slot of exp(t), though the shape exp(a*t)*u sorts after exp(t)*u
+    a = const("a")
+    images = [a * exp_of(a * t) * u0 + exp_of(t) * u0,
+              exp_of(t) * u1 + a * exp_of(a * t) * u1]
+    if flip:
+        images.reverse()
+    rows, ncols = _linear_system(images)
+    ref_rows, ref_ncols = _reference_linear_system(images)
+    assert ncols == ref_ncols == 2 and len(rows) == len(ref_rows) == 4
+    for row, ref_row in zip(rows, ref_rows):
+        assert row == ref_row
+    # each image names the shape of its term with the constant first
+    assert rows[0][0] == rows[2][1] == a
 
 
 @pytest.mark.parametrize("src, names", [("u3 + 6*u*u1", ""),
